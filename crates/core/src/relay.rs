@@ -254,7 +254,7 @@ impl Relay {
         now: SimTime,
         rng: &mut R,
     ) -> Result<PeeledAction, AnonError> {
-        if !self.forward.contains_key(&(from, sid)) {
+        let Some(entry) = self.forward.get_mut(&(from, sid)) else {
             // §4.4 path reuse: an unsolicited DeliverWithKey opens a new
             // terminal stream — the new responder unseals its session key
             // from the payload and caches [P_L, sid'_L, ⊥, R_{L+1}]. Cold
@@ -288,32 +288,23 @@ impl Relay {
                 };
             }
             return Err(AnonError::UnknownStream);
-        }
-        let entry = self
-            .forward
-            .get_mut(&(from, sid))
-            .ok_or(AnonError::UnknownStream)?;
+        };
         if entry.expires < now {
             return Err(AnonError::UnknownStream);
         }
         entry.expires = now + self.state_ttl;
-        let key = entry.key;
-        let next = entry.next;
-        match (peel_payload_layer_in_place(&key, buf)?, next) {
+        match (peel_payload_layer_in_place(&entry.key, buf)?, entry.next) {
             (PeeledPayload::Forward, Some((to, next_sid))) => {
                 Ok(PeeledAction::Forward { to, sid: next_sid })
             }
             (PeeledPayload::Forward, None) => {
                 Err(AnonError::Malformed("forward layer at terminal hop"))
             }
-            (PeeledPayload::Redirect { new_dest }, Some(_)) => {
+            (PeeledPayload::Redirect { new_dest }, Some(old_next)) => {
                 // §4.4: override the cached next hop with the new
                 // destination under a fresh stream id.
                 let new_sid = StreamId::generate(rng);
-                let entry = self.forward.get_mut(&(from, sid)).expect("checked above");
-                if let Some(old_next) = entry.next {
-                    self.reverse.remove(&old_next);
-                }
+                self.reverse.remove(&old_next);
                 entry.next = Some((new_dest, new_sid));
                 self.reverse.insert((new_dest, new_sid), (from, sid));
                 Ok(PeeledAction::Forward {

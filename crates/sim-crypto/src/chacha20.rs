@@ -20,18 +20,24 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
-/// Produce one 64-byte keystream block for (key, counter, nonce).
-pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; 64] {
+/// The cipher's input state for (key, counter, nonce): constants, key
+/// words, block counter in word 12, nonce words.
+fn init_state(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u32; 16] {
     let mut state = [0u32; 16];
     state[..4].copy_from_slice(&SIGMA);
-    for i in 0..8 {
-        state[4 + i] = u32::from_le_bytes(key[i * 4..i * 4 + 4].try_into().unwrap());
+    for (word, bytes) in state[4..12].iter_mut().zip(key.chunks_exact(4)) {
+        *word = u32::from_le_bytes(bytes.try_into().expect("chunks_exact(4)"));
     }
     state[12] = counter;
-    for i in 0..3 {
-        state[13 + i] = u32::from_le_bytes(nonce[i * 4..i * 4 + 4].try_into().unwrap());
+    for (word, bytes) in state[13..].iter_mut().zip(nonce.chunks_exact(4)) {
+        *word = u32::from_le_bytes(bytes.try_into().expect("chunks_exact(4)"));
     }
-    let mut working = state;
+    state
+}
+
+/// The 64-byte keystream block of an input state.
+fn keystream(state: &[u32; 16]) -> [u8; 64] {
+    let mut working = *state;
     for _ in 0..10 {
         quarter_round(&mut working, 0, 4, 8, 12);
         quarter_round(&mut working, 1, 5, 9, 13);
@@ -43,11 +49,15 @@ pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8;
         quarter_round(&mut working, 3, 4, 9, 14);
     }
     let mut out = [0u8; 64];
-    for i in 0..16 {
-        let word = working[i].wrapping_add(state[i]);
-        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
+    for (bytes, (w, s)) in out.chunks_exact_mut(4).zip(working.iter().zip(state)) {
+        bytes.copy_from_slice(&w.wrapping_add(*s).to_le_bytes());
     }
     out
+}
+
+/// Produce one 64-byte keystream block for (key, counter, nonce).
+pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; 64] {
+    keystream(&init_state(key, counter, nonce))
 }
 
 /// XOR `data` in place with the ChaCha20 keystream starting at block
@@ -58,13 +68,13 @@ pub fn xor_stream(
     nonce: &[u8; NONCE_LEN],
     data: &mut [u8],
 ) {
-    let mut counter = initial_counter;
+    let mut state = init_state(key, initial_counter, nonce);
     for chunk in data.chunks_mut(64) {
-        let ks = block(key, counter, nonce);
+        let ks = keystream(&state);
         for (d, k) in chunk.iter_mut().zip(ks.iter()) {
             *d ^= *k;
         }
-        counter = counter.wrapping_add(1);
+        state[12] = state[12].wrapping_add(1);
     }
 }
 

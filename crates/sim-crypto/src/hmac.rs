@@ -1,39 +1,48 @@
 //! HMAC-SHA-256 (RFC 2104) and HKDF (RFC 5869).
 
-use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
+use crate::sha256::{block_midstate, sha256, Sha256, BLOCK_LEN, DIGEST_LEN};
+
+/// An HMAC-SHA-256 key with its pad blocks already hashed: the SHA-256
+/// chaining values after `key ^ ipad` and after `key ^ opad`. A MAC under
+/// it costs only the message's own blocks plus one for the outer hash, so
+/// whoever MACs many messages under one key (a relay's session key, the
+/// blocks of one HKDF expansion) keeps this instead of the key bytes.
+#[derive(Clone, Copy)]
+pub(crate) struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl HmacKey {
+    pub(crate) fn new(key: &[u8]) -> Self {
+        let mut k = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            k[..DIGEST_LEN].copy_from_slice(&sha256(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        HmacKey {
+            inner: block_midstate(&k.map(|b| b ^ 0x36)),
+            outer: block_midstate(&k.map(|b| b ^ 0x5c)),
+        }
+    }
+
+    /// MAC over the concatenation of `parts`, streamed into the hash so
+    /// callers never materialise the joined message. Allocation-free.
+    pub(crate) fn mac(&self, parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
+        let mut inner = Sha256::after_block(self.inner);
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = Sha256::after_block(self.outer);
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
 
 /// HMAC-SHA-256 of `data` under `key`.
 pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; DIGEST_LEN] {
-    hmac_sha256_parts(key, &[data])
-}
-
-/// HMAC-SHA-256 over the concatenation of `parts`, streamed into the hash
-/// so callers (notably [`hkdf_expand`]) never materialise the joined
-/// message. Allocation-free.
-fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
-    let mut k = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        k[..DIGEST_LEN].copy_from_slice(&crate::sha256::sha256(key));
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; BLOCK_LEN];
-    let mut opad = [0x5cu8; BLOCK_LEN];
-    for i in 0..BLOCK_LEN {
-        ipad[i] ^= k[i];
-        opad[i] ^= k[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    for part in parts {
-        inner.update(part);
-    }
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac(&[data])
 }
 
 /// HKDF-Extract: PRK = HMAC(salt, ikm).
@@ -47,14 +56,15 @@ pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
 pub fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], out: &mut [u8]) {
     assert!(out.len() <= 255 * DIGEST_LEN, "HKDF output too long");
     // T(i-1) is at most one digest; stream T || info || counter into the
-    // MAC so the key schedule runs without heap allocation (it sits under
-    // every packet of the onion hot path).
+    // MAC so the expansion runs without heap allocation, and hash PRK's
+    // pads once for all blocks.
+    let prk = HmacKey::new(prk);
     let mut t = [0u8; DIGEST_LEN];
     let mut t_len = 0usize;
     let mut counter = 1u8;
     let mut filled = 0;
     while filled < out.len() {
-        let block = hmac_sha256_parts(prk, &[&t[..t_len], info, &[counter]]);
+        let block = prk.mac(&[&t[..t_len], info, &[counter]]);
         let take = (out.len() - filled).min(DIGEST_LEN);
         out[filled..filled + take].copy_from_slice(&block[..take]);
         filled += take;

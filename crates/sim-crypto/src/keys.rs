@@ -1,6 +1,15 @@
 //! Key material: X25519 key pairs (the per-node PKI identity) and symmetric
 //! session keys (the per-hop `R_i` of the paper).
+//!
+//! A [`SymmetricKey`] is expanded when it is made, not when it is used: the
+//! paper pays for a path once, at construction, and every frame afterwards
+//! costs a relay one symmetric layer under the planted `R_i`. The key
+//! therefore carries what [`crate::symmetric`] needs per layer (the
+//! ChaCha20 key and the HMAC pad states HKDF derives from `R_i`) next to
+//! the 32 bytes that travel in the construction onion, and whoever stores
+//! the key per path entry stores the schedule with it.
 
+use crate::hmac::{hkdf, HmacKey};
 use crate::x25519;
 use rand::{CryptoRng, Rng};
 
@@ -67,9 +76,31 @@ impl KeyPair {
 }
 
 /// A 256-bit symmetric key: the per-hop session key `R_i` the initiator
-/// plants at each relay during path construction.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SymmetricKey(pub [u8; 32]);
+/// plants at each relay during path construction, together with the key
+/// schedule derived from it (128 bytes in all, still `Copy`).
+///
+/// Identity is the 32 key bytes: equality and hashing look at nothing
+/// else, and the schedule is a pure function of them.
+#[derive(Clone, Copy)]
+pub struct SymmetricKey {
+    bytes: [u8; 32],
+    enc: [u8; 32],
+    mac: HmacKey,
+}
+
+impl PartialEq for SymmetricKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for SymmetricKey {}
+
+impl std::hash::Hash for SymmetricKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.bytes.hash(state);
+    }
+}
 
 impl std::fmt::Debug for SymmetricKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -82,18 +113,40 @@ impl SymmetricKey {
     pub fn generate<R: Rng + CryptoRng>(rng: &mut R) -> Self {
         let mut bytes = [0u8; 32];
         rng.fill_bytes(&mut bytes);
-        SymmetricKey(bytes)
+        Self::from_bytes(bytes)
     }
 
     /// Serialized form (for embedding in onion layers).
     pub fn to_bytes(self) -> [u8; 32] {
-        self.0
+        self.bytes
     }
 
-    /// Deserialize.
+    /// Deserialize, and expand: one HKDF over the key bytes (12 SHA-256
+    /// compressions, once per key instead of once per layer).
     pub fn from_bytes(bytes: [u8; 32]) -> Self {
-        SymmetricKey(bytes)
+        let (enc, mac) = derive_keys(&bytes);
+        SymmetricKey { bytes, enc, mac }
     }
+
+    /// ChaCha20 key of the symmetric layer.
+    pub(crate) fn enc_key(&self) -> &[u8; 32] {
+        &self.enc
+    }
+
+    /// HMAC key of the symmetric layer's tag.
+    pub(crate) fn mac_key(&self) -> &HmacKey {
+        &self.mac
+    }
+}
+
+/// Encryption and MAC keys of the symmetric layer (wire v1):
+/// `HKDF(salt = "p2p-anon/sym/v1", ikm = R_i, info = "enc|mac")`, first
+/// half ChaCha20 key, second half HMAC key.
+fn derive_keys(bytes: &[u8; 32]) -> ([u8; 32], HmacKey) {
+    let okm: [u8; 64] = hkdf(b"p2p-anon/sym/v1", bytes, b"enc|mac");
+    let mut enc = [0u8; 32];
+    enc.copy_from_slice(&okm[..32]);
+    (enc, HmacKey::new(&okm[32..]))
 }
 
 #[cfg(test)]
@@ -136,5 +189,24 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let k = SymmetricKey::generate(&mut rng);
         assert_eq!(SymmetricKey::from_bytes(k.to_bytes()), k);
+    }
+
+    #[test]
+    fn symmetric_key_identity_is_its_bytes() {
+        use std::hash::{BuildHasher, RandomState};
+        // Every path entry holds one by value.
+        assert!(std::mem::size_of::<SymmetricKey>() <= 128);
+        let a = SymmetricKey::from_bytes([1; 32]);
+        let b = SymmetricKey::from_bytes([2; 32]);
+        assert_ne!(a, b);
+        // Same bytes under a foreign schedule: still the same key.
+        let grafted = SymmetricKey {
+            bytes: a.bytes,
+            enc: b.enc,
+            mac: b.mac,
+        };
+        assert_eq!(grafted, a);
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(grafted), hasher.hash_one(a));
     }
 }

@@ -11,7 +11,8 @@
 //! * [`hmac`] — RFC 2104 HMAC-SHA-256 and RFC 5869 HKDF.
 //! * [`chacha20`] — RFC 8439 ChaCha20 stream cipher.
 //! * [`x25519`] — RFC 7748 X25519 Diffie–Hellman over Curve25519.
-//! * [`keys`] — key pairs and node identities.
+//! * [`keys`] — key pairs, node identities, and the per-hop session key
+//!   that carries its own key schedule.
 //! * [`sealed`] — hybrid public-key encryption ("sealed boxes"):
 //!   ephemeral X25519 + HKDF + ChaCha20 + HMAC tag (encrypt-then-MAC),
 //!   used for onion layers at path-construction time.

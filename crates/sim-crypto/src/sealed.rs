@@ -24,7 +24,7 @@ pub const TAG_LEN: usize = 16;
 /// Ciphertext expansion of a sealed box: ephemeral key + tag.
 pub const OVERHEAD: usize = 32 + TAG_LEN;
 
-fn derive_keys(
+fn derive_box_keys(
     eph_pub: &[u8; 32],
     recipient: &PublicKey,
     shared: &[u8; 32],
@@ -55,7 +55,7 @@ pub fn seal<R: Rng + CryptoRng>(recipient: &PublicKey, plaintext: &[u8], rng: &m
     let eph = SecretKey::generate(rng);
     let eph_pub = eph.public_key();
     let shared = eph.diffie_hellman(recipient);
-    let (enc_key, mac_key) = derive_keys(&eph_pub.0, recipient, &shared);
+    let (enc_key, mac_key) = derive_box_keys(&eph_pub.0, recipient, &shared);
 
     let mut out = Vec::with_capacity(plaintext.len() + OVERHEAD);
     out.extend_from_slice(&eph_pub.0);
@@ -76,7 +76,7 @@ pub fn unseal(secret: &SecretKey, sealed: &[u8]) -> Result<Vec<u8>, CryptoError>
     eph_pub.copy_from_slice(&sealed[..32]);
     let recipient = secret.public_key();
     let shared = secret.diffie_hellman(&PublicKey(eph_pub));
-    let (enc_key, mac_key) = derive_keys(&eph_pub, &recipient, &shared);
+    let (enc_key, mac_key) = derive_box_keys(&eph_pub, &recipient, &shared);
 
     let (body, tag) = sealed.split_at(sealed.len() - TAG_LEN);
     let expected = hmac_sha256(&mac_key, body);

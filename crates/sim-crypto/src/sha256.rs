@@ -47,6 +47,18 @@ impl Sha256 {
         }
     }
 
+    /// Resume from `midstate`, the chaining value after exactly one
+    /// absorbed block (see [`block_midstate`]): what HMAC keeps per key so
+    /// the ipad/opad blocks are hashed once, not once per message.
+    pub(crate) fn after_block(midstate: [u32; 8]) -> Self {
+        Sha256 {
+            state: midstate,
+            buf: [0; BLOCK_LEN],
+            buf_len: 0,
+            total_len: BLOCK_LEN as u64,
+        }
+    }
+
     /// Absorb bytes.
     pub fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
@@ -56,16 +68,12 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= BLOCK_LEN {
-            let (block, rest) = data.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
+        while let Some((block, rest)) = data.split_first_chunk::<BLOCK_LEN>() {
+            compress(&mut self.state, block);
             data = rest;
         }
         if !data.is_empty() {
@@ -76,70 +84,84 @@ impl Sha256 {
 
     /// Finish and return the digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+        // Padding: 0x80, zeros up to 56 mod 64, then the message's bit
+        // length as 8 big-endian bytes. `update` never leaves the buffer
+        // full, so the 0x80 always fits; the length may need a second block.
+        const LEN_AT: usize = BLOCK_LEN - 8;
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        // `update` adjusted total_len; undo for padding bytes (length field
-        // covers only the message).
-        self.total_len = self.total_len.wrapping_sub(1);
-        while self.buf_len != 56 {
-            let before = self.buf_len;
-            self.update(&[0]);
-            self.total_len = self.total_len.wrapping_sub(1);
-            debug_assert_ne!(before, self.buf_len, "padding must make progress");
+        let used = self.buf_len;
+        self.buf[used] = 0x80;
+        self.buf[used + 1..].fill(0);
+        if used + 1 > LEN_AT {
+            compress(&mut self.state, &self.buf);
+            self.buf.fill(0);
         }
-        let mut tail = self;
-        tail.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(tail.buf_len, 0);
+        self.buf[LEN_AT..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
+
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in tail.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
+/// Chaining value after absorbing `block` into a fresh hasher.
+pub(crate) fn block_midstate(block: &[u8; BLOCK_LEN]) -> [u32; 8] {
+    let mut state = H0;
+    compress(&mut state, block);
+    state
+}
+
+/// One application of the compression function. The message schedule is
+/// a rolling window of 16 words (`w[i & 15]` holds `W[i]` until round
+/// `i + 16` overwrites it), and the loop takes eight rounds per step with
+/// the working variables renamed from round to round instead of moved.
+fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(bytes.try_into().expect("chunks_exact(4)"));
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    macro_rules! round {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
+            let i = $i;
+            if i >= 16 {
+                let w15 = w[(i + 1) & 15];
+                let w2 = w[(i + 14) & 15];
+                let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                w[i & 15] = w[i & 15]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[(i + 9) & 15])
+                    .wrapping_add(s1);
+            }
+            let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+            let ch = ($e & $f) ^ (!$e & $g);
+            let t1 = $h
                 .wrapping_add(s1)
                 .wrapping_add(ch)
                 .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+                .wrapping_add(w[i & 15]);
+            let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+            let maj = ($a & $b) ^ ($a & $c) ^ ($b & $c);
+            $d = $d.wrapping_add(t1);
+            $h = t1.wrapping_add(s0).wrapping_add(maj);
+        };
+    }
+    for i in (0..64).step_by(8) {
+        round!(a, b, c, d, e, f, g, h, i);
+        round!(h, a, b, c, d, e, f, g, i + 1);
+        round!(g, h, a, b, c, d, e, f, i + 2);
+        round!(f, g, h, a, b, c, d, e, i + 3);
+        round!(e, f, g, h, a, b, c, d, i + 4);
+        round!(d, e, f, g, h, a, b, c, i + 5);
+        round!(c, d, e, f, g, h, a, b, i + 6);
+        round!(b, c, d, e, f, g, h, a, i + 7);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -178,15 +200,14 @@ mod tests {
 
     #[test]
     fn million_a() {
+        let want = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
         let mut h = Sha256::new();
         let chunk = [b'a'; 1000];
         for _ in 0..1000 {
             h.update(&chunk);
         }
-        assert_eq!(
-            hex(&h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_eq!(hex(&h.finalize()), want);
+        assert_eq!(hex(&sha256(&vec![b'a'; 1_000_000])), want);
     }
 
     #[test]
@@ -203,7 +224,38 @@ mod tests {
 
     #[test]
     fn length_boundary_blocks() {
-        // Around the 55/56/64-byte padding boundaries.
+        // Around the 55/56/64-byte padding boundaries: 55 is the longest
+        // tail that shares a block with the length field, 56..=63 spill it
+        // into a block of its own. Digests from an independent SHA-256.
+        let pinned = [
+            (
+                55usize,
+                "5f25f149aa92e3e13093aed8216072fae623f35e26ca605b6cce17e04b7ccf44",
+            ),
+            (
+                56,
+                "301c69927f1603720c9f847b7e5e3bef77a7b9f75344490fe9039f13c36b842a",
+            ),
+            (
+                63,
+                "939765b120205cbedae2ed31256b1967c38b6bdd9b0220535224cbc0b906d333",
+            ),
+            (
+                64,
+                "cc7321cce5e4409bd8077d58422e1214969059bbd40b4eeb0de0a642f40f7282",
+            ),
+            (
+                119,
+                "a96851d641310ce032ff832b6f08125878deed2a825fe515dd1ba414afe95f7e",
+            ),
+            (
+                120,
+                "60ec7f280e45d0c7bf77b70ff16958b1c1701a9fb7faa12b798207cf120ec6ee",
+            ),
+        ];
+        for (len, want) in pinned {
+            assert_eq!(hex(&sha256(&vec![0x5au8; len])), want, "len {len}");
+        }
         for len in [54usize, 55, 56, 57, 63, 64, 65, 119, 120, 127, 128] {
             let msg = vec![0x5au8; len];
             let d1 = sha256(&msg);

@@ -5,9 +5,14 @@
 //! with an HMAC-SHA-256 tag over `nonce || ciphertext`, truncated to 16
 //! bytes (encrypt-then-MAC). Encryption and MAC keys are derived from the
 //! session key by HKDF so a single 32-byte `R_i` suffices.
+//!
+//! That derivation happens once, when the [`SymmetricKey`] is made; a layer
+//! here costs a nonce, the keystream, the body's own SHA-256 blocks and one
+//! more for the outer hash. Decryption still MACs the whole body and
+//! compares in constant time before it touches a byte.
 
 use crate::chacha20::{self, NONCE_LEN};
-use crate::hmac::{ct_eq, hkdf, hmac_sha256};
+use crate::hmac::ct_eq;
 use crate::keys::SymmetricKey;
 use crate::CryptoError;
 use rand::{CryptoRng, Rng};
@@ -18,15 +23,6 @@ pub const TAG_LEN: usize = 16;
 /// Ciphertext expansion: nonce + tag.
 pub const OVERHEAD: usize = NONCE_LEN + TAG_LEN;
 
-fn derive_keys(key: &SymmetricKey) -> ([u8; 32], [u8; 32]) {
-    let okm: [u8; 64] = hkdf(b"p2p-anon/sym/v1", &key.0, b"enc|mac");
-    let mut enc = [0u8; 32];
-    let mut mac = [0u8; 32];
-    enc.copy_from_slice(&okm[..32]);
-    mac.copy_from_slice(&okm[32..]);
-    (enc, mac)
-}
-
 /// Encrypt and authenticate `plaintext` under `key`.
 ///
 /// Output layout: `nonce (12) || ciphertext || tag (16)`.
@@ -35,31 +31,20 @@ pub fn sym_encrypt<R: Rng + CryptoRng>(
     plaintext: &[u8],
     rng: &mut R,
 ) -> Vec<u8> {
-    let (enc_key, mac_key) = derive_keys(key);
-    let mut nonce = [0u8; NONCE_LEN];
-    rng.fill_bytes(&mut nonce);
-
     let mut out = Vec::with_capacity(plaintext.len() + OVERHEAD);
-    out.extend_from_slice(&nonce);
     out.extend_from_slice(plaintext);
-    chacha20::xor_stream(&enc_key, 0, &nonce, &mut out[NONCE_LEN..]);
-
-    let tag = hmac_sha256(&mac_key, &out);
-    out.extend_from_slice(&tag[..TAG_LEN]);
+    sym_encrypt_in_place(key, &mut out, rng);
     out
 }
 
-/// In-place counterpart of [`sym_encrypt`]: seals the plaintext held in
-/// `buf`, growing it by [`OVERHEAD`] bytes. Produces the identical
-/// `nonce || ciphertext || tag` layout (and draws the same RNG bytes), so
-/// the two variants are interchangeable on the wire; this one reuses
-/// `buf`'s capacity instead of allocating a fresh output vector.
+/// [`sym_encrypt`] within the caller's buffer: seals the plaintext held in
+/// `buf`, growing it by [`OVERHEAD`] bytes, reusing `buf`'s capacity
+/// instead of allocating an output vector.
 pub fn sym_encrypt_in_place<R: Rng + CryptoRng>(
     key: &SymmetricKey,
     buf: &mut Vec<u8>,
     rng: &mut R,
 ) {
-    let (enc_key, mac_key) = derive_keys(key);
     let mut nonce = [0u8; NONCE_LEN];
     rng.fill_bytes(&mut nonce);
 
@@ -67,51 +52,35 @@ pub fn sym_encrypt_in_place<R: Rng + CryptoRng>(
     buf.resize(plain_len + OVERHEAD, 0);
     buf.copy_within(..plain_len, NONCE_LEN);
     buf[..NONCE_LEN].copy_from_slice(&nonce);
-    chacha20::xor_stream(
-        &enc_key,
-        0,
-        &nonce,
-        &mut buf[NONCE_LEN..NONCE_LEN + plain_len],
-    );
-    let tag = hmac_sha256(&mac_key, &buf[..NONCE_LEN + plain_len]);
-    buf[NONCE_LEN + plain_len..].copy_from_slice(&tag[..TAG_LEN]);
+    let (body, tag) = buf.split_at_mut(NONCE_LEN + plain_len);
+    chacha20::xor_stream(key.enc_key(), 0, &nonce, &mut body[NONCE_LEN..]);
+    tag.copy_from_slice(&key.mac_key().mac(&[body])[..TAG_LEN]);
 }
 
 /// Verify and decrypt a ciphertext produced by [`sym_encrypt`].
 pub fn sym_decrypt(key: &SymmetricKey, ciphertext: &[u8]) -> Result<Vec<u8>, CryptoError> {
-    if ciphertext.len() < OVERHEAD {
-        return Err(CryptoError::Truncated);
-    }
-    let (enc_key, mac_key) = derive_keys(key);
-    let (body, tag) = ciphertext.split_at(ciphertext.len() - TAG_LEN);
-    let expected = hmac_sha256(&mac_key, body);
-    if !ct_eq(tag, &expected[..TAG_LEN]) {
-        return Err(CryptoError::BadTag);
-    }
-    let mut nonce = [0u8; NONCE_LEN];
-    nonce.copy_from_slice(&body[..NONCE_LEN]);
-    let mut plaintext = body[NONCE_LEN..].to_vec();
-    chacha20::xor_stream(&enc_key, 0, &nonce, &mut plaintext);
-    Ok(plaintext)
+    let mut buf = ciphertext.to_vec();
+    sym_decrypt_in_place(key, &mut buf)?;
+    Ok(buf)
 }
 
-/// In-place counterpart of [`sym_decrypt`]: verifies the tag, decrypts
+/// [`sym_decrypt`] within the caller's buffer: verifies the tag, decrypts
 /// within `buf`, moves the plaintext to the front and truncates off the
 /// [`OVERHEAD`]. On error `buf` is left untouched. Never allocates.
 pub fn sym_decrypt_in_place(key: &SymmetricKey, buf: &mut Vec<u8>) -> Result<(), CryptoError> {
     if buf.len() < OVERHEAD {
         return Err(CryptoError::Truncated);
     }
-    let (enc_key, mac_key) = derive_keys(key);
     let body_len = buf.len() - TAG_LEN;
-    let (body, tag) = buf.split_at(body_len);
-    let expected = hmac_sha256(&mac_key, body);
+    let (body, tag) = buf.split_at_mut(body_len);
+    let expected = key.mac_key().mac(&[body]);
     if !ct_eq(tag, &expected[..TAG_LEN]) {
         return Err(CryptoError::BadTag);
     }
-    let mut nonce = [0u8; NONCE_LEN];
-    nonce.copy_from_slice(&buf[..NONCE_LEN]);
-    chacha20::xor_stream(&enc_key, 0, &nonce, &mut buf[NONCE_LEN..body_len]);
+    let (nonce, ciphertext) = body
+        .split_first_chunk_mut::<NONCE_LEN>()
+        .expect("length checked against OVERHEAD");
+    chacha20::xor_stream(key.enc_key(), 0, nonce, ciphertext);
     buf.copy_within(NONCE_LEN..body_len, 0);
     buf.truncate(body_len - NONCE_LEN);
     Ok(())
@@ -126,6 +95,53 @@ mod tests {
     fn key_and_rng() -> (SymmetricKey, StdRng) {
         let mut rng = StdRng::seed_from_u64(42);
         (SymmetricKey::generate(&mut rng), rng)
+    }
+
+    /// Wire-v1 compatibility guard: `nonce || ct || tag` for key bytes
+    /// `00..1f`, plaintext byte `i` = `7i + 3`, nonce drawn from
+    /// `StdRng::seed_from_u64(0x5eed)`, as emitted by the per-call key
+    /// schedule this module had before keys carried their expansion.
+    #[test]
+    fn known_answers_wire_v1() {
+        let vectors: [(usize, &str); 4] = [
+            (
+                0,
+                "783d73c1be7141846908bd85e0e195413ec5ff7755be9ac2d4b6072c",
+            ),
+            (
+                1,
+                "783d73c1be7141846908bd85f24ce0d57a6aca3ed9f74dd1d6616e032f",
+            ),
+            (
+                64,
+                "783d73c1be7141846908bd85f231fe903f13968e260d4bce133b5d6c54ec1e1de5458856\
+                 a38510cff5cfed1792a8ccc01b149016233121505acd378633e32fcd06a7492031d718f4\
+                 bfd35ab5d91293a931811661cde9fd3997b039ae",
+            ),
+            (
+                300,
+                "783d73c1be7141846908bd85f231fe903f13968e260d4bce133b5d6c54ec1e1de5458856\
+                 a38510cff5cfed1792a8ccc01b149016233121505acd378633e32fcd06a7492031d718f4\
+                 bfd35ab5b43ac64b45c8ce2b350c22ff14b1d928ff28c5f7a657d05b6b376712d2e34638\
+                 8770c4b7945ecdea597f5599995a575e320d74b734fc3d0deed610f28b73461a39709c0e\
+                 7206f9c9742c4a441c17a037099372d0319e390e2056cf5ac62234d4cc0949db40cd92cd\
+                 7d6d14d37404c9fc0770d6c2dbceb6098d140ad2aa11ff05980b11a81a7e198a405a8479\
+                 0000fd79a05eec62ae2fb08181682fdc7e8c33a2ce557107a8714bebc0ff2cbf64b7601b\
+                 7b2000d7c7fb470dc8aee598dc763fa9c22afcce975bb882510cd7b005025616a7360ed5\
+                 e8758eabc293d6320e6d102743cb1400b2ef306ff43ce0fae35439f17b3738db7c991b3f\
+                 afbfb3ee",
+            ),
+        ];
+        let key = SymmetricKey::from_bytes(std::array::from_fn(|i| i as u8));
+        for (len, want) in vectors {
+            let mut buf: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let plain = buf.clone();
+            sym_encrypt_in_place(&key, &mut buf, &mut StdRng::seed_from_u64(0x5eed));
+            let got: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, want, "len {len}");
+            sym_decrypt_in_place(&key, &mut buf).unwrap();
+            assert_eq!(buf, plain, "len {len}");
+        }
     }
 
     #[test]

@@ -2,12 +2,28 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use sim_crypto::hmac::{hkdf, hmac_sha256};
 use sim_crypto::sha256::{sha256, Sha256};
 use sim_crypto::{
-    chacha20, seal, sym_decrypt, sym_encrypt, unseal, CryptoError, KeyPair, SymmetricKey,
+    chacha20, seal, sym_decrypt, sym_decrypt_in_place, sym_encrypt, sym_encrypt_in_place, unseal,
+    CryptoError, KeyPair, SymmetricKey,
 };
+
+/// The wire-v1 symmetric layer from scratch: the whole key schedule run
+/// for this one call, composed from the public primitives only.
+fn reference_sym_encrypt(key: &[u8; 32], msg: &[u8], seed: u64) -> Vec<u8> {
+    let okm: [u8; 64] = hkdf(b"p2p-anon/sym/v1", key, b"enc|mac");
+    let (enc, mac) = okm.split_at(32);
+    let mut nonce = [0u8; 12];
+    StdRng::seed_from_u64(seed).fill_bytes(&mut nonce);
+    let mut out = nonce.to_vec();
+    out.extend_from_slice(msg);
+    chacha20::xor_stream(enc.try_into().unwrap(), 0, &nonce, &mut out[12..]);
+    let tag = hmac_sha256(mac, &out);
+    out.extend_from_slice(&tag[..16]);
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -37,24 +53,34 @@ proptest! {
         prop_assert_eq!(chacha20::encrypt(&key, counter, &nonce, &ct), msg);
     }
 
-    /// Authenticated symmetric encryption round-trips and rejects any
-    /// single-bit corruption.
+    /// A key's cached schedule produces exactly the bytes of a from-scratch
+    /// derivation, both variants round-trip, and any single-bit corruption
+    /// is rejected with the buffer left as it was.
     #[test]
-    fn symmetric_roundtrip_and_integrity(
+    fn symmetric_matches_reference_and_rejects_bit_flips(
         key_bytes in any::<[u8; 32]>(),
-        msg in proptest::collection::vec(any::<u8>(), 0..512),
+        msg in proptest::collection::vec(any::<u8>(), 0..4096),
         seed in any::<u64>(),
         flip in any::<prop::sample::Index>(),
+        bit in 0u8..8,
     ) {
         let key = SymmetricKey::from_bytes(key_bytes);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ct = sym_encrypt(&key, &msg, &mut rng);
-        prop_assert_eq!(sym_decrypt(&key, &ct).unwrap(), msg);
+        let want = reference_sym_encrypt(&key_bytes, &msg, seed);
+        let mut buf = msg.clone();
+        sym_encrypt_in_place(&key, &mut buf, &mut StdRng::seed_from_u64(seed));
+        prop_assert_eq!(&buf, &want);
+        prop_assert_eq!(sym_encrypt(&key, &msg, &mut StdRng::seed_from_u64(seed)), want);
 
-        let mut bad = ct.clone();
-        let i = flip.index(bad.len());
-        bad[i] ^= 1;
+        let mut bad = buf.clone();
+        bad[flip.index(buf.len())] ^= 1 << bit;
+        let snapshot = bad.clone();
+        prop_assert_eq!(sym_decrypt_in_place(&key, &mut bad), Err(CryptoError::BadTag));
+        prop_assert_eq!(&bad, &snapshot);
         prop_assert_eq!(sym_decrypt(&key, &bad), Err(CryptoError::BadTag));
+
+        prop_assert_eq!(&sym_decrypt(&key, &buf).unwrap(), &msg);
+        sym_decrypt_in_place(&key, &mut buf).unwrap();
+        prop_assert_eq!(buf, msg);
     }
 
     /// Sealed boxes open only with the right secret key.

@@ -112,9 +112,10 @@ pub struct ProtocolNode {
     initiator: Option<Initiator>,
     /// Responder-side segment reassembly.
     reassembler: Reassembler,
-    /// Initiator-side plans keyed by path stream id, for peeling reverse
-    /// onions (mirrors the driver's `register_path`).
-    plans: HashMap<StreamId, PathPlan>,
+    /// Initiator side: where in `initiator.paths()` the path of a stream
+    /// id sits, so a reverse onion finds its plan without the node keeping
+    /// a second copy of every session key. Paths are never dropped here.
+    path_index: HashMap<StreamId, usize>,
     /// Outgoing messages kept for erasure-aware retransmission.
     outbox: HashMap<MessageId, Vec<u8>>,
     /// Segments acked so far, per message.
@@ -157,7 +158,7 @@ impl ProtocolNode {
             codec: None,
             initiator: None,
             reassembler: Reassembler::new(),
-            plans: HashMap::new(),
+            path_index: HashMap::new(),
             outbox: HashMap::new(),
             acked: HashMap::new(),
             want: HashMap::new(),
@@ -276,6 +277,12 @@ impl ProtocolNode {
             .unwrap_or_default()
     }
 
+    /// The plan of the path this node built under stream id `sid`.
+    fn plan(&self, sid: StreamId) -> Option<&PathPlan> {
+        let &i = self.path_index.get(&sid)?;
+        Some(&self.initiator.as_ref()?.paths().get(i)?.plan)
+    }
+
     /// Whether every segment of `mid` has been acked end to end.
     pub fn message_complete(&self, mid: MessageId) -> bool {
         match (self.acked.get(&mid), self.want.get(&mid)) {
@@ -295,8 +302,8 @@ impl ProtocolNode {
         let initiator = self.initiator.get_or_insert_with(|| Initiator::new(id));
         let start = initiator.paths().len();
         let msgs = initiator.construct_paths(paths_hops, &mut self.rng);
-        for p in &initiator.paths()[start..] {
-            self.plans.insert(p.sid, p.plan.clone());
+        for (i, p) in initiator.paths().iter().enumerate().skip(start) {
+            self.path_index.insert(p.sid, i);
         }
         for msg in msgs {
             out.push(Output::Send {
@@ -428,20 +435,7 @@ impl ProtocolNode {
                         t.constructions.inc();
                     }
                     if self.auto_ack {
-                        let key = self.relay.terminal_key(from, sid).expect("just cached");
-                        let blob = build_reverse_payload(
-                            &key,
-                            CONSTRUCT_ACK,
-                            &Segment::new(0, Vec::new()),
-                            &mut self.rng,
-                        );
-                        out.push(Output::Send {
-                            to: from,
-                            frame: Frame::Stream {
-                                sid,
-                                wire: Wire::Reverse { blob },
-                            },
-                        });
+                        self.send_auto_ack(from, sid, CONSTRUCT_ACK, 0, out);
                     }
                 }
                 Ok(_) => unreachable!("construction actions only"),
@@ -474,23 +468,7 @@ impl ProtocolNode {
                             }
                         }
                         if self.auto_ack {
-                            let key = self
-                                .relay
-                                .terminal_key(from, sid)
-                                .expect("terminal entry just used");
-                            let ack = build_reverse_payload(
-                                &key,
-                                mid,
-                                &Segment::new(index, Vec::new()),
-                                &mut self.rng,
-                            );
-                            out.push(Output::Send {
-                                to: from,
-                                frame: Frame::Stream {
-                                    sid,
-                                    wire: Wire::Reverse { blob: ack },
-                                },
-                            });
+                            self.send_auto_ack(from, sid, mid, index, out);
                         }
                     }
                     Ok(PeeledAction::DeliveredOwned { .. }) => self.note_stateless_drop(),
@@ -501,7 +479,7 @@ impl ProtocolNode {
             // all layers with the registered plan and log the ack.
             // Otherwise the relay half wraps a layer and passes it back.
             Wire::Reverse { mut blob } => {
-                let Some(plan) = self.plans.get(&sid) else {
+                let Some(plan) = self.plan(sid) else {
                     return self.relay_reverse(now, from, sid, blob, out);
                 };
                 match peel_reverse_payload_in_place(plan, &mut blob, None) {
@@ -553,6 +531,32 @@ impl ProtocolNode {
                 }
             }
         }
+    }
+
+    /// Responder's ack for segment `index` of `mid`: one reverse layer
+    /// under the terminal entry's session key, sent back the way the frame
+    /// came. Without a terminal entry for the stream there is no key to
+    /// ack under and the frame counts as a stateless drop.
+    fn send_auto_ack(
+        &mut self,
+        from: NodeId,
+        sid: StreamId,
+        mid: MessageId,
+        index: usize,
+        out: &mut Vec<Output>,
+    ) {
+        let Some(key) = self.relay.terminal_key(from, sid) else {
+            return self.note_stateless_drop();
+        };
+        let blob =
+            build_reverse_payload(&key, mid, &Segment::new(index, Vec::new()), &mut self.rng);
+        out.push(Output::Send {
+            to: from,
+            frame: Frame::Stream {
+                sid,
+                wire: Wire::Reverse { blob },
+            },
+        });
     }
 
     /// Relay half of reverse handling: wrap one layer and pass it back
