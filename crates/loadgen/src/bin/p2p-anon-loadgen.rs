@@ -1,7 +1,7 @@
 //! `p2p-anon-loadgen` — onion-forward throughput/latency measurement
 //! against a live relay chain.
 //!
-//! The generator is a real protocol initiator over the selected live
+//! The generator is a real protocol initiator over the live
 //! transport: it constructs one onion path through the chain, then
 //! drives `(1,1)`-coded operations per the arrival discipline and
 //! reports throughput (ops/sec, onion-forwards/sec) plus
@@ -35,9 +35,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::thread;
-use transport::{
-    EventedTransport, ProtocolNode, Roster, Runtime, TcpTransport, Transport, TransportError,
-};
+use transport::{EventedTransport, ProtocolNode, Roster, Runtime};
 
 struct Args {
     config: Option<String>,
@@ -46,7 +44,6 @@ struct Args {
     id: NodeId,
     path: Vec<NodeId>,
     responder: Option<NodeId>,
-    transport: String,
     mode: String,
     in_flight: usize,
     rate_hz: f64,
@@ -62,7 +59,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: p2p-anon-loadgen (--config FILE --path \"1,2\" --responder N | --auto-chain N)\n\
-         \x20    [--node-bin PATH] [--id N] [--transport evented|threaded]\n\
+         \x20    [--node-bin PATH] [--id N]\n\
          \x20    [--mode closed|open] [--in-flight N] [--rate HZ]\n\
          \x20    [--payload-bytes B] [--warmup-secs S] [--measure-secs S] [--drain-secs S]\n\
          \x20    [--ack-timeout-ms MS] [--seed N] [--out FILE]\n\
@@ -82,7 +79,6 @@ fn parse_args() -> Args {
         id: NodeId(0),
         path: Vec::new(),
         responder: None,
-        transport: "evented".to_string(),
         mode: "closed".to_string(),
         in_flight: 32,
         rate_hz: 1000.0,
@@ -112,7 +108,6 @@ fn parse_args() -> Args {
                     .map(|n| NodeId(n.trim().parse().unwrap_or_else(|_| usage())))
                     .collect();
             }
-            "--transport" => args.transport = value(),
             "--mode" => args.mode = value(),
             "--in-flight" => args.in_flight = value().parse().unwrap_or_else(|_| usage()),
             "--rate" => args.rate_hz = value().parse().unwrap_or_else(|_| usage()),
@@ -192,7 +187,6 @@ fn spawn_chain(args: &Args, relays: u32) -> Result<(Roster, Fleet), String> {
         cmd.arg("--config")
             .arg(&config)
             .args(["--id", &id.to_string()])
-            .args(["--transport", &args.transport])
             .args(["--run-secs", &run_secs.to_string()])
             .arg("--quiet")
             .stdout(Stdio::piped())
@@ -252,7 +246,9 @@ fn to_json(args: &Args, relays: usize, summary: &Summary) -> String {
     };
     format!(
         concat!(
-            "{{\"harness\": \"loadgen\", \"transport\": \"{}\", \"mode\": {}, ",
+            // "transport" has one value; the field stays so new
+            // BENCH_HISTORY.jsonl lines compare with recorded ones.
+            "{{\"harness\": \"loadgen\", \"transport\": \"evented\", \"mode\": {}, ",
             "\"relays\": {}, \"hops\": {}, \"payload_bytes\": {}, ",
             "\"warmup_s\": {}, \"measure_s\": {}, ",
             "\"ops\": {}, \"launched\": {}, \"incomplete\": {}, \"timeouts\": {}, ",
@@ -262,7 +258,6 @@ fn to_json(args: &Args, relays: usize, summary: &Summary) -> String {
             "\"latency_us\": {{\"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, ",
             "\"p999\": {}}}}}"
         ),
-        args.transport,
         arrival,
         relays,
         summary.hops,
@@ -287,13 +282,8 @@ fn to_json(args: &Args, relays: usize, summary: &Summary) -> String {
     )
 }
 
-/// Bind the chosen backend, run the workload, and report.
-fn run_backend<T: Transport>(
-    mut transport_setup: impl FnMut(NodeId, Roster) -> Result<T, TransportError>,
-    args: &Args,
-    roster: &Roster,
-    relays: usize,
-) -> Result<Summary, String> {
+/// Bind the transport, run the workload, and report.
+fn run_workload(args: &Args, roster: &Roster, relays: usize) -> Result<Summary, String> {
     let responder = args.responder.unwrap_or(NodeId(relays as u32 + 1)); // auto-chain layout
     let chain: Vec<NodeId> = if args.path.is_empty() {
         (1..=relays as u32).map(NodeId).collect() // auto-chain layout
@@ -311,7 +301,7 @@ fn run_backend<T: Transport>(
     // closed-loop backlogs do not masquerade as losses.
     let mut policy = roster.policy;
     policy.ack_timeout_us = args.ack_timeout_ms * 1_000;
-    let transport = transport_setup(args.id, roster.clone()).map_err(|e| e.to_string())?;
+    let transport = EventedTransport::bind(args.id, roster.clone()).map_err(|e| e.to_string())?;
     let node = ProtocolNode::new(args.id, roster.keypair(args.id), args.seed ^ 0x6e6e)
         .with_policy(&policy)
         .with_codec(Box::new(ErasureCodec::new(1, 1).expect("(1,1) codec")));
@@ -368,12 +358,7 @@ fn main() -> ExitCode {
         _ => usage(),
     };
 
-    let result = match args.transport.as_str() {
-        "evented" => run_backend(EventedTransport::bind, &args, &roster, relays),
-        "threaded" => run_backend(TcpTransport::bind, &args, &roster, relays),
-        _ => usage(),
-    };
-    let summary = match result {
+    let summary = match run_workload(&args, &roster, relays) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("p2p-anon-loadgen: {e}");

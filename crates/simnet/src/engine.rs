@@ -80,18 +80,16 @@ impl<W: 'static> Default for Engine<W> {
 }
 
 impl<W> Engine<W> {
-    /// Fresh engine at time zero, using the process-default scheduler
-    /// ([`SchedulerKind::from_env`]: calendar queue unless
-    /// `P2P_ANON_SCHED=heap`).
+    /// Fresh engine at time zero, on the calendar queue.
     pub fn new() -> Self
     where
         W: 'static,
     {
-        Self::with_kind(SchedulerKind::from_env())
+        Self::with_kind(SchedulerKind::Calendar)
     }
 
-    /// Fresh engine using an explicit scheduler kind (the perf harness
-    /// compares kinds within one run this way).
+    /// Fresh engine using an explicit scheduler kind (tests and the perf
+    /// harness compare kinds within one run this way).
     pub fn with_kind(kind: SchedulerKind) -> Self
     where
         W: 'static,

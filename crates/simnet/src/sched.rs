@@ -349,10 +349,9 @@ impl<W> Scheduler<W> for CalendarQueue<W> {
 
 /// Which [`Scheduler`] implementation an [`Engine`] uses.
 ///
-/// [`Engine::new`](crate::Engine::new) consults the `P2P_ANON_SCHED`
-/// environment variable (`calendar` | `heap`, read once per process) and
-/// defaults to the calendar queue; the perf harness uses explicit kinds
-/// to compare both in one run.
+/// [`Engine::new`](crate::Engine::new) uses the calendar queue; tests
+/// and the perf harness pass an explicit kind to
+/// [`Engine::with_kind`](crate::Engine::with_kind) to compare both.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// [`CalendarQueue`] — amortised `O(1)`, the default.
@@ -362,16 +361,6 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Process-wide default: `P2P_ANON_SCHED=heap` selects the heap,
-    /// anything else (or unset) the calendar queue. Read once and cached.
-    pub fn from_env() -> SchedulerKind {
-        static KIND: std::sync::OnceLock<SchedulerKind> = std::sync::OnceLock::new();
-        *KIND.get_or_init(|| match std::env::var("P2P_ANON_SCHED").as_deref() {
-            Ok("heap") => SchedulerKind::Heap,
-            _ => SchedulerKind::Calendar,
-        })
-    }
-
     /// Instantiate a scheduler of this kind.
     pub fn build<W: 'static>(self) -> Box<dyn Scheduler<W>> {
         match self {

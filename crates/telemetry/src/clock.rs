@@ -23,8 +23,8 @@ pub trait Clock: Send + Sync {
 
 /// Wall-clock time: monotonic microseconds since construction.
 ///
-/// Used by the live stack (`TcpTransport`, the node binary's stats
-/// listener) where telemetry timestamps must reflect real elapsed time.
+/// Used by the live stack (the node binary's stats listener) where
+/// telemetry timestamps must reflect real elapsed time.
 #[derive(Debug)]
 pub struct WallClock {
     epoch: Instant,

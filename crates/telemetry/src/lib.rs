@@ -1,7 +1,7 @@
 //! Unified runtime observability for the simulator and the live stack.
 //!
 //! Every layer of the workspace runs the same protocol logic in two
-//! worlds — the deterministic `simnet` engine and the threaded TCP
+//! worlds — the deterministic `simnet` engine and the live TCP
 //! transport — and this crate gives both one measurement vocabulary:
 //!
 //! * [`Counter`] / [`Gauge`] — lock-free atomic scalars ([`counter`]).

@@ -36,48 +36,14 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 use transport::{
-    ChaosConfig, ChaosPlan, ChaosTransport, EventedTransport, NodeTelemetry, PolicyConfig,
-    ProtocolNode, Roster, Runtime, StatsServer, TcpTelemetry, TcpTransport, Transport,
-    TransportError,
+    ChaosConfig, ChaosPlan, ChaosTransport, EventedTransport, NodeTelemetry, ProtocolNode, Roster,
+    Runtime, StatsServer, TcpTelemetry, Transport,
 };
-
-/// The two live backends behind one construction/configuration surface,
-/// so role dispatch stays generic over `--transport`.
-trait LiveBackend: Transport + Sized {
-    fn bind_to(id: NodeId, roster: Roster) -> Result<Self, TransportError>;
-    fn configure(&mut self, policy: PolicyConfig);
-    fn attach_telemetry(&mut self, telemetry: TcpTelemetry);
-}
-
-impl LiveBackend for TcpTransport {
-    fn bind_to(id: NodeId, roster: Roster) -> Result<Self, TransportError> {
-        TcpTransport::bind(id, roster)
-    }
-    fn configure(&mut self, policy: PolicyConfig) {
-        self.set_policy(policy);
-    }
-    fn attach_telemetry(&mut self, telemetry: TcpTelemetry) {
-        self.set_telemetry(telemetry);
-    }
-}
-
-impl LiveBackend for EventedTransport {
-    fn bind_to(id: NodeId, roster: Roster) -> Result<Self, TransportError> {
-        EventedTransport::bind(id, roster)
-    }
-    fn configure(&mut self, policy: PolicyConfig) {
-        self.set_policy(policy);
-    }
-    fn attach_telemetry(&mut self, telemetry: TcpTelemetry) {
-        self.set_telemetry(telemetry);
-    }
-}
 
 struct Args {
     config: String,
     id: NodeId,
     role: String,
-    transport: String,
     paths: Vec<Vec<NodeId>>,
     responder: Option<NodeId>,
     codec: (usize, usize),
@@ -95,7 +61,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: p2p-anon-node --config FILE --id N --role relay|responder|initiator\n\
-         \x20    [--transport threaded|evented]\n\
+         \x20    [--transport evented]\n\
          \x20    [--paths \"1,2,3;4,5,6\"] [--responder N] [--codec M,N]\n\
          \x20    [--ack-timeout-ms MS] [--max-retries N] [--path-bias]\n\
          \x20    [--chaos SPEC] [--chaos-seed N]\n\
@@ -113,7 +79,6 @@ fn parse_args() -> Args {
         config: String::new(),
         id: NodeId(u32::MAX),
         role: String::new(),
-        transport: "threaded".to_string(),
         paths: Vec::new(),
         responder: None,
         codec: (2, 4),
@@ -134,7 +99,21 @@ fn parse_args() -> Args {
             "--config" => args.config = value(),
             "--id" => args.id = NodeId(value().parse().unwrap_or_else(|_| usage())),
             "--role" => args.role = value(),
-            "--transport" => args.transport = value(),
+            // There is one live backend. The flag is still parsed
+            // because spawners written against the two-backend node
+            // (`benchmark/src/live_tcp.rs` among them) pass
+            // `--transport evented`; it selects nothing.
+            "--transport" => match value().as_str() {
+                "evented" => {}
+                "threaded" => {
+                    eprintln!(
+                        "p2p-anon-node: --transport threaded was removed in PR 13; \
+                         the evented backend is the only one"
+                    );
+                    std::process::exit(2);
+                }
+                _ => usage(),
+            },
             "--responder" => {
                 args.responder = Some(NodeId(value().parse().unwrap_or_else(|_| usage())))
             }
@@ -219,35 +198,20 @@ fn main() -> ExitCode {
         "initiator" => node = node.with_codec(Box::new(codec)),
         _ => usage(),
     }
-    match args.transport.as_str() {
-        "threaded" => run_with_backend::<TcpTransport>(node, policy, &args, &roster),
-        "evented" => run_with_backend::<EventedTransport>(node, policy, &args, &roster),
-        _ => usage(),
-    }
-}
-
-/// Bind the selected backend, wire optional stats/chaos, and hand off to
-/// role dispatch. Generic so both `--transport` values share one path.
-fn run_with_backend<T: LiveBackend>(
-    mut node: ProtocolNode,
-    policy: PolicyConfig,
-    args: &Args,
-    roster: &Roster,
-) -> ExitCode {
-    let mut transport = match T::bind_to(args.id, roster.clone()) {
+    let mut transport = match EventedTransport::bind(args.id, roster.clone()) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("p2p-anon-node: bind {}: {e}", args.id);
             return ExitCode::FAILURE;
         }
     };
-    transport.configure(policy);
+    transport.set_policy(policy);
     // --stats-addr: register live instruments and serve them until the
     // process exits (the guard keeps the listener thread alive).
     let _stats = match &args.stats_addr {
         Some(addr) => {
             let registry = Arc::new(telemetry::Registry::new());
-            transport.attach_telemetry(TcpTelemetry::register(registry.clone()));
+            transport.set_telemetry(TcpTelemetry::register(registry.clone()));
             node = node.with_telemetry(NodeTelemetry::register(&registry, args.id));
             match StatsServer::serve(addr, registry, Some(Duration::from_secs(10))) {
                 Ok(server) => {
@@ -274,9 +238,9 @@ fn run_with_backend<T: LiveBackend>(
                 }
             };
             let chaos = ChaosTransport::new(transport, ChaosPlan::new(cfg, args.chaos_seed));
-            run_role(Runtime::new(chaos), node, args, roster)
+            run_role(Runtime::new(chaos), node, &args, &roster)
         }
-        None => run_role(Runtime::new(transport), node, args, roster),
+        None => run_role(Runtime::new(transport), node, &args, &roster),
     }
 }
 
@@ -362,7 +326,7 @@ fn run_initiator<T: Transport>(mut rt: Runtime<T>, args: &Args, roster: &Roster)
     let k = hop_lists.len();
     rt.drive(id, |n, out| n.construct_paths(&hop_lists, out));
 
-    // Peer processes may still be starting: the writer threads retry the
+    // Peer processes may still be starting: the transport retries the
     // connections, so waiting is all the initiator needs to do here.
     let deadline = rt.transport.now_us() + 30_000_000;
     rt.run_until(deadline, |rt| rt.node(id).established_paths() >= k);

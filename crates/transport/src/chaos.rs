@@ -5,7 +5,7 @@
 //! [`simnet::FaultPlan`] perturbs the simulator's link model from the
 //! inside, a [`ChaosPlan`] perturbs the *transport boundary* itself —
 //! the same wrapper runs over [`crate::SimTransport`] (for replayable
-//! soak tests) and [`crate::TcpTransport`] (for live chaos drills).
+//! soak tests) and [`crate::EventedTransport`] (for live chaos drills).
 //!
 //! Ingredients, all driven by one [`ChaosConfig`]:
 //!

@@ -1,41 +1,46 @@
-//! The evented backend: the [`Transport`] trait over a single-threaded
+//! The live backend: the [`Transport`] trait over a single-threaded
 //! epoll event loop ([`minipoll`]) — no threads, no locks, no channels.
 //!
-//! Where [`crate::TcpTransport`] spends two threads per peer (fatal at
-//! thousands of connections), this backend multiplexes every socket on
-//! one `epoll` instance owned by the caller's thread:
+//! Every socket is multiplexed on one `epoll` instance owned by the
+//! caller's thread, so a node's cost does not grow a thread per peer:
 //!
 //! * **accept** — the listener is registered level-triggered; readiness
 //!   drains `accept` until `WouldBlock`. Inbound connections are
 //!   read-only: the first frame must be a [`Frame::Hello`] identifying
-//!   the peer (same wire contract as the threaded backend).
+//!   the peer, and a frame before it (or bytes that do not decode)
+//!   drops the connection — the peer reconnects and re-identifies.
 //! * **read** — inbound sockets are edge-triggered and drained to
 //!   `WouldBlock` through one reusable scratch buffer into the
 //!   incremental [`FrameReader`]; decoded frames queue in an inbox the
 //!   caller pulls from [`Transport::poll`] one event at a time.
 //! * **write** — each outbound peer owns a bounded priority-shedding
 //!   queue of pre-encoded frames (buffers from a [`BufferPool`], so the
-//!   steady state allocates nothing per frame). Dirty queues are
-//!   flushed inside `poll` with batched [`Write::write_vectored`]
-//!   (`writev`) calls; a partial write parks the connection until the
-//!   next writability edge.
+//!   steady state allocates nothing per frame — the `writer_alloc`
+//!   test pins it). Dirty queues are flushed inside `poll` with batched
+//!   [`Write::write_vectored`] (`writev`) calls; a partial write parks
+//!   the connection until the next writability edge.
 //! * **reconnect** — non-blocking `connect` with the outcome read from
-//!   `SO_ERROR` on writability. Failures fall into the *same*
-//!   [`PolicyConfig`] discipline as the threaded writer threads:
-//!   jittered exponential backoff (deterministic per `(seed, peer)`),
-//!   a per-peer circuit breaker that fails queued frames fast while
-//!   open, and per-frame deadline budgets — an undeliverable frame is
-//!   counted, never silently lost, and never blocks the loop.
+//!   `SO_ERROR` on writability. Failures fall under the
+//!   [`PolicyConfig`] retry discipline: jittered exponential backoff
+//!   (deterministic per `(seed, peer)`), a per-peer circuit breaker
+//!   that fails queued frames fast while open, and per-frame deadline
+//!   budgets. A frame a dying connection took with it is resent while
+//!   its deadline allows and *counted* (`frames_dropped_reconnect`)
+//!   when it cannot be — an undeliverable frame is never silently lost
+//!   and never blocks the loop. Loss is still the contract: it is what
+//!   the protocol's ack-deadline and erasure machinery recover from.
 //! * **timers** — protocol timers keep the transport-trait contract
 //!   (re-arm replaces) in a [`minipoll::Timers`] deadline heap; the
 //!   earliest deadline arms a `timerfd` registered in the same epoll
 //!   set, so sub-millisecond deadlines wake the loop precisely instead
 //!   of rounding to epoll's millisecond timeout.
 //!
-//! Shedding semantics are identical to the threaded backend's
-//! `OutboundQueue`: overflow sheds the first queued frame of the lowest
-//! class ≤ the incoming frame's class (cover first, control last), or
-//! rejects the newcomer when nothing lesser is queued.
+//! Under overload a full queue sheds by [`Priority`]: the first queued
+//! frame of the lowest class ≤ the incoming frame's class goes (cover
+//! first, then data, control last), or the newcomer is rejected when
+//! nothing lesser is queued — graceful degradation drops the traffic
+//! whose only job was to exist before the traffic that keeps paths
+//! alive. Capacity `0` means unbounded: never sheds.
 
 use crate::config::Roster;
 use crate::instrument::{TcpTelemetry, WriterTelemetry};
@@ -65,7 +70,7 @@ const MAX_BATCH: usize = 64;
 /// Readiness events drained per epoll wait.
 const EVENTS_CAPACITY: usize = 256;
 
-/// Reusable read scratch size (matches the threaded reader's buffer).
+/// Reusable read scratch size.
 const SCRATCH_LEN: usize = 64 * 1024;
 
 /// One pre-encoded frame waiting in a peer's outbound queue.
@@ -145,10 +150,8 @@ enum OutboundAction {
 
 /// A live single-threaded evented transport bound to one roster node.
 ///
-/// Same surface as [`crate::TcpTransport`] (`bind`, `set_telemetry`,
-/// `set_policy`, the [`Transport`] impl), so callers switch backends
-/// without code changes. Everything — accept, read, write, reconnect,
-/// timers — happens inside [`Transport::poll`] on the caller's thread.
+/// Everything — accept, read, write, reconnect, timers — happens inside
+/// [`Transport::poll`] on the caller's thread.
 pub struct EventedTransport {
     local: NodeId,
     roster: Roster,
@@ -179,7 +182,7 @@ impl EventedTransport {
     /// Bind the roster address of `local` and start accepting peers.
     ///
     /// Fails with [`std::io::ErrorKind::Unsupported`] on non-Linux
-    /// platforms (no epoll); use [`crate::TcpTransport`] there.
+    /// platforms (no epoll): the live node is Linux-only.
     pub fn bind(local: NodeId, roster: Roster) -> Result<Self, TransportError> {
         let addr = roster
             .addr(local)
@@ -335,9 +338,9 @@ impl EventedTransport {
         }
     }
 
-    /// Fail every queued frame fast (breaker open): the threaded writer
-    /// abandons frames one pop at a time while the breaker is open; the
-    /// evented equivalent clears the backlog in one sweep.
+    /// Fail every queued frame fast (breaker open): the whole backlog
+    /// is dropped and counted in one sweep rather than each frame
+    /// burning its deadline behind a dead peer.
     fn fail_fast_all(&mut self, id: NodeId) {
         let Some(p) = self.peers.get_mut(&id) else {
             return;
@@ -495,8 +498,8 @@ impl EventedTransport {
         self.teardown_conn(id);
         if let Some(p) = self.peers.get_mut(&id) {
             // The whole head frame is resent on the next connection
-            // (while its deadline allows) — same requeue-or-count rule
-            // as the threaded writer.
+            // while its deadline allows, and counted as a reconnect
+            // loss when it does not (requeue-or-count).
             if p.head_offset > 0 {
                 p.head_offset = 0;
                 p.write_failed = true;
@@ -565,20 +568,23 @@ impl EventedTransport {
             };
             let mut failed = false;
             loop {
-                let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_BATCH + 1);
+                // A stack array, not a `Vec`: the flush path must not
+                // touch the allocator.
+                let mut slices = [IoSlice::new(&[]); MAX_BATCH + 1];
+                let mut filled = 0;
                 if p.hello_pending {
-                    slices.push(IoSlice::new(&hello[p.hello_offset..]));
+                    slices[0] = IoSlice::new(&hello[p.hello_offset..]);
+                    filled = 1;
                 }
                 for (i, e) in p.queue.iter().take(MAX_BATCH).enumerate() {
                     let start = if i == 0 { p.head_offset } else { 0 };
-                    slices.push(IoSlice::new(&e.bytes[start..]));
+                    slices[filled] = IoSlice::new(&e.bytes[start..]);
+                    filled += 1;
                 }
-                if slices.is_empty() {
+                if filled == 0 {
                     break;
                 }
-                let res = stream.write_vectored(&slices);
-                drop(slices);
-                match res {
+                match stream.write_vectored(&slices[..filled]) {
                     Ok(0) => {
                         failed = true;
                         break;
@@ -832,10 +838,9 @@ impl Transport for EventedTransport {
             bytes,
             deadline_us,
         };
-        // Same shed discipline as the threaded OutboundQueue: overflow
-        // sheds the first queued frame of the lowest class ≤ the
-        // incoming one, or rejects the newcomer when nothing lesser is
-        // queued.
+        // Overflow sheds the first queued frame of the lowest class ≤
+        // the incoming one, or rejects the newcomer when nothing lesser
+        // is queued.
         enum Outcome {
             Queued,
             QueuedShed(Priority, Vec<u8>),
@@ -924,18 +929,20 @@ impl Transport for EventedTransport {
                 });
             }
             self.process_reconnects(now);
-            let dirty = std::mem::take(&mut self.dirty);
-            for id in dirty {
+            // Flushing never marks a peer dirty, so the drained buffer
+            // goes back and the list keeps its capacity.
+            let mut dirty = std::mem::take(&mut self.dirty);
+            for id in dirty.drain(..) {
                 self.flush_peer(id, now);
             }
+            self.dirty = dirty;
             let now = self.now_us();
             let wake = end
                 .min(self.protocol_timers.next_deadline().unwrap_or(u64::MAX))
                 .min(self.reconnect_timers.next_deadline().unwrap_or(u64::MAX));
             let timeout = if wake <= now {
                 // Budget exhausted: one non-blocking sweep, then report
-                // whatever surfaced (mirrors the threaded backend's
-                // final try_recv).
+                // whatever surfaced.
                 if exhausted_sweep_done {
                     return None;
                 }

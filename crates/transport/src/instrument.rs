@@ -19,7 +19,7 @@ use telemetry::{Counter, Gauge, Histogram, Registry};
 /// matching `core_hop_latency_us`).
 const RTT_GROUPING_POWER: u32 = 7;
 
-/// Transport-wide instruments for one [`crate::TcpTransport`].
+/// Transport-wide instruments for one [`crate::EventedTransport`].
 #[derive(Clone)]
 pub struct TcpTelemetry {
     registry: Arc<Registry>,
@@ -27,7 +27,7 @@ pub struct TcpTelemetry {
     /// fired (cancelled timers never count).
     pub timer_fires: Arc<Counter>,
     /// `transport_frames_enqueued_total` — frames accepted by `send`
-    /// and handed to a writer queue.
+    /// into a peer's outbound queue.
     pub frames_enqueued: Arc<Counter>,
     /// `transport_accept_errors_total` — fatal listener accept errors
     /// (not `WouldBlock`, not a doomed in-flight connection): the
@@ -37,8 +37,8 @@ pub struct TcpTelemetry {
 
 impl TcpTelemetry {
     /// Resolve the transport-wide instruments against `registry`. The
-    /// registry is retained so per-peer writer instruments can be
-    /// created lazily as connections appear.
+    /// registry is retained so per-peer instruments can be created
+    /// lazily as peers are first sent to.
     pub fn register(registry: Arc<Registry>) -> Self {
         let timer_fires = registry.counter("transport_timer_fires_total", &[]);
         let frames_enqueued = registry.counter("transport_frames_enqueued_total", &[]);
@@ -51,7 +51,7 @@ impl TcpTelemetry {
         }
     }
 
-    /// Per-peer writer-thread instruments, labeled `peer="<id>"`.
+    /// Per-peer outbound instruments, labeled `peer="<id>"`.
     pub fn writer(&self, peer: NodeId) -> WriterTelemetry {
         let p = peer.0.to_string();
         let labels: [(&str, &str); 1] = [("peer", &p)];
@@ -86,19 +86,20 @@ impl TcpTelemetry {
     }
 }
 
-/// Instruments owned by one per-peer writer thread.
+/// Instruments of one outbound peer (its queue and connection).
 ///
 /// The gauge is a live level: `send` increments it as a frame is
-/// enqueued and the writer decrements it after draining, so a scrape
-/// sees the backlog toward that peer at that instant (snapshot merges
-/// keep the high-water mark).
+/// enqueued and the flush decrements it once the frame's last byte is
+/// handed to the kernel (or the frame is abandoned), so a scrape sees
+/// the backlog toward that peer at that instant (snapshot merges keep
+/// the high-water mark).
 #[derive(Clone)]
 pub struct WriterTelemetry {
     /// `transport_connects_total{peer}` — successful (re)connects,
     /// the first connection included.
     pub connects: Arc<Counter>,
-    /// `transport_connect_failures_total{peer}` — connect or Hello
-    /// attempts that failed and fell into backoff.
+    /// `transport_connect_failures_total{peer}` — connect attempts
+    /// (and connections lost mid-write) that fell into backoff.
     pub connect_failures: Arc<Counter>,
     /// `transport_frames_dropped_total{peer}` — every frame abandoned,
     /// whatever the reason (deadline, breaker, shed).

@@ -9,18 +9,19 @@
 //! and defines the [`Transport`] trait that carries those outputs to the
 //! world and brings the world's events back.
 //!
-//! Two backends implement the trait:
+//! Two backends implement the trait, one simulated and one live:
 //!
 //! * [`SimTransport`] — an adapter over [`simnet::Engine`]: frames travel
 //!   with the latency matrix's one-way delays, die at churned-down
 //!   nodes, and timers are simulation events. Running the stack over it
 //!   reproduces the driver's behavior event for event (the
 //!   `sim_equivalence` integration test pins this).
-//! * [`TcpTransport`] — a std-only threaded backend over
-//!   [`std::net::TcpStream`]: length-prefixed [`anon_core::wire`]
-//!   framing, per-peer outbound queues with reconnect-on-drop, and a
-//!   monotonic-clock timer wheel. The `p2p-anon-node` binary runs one
-//!   node of the protocol over it on a real network.
+//! * [`EventedTransport`] — the live backend: non-blocking
+//!   [`std::net::TcpStream`]s multiplexed on one epoll loop (Linux),
+//!   length-prefixed [`anon_core::wire`] framing, bounded per-peer
+//!   outbound queues with reconnect-on-drop, and a monotonic-clock
+//!   deadline heap. The `p2p-anon-node` binary runs one node of the
+//!   protocol over it on a real network.
 //!
 //! [`Runtime`] is the small pump that connects any transport to a set of
 //! protocol nodes (all of them in simulation, exactly one in a live
@@ -38,7 +39,6 @@ pub mod policy;
 pub mod runtime;
 pub mod sim;
 pub mod stats;
-pub mod tcp;
 
 pub use chaos::{ChaosConfig, ChaosPlan, ChaosStats, ChaosTransport, Partition};
 pub use config::Roster;
@@ -49,7 +49,6 @@ pub use policy::{BackoffPolicy, BreakerState, CircuitBreaker, PeerHealth, Policy
 pub use runtime::Runtime;
 pub use sim::SimTransport;
 pub use stats::StatsServer;
-pub use tcp::TcpTransport;
 
 use anon_core::wire::{Frame, WireError};
 use simnet::NodeId;
@@ -139,7 +138,7 @@ pub trait Transport {
 
     /// [`Transport::send`] with an explicit shed class.
     ///
-    /// Backends with bounded outbound queues (the TCP transport) shed
+    /// Backends with bounded outbound queues ([`EventedTransport`]) shed
     /// lower classes first under overload; the default implementation
     /// ignores the class. This is also the only way to mark cover
     /// traffic: [`policy::Priority::of`] never infers it.

@@ -6,7 +6,7 @@
 //! [`Input`]s (a frame arrived, a timer fired) stamped with the caller's
 //! notion of *now*, and emits [`Output`]s (send this frame, arm/cancel
 //! this timer). The same node runs unchanged over [`crate::SimTransport`]
-//! and [`crate::TcpTransport`]; only the event loop around it differs.
+//! and [`crate::EventedTransport`]; only the event loop around it differs.
 //!
 //! The relay half is the exact [`Relay`] state machine the event-driven
 //! driver uses — same caches, same TTLs, same stream-id forwarding — so
@@ -116,7 +116,8 @@ pub struct ProtocolNode {
     /// id sits, so a reverse onion finds its plan without the node keeping
     /// a second copy of every session key. Paths are never dropped here.
     path_index: HashMap<StreamId, usize>,
-    /// Outgoing messages kept for erasure-aware retransmission.
+    /// Outgoing messages kept for erasure-aware retransmission, until no
+    /// segment of theirs can be retransmitted again (`retire_if_settled`).
     outbox: HashMap<MessageId, Vec<u8>>,
     /// Segments acked so far, per message.
     acked: HashMap<MessageId, HashSet<usize>>,
@@ -126,7 +127,8 @@ pub struct ProtocolNode {
     pending_acks: HashMap<(MessageId, usize), u64>,
     /// Reverse map: token → the segment it guards.
     timer_purpose: HashMap<u64, (MessageId, usize)>,
-    /// Retransmits already spent per segment.
+    /// Retransmits already spent per segment (dropped with the message's
+    /// `outbox` entry).
     retries: HashMap<(MessageId, usize), u32>,
     /// Which path each in-flight segment last rode, and when it left:
     /// `(mid, index)` → `(path sid, sent_at_us)`. Feeds [`PeerHealth`].
@@ -375,6 +377,21 @@ impl ProtocolNode {
         }
     }
 
+    /// Forget `mid`'s payload and retry counters once no ack deadline of
+    /// it is armed: every segment is then either acked or out of retry
+    /// budget, so nothing can ask for the payload again. `acked`/`want`
+    /// stay, keeping [`ProtocolNode::message_complete`] answerable.
+    fn retire_if_settled(&mut self, mid: MessageId) {
+        let want = self.want.get(&mid).copied().unwrap_or(0);
+        if (0..want).any(|index| self.pending_acks.contains_key(&(mid, index))) {
+            return;
+        }
+        self.outbox.remove(&mid);
+        for index in 0..want {
+            self.retries.remove(&(mid, index));
+        }
+    }
+
     fn alloc_token(&mut self) -> u64 {
         let t = self.next_token;
         self.next_token += 1;
@@ -514,6 +531,7 @@ impl ProtocolNode {
                             if let Some(t) = &self.telemetry {
                                 t.acks.inc();
                             }
+                            self.retire_if_settled(mid);
                         }
                     }
                     Err(_) => self.note_stateless_drop(),
@@ -616,6 +634,7 @@ impl ProtocolNode {
         *retry += 1;
         if *retry > self.policy.max_retries {
             self.inflight.remove(&(mid, index));
+            self.retire_if_settled(mid);
             return;
         }
         let retry = *retry;
@@ -665,5 +684,83 @@ impl ProtocolNode {
             },
         });
         self.arm_ack_timer(mid, index, retry, out);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Runtime, SimTransport};
+    use erasure::ErasureCodec;
+    use simnet::{ChurnSchedule, LatencyMatrix};
+
+    const INITIATOR: NodeId = NodeId(0);
+    const RESPONDER: NodeId = NodeId(3);
+    const MAX_RETRIES: u32 = 2;
+
+    /// Initiator 0, responder 3, one established single-relay path per
+    /// entry of `relays`, one segment per path.
+    fn world(relays: &[NodeId]) -> Runtime<SimTransport> {
+        let codec = || Box::new(ErasureCodec::new(1, relays.len()).unwrap());
+        let mut rt = Runtime::new(SimTransport::new(
+            ChurnSchedule::always_up(4, SimTime::from_secs(1 << 20)),
+            LatencyMatrix::uniform(4, SimDuration::from_millis(10)),
+        ));
+        let mut keyrng = StdRng::seed_from_u64(9);
+        for i in 0..4 {
+            let mut node = ProtocolNode::new(NodeId(i), KeyPair::generate(&mut keyrng), i.into());
+            if node.id == INITIATOR {
+                node = node.with_codec(codec()).with_max_retries(MAX_RETRIES);
+            } else if node.id == RESPONDER {
+                node = node.with_auto_ack().with_codec(codec());
+            }
+            rt.add_node(node);
+        }
+        let keyed = |hop: NodeId| (hop, rt.node(hop).public_key());
+        let hop_lists: Vec<Vec<_>> = relays
+            .iter()
+            .map(|&relay| vec![keyed(relay), keyed(RESPONDER)])
+            .collect();
+        rt.drive(INITIATOR, |n, out| n.construct_paths(&hop_lists, out));
+        rt.run_until_idle(0);
+        assert_eq!(rt.node(INITIATOR).established_paths(), relays.len());
+        rt
+    }
+
+    #[test]
+    fn completed_messages_leave_the_outbox() {
+        let mut rt = world(&[NodeId(1), NodeId(2)]);
+        for m in 1..=5 {
+            let mid = MessageId(m);
+            rt.drive(INITIATOR, |n, out| {
+                n.send_message(mid, &[m as u8; 300], out)
+            })
+            .unwrap();
+            assert!(rt.node(INITIATOR).outbox.contains_key(&mid));
+            rt.run_until_idle(0);
+            assert!(rt.node(INITIATOR).message_complete(mid));
+        }
+        let node = rt.node(INITIATOR);
+        assert!(node.outbox.is_empty(), "payloads outlived their acks");
+        assert!(node.retries.is_empty());
+        assert!((1..=5).all(|m| node.message_complete(MessageId(m))));
+    }
+
+    #[test]
+    fn a_message_on_a_dead_path_leaves_the_outbox_after_max_retries() {
+        let mut rt = world(&[NodeId(1)]);
+        rt.drive(NodeId(1), |n, _| n.crash_relay_state());
+        let mid = MessageId(1);
+        rt.drive(INITIATOR, |n, out| n.send_message(mid, b"lost", out))
+            .unwrap();
+        assert!(rt.node(INITIATOR).outbox.contains_key(&mid));
+        rt.run_until_idle(0);
+        let node = rt.node(INITIATOR);
+        // The first send and every retransmit timed out, then it gave up.
+        assert_eq!(node.events.ack_timeouts.len() as u32, MAX_RETRIES + 1);
+        assert_eq!(node.events.retransmits, u64::from(MAX_RETRIES));
+        assert!(!node.message_complete(mid));
+        assert!(node.outbox.is_empty(), "payload outlived its retry budget");
+        assert!(node.retries.is_empty());
     }
 }

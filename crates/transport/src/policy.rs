@@ -1,18 +1,15 @@
 //! One retry/backoff policy for the live stack.
 //!
-//! Before this module, retry behavior was scattered: `tcp.rs` hard-coded
-//! a five-attempt reconnect loop with a shift-based sleep, and `node.rs`
-//! kept a bare retry counter with a fixed ack deadline. Both now draw
-//! from a single [`PolicyConfig`]:
+//! The live backend's reconnect loop and the protocol node's
+//! ack-deadline retransmits both draw from a single [`PolicyConfig`]:
 //!
 //! * [`BackoffPolicy`] — jittered exponential backoff. The jitter is a
 //!   pure function of `(seed, salt, attempt)` (the `simnet::fault`
 //!   discipline), so two runs with the same policy seed back off at the
 //!   same instants — faulted live runs stay replayable.
 //! * **Deadline budgets** — every queued frame carries an absolute
-//!   deadline; the writer retries until it passes, then counts the frame
-//!   as dropped instead of retrying forever (or, as before, dropping it
-//!   silently after a magic attempt count).
+//!   deadline; the transport retries until it passes, then counts the
+//!   frame as dropped instead of retrying forever.
 //! * [`CircuitBreaker`] — per-peer: after `threshold` consecutive
 //!   failures the breaker opens and sends fail fast instead of queuing
 //!   behind a dead peer; after `cooldown` one probe is let through and
@@ -143,8 +140,8 @@ pub enum BreakerState {
 
 /// A per-peer circuit breaker over consecutive failures.
 ///
-/// Intended for single-threaded use from one writer thread; `check` may
-/// admit several probes if called concurrently.
+/// Intended for single-threaded use (the event loop owns one per
+/// peer); `check` may admit several probes if called concurrently.
 #[derive(Clone, Debug)]
 pub struct CircuitBreaker {
     threshold: u32,
@@ -316,13 +313,13 @@ impl PeerHealth {
 /// the tuned replacements for the old hard-coded reconnect loop.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PolicyConfig {
-    /// Writer reconnect backoff: first-attempt delay (µs).
+    /// Reconnect backoff: first-attempt delay (µs).
     pub reconnect_base_us: u64,
-    /// Writer reconnect backoff: delay ceiling (µs).
+    /// Reconnect backoff: delay ceiling (µs).
     pub reconnect_max_us: u64,
-    /// Writer reconnect backoff: growth factor per attempt.
+    /// Reconnect backoff: growth factor per attempt.
     pub reconnect_multiplier: f64,
-    /// Writer reconnect backoff: jitter fraction in `[0, 1]`.
+    /// Reconnect backoff: jitter fraction in `[0, 1]`.
     pub reconnect_jitter: f64,
     /// Per-frame delivery budget (µs): a queued frame past this deadline
     /// is dropped and counted instead of retried.
@@ -373,7 +370,7 @@ impl Default for PolicyConfig {
 }
 
 impl PolicyConfig {
-    /// The writer-reconnect backoff this policy configures.
+    /// The reconnect backoff this policy configures.
     pub fn reconnect(&self) -> BackoffPolicy {
         BackoffPolicy {
             base_us: self.reconnect_base_us,

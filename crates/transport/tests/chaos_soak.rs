@@ -5,7 +5,7 @@
 //!
 //! Also pins the inertness contract: a [`ChaosTransport`] with an empty
 //! plan is byte-identical to the bare transport (the `FaultPlan::none()`
-//! precedent), and the TCP backend's bounded queue sheds cover traffic
+//! precedent), and the live backend's bounded queue sheds cover traffic
 //! first under overload.
 
 use anon_core::MessageId;
@@ -240,9 +240,9 @@ fn tcp_bounded_queue_sheds_cover_first() {
     use anon_core::wire::Frame;
     use std::sync::Arc;
 
-    // A peer address that refuses connections: bind, read the port,
-    // drop the listener.
-    let dead_addr = {
+    // Two free localhost ports: node 0 binds its own, node 1's refuses
+    // connections (the listener that reserved it is gone).
+    let free_addr = || {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         l.local_addr().unwrap().to_string()
     };
@@ -256,45 +256,36 @@ fn tcp_bounded_queue_sheds_cover_first() {
         breaker_cooldown_us: 5_000_000,
         ..PolicyConfig::default()
     };
-    roster.insert(NodeId(0), "127.0.0.1:0");
-    roster.insert(NodeId(1), dead_addr);
-    // Bind node 0 on an ephemeral port of its own.
-    let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let own = l.local_addr().unwrap().to_string();
-    drop(l);
-    roster.insert(NodeId(0), own);
+    roster.insert(NodeId(0), free_addr());
+    roster.insert(NodeId(1), free_addr());
 
     let registry = Arc::new(telemetry::Registry::new());
-    let mut t = transport::TcpTransport::bind(NodeId(0), roster).unwrap();
+    let mut t = transport::EventedTransport::bind(NodeId(0), roster).unwrap();
     t.set_telemetry(transport::TcpTelemetry::register(registry.clone()));
 
     let frame = || Frame::Hello { node: NodeId(0) };
-    // Occupy the writer: it pops this frame and burns its deadline
-    // retrying the refused connect.
-    t.send_prioritized(NodeId(0), NodeId(1), frame(), Priority::Control)
-        .unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(20));
-    // Fill the queue: 2 cover + 2 data, then 2 control arrivals must
-    // shed exactly the cover frames.
-    for _ in 0..2 {
-        t.send_prioritized(NodeId(0), NodeId(1), frame(), Priority::Cover)
-            .unwrap();
+    // Nothing leaves the queue before the first `poll`, so these sends
+    // hit it back to back. Fill it: 2 cover + 2 data, then 2 control
+    // arrivals must shed exactly the cover frames.
+    for prio in [Priority::Cover, Priority::Data, Priority::Control] {
+        for _ in 0..2 {
+            t.send_prioritized(NodeId(0), NodeId(1), frame(), prio)
+                .unwrap();
+        }
     }
-    for _ in 0..2 {
-        t.send_prioritized(NodeId(0), NodeId(1), frame(), Priority::Data)
-            .unwrap();
+    let counter =
+        |name: &str, labels: &[(&str, &str)]| registry.snapshot().counter_value(name, labels);
+    let dropped = || counter("transport_frames_dropped_total", &[("peer", "1")]);
+    // Run the loop until the refused connects have cost the queue its
+    // frames: the survivors expire at their deadline or fail fast once
+    // the breaker opens after 3 failures.
+    let deadline = t.now_us() + 5_000_000;
+    while dropped() < 6 && t.now_us() < deadline {
+        assert!(t.poll(20_000).is_none(), "nothing sends to node 0");
     }
-    for _ in 0..2 {
-        t.send_prioritized(NodeId(0), NodeId(1), frame(), Priority::Control)
-            .unwrap();
-    }
-    // Let the writer drain: the breaker opens after 3 failures, so the
-    // rest of the queue fails fast rather than burning full deadlines.
-    std::thread::sleep(std::time::Duration::from_millis(1_500));
 
-    let snap = registry.snapshot();
     let shed = |class: &str| {
-        snap.counter_value(
+        counter(
             "transport_frames_shed_total",
             &[("peer", "1"), ("class", class)],
         )
@@ -303,11 +294,12 @@ fn tcp_bounded_queue_sheds_cover_first() {
     assert_eq!(shed("data"), 0, "data outlives cover under this load");
     assert_eq!(shed("control"), 0, "control is never the victim here");
     assert!(
-        snap.counter_value("transport_breaker_trips_total", &[("peer", "1")]) >= 1,
+        counter("transport_breaker_trips_total", &[("peer", "1")]) >= 1,
         "breaker tripped on the dead peer"
     );
-    assert!(
-        snap.counter_value("transport_frames_dropped_total", &[("peer", "1")]) >= 5,
-        "undeliverable frames were counted, not lost silently"
+    assert_eq!(
+        dropped(),
+        6,
+        "every undeliverable frame was counted, none lost silently"
     );
 }

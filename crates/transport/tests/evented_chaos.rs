@@ -1,7 +1,7 @@
-//! Chaos compatibility pin for the evented backend.
+//! Chaos compatibility pin for the live backend.
 //!
-//! `ChaosTransport` is generic over [`transport::Transport`], so the
-//! event-loop backend must slot in exactly like the threaded one: an
+//! `ChaosTransport` is generic over [`transport::Transport`], so it
+//! must wrap the event loop as it wraps the simulated transport: an
 //! empty plan ([`ChaosPlan::none`]) is inert by construction — every
 //! frame and timer passes through untouched and no fault statistic
 //! moves. This mirrors the `empty_plan_delegates_without_counting` unit

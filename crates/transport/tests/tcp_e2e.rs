@@ -10,10 +10,6 @@
 //! and sends again: the dead path's segment times out, the initiator
 //! retransmits it over a surviving path, and the message still
 //! completes end to end — the paper's recovery story, over sockets.
-//!
-//! The scenario runs once per live backend (`--transport threaded` and
-//! `--transport evented`), pinning that the event-loop backend is a
-//! drop-in replacement under real process churn.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -142,19 +138,8 @@ fn scrape(addr: &str) -> (HashMap<String, String>, HashMap<String, f64>) {
 
 #[test]
 fn sixteen_plus_nodes_deliver_and_survive_a_relay_kill() {
-    run_e2e("threaded");
-}
-
-#[test]
-fn sixteen_plus_nodes_deliver_and_survive_a_relay_kill_evented() {
-    run_e2e("evented");
-}
-
-/// The full 18-process scenario, parametric over `--transport` so both
-/// live backends prove the identical protocol behavior over sockets.
-fn run_e2e(backend: &str) {
     let bin = env!("CARGO_BIN_EXE_p2p-anon-node");
-    let dir = std::env::temp_dir().join(format!("p2p-anon-e2e-{backend}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("p2p-anon-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let config = dir.join("roster.toml");
 
@@ -176,7 +161,6 @@ fn run_e2e(backend: &str) {
         cmd.arg("--config")
             .arg(&config)
             .args(["--id", &id.to_string(), "--run-secs", "180"])
-            .args(["--transport", backend])
             .stdout(Stdio::piped())
             .stderr(Stdio::null());
         if id == RESPONDER {
@@ -215,7 +199,6 @@ fn run_e2e(backend: &str) {
         .arg("--config")
         .arg(&config)
         .args(["--id", &INITIATOR.to_string(), "--role", "initiator"])
-        .args(["--transport", backend])
         .args(["--paths", "1,2,3,4;5,6,7,8;9,10,11,12;13,14,15,16"])
         .args(["--responder", &RESPONDER.to_string()])
         .args(["--codec", "2,4", "--ack-timeout-ms", "800"])

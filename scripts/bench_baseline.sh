@@ -54,18 +54,18 @@ echo "chaos soak written to BENCH_chaos_soak.json"
 echo "scale sweep written to BENCH_scale.json"
 
 # Live onion-forward throughput: the load generator spins a real
-# one-relay chain (three OS processes over localhost TCP, evented
-# backend) and drives a closed loop through it. ops_per_sec,
-# relay_forwards_per_sec, and the CO-safe latency percentiles are the
-# tracked numbers; see PERFORMANCE.md §8.
+# one-relay chain (three OS processes over localhost TCP) and drives a
+# closed loop through it. ops_per_sec, relay_forwards_per_sec, and the
+# CO-safe latency percentiles are the tracked numbers; see
+# PERFORMANCE.md §8.
 if [[ -n $QUICK ]]; then
   ./target/release/p2p-anon-loadgen \
-    --auto-chain 1 --transport evented --mode closed --in-flight 8 \
+    --auto-chain 1 --mode closed --in-flight 8 \
     --warmup-secs 1 --measure-secs 3 --drain-secs 1 \
     --out BENCH_loadgen.json
 else
   ./target/release/p2p-anon-loadgen \
-    --auto-chain 1 --transport evented --mode closed --in-flight 32 \
+    --auto-chain 1 --mode closed --in-flight 32 \
     --out BENCH_loadgen.json
 fi
 echo "loadgen run written to BENCH_loadgen.json"
@@ -82,40 +82,28 @@ else
 fi
 echo "trilemma sweep written to BENCH_trilemma.json"
 
-# Append this run to the history as a single JSON line tagged with the
-# UTC timestamp, commit, and mode, preserving every previous baseline.
+# Append this run to the history, one JSON line per result file, each
+# tagged with the UTC timestamp, the measured tree and the mode,
+# preserving every previous baseline. `git describe --dirty` marks a run
+# taken before its commit exists, instead of passing the parent's hash
+# off as the measured tree.
 STAMP="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-COMMIT="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+COMMIT="$(git describe --always --dirty 2>/dev/null || echo unknown)"
 MODE="full"
 [[ -n $QUICK ]] && MODE="quick"
-{
-  printf '{"timestamp":"%s","commit":"%s","mode":"%s","results":' \
-    "$STAMP" "$COMMIT" "$MODE"
-  tr -d '\n' < BENCH_simulator.json
-  printf '}\n'
-} >> BENCH_HISTORY.jsonl
-{
-  printf '{"timestamp":"%s","commit":"%s","mode":"%s-chaos-soak","results":' \
-    "$STAMP" "$COMMIT" "$MODE"
-  tr -d '\n' < BENCH_chaos_soak.json
-  printf '}\n'
-} >> BENCH_HISTORY.jsonl
-{
-  printf '{"timestamp":"%s","commit":"%s","mode":"%s-scale","results":' \
-    "$STAMP" "$COMMIT" "$MODE"
-  tr -d '\n' < BENCH_scale.json
-  printf '}\n'
-} >> BENCH_HISTORY.jsonl
-{
-  printf '{"timestamp":"%s","commit":"%s","mode":"%s-loadgen","results":' \
-    "$STAMP" "$COMMIT" "$MODE"
-  tr -d '\n' < BENCH_loadgen.json
-  printf '}\n'
-} >> BENCH_HISTORY.jsonl
-{
-  printf '{"timestamp":"%s","commit":"%s","mode":"%s-trilemma","results":' \
-    "$STAMP" "$COMMIT" "$MODE"
-  tr -d '\n' < BENCH_trilemma.json
-  printf '}\n'
-} >> BENCH_HISTORY.jsonl
+
+# append_history <mode-suffix> <file>
+append_history() {
+  {
+    printf '{"timestamp":"%s","commit":"%s","mode":"%s%s","results":' \
+      "$STAMP" "$COMMIT" "$MODE" "$1"
+    tr -d '\n' < "$2"
+    printf '}\n'
+  } >> BENCH_HISTORY.jsonl
+}
+append_history "" BENCH_simulator.json
+append_history -chaos-soak BENCH_chaos_soak.json
+append_history -scale BENCH_scale.json
+append_history -loadgen BENCH_loadgen.json
+append_history -trilemma BENCH_trilemma.json
 echo "history appended to BENCH_HISTORY.jsonl ($STAMP, $COMMIT, $MODE)"
