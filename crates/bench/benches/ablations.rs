@@ -8,7 +8,7 @@
 //! * Failure *prediction* (§4.5) on vs off in the performance experiment.
 
 use anon_core::mix::MixStrategy;
-use anon_core::protocols::runner::{run_performance_experiment, PerfConfig};
+use anon_core::protocols::runner::{run_performance_experiment_traced, PerfConfig};
 use anon_core::protocols::ProtocolKind;
 use anon_core::sim::WorldConfig;
 use bench::{bench_rng, payload};
@@ -155,14 +155,14 @@ fn ablate_failure_prediction(c: &mut Criterion) {
         predict_threshold: None,
     };
     g.bench_function("without_prediction", |b| {
-        b.iter(|| black_box(run_performance_experiment(&base)))
+        b.iter(|| black_box(run_performance_experiment_traced(&base).0))
     });
     let with = PerfConfig {
         predict_threshold: Some(0.3),
         ..base.clone()
     };
     g.bench_function("with_prediction_q0.3", |b| {
-        b.iter(|| black_box(run_performance_experiment(&with)))
+        b.iter(|| black_box(run_performance_experiment_traced(&with).0))
     });
     g.finish();
 }

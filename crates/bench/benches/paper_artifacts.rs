@@ -1,7 +1,7 @@
 //! One Criterion target per paper artifact: times the exact data-producing
 //! function behind each table and figure at quick scale (the full-scale
-//! binaries in `crates/experiments` print the actual numbers; run
-//! `cargo run --release -p experiments --bin all` to regenerate them).
+//! commands of `crates/experiments` print the actual numbers; run
+//! `cargo run --release -p experiments -- all` to regenerate them).
 
 use anon_core::mix::MixStrategy;
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -239,7 +239,9 @@ fn bench_runner(c: &mut Criterion) {
 }
 
 fn bench_recovery(c: &mut Criterion) {
-    use anon_core::protocols::runner::{run_recovery_experiment, RecoveryConfig, RecoveryParams};
+    use anon_core::protocols::runner::{
+        run_recovery_experiment_traced, RecoveryConfig, RecoveryParams,
+    };
     use anon_core::protocols::ProtocolKind;
     use experiments::experiments::Scale;
     use simnet::{FaultConfig, FaultPlan, NodeId};
@@ -318,7 +320,7 @@ fn bench_recovery(c: &mut Criterion) {
             msg_bytes: 1024,
             messages: 12,
         };
-        b.iter(|| black_box(run_recovery_experiment(&cfg).delivered))
+        b.iter(|| black_box(run_recovery_experiment_traced(&cfg).0.delivered))
     });
     g.finish();
 }

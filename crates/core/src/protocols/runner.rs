@@ -2,11 +2,11 @@
 //!
 //! Two experiments, exactly as §6 describes them:
 //!
-//! * [`run_setup_experiment`] — 2-hour simulation; during the second hour
+//! * [`run_setup_experiment_traced`] — 2-hour simulation; during the second hour
 //!   every node schedules path-construction events with exponentially
 //!   distributed inter-arrival times (mean 116 s). Measures the path-setup
 //!   success rate under each protocol's rule (Table 1, Figure 5).
-//! * [`run_performance_experiment`] — a pinned initiator/responder pair
+//! * [`run_performance_experiment_traced`] — a pinned initiator/responder pair
 //!   sends a 1 KB message every 10 s during the second hour; path sets are
 //!   (re)constructed as they fail. Measures durability, construction
 //!   attempts, latency and bandwidth (Tables 2–4).
@@ -89,12 +89,7 @@ impl SetupConfig {
 }
 
 /// Run the path-setup experiment; returns metrics with construction
-/// attempt/success counts filled in.
-pub fn run_setup_experiment(cfg: &SetupConfig) -> ProtocolMetrics {
-    run_setup_experiment_traced(cfg).0
-}
-
-/// [`run_setup_experiment`] plus per-run execution statistics.
+/// attempt/success counts filled in, plus per-run execution statistics.
 pub fn run_setup_experiment_traced(cfg: &SetupConfig) -> (ProtocolMetrics, RunStats) {
     let mut world = World::new(cfg.world.clone());
     let mut metrics = ProtocolMetrics::new();
@@ -239,12 +234,8 @@ impl PerfResult {
     }
 }
 
-/// Run the pinned-pair performance experiment.
-pub fn run_performance_experiment(cfg: &PerfConfig) -> PerfResult {
-    run_performance_experiment_traced(cfg).0
-}
-
-/// [`run_performance_experiment`] plus per-run execution statistics.
+/// Run the pinned-pair performance experiment; returns its result plus
+/// per-run execution statistics.
 pub fn run_performance_experiment_traced(cfg: &PerfConfig) -> (PerfResult, RunStats) {
     let mut stats = RunStats::default();
     let mut world = World::new(cfg.world.clone());
@@ -470,12 +461,8 @@ const MAX_CONSTRUCT_ROUNDS: usize = 4;
 /// on top of the membership cache's death records).
 const BLAME_MEMORY: usize = 16;
 
-/// Run the recovery experiment.
-pub fn run_recovery_experiment(cfg: &RecoveryConfig) -> RecoveryResult {
-    run_recovery_experiment_traced(cfg).0
-}
-
-/// [`run_recovery_experiment`] plus per-run execution statistics.
+/// Run the recovery experiment; returns its result plus per-run
+/// execution statistics.
 ///
 /// Hybrid of the two fidelity layers: the trajectory-level [`World`]
 /// supplies membership, (stale) gossip, biased mix choice and §4.5
@@ -483,10 +470,12 @@ pub fn run_recovery_experiment(cfg: &RecoveryConfig) -> RecoveryResult {
 /// [`crate::driver::Driver`] actually carries every onion, ack and
 /// teardown over the event engine with the fault plan applied per link.
 pub fn run_recovery_experiment_traced(cfg: &RecoveryConfig) -> (RecoveryResult, RunStats) {
-    run_recovery_experiment_instrumented(cfg, None)
+    let (res, stats, _) = run_recovery_experiment_observed(cfg, None, false);
+    (res, stats)
 }
 
-/// [`run_recovery_experiment_traced`] with optional live telemetry.
+/// [`run_recovery_experiment_traced`] with optional live telemetry and
+/// the adversary observation tap optionally attached.
 ///
 /// When `registry` is `Some`, the driver's engine and wire path record
 /// into it (`sim_*`, `core_*` instruments — see [`crate::instrument`]
@@ -494,16 +483,6 @@ pub fn run_recovery_experiment_traced(cfg: &RecoveryConfig) -> (RecoveryResult, 
 /// Telemetry is write-only, so the returned result and statistics are
 /// bit-identical to the uninstrumented run — the experiments crate's
 /// determinism suite pins this.
-pub fn run_recovery_experiment_instrumented(
-    cfg: &RecoveryConfig,
-    registry: Option<&telemetry::Registry>,
-) -> (RecoveryResult, RunStats) {
-    let (res, stats, _) = run_recovery_experiment_observed(cfg, registry, false);
-    (res, stats)
-}
-
-/// [`run_recovery_experiment_instrumented`] with the adversary
-/// observation tap optionally attached.
 ///
 /// With `observe = true` the driver records every link crossing and path
 /// registration into an [`crate::observe::ObservationLog`], and the
@@ -756,11 +735,14 @@ pub fn run_recovery_experiment_observed(
             // wall-clock cost is the slowest one. ----
             let mut t_now = deadline;
             let missing: Vec<usize> = (0..n_seg).filter(|i| !acked.contains(i)).collect();
-            let suspects: HashSet<StreamId> = missing
-                .iter()
-                .filter_map(|i| seg_sid.get(i))
-                .copied()
-                .collect();
+            // Segment-index order, each path once: the order decides the
+            // order of `blamed` and so which relays BLAME_MEMORY forgets.
+            let mut suspects: Vec<StreamId> = Vec::new();
+            for sid in missing.iter().filter_map(|i| seg_sid.get(i)) {
+                if !suspects.contains(sid) {
+                    suspects.push(*sid);
+                }
+            }
             let mut recovery_done = t_now;
             let mut to_drop: Vec<StreamId> = Vec::new();
             for sid in suspects {
@@ -981,8 +963,10 @@ mod tests {
     #[test]
     fn biased_beats_random_setup_rate() {
         // The Table 1 headline: biased mix choice transforms setup rates.
-        let random = run_setup_experiment(&setup_cfg(ProtocolKind::CurMix, MixStrategy::Random, 1));
-        let biased = run_setup_experiment(&setup_cfg(ProtocolKind::CurMix, MixStrategy::Biased, 1));
+        let random =
+            run_setup_experiment_traced(&setup_cfg(ProtocolKind::CurMix, MixStrategy::Random, 1)).0;
+        let biased =
+            run_setup_experiment_traced(&setup_cfg(ProtocolKind::CurMix, MixStrategy::Biased, 1)).0;
         assert!(
             random.construction_attempts > 100,
             "enough events scheduled"
@@ -996,12 +980,14 @@ mod tests {
     #[test]
     fn redundancy_improves_random_setup_rate() {
         // Table 1: SimRep/SimEra(k=2) roughly double CurMix's random rate.
-        let single = run_setup_experiment(&setup_cfg(ProtocolKind::CurMix, MixStrategy::Random, 2));
-        let replicated = run_setup_experiment(&setup_cfg(
+        let single =
+            run_setup_experiment_traced(&setup_cfg(ProtocolKind::CurMix, MixStrategy::Random, 2)).0;
+        let replicated = run_setup_experiment_traced(&setup_cfg(
             ProtocolKind::SimRep { k: 2 },
             MixStrategy::Random,
             2,
-        ));
+        ))
+        .0;
         let s = single.setup_success_rate();
         let r = replicated.setup_success_rate();
         assert!(
@@ -1014,16 +1000,18 @@ mod tests {
     fn simera_k2r2_matches_simrep_r2_rule() {
         // Same success rule → statistically indistinguishable rates (the
         // paper reports 4.98 % vs 4.98 %); with one seed allow slack.
-        let rep = run_setup_experiment(&setup_cfg(
+        let rep = run_setup_experiment_traced(&setup_cfg(
             ProtocolKind::SimRep { k: 2 },
             MixStrategy::Random,
             3,
-        ));
-        let era = run_setup_experiment(&setup_cfg(
+        ))
+        .0;
+        let era = run_setup_experiment_traced(&setup_cfg(
             ProtocolKind::SimEra { k: 2, r: 2 },
             MixStrategy::Random,
             3,
-        ));
+        ))
+        .0;
         let diff = (rep.setup_success_rate() - era.setup_success_rate()).abs();
         assert!(diff < 0.05, "rates should be close, differ by {diff:.3}");
     }
@@ -1044,11 +1032,12 @@ mod tests {
 
     #[test]
     fn performance_run_produces_coherent_metrics() {
-        let res = run_performance_experiment(&perf_cfg(
+        let res = run_performance_experiment_traced(&perf_cfg(
             ProtocolKind::SimEra { k: 4, r: 4 },
             MixStrategy::Biased,
             4,
-        ));
+        ))
+        .0;
         assert!(res.episodes >= 1);
         assert!(res.attempts >= res.episodes);
         assert!(res.metrics.messages_sent > 0);
@@ -1073,7 +1062,7 @@ mod tests {
                 let mut cfg = perf_cfg(protocol, MixStrategy::Biased, seed);
                 cfg.world.horizon = SimTime::from_secs(7200);
                 cfg.durability_cap = SimDuration::from_secs(3600);
-                total.merge(&run_performance_experiment(&cfg).metrics);
+                total.merge(&run_performance_experiment_traced(&cfg).0.metrics);
             }
             total
         };
@@ -1089,10 +1078,18 @@ mod tests {
 
     #[test]
     fn biased_choice_cuts_construction_attempts() {
-        let random =
-            run_performance_experiment(&perf_cfg(ProtocolKind::CurMix, MixStrategy::Random, 6));
-        let biased =
-            run_performance_experiment(&perf_cfg(ProtocolKind::CurMix, MixStrategy::Biased, 6));
+        let random = run_performance_experiment_traced(&perf_cfg(
+            ProtocolKind::CurMix,
+            MixStrategy::Random,
+            6,
+        ))
+        .0;
+        let biased = run_performance_experiment_traced(&perf_cfg(
+            ProtocolKind::CurMix,
+            MixStrategy::Biased,
+            6,
+        ))
+        .0;
         assert!(
             biased.attempts_per_episode() < random.attempts_per_episode(),
             "biased {} vs random {}",
@@ -1108,8 +1105,8 @@ mod tests {
     #[test]
     fn setup_experiment_is_deterministic() {
         let cfg = setup_cfg(ProtocolKind::SimEra { k: 4, r: 2 }, MixStrategy::Biased, 11);
-        let a = run_setup_experiment(&cfg);
-        let b = run_setup_experiment(&cfg);
+        let a = run_setup_experiment_traced(&cfg).0;
+        let b = run_setup_experiment_traced(&cfg).0;
         assert_eq!(a.construction_attempts, b.construction_attempts);
         assert_eq!(a.construction_successes, b.construction_successes);
     }
@@ -1120,7 +1117,7 @@ mod tests {
         // (down nodes skip their events): expect between 30% and 85% of
         // the raw rate.
         let cfg = setup_cfg(ProtocolKind::CurMix, MixStrategy::Random, 12);
-        let metrics = run_setup_experiment(&cfg);
+        let metrics = run_setup_experiment_traced(&cfg).0;
         let window = (cfg.world.horizon - cfg.warmup).as_secs_f64();
         let raw = cfg.world.n as f64 * window / cfg.mean_interarrival.as_secs_f64();
         let measured = metrics.construction_attempts as f64;
@@ -1135,7 +1132,7 @@ mod tests {
         // The same experiment over the hierarchical membership layer.
         let mut cfg = setup_cfg(ProtocolKind::CurMix, MixStrategy::Biased, 13);
         cfg.world.membership = MembershipConfig::onehop_default();
-        let metrics = run_setup_experiment(&cfg);
+        let metrics = run_setup_experiment_traced(&cfg).0;
         assert!(metrics.construction_attempts > 100);
         assert!(
             metrics.setup_success_rate() > 0.5,
@@ -1160,10 +1157,6 @@ mod tests {
             stats.links >= stats.traversals,
             "every traversal walks >= 1 link"
         );
-        // The traced driver is the plain driver plus bookkeeping.
-        let plain = run_setup_experiment(&cfg);
-        assert_eq!(plain.construction_attempts, metrics.construction_attempts);
-        assert_eq!(plain.construction_successes, metrics.construction_successes);
     }
 
     #[test]
@@ -1184,11 +1177,12 @@ mod tests {
     #[test]
     fn prediction_does_not_reduce_delivery() {
         let base = perf_cfg(ProtocolKind::SimEra { k: 4, r: 4 }, MixStrategy::Biased, 7);
-        let without = run_performance_experiment(&base);
-        let with = run_performance_experiment(&PerfConfig {
+        let without = run_performance_experiment_traced(&base).0;
+        let with = run_performance_experiment_traced(&PerfConfig {
             predict_threshold: Some(0.3),
             ..base
-        });
+        })
+        .0;
         assert!(
             with.metrics.delivery_rate() >= without.metrics.delivery_rate() - 0.05,
             "prediction should not hurt delivery: {} vs {}",
@@ -1303,8 +1297,8 @@ mod tests {
             },
             ..base.clone()
         };
-        let with = run_recovery_experiment(&base);
-        let without = run_recovery_experiment(&no_retry);
+        let with = run_recovery_experiment_traced(&base).0;
+        let without = run_recovery_experiment_traced(&no_retry).0;
         assert_eq!(without.retransmits, 0, "budget 0 must never retransmit");
         assert!(
             with.delivery_rate() >= without.delivery_rate(),
@@ -1351,7 +1345,7 @@ mod tests {
             for (i, p) in protos.iter().enumerate() {
                 let mut cfg = recovery_cfg(*p, faults, seed);
                 cfg.recovery.retry_budget = 0;
-                rates[i] += run_recovery_experiment(&cfg).delivery_rate();
+                rates[i] += run_recovery_experiment_traced(&cfg).0.delivery_rate();
             }
         }
         let (cur, rep, era) = (rates[0] / 3.0, rates[1] / 3.0, rates[2] / 3.0);

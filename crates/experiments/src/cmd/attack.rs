@@ -2,29 +2,26 @@
 //! constructions, plus the §7 "adversary stays online" risk analysis
 //! under biased mix choice.
 //!
-//! ```text
-//! attack [--seed S] [--trials N]
-//! ```
-//!
 //! `--seed` moves the world seed (default 31); `--trials` overrides the
 //! number of path constructions measured per point (default 2000, or
-//! 300 under `EXPERIMENT_QUICK=1`).
+//! 300 under `--quick`).
 
+use super::{Args, ExitCode};
 use anon_core::anonymity;
 use anon_core::attack::{run_attack_experiment, staying_adversary_advantage, AttackConfig};
 use anon_core::mix::MixStrategy;
 use anon_core::sim::WorldConfig;
 use experiments::experiments::Scale;
-use experiments::{default_threads, par_map, resolve_flag, Table};
+use experiments::{run_all, RunSpec, Table};
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(args: &Args) -> ExitCode {
+    let scale = args.scale();
     let (n, default_events) = match scale {
         Scale::Full => (1024usize, 2000usize),
         Scale::Quick => (192, 300),
     };
-    let seed: u64 = resolve_flag("--seed").unwrap_or(31);
-    let events: usize = resolve_flag("--trials").unwrap_or(default_events);
+    let seed: u64 = args.seed.unwrap_or(31);
+    let events: usize = args.trials.unwrap_or(default_events);
     let world = WorldConfig {
         n,
         ..scale.world(seed)
@@ -34,7 +31,13 @@ fn main() {
 
     // ---- Part 1: empirical Eq. 4 (random choice, churning adversary) ----
     let fs = [0.1f64, 0.2, 0.3, 0.4, 0.5];
-    let rows = par_map(fs.to_vec(), default_threads(), |f| {
+    let jobs = fs.map(|f| RunSpec {
+        label: format!("f={f}"),
+        seed,
+        payload: f,
+    });
+    let (rows, _) = run_all("attack", jobs.into(), args.threads, |spec| {
+        let f = spec.payload;
         let res = run_attack_experiment(
             world.clone(),
             MixStrategy::Random,
@@ -46,7 +49,7 @@ fn main() {
             events,
             warmup,
         );
-        (f, res)
+        ((f, res), Default::default(), Vec::new())
     });
     let mut table = Table::new(
         "empirical first-relay compromise vs Eq. 4 (random choice)",
@@ -101,4 +104,5 @@ fn main() {
     println!("that incentive; the paper's counterargument (honest nodes gain the same");
     println!("incentive, shrinking the attacker's relative edge) is visible in how the");
     println!("advantage stays bounded while honest long-livers populate the top ranks.");
+    ExitCode::SUCCESS
 }

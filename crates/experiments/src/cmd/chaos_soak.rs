@@ -13,13 +13,12 @@
 //! run-twice determinism under one seed, and erasure-coded multipath
 //! delivering where the single path fails.
 //!
-//! ```text
-//! chaos_soak [--rounds N] [--seed S] [--quick] [--out FILE]
-//! ```
-//!
-//! `--out` writes a JSON blob including `rounds_per_sec` (the number
-//! tracked in BENCH_HISTORY.jsonl).
+//! `--rounds` sets the round count (default 2000, or 200 under
+//! `--quick`), `--seed` the chaos seed (default 42); `--out` writes a
+//! JSON blob including `rounds_per_sec` (the number tracked in
+//! BENCH_HISTORY.jsonl).
 
+use super::{Args, ExitCode};
 use anon_core::MessageId;
 use erasure::ErasureCodec;
 use rand::rngs::StdRng;
@@ -39,36 +38,6 @@ const CHAOS_SPEC: &str =
 /// Retry budget for the soak initiator (deeper than the default: the
 /// weather costs ~1 in 4 round trips).
 const SOAK_RETRIES: u32 = 8;
-
-struct Args {
-    rounds: u64,
-    seed: u64,
-    out: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        rounds: 2_000,
-        seed: 42,
-        out: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().expect("flag value");
-        match flag.as_str() {
-            "--rounds" => args.rounds = value().parse().expect("--rounds N"),
-            "--seed" => args.seed = value().parse().expect("--seed N"),
-            "--quick" => args.rounds = 200,
-            "--out" => args.out = Some(value()),
-            other => {
-                eprintln!("chaos_soak: unknown flag {other}");
-                eprintln!("usage: chaos_soak [--rounds N] [--seed S] [--quick] [--out FILE]");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
 
 /// One configuration's topology: `paths` disjoint relay chains feeding
 /// one responder, erasure-coded `need`-of-`total`.
@@ -222,18 +191,18 @@ fn soak(cfg: &Config, rounds: u64, seed: u64, crash_every: u64) -> SoakResult {
     }
 }
 
-fn main() {
-    let args = parse_args();
+pub fn run(args: &Args) -> ExitCode {
+    let rounds = args.rounds.unwrap_or(if args.quick { 200 } else { 2_000 });
+    let seed = args.seed.unwrap_or(42);
     let crash_every = 50;
     println!(
-        "chaos soak: {} rounds, seed {}, spec {CHAOS_SPEC}, relay crash every {crash_every}",
-        args.rounds, args.seed
+        "chaos soak: {rounds} rounds, seed {seed}, spec {CHAOS_SPEC}, relay crash every {crash_every}"
     );
 
     let t0 = Instant::now();
-    let era = soak(&era_config(), args.rounds, args.seed, crash_every);
+    let era = soak(&era_config(), rounds, seed, crash_every);
     let wall_s = t0.elapsed().as_secs_f64();
-    let rounds_per_sec = args.rounds as f64 / wall_s;
+    let rounds_per_sec = rounds as f64 / wall_s;
 
     // Invariant 1: zero acked-message loss — every ack corresponds to a
     // delivery the responder recorded.
@@ -255,11 +224,11 @@ fn main() {
     // Invariant 3: the chaos plan actually acted.
     assert!(era.injected > 0, "no faults injected");
     // Invariant 4: run-twice determinism under the same seed.
-    let replay = soak(&era_config(), args.rounds, args.seed, crash_every);
+    let replay = soak(&era_config(), rounds, seed, crash_every);
     assert_eq!(era, replay, "soak replay diverged under the same seed");
 
     // The comparison: the same weather on the single-path baseline.
-    let curmix = soak(&curmix_config(), args.rounds, args.seed, crash_every);
+    let curmix = soak(&curmix_config(), rounds, seed, crash_every);
     assert!(
         era.delivery() >= 0.75,
         "era delivery collapsed: {:.3}",
@@ -292,7 +261,7 @@ fn main() {
         "  chaos:  {} injected (drop {}, corrupt {}, delay {}, reset {})",
         era.injected, era.dropped, era.corrupted, era.delayed, era.reset_drops
     );
-    println!("  determinism: replay identical under seed {}", args.seed);
+    println!("  determinism: replay identical under seed {seed}");
     println!("  rate:   {rounds_per_sec:.1} soak-rounds/sec ({wall_s:.2} s wall)");
     println!("ALL INVARIANTS HELD");
 
@@ -307,8 +276,8 @@ fn main() {
                 "\"era_retransmits\": {}, \"chaos_injected\": {}, ",
                 "\"deterministic\": true}}"
             ),
-            args.rounds,
-            args.seed,
+            rounds,
+            seed,
             wall_s,
             rounds_per_sec,
             era.delivery(),
@@ -319,4 +288,5 @@ fn main() {
         std::fs::write(path, json + "\n").expect("write --out");
         println!("wrote {path}");
     }
+    ExitCode::SUCCESS
 }

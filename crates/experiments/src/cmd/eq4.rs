@@ -1,25 +1,21 @@
 //! §5 anonymity analysis: `P(x = I)` (Equation 4) for N = 1024, L = 3,
 //! across the colluding fraction `f`, with a Monte-Carlo attack simulation.
 //!
-//! ```text
-//! eq4 [--seed S] [--trials N]
-//! ```
-//!
 //! `--seed` moves the Monte-Carlo seed (default 5); `--trials` overrides
-//! the trial count per point (default 400 000, or 40 000 under
-//! `EXPERIMENT_QUICK=1`).
+//! the trial count per point (default 400 000, or 40 000 under `--quick`).
 
+use super::{Args, ExitCode};
 use experiments::experiments::{eq4_data, Scale};
-use experiments::{resolve_flag, Table};
+use experiments::Table;
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(args: &Args) -> ExitCode {
+    let scale = args.scale();
     let default_trials = match scale {
         Scale::Full => 400_000,
         Scale::Quick => 40_000,
     };
-    let seed: u64 = resolve_flag("--seed").unwrap_or(5);
-    let trials: usize = resolve_flag("--trials").unwrap_or(default_trials);
+    let seed: u64 = args.seed.unwrap_or(5);
+    let trials: usize = args.trials.unwrap_or(default_trials);
     println!(
         "Eq. 4 — initiator identification probability, N = 1024, L = 3, trials = {trials}, seed {seed}\n"
     );
@@ -56,4 +52,5 @@ fn main() {
         "  Monte-Carlo matches the exact closed form: {}",
         if ok { "YES" } else { "NO" }
     );
+    ExitCode::SUCCESS
 }

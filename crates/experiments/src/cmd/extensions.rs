@@ -7,12 +7,13 @@
 //!    fixed lookahead (`q_H`), removing gossip-recency noise from the
 //!    paper's plain `q` ranking. Compared on the Table-2 workload.
 
+use super::{Args, ExitCode};
 use anon_core::allocation::weighted::{allocate_best, allocate_even, delivery_probability};
 use anon_core::mix::MixStrategy;
 use anon_core::protocols::runner::{run_performance_experiment_traced, PerfConfig};
 use anon_core::protocols::ProtocolKind;
 use experiments::experiments::Scale;
-use experiments::{resolve_threads, run_all, RunSpec, Table};
+use experiments::{run_all, RunSpec, Table};
 
 fn weighted_allocation_study() {
     println!("extension 1 — weighted segment allocation (paper §7 future work)\n");
@@ -119,9 +120,10 @@ fn horizon_bias_study(scale: Scale, threads: usize) {
     println!("candidates that plain q lets into the top picks.");
 }
 
-fn main() {
-    let scale = Scale::from_env();
-    let threads = resolve_threads();
+pub fn run(args: &Args) -> ExitCode {
+    let scale = args.scale();
+    let threads = args.threads;
     weighted_allocation_study();
     horizon_bias_study(scale, threads);
+    ExitCode::SUCCESS
 }

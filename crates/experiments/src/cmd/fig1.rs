@@ -1,11 +1,12 @@
 //! Figure 1: cumulative distribution of (synthesized) measured Gnutella
 //! node lifetimes vs the Pareto(α = 0.83, β = 1560 s) fit.
 
+use super::{Args, ExitCode};
 use experiments::experiments::{fig1_data, Scale};
 use experiments::Table;
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(args: &Args) -> ExitCode {
+    let scale = args.scale();
     let samples = match scale {
         Scale::Full => 200_000,
         Scale::Quick => 20_000,
@@ -41,4 +42,5 @@ fn main() {
     println!("\nmax |measured - Pareto| = {max_diff:.4}");
     println!("paper's claim: the measured CDF closely matches the Pareto distribution");
     println!("reproduced: {}", if max_diff < 0.05 { "YES" } else { "NO" });
+    ExitCode::SUCCESS
 }

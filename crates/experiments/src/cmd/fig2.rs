@@ -1,12 +1,13 @@
 //! Figure 2: validation of the three SimEra observations — `P(k)` vs `k`
 //! for node availabilities 0.70 / 0.86 / 0.95 with `r = 2`, `L = 3`.
 
+use super::{Args, ExitCode};
 use anon_core::allocation::{classify, path_success_probability, Observation};
-use experiments::experiments::{fig2_data, Scale};
+use experiments::experiments::fig2_data;
 use experiments::Table;
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(args: &Args) -> ExitCode {
+    let scale = args.scale();
     let trials = scale.trials();
     println!("Figure 2 — P(k) vs k, r = 2, L = 3, Monte-Carlo trials = {trials}\n");
 
@@ -58,4 +59,5 @@ fn main() {
     println!("\npaper's claims: curve for pa=0.70 monotonically decreases (Obs. 3);");
     println!("pa=0.86 dips then recovers for large k (Obs. 2); pa=0.95 increases (Obs. 1);");
     println!("higher availability gives higher success at every k.");
+    ExitCode::SUCCESS
 }

@@ -1,11 +1,12 @@
 //! Figure 3: `P(k)` vs `k` for replication factors r = 2, 3, 4 at node
 //! availability 0.70, `L = 3`.
 
-use experiments::experiments::{fig3_data, Scale};
+use super::{reproduced, Args, ExitCode};
+use experiments::experiments::fig3_data;
 use experiments::Table;
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(args: &Args) -> ExitCode {
+    let scale = args.scale();
     let trials = scale.trials();
     println!("Figure 3 — P(k) vs k, pa = 0.70, L = 3, trials = {trials}\n");
 
@@ -43,10 +44,7 @@ fn main() {
     );
     println!(
         "paper's claim (bigger r dramatically increases success): {}",
-        if at(2, 12) < at(3, 12) && at(3, 12) < at(4, 12) {
-            "REPRODUCED"
-        } else {
-            "NOT REPRODUCED"
-        }
+        reproduced(at(2, 12) < at(3, 12) && at(3, 12) < at(4, 12))
     );
+    ExitCode::SUCCESS
 }

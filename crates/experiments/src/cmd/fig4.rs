@@ -2,11 +2,12 @@
 //! paths for r = 2, 3, 4 (pa = 0.70, L = 3), counting partial traversal of
 //! failed paths.
 
+use super::{Args, ExitCode};
 use experiments::experiments::{fig4_data, Scale};
 use experiments::Table;
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(args: &Args) -> ExitCode {
+    let scale = args.scale();
     let trials = match scale {
         Scale::Full => 50_000,
         Scale::Quick => 5_000,
@@ -45,4 +46,5 @@ fn main() {
             "NO"
         }
     );
+    ExitCode::SUCCESS
 }

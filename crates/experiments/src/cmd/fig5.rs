@@ -1,13 +1,14 @@
 //! Figure 5: SimEra path-setup success rate vs `k` for r = 2, 3, 4 —
 //! (a) random mix choice, (b) biased mix choice.
 
+use super::{reproduced, Args, ExitCode};
 use anon_core::mix::MixStrategy;
-use experiments::experiments::{fig5_data, Scale};
-use experiments::{resolve_threads, Table};
+use experiments::experiments::fig5_data;
+use experiments::Table;
 
-fn main() {
-    let scale = Scale::from_env();
-    let threads = resolve_threads();
+pub fn run(args: &Args) -> ExitCode {
+    let scale = args.scale();
+    let threads = args.threads;
     println!("Figure 5 — SimEra setup success vs k ({scale:?} scale, {threads} threads)\n");
 
     for (panel, strategy) in [
@@ -53,11 +54,7 @@ fn main() {
                 let s2 = series(2);
                 println!(
                     "\n  paper: random success decreases with k -> {}",
-                    if s2.first() > s2.last() {
-                        "REPRODUCED"
-                    } else {
-                        "NOT REPRODUCED"
-                    }
+                    reproduced(s2.first() > s2.last())
                 );
             }
             _ => {
@@ -66,10 +63,11 @@ fn main() {
                     - s2.iter().cloned().fold(f64::MAX, f64::min);
                 println!(
                     "\n  paper: biased success stays high, k has little impact (spread {spread:.1} pts) -> {}",
-                    if spread < 25.0 && s2.iter().all(|&v| v > 50.0) { "REPRODUCED" } else { "NOT REPRODUCED" }
+                    reproduced(spread < 25.0 && s2.iter().all(|&v| v > 50.0))
                 );
             }
         }
         println!();
     }
+    ExitCode::SUCCESS
 }

@@ -6,17 +6,17 @@
 //! (which the paper under-specifies), while the comparative claims —
 //! biased ≫ random, redundancy ≈ 2× on random — hold on every substrate.
 
+use super::{Args, ExitCode};
 use anon_core::mix::MixStrategy;
 use anon_core::protocols::runner::{run_setup_experiment_traced, SetupConfig};
 use anon_core::protocols::ProtocolKind;
-use experiments::experiments::Scale;
-use experiments::{resolve_threads, run_all, RunSpec, Table};
+use experiments::{run_all, RunSpec, Table};
 use membership::{GossipConfig, MembershipConfig, OneHopConfig};
 use simnet::SimDuration;
 
-fn main() {
-    let scale = Scale::from_env();
-    let threads = resolve_threads();
+pub fn run(args: &Args) -> ExitCode {
+    let scale = args.scale();
+    let threads = args.threads;
     println!(
         "membership ablation — Table-1 workload per substrate ({scale:?} scale, {threads} threads)\n"
     );
@@ -110,4 +110,5 @@ fn main() {
         substrates.len(),
         if all_biased_win { "YES" } else { "NO" }
     );
+    ExitCode::SUCCESS
 }

@@ -16,13 +16,14 @@
 //!    workload where the scheduler runs in production position), with
 //!    aggregated [`EngineCounters`].
 //!
-//! Flags: `--quick` (CI smoke scale; `EXPERIMENT_QUICK=1` also works),
-//! `--threads N`, `--out PATH` (default `BENCH_simulator.json`). Peak RSS
+//! Flags: `--quick` (CI smoke scale), `--threads N`, `--out PATH`
+//! (default `BENCH_simulator.json`). Peak RSS
 //! is read from `/proc/self/status` `VmHWM` and reported as 0 when the
 //! platform does not expose it.
 
-use experiments::experiments::{recovery_data, tab1_data, Scale};
-use experiments::resolve_threads;
+use super::{peak_rss_bytes, Args, ExitCode};
+use experiments::experiments::{recovery_data, tab1_data};
+use experiments::TraceSet;
 use simnet::trace::EngineCounters;
 use simnet::{Engine, EventHandle, SchedulerKind, SimDuration, SimTime};
 use std::fmt::Write as _;
@@ -104,17 +105,17 @@ fn replay_best(kind: SchedulerKind, constructions: u64, reps: u32) -> (f64, Engi
     best.expect("reps >= 1")
 }
 
-/// Peak resident set size in bytes (`VmHWM`), 0 if unavailable.
-fn peak_rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines().find_map(|l| {
-                let rest = l.strip_prefix("VmHWM:")?;
-                rest.trim().strip_suffix("kB")?.trim().parse::<u64>().ok()
-            })
+/// Engine counters summed over the runs of a sweep (peak backlog: max).
+fn total_counters(set: &TraceSet) -> EngineCounters {
+    set.traces
+        .iter()
+        .fold(EngineCounters::default(), |mut acc, t| {
+            acc.scheduled += t.stats.engine.scheduled;
+            acc.processed += t.stats.engine.processed;
+            acc.cancelled += t.stats.engine.cancelled;
+            acc.max_pending = acc.max_pending.max(t.stats.engine.max_pending);
+            acc
         })
-        .map_or(0, |kb| kb * 1024)
 }
 
 fn json_counters(c: &EngineCounters) -> String {
@@ -134,21 +135,11 @@ fn json_timing(label: &str, wall_s: f64, processed: u64, counters: &EngineCounte
     )
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick") || experiments::quick_mode();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_simulator.json".to_string());
-    if quick {
-        // Propagate to Scale::from_env-style consumers inside the sweeps.
-        std::env::set_var("EXPERIMENT_QUICK", "1");
-    }
-    let scale = if quick { Scale::Quick } else { Scale::Full };
-    let threads = resolve_threads();
+pub fn run(args: &Args) -> ExitCode {
+    let quick = args.quick;
+    let out_path = args.out.as_deref().unwrap_or("BENCH_simulator.json");
+    let scale = args.scale();
+    let threads = args.threads;
     println!("perf harness ({scale:?} scale, {threads} threads) -> {out_path}");
 
     // Phase 1: scheduler ablation on the tab1 construction profile.
@@ -180,17 +171,7 @@ fn main() {
     let t0 = Instant::now();
     let tab1 = tab1_data(scale, threads);
     let tab1_s = t0.elapsed().as_secs_f64();
-    let tab1_counters = tab1
-        .traces
-        .traces
-        .iter()
-        .fold(EngineCounters::default(), |mut acc, t| {
-            acc.scheduled += t.stats.engine.scheduled;
-            acc.processed += t.stats.engine.processed;
-            acc.cancelled += t.stats.engine.cancelled;
-            acc.max_pending = acc.max_pending.max(t.stats.engine.max_pending);
-            acc
-        });
+    let tab1_counters = total_counters(&tab1.traces);
     println!(
         "      {:.2} s wall, {} timeline events ({:.0} events/s)",
         tab1_s,
@@ -201,20 +182,9 @@ fn main() {
     // Phase 3: the engine-driven recovery sweep.
     println!("[3/3] recovery sweep");
     let t0 = Instant::now();
-    let recovery = recovery_data(scale, threads);
+    let recovery = recovery_data(scale, threads, false);
     let recovery_s = t0.elapsed().as_secs_f64();
-    let recovery_counters =
-        recovery
-            .traces
-            .traces
-            .iter()
-            .fold(EngineCounters::default(), |mut acc, t| {
-                acc.scheduled += t.stats.engine.scheduled;
-                acc.processed += t.stats.engine.processed;
-                acc.cancelled += t.stats.engine.cancelled;
-                acc.max_pending = acc.max_pending.max(t.stats.engine.max_pending);
-                acc
-            });
+    let recovery_counters = total_counters(&recovery.traces);
     println!(
         "      {:.2} s wall, {} engine events ({:.0} events/s)",
         recovery_s,
@@ -258,6 +228,7 @@ fn main() {
         recovery_counters.processed as f64 / recovery_s,
         json_counters(&recovery_counters),
     );
-    std::fs::write(&out_path, json).expect("write benchmark baseline");
+    std::fs::write(out_path, json).expect("write benchmark baseline");
     println!("wrote {out_path}");
+    ExitCode::SUCCESS
 }

@@ -3,16 +3,20 @@
 //! SimEra(k=4,r=2) — across fault intensity (clean/moderate/heavy) and
 //! retry budget (0 = fire-and-forget, 2 = ack/timeout/retransmit with
 //! §4.5 localization and path repair).
+//!
+//! `--telemetry` gives every run a registry of its own; the snapshots
+//! land in `results/traces/recovery.json` only, the CSVs do not move.
 
-use experiments::experiments::{recovery_data, Scale};
-use experiments::{resolve_threads, Table};
+use super::{reproduced, Args, ExitCode};
+use experiments::experiments::recovery_data;
+use experiments::Table;
 
-fn main() {
-    let scale = Scale::from_env();
-    let threads = resolve_threads();
+pub fn run(args: &Args) -> ExitCode {
+    let scale = args.scale();
+    let threads = args.threads;
     println!("Recovery — delivery under injected faults ({scale:?} scale, {threads} threads)\n");
 
-    let out = recovery_data(scale, threads);
+    let out = recovery_data(scale, threads, args.telemetry);
     let rows = out.data;
     let mut table = Table::new(
         "Recovery: delivery under injected faults",
@@ -67,30 +71,19 @@ fn main() {
         era.delivery,
         rep.delivery,
         cur.delivery,
-        if era.delivery >= rep.delivery - 0.02 && rep.delivery >= cur.delivery - 0.02 {
-            "REPRODUCED"
-        } else {
-            "NOT REPRODUCED"
-        }
+        reproduced(era.delivery >= rep.delivery - 0.02 && rep.delivery >= cur.delivery - 0.02)
     );
     println!(
         "  retries help CurMix: b2 {:.3} vs b0 {:.3} -> {}",
         cur.delivery,
         cur0.delivery,
-        if cur.delivery >= cur0.delivery {
-            "REPRODUCED"
-        } else {
-            "NOT REPRODUCED"
-        }
+        reproduced(cur.delivery >= cur0.delivery)
     );
     println!(
         "  clean network delivers ~everything ({:.3}) with ~zero overhead ({:.3}) -> {}",
         clean.delivery,
         clean.retransmit_overhead,
-        if clean.delivery > 0.9 && clean.retransmit_overhead < 0.2 {
-            "REPRODUCED"
-        } else {
-            "NOT REPRODUCED"
-        }
+        reproduced(clean.delivery > 0.9 && clean.retransmit_overhead < 0.2)
     );
+    ExitCode::SUCCESS
 }

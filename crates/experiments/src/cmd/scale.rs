@@ -5,16 +5,16 @@
 //! fixed budget of biased-mix flows through each and reporting per-N
 //! delivery success rate, mean path latency, links walked per second, and
 //! peak RSS. The dense King matrix alone would need ~4 TB at N = 1M; the
-//! whole point of this bin is demonstrating the world now builds in
+//! whole point of this command is demonstrating the world now builds in
 //! O(N + tracked·sample) memory.
 //!
-//! Each grid point runs in a **child process** (`--single N`) so its peak
-//! RSS (`VmHWM`, monotonic within a process) is attributable to that N
-//! alone; the parent re-execs itself, collects the per-point JSON lines,
-//! and writes the curve to `--out` (default `BENCH_scale.json`).
+//! Each grid point runs in a **child process** (`scale --single N`) so
+//! its peak RSS (`VmHWM`, monotonic within a process) is attributable to
+//! that N alone; the parent re-execs itself, collects the per-point JSON
+//! lines, and writes the curve to `--out` (default `BENCH_scale.json`).
 //!
 //! Flags:
-//! * `--quick` — CI grid {1k, 10k, 50k} (also via `EXPERIMENT_QUICK=1`).
+//! * `--quick` — CI grid {1k, 10k, 50k}.
 //! * `--n 1000,50000` — explicit comma-separated grid, overrides both.
 //! * `--flows K` — flows per grid point (default 2000; quick 500).
 //! * `--seed S` — master seed (default 42).
@@ -24,6 +24,7 @@
 //!   (enforced per child, so the parent's bookkeeping is excluded).
 //! * `--out PATH` — where the parent writes the sweep JSON.
 
+use super::{peak_rss_bytes, Args, ExitCode};
 use anon_core::mix::MixStrategy;
 use anon_core::sim::{World, WorldConfig};
 use membership::MembershipConfig;
@@ -36,26 +37,6 @@ use std::time::Instant;
 const FULL_GRID: &[usize] = &[1_000, 10_000, 100_000, 500_000, 1_000_000];
 /// CI smoke grid.
 const QUICK_GRID: &[usize] = &[1_000, 10_000, 50_000];
-
-/// Peak resident set size in bytes (`VmHWM`), 0 if unavailable.
-fn peak_rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines().find_map(|l| {
-                let rest = l.strip_prefix("VmHWM:")?;
-                rest.trim().strip_suffix("kB")?.trim().parse::<u64>().ok()
-            })
-        })
-        .map_or(0, |kb| kb * 1024)
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 /// One grid point, in-process: build the world, push `flows` flows through
 /// it, and return the JSON line describing the run.
@@ -114,19 +95,29 @@ fn run_single(n: usize, flows: usize, seed: u64) -> String {
     )
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick") || experiments::quick_mode();
-    let seed: u64 = flag_value(&args, "--seed").map_or(42, |s| s.parse().expect("--seed u64"));
-    let flows: usize = flag_value(&args, "--flows").map_or(if quick { 500 } else { 2000 }, |s| {
-        s.parse().expect("--flows usize")
-    });
-    let max_rss_mb: Option<u64> =
-        flag_value(&args, "--max-rss-mb").map(|s| s.parse().expect("--max-rss-mb u64"));
+/// The argument list the sweep re-executes itself with for one grid
+/// point (after the program name).
+pub fn single_argv(n: usize, flows: usize, seed: u64, max_rss_mb: Option<u64>) -> Vec<String> {
+    let mut argv = vec![
+        "scale".to_string(),
+        format!("--single={n}"),
+        format!("--flows={flows}"),
+        format!("--seed={seed}"),
+    ];
+    if let Some(budget) = max_rss_mb {
+        argv.push(format!("--max-rss-mb={budget}"));
+    }
+    argv
+}
+
+pub fn run(args: &Args) -> ExitCode {
+    let quick = args.quick;
+    let seed = args.seed.unwrap_or(42);
+    let flows = args.flows.unwrap_or(if quick { 500 } else { 2000 });
+    let max_rss_mb = args.max_rss_mb;
 
     // Child mode: one grid point, JSON on the last stdout line.
-    if let Some(n) = flag_value(&args, "--single") {
-        let n: usize = n.parse().expect("--single usize");
+    if let Some(n) = args.single {
         let line = run_single(n, flows, seed);
         println!("{line}");
         if let Some(budget) = max_rss_mb {
@@ -136,20 +127,17 @@ fn main() {
                     "peak RSS {} MiB exceeds budget {budget} MiB",
                     rss / (1024 * 1024)
                 );
-                std::process::exit(2);
+                return ExitCode::from(2);
             }
         }
-        return;
+        return ExitCode::SUCCESS;
     }
 
-    let grid: Vec<usize> = match flag_value(&args, "--n") {
-        Some(csv) => csv
-            .split(',')
-            .map(|s| s.trim().parse().expect("--n comma-separated usizes"))
-            .collect(),
+    let grid: Vec<usize> = match &args.n {
+        Some(grid) => grid.clone(),
         None => (if quick { QUICK_GRID } else { FULL_GRID }).to_vec(),
     };
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_scale.json".to_string());
+    let out_path = args.out.as_deref().unwrap_or("BENCH_scale.json");
     let exe = std::env::current_exe().expect("own path");
     println!(
         "scale sweep ({} mode, {} flows/point, seed {seed}) -> {out_path}",
@@ -163,17 +151,10 @@ fn main() {
 
     let mut points: Vec<String> = Vec::new();
     for &n in &grid {
-        let mut cmd = Command::new(&exe);
-        cmd.arg("--single")
-            .arg(n.to_string())
-            .arg("--flows")
-            .arg(flows.to_string())
-            .arg("--seed")
-            .arg(seed.to_string());
-        if let Some(budget) = max_rss_mb {
-            cmd.arg("--max-rss-mb").arg(budget.to_string());
-        }
-        let out = cmd.output().expect("spawn grid-point child");
+        let out = Command::new(&exe)
+            .args(single_argv(n, flows, seed, max_rss_mb))
+            .output()
+            .expect("spawn grid-point child");
         let stdout = String::from_utf8_lossy(&out.stdout);
         let line = stdout
             .lines()
@@ -192,7 +173,8 @@ fn main() {
                 "n={n}: child failed: {}",
                 String::from_utf8_lossy(&out.stderr)
             );
-            std::process::exit(out.status.code().unwrap_or(1));
+            let code = out.status.code().and_then(|c| u8::try_from(c).ok());
+            return ExitCode::from(code.unwrap_or(1));
         }
         // Pull the table columns back out of the child's JSON line.
         let field = |k: &str| -> f64 {
@@ -226,6 +208,7 @@ fn main() {
         let _ = writeln!(json, "    {p}{sep}");
     }
     json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, json).expect("write scale sweep");
+    std::fs::write(out_path, json).expect("write scale sweep");
     println!("wrote {out_path}");
+    ExitCode::SUCCESS
 }

@@ -1,4 +1,4 @@
-//! Generic scenario runner: `scenario [--bless] [--threads N] <file|dir>...`
+//! Generic scenario runner: `experiments scenario [--bless] [--threads N] <file|dir>...`
 //!
 //! Loads each `*.toml` scenario (directories are scanned, sorted by file
 //! name), runs its protocol × workload × seed grid through the shared
@@ -10,11 +10,10 @@
 //! (run with `--bless` to create it), or mismatches its golden. `--bless`
 //! rewrites goldens in place so drift is always a reviewed diff.
 
-use experiments::runner::resolve_threads;
+use super::{Args, ExitCode};
 use experiments::scenario_runner::run_scenario_file;
 use scenario::SnapshotOutcome;
 use std::path::PathBuf;
-use std::process::ExitCode;
 
 fn collect_files(args: &[String]) -> Result<Vec<PathBuf>, String> {
     let mut files = Vec::new();
@@ -40,32 +39,10 @@ fn collect_files(args: &[String]) -> Result<Vec<PathBuf>, String> {
     Ok(files)
 }
 
-fn main() -> ExitCode {
-    let mut bless = false;
-    let mut paths: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--bless" => bless = true,
-            // Consumed by resolve_threads(); skip the flag and its value.
-            "--threads" => {
-                let _ = args.next();
-            }
-            s if s.starts_with("--threads=") => {}
-            "--help" | "-h" => {
-                println!("usage: scenario [--bless] [--threads N] <file|dir>...");
-                return ExitCode::SUCCESS;
-            }
-            _ => paths.push(arg),
-        }
-    }
-    if paths.is_empty() {
-        eprintln!("usage: scenario [--bless] [--threads N] <file|dir>...");
-        return ExitCode::FAILURE;
-    }
-    let threads = resolve_threads();
+pub fn run(args: &Args) -> ExitCode {
+    let (bless, threads) = (args.bless, args.threads);
 
-    let files = match collect_files(&paths) {
+    let files = match collect_files(&args.paths) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("scenario: {e}");

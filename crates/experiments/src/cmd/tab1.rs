@@ -1,8 +1,9 @@
 //! Table 1: path-setup success rates for CurMix, SimRep(r=2) and
 //! SimEra(k=2, r=2) under random and biased mix choice.
 
-use experiments::experiments::{tab1_data, Scale};
-use experiments::{resolve_threads, Table};
+use super::{reproduced, Args, ExitCode};
+use experiments::experiments::tab1_data;
+use experiments::Table;
 
 /// Paper-reported Table 1 values (percent), `[random, biased]` per protocol.
 const PAPER: [(&str, f64, f64); 3] = [
@@ -11,9 +12,9 @@ const PAPER: [(&str, f64, f64); 3] = [
     ("SimEra(k=2,r=2)", 4.98, 96.24),
 ];
 
-fn main() {
-    let scale = Scale::from_env();
-    let threads = resolve_threads();
+pub fn run(args: &Args) -> ExitCode {
+    let scale = args.scale();
+    let threads = args.threads;
     println!("Table 1 — path setup success rates ({scale:?} scale, {threads} threads)\n");
 
     let out = tab1_data(scale, threads);
@@ -49,26 +50,15 @@ fn main() {
     println!("\nshape checks:");
     println!(
         "  redundancy improves random setup by {redundancy_gain:.2}x (paper: ~1.9x) -> {}",
-        if redundancy_gain > 1.3 {
-            "REPRODUCED"
-        } else {
-            "NOT REPRODUCED"
-        }
+        reproduced(redundancy_gain > 1.3)
     );
     println!(
         "  biased mix choice improves CurMix by {bias_gain:.1}x (paper: ~30x) -> {}",
-        if bias_gain > 2.0 {
-            "REPRODUCED"
-        } else {
-            "NOT REPRODUCED"
-        }
+        reproduced(bias_gain > 2.0)
     );
     println!(
         "  SimRep ~= SimEra(k=2,r=2) (paper: 4.98 vs 4.98) -> {}",
-        if (rows[1].random_pct - rows[2].random_pct).abs() < 5.0 {
-            "REPRODUCED"
-        } else {
-            "NOT REPRODUCED"
-        }
+        reproduced((rows[1].random_pct - rows[2].random_pct).abs() < 5.0)
     );
+    ExitCode::SUCCESS
 }

@@ -1,14 +1,11 @@
 //! Table 3: SimEra(k=4, r=4) under varying churn (median node lifetime
 //! 20 / 30 / 60 / 80 / 120 minutes).
 
-use experiments::experiments::{tab3_data, Scale};
-use experiments::report::pair;
-use experiments::{resolve_threads, Table};
+use super::{report_perf_table, reproduced, Args, ExitCode, PaperRow};
+use experiments::experiments::tab3_data;
 
 /// Paper-reported Table 3: per median lifetime, (durability s, attempts,
 /// latency ms, bandwidth KB), each `[random, biased]`.
-type PaperRow = (&'static str, (f64, f64), (f64, f64), (f64, f64), (f64, f64));
-
 const PAPER: [PaperRow; 5] = [
     (
         "20 min",
@@ -47,61 +44,20 @@ const PAPER: [PaperRow; 5] = [
     ),
 ];
 
-fn main() {
-    let scale = Scale::from_env();
-    let threads = resolve_threads();
+pub fn run(args: &Args) -> ExitCode {
+    let scale = args.scale();
+    let threads = args.threads;
     println!(
         "Table 3 — SimEra(k=4, r=4) vs median node lifetime ({scale:?} scale, {threads} threads)\n"
     );
 
-    let out = tab3_data(scale, threads);
-    let rows = out.data;
-    let mut table = Table::new(
-        "Table 3: effect of churn [random, biased]",
-        &[
-            "lifetime",
-            "durability (s)",
-            "attempts",
-            "latency (ms)",
-            "bandwidth (KB)",
-            "delivery",
-        ],
+    let rows = report_perf_table(
+        3,
+        "effect of churn",
+        "lifetime",
+        tab3_data(scale, threads),
+        &PAPER,
     );
-    for row in &rows {
-        table.row(&[
-            row.label.clone(),
-            pair(row.durability_secs.0, row.durability_secs.1, 0),
-            pair(row.attempts.0, row.attempts.1, 1),
-            pair(row.latency_ms.0, row.latency_ms.1, 0),
-            pair(row.bandwidth_kb.0, row.bandwidth_kb.1, 1),
-            pair(row.delivery.0, row.delivery.1, 2),
-        ]);
-    }
-    table.print();
-    table.save_csv("tab3").expect("write results/tab3.csv");
-    out.traces.print_summary();
-    out.traces.save().expect("write results/traces");
-
-    let mut paper_table = Table::new(
-        "Table 3 (paper-reported values)",
-        &[
-            "lifetime",
-            "durability (s)",
-            "attempts",
-            "latency (ms)",
-            "bandwidth (KB)",
-        ],
-    );
-    for (label, d, a, l, b) in PAPER {
-        paper_table.row(&[
-            label.to_string(),
-            pair(d.0, d.1, 0),
-            pair(a.0, a.1, 1),
-            pair(l.0, l.1, 0),
-            pair(b.0, b.1, 1),
-        ]);
-    }
-    paper_table.print();
 
     println!("\nshape checks:");
     // Random durability should track the churn rate; biased durability is
@@ -114,37 +70,22 @@ fn main() {
         rows.last().unwrap().durability_secs.1 >= rows.first().unwrap().durability_secs.1 * 0.9;
     println!(
         "  (1) lower churn -> higher durability (random monotone, biased end-to-end): {}",
-        if random_monotone && biased_trend {
-            "REPRODUCED"
-        } else {
-            "NOT REPRODUCED"
-        }
+        reproduced(random_monotone && biased_trend)
     );
     let attempts_fall = rows.first().unwrap().attempts.0 > rows.last().unwrap().attempts.0;
     println!(
         "  (2) lower churn -> fewer random-construction attempts: {}",
-        if attempts_fall {
-            "REPRODUCED"
-        } else {
-            "NOT REPRODUCED"
-        }
+        reproduced(attempts_fall)
     );
     let biased_one = rows.iter().all(|r| r.attempts.1 < 2.0);
     println!(
         "  (4) biased construction ~1 attempt at every churn level: {}",
-        if biased_one {
-            "REPRODUCED"
-        } else {
-            "NOT REPRODUCED"
-        }
+        reproduced(biased_one)
     );
     let biased_bandwidth_higher = rows.iter().all(|r| r.bandwidth_kb.1 >= r.bandwidth_kb.0);
     println!(
         "  (3) biased delivers over more paths (higher bandwidth): {}",
-        if biased_bandwidth_higher {
-            "REPRODUCED"
-        } else {
-            "NOT REPRODUCED"
-        }
+        reproduced(biased_bandwidth_higher)
     );
+    ExitCode::SUCCESS
 }

@@ -11,30 +11,16 @@
 //! (matching Equation 4 at the uniform-choice point) and timing
 //! linkability decays as cover traffic grows.
 //!
-//! ```text
-//! trilemma [--threads N] [--out FILE]
-//! ```
-//!
 //! `--out` writes a JSON blob including `points_per_sec` (grid rows
 //! produced per wall-clock second) for `scripts/bench_baseline.sh`.
 
-use experiments::experiments::{trilemma_data, Scale};
-use experiments::{resolve_threads, Table};
-use std::process::ExitCode;
+use super::{reproduced, Args, ExitCode};
+use experiments::experiments::trilemma_data;
+use experiments::Table;
 
-fn main() -> ExitCode {
-    let scale = Scale::from_env();
-    let threads = resolve_threads();
-    let out_path = {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        args.iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1).cloned())
-            .or_else(|| {
-                args.iter()
-                    .find_map(|a| a.strip_prefix("--out=").map(str::to_string))
-            })
-    };
+pub fn run(args: &Args) -> ExitCode {
+    let scale = args.scale();
+    let threads = args.threads;
     println!("Trilemma — adversarial anonymity sweep ({scale:?} scale, {threads} threads)\n");
 
     let started = std::time::Instant::now();
@@ -129,38 +115,26 @@ fn main() -> ExitCode {
     println!("\nshape checks:");
     println!(
         "  entropy/identification monotone in colluding fraction f -> {}",
-        if entropy_monotone {
-            "REPRODUCED"
-        } else {
-            "NOT REPRODUCED"
-        }
+        reproduced(entropy_monotone)
     );
     println!(
         "  Eq4 agreement at the uniform-choice point (max gap {:.3}) -> {}",
         eq4_gap,
-        if eq4_gap < 0.1 {
-            "REPRODUCED"
-        } else {
-            "NOT REPRODUCED"
-        }
+        reproduced(eq4_gap < 0.1)
     );
     println!(
         "  timing linkability decays with cover traffic -> {}",
-        if auc_decays {
-            "REPRODUCED"
-        } else {
-            "NOT REPRODUCED"
-        }
+        reproduced(auc_decays)
     );
 
-    if let Some(path) = out_path {
+    if let Some(path) = &args.out {
         let json = format!(
             "{{\"rows\": {}, \"elapsed_sec\": {:.3}, \"points_per_sec\": {:.3}}}",
             rows.len(),
             elapsed,
             rows.len() as f64 / elapsed.max(1e-9)
         );
-        std::fs::write(&path, json + "\n").expect("write --out");
+        std::fs::write(path, json + "\n").expect("write --out");
         println!("\nwrote {path}");
     }
 

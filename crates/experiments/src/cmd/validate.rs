@@ -12,6 +12,7 @@
 //! constructing have no relay state at the message level; the trajectory
 //! shortcut doesn't model state, so those sends are compared separately.)
 
+use super::{Args, ExitCode};
 use anon_core::driver::Driver;
 use anon_core::endpoint::Initiator;
 use anon_core::ids::MessageId;
@@ -24,8 +25,8 @@ use rand::SeedableRng;
 use simnet::trace::EngineCounters;
 use simnet::{LifetimeDistribution, NodeId, SimDuration, SimTime};
 
-fn main() {
-    let quick = experiments::quick_mode();
+pub fn run(args: &Args) -> ExitCode {
+    let quick = args.quick;
     let trials = if quick { 10 } else { 60 };
     let n = 96;
     println!("fidelity validation — trajectory vs message level, {trials} trials, n = {n}\n");
@@ -208,4 +209,5 @@ fn main() {
         "hop arithmetic must agree to the microsecond"
     );
     println!("\nVALIDATED: trajectory level reproduces the message level exactly on formed paths");
+    ExitCode::SUCCESS
 }

@@ -1,20 +1,18 @@
 //! Data-producing functions for every table and figure.
 //!
-//! Each function returns plain data; the binaries format it (and the
+//! Each function returns plain data; the commands format it (and the
 //! benches time it). All functions take explicit seeds/trial counts so
 //! runs are reproducible; "quick" variants shrink the workload for smoke
 //! tests and Criterion.
 
 use crate::runner::{run_all, run_all_instrumented, RunSpec, Traced};
-use crate::telemetry_enabled;
 use anon_core::allocation::{self, BandwidthModel};
 use anon_core::anonymity;
 use anon_core::metrics::ProtocolMetrics;
 use anon_core::mix::MixStrategy;
 use anon_core::protocols::runner::{
-    run_performance_experiment_traced, run_recovery_experiment_instrumented,
-    run_recovery_experiment_observed, run_setup_experiment_traced, PerfConfig, RecoveryConfig,
-    RecoveryParams, SetupConfig,
+    run_performance_experiment_traced, run_recovery_experiment_observed,
+    run_setup_experiment_traced, PerfConfig, RecoveryConfig, RecoveryParams, SetupConfig,
 };
 use anon_core::protocols::ProtocolKind;
 use anon_core::sim::WorldConfig;
@@ -33,15 +31,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// From the environment (`EXPERIMENT_QUICK=1`).
-    pub fn from_env() -> Self {
-        if crate::quick_mode() {
-            Scale::Quick
-        } else {
-            Scale::Full
-        }
-    }
-
     /// World config at this scale.
     pub fn world(self, seed: u64) -> WorldConfig {
         match self {
@@ -591,7 +580,9 @@ pub fn recovery_fault_levels() -> Vec<(&'static str, FaultConfig)> {
 
 /// Recovery experiment: fault intensity × protocol (fixed 2× overhead
 /// comparison set) × retry budget, every `(point, seed)` one sharded job.
-pub fn recovery_data(scale: Scale, threads: usize) -> Traced<Vec<RecoveryRow>> {
+/// With `telemetry`, every run records into a registry of its own and the
+/// snapshot rides on its trace.
+pub fn recovery_data(scale: Scale, threads: usize, telemetry: bool) -> Traced<Vec<RecoveryRow>> {
     let protocols = [
         ProtocolKind::CurMix,
         ProtocolKind::SimRep { k: 2 },
@@ -653,8 +644,9 @@ pub fn recovery_data(scale: Scale, threads: usize) -> Traced<Vec<RecoveryRow>> {
         // Per-run registry (when enabled) so snapshots stay attributable to
         // one seed; the runner stores each on its RunTrace and TraceSet can
         // merge them. Telemetry is write-only, so results are unchanged.
-        let registry = telemetry_enabled().then(telemetry::Registry::new);
-        let (res, stats) = run_recovery_experiment_instrumented(&spec.payload, registry.as_ref());
+        let registry = telemetry.then(telemetry::Registry::new);
+        let (res, stats, _) =
+            run_recovery_experiment_observed(&spec.payload, registry.as_ref(), false);
         let partial_rate = if res.metrics.messages_sent == 0 {
             0.0
         } else {

@@ -1,12 +1,15 @@
 //! Experiment harness: reproduces every table and figure of the paper.
 //!
-//! One binary per artifact (`fig1`–`fig5`, `tab1`–`tab4`, `eq4`), each
+//! One `experiments` binary with one subcommand per artifact (`fig1`–
+//! `fig5`, `tab1`–`tab4`, `eq4`, …; `experiments --help` lists them), each
 //! printing the same rows/series the paper reports, side by side with the
-//! paper's published values where applicable. Binaries also write CSV
-//! output under `results/`.
+//! paper's published values where applicable, and writing CSV output
+//! under `results/`.
 //!
 //! The library half hosts the data-producing functions so the Criterion
-//! benches in `crates/bench` can run the identical workloads.
+//! benches in `crates/bench` can run the identical workloads. It reads
+//! nothing from the environment: scale, thread count and the telemetry
+//! switch are arguments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,104 +20,4 @@ pub mod runner;
 pub mod scenario_runner;
 
 pub use report::Table;
-pub use runner::{
-    resolve_flag, resolve_threads, run_all, run_all_instrumented, RunSpec, RunTrace, TraceSet,
-    Traced,
-};
-
-/// Whether live telemetry collection is enabled for this process:
-/// `P2P_ANON_TELEMETRY=1` (read once and cached). Off by default —
-/// telemetry is write-only and cannot change results either way, but
-/// off keeps the hot paths free of atomic traffic.
-pub fn telemetry_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("P2P_ANON_TELEMETRY").as_deref() == Ok("1"))
-}
-
-/// Map `f` over `items` in parallel with scoped threads, preserving order.
-///
-/// The sweeps are embarrassingly parallel (independent seeds / parameter
-/// points); on a single-core host this degrades gracefully to sequential
-/// execution.
-pub fn par_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let threads = threads.max(1);
-    if threads == 1 || items.len() <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let n = items.len();
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let work: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-    let queue = parking_lot::Mutex::new(work);
-    let results = parking_lot::Mutex::new(&mut slots);
-
-    crossbeam::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let item = queue.lock().pop();
-                match item {
-                    Some((idx, value)) => {
-                        let r = f(value);
-                        results.lock()[idx] = Some(r);
-                    }
-                    None => break,
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked");
-
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot filled"))
-        .collect()
-}
-
-/// Number of worker threads to use: honours `P2P_ANON_THREADS`, then the
-/// legacy `EXPERIMENT_THREADS`, defaulting to the available parallelism.
-/// Binaries layer `--threads N` on top via [`runner::resolve_threads`].
-pub fn default_threads() -> usize {
-    ["P2P_ANON_THREADS", "EXPERIMENT_THREADS"]
-        .iter()
-        .find_map(|var| std::env::var(var).ok().and_then(|s| s.parse().ok()))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
-/// Quick mode (`EXPERIMENT_QUICK=1`): shrink trial counts / seeds so every
-/// binary finishes in seconds. Used by CI-style smoke runs and the benches.
-pub fn quick_mode() -> bool {
-    std::env::var("EXPERIMENT_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn par_map_preserves_order() {
-        let out = par_map((0..100).collect::<Vec<i32>>(), 4, |x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_single_thread() {
-        let out = par_map(vec![1, 2, 3], 1, |x| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn par_map_empty() {
-        let out: Vec<i32> = par_map(Vec::<i32>::new(), 8, |x| x);
-        assert!(out.is_empty());
-    }
-}
+pub use runner::{run_all, run_all_instrumented, RunSpec, RunTrace, TraceSet, Traced};

@@ -1,4 +1,4 @@
-//! ASCII tables and CSV output for the experiment binaries.
+//! ASCII tables and CSV output for the experiment commands.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -27,22 +27,6 @@ impl Table {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
         self.rows.push(cells.to_vec());
         self
-    }
-
-    /// Convenience: append a row of displayable items.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Render as aligned ASCII.

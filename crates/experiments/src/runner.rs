@@ -51,7 +51,7 @@ pub struct RunTrace {
     /// Named metric values produced by the run.
     pub values: Vec<(String, f64)>,
     /// Per-run telemetry snapshot, when the run was instrumented
-    /// (`P2P_ANON_TELEMETRY=1` in the binaries). Serialized into the
+    /// (`--telemetry` on the command line). Serialized into the
     /// JSON trace only — CSV output is byte-identical with or without
     /// telemetry.
     pub telemetry: Option<telemetry::Snapshot>,
@@ -206,23 +206,6 @@ impl TraceSet {
     /// parallel speedup).
     pub fn total_run_ms(&self) -> f64 {
         self.traces.iter().map(|t| t.wall_ms).sum()
-    }
-
-    /// All runs' telemetry snapshots folded into one (counters and
-    /// histograms add, gauges keep the high-water mark — see
-    /// [`telemetry::Snapshot::merge`]), or `None` when no run was
-    /// instrumented.
-    pub fn merged_telemetry(&self) -> Option<telemetry::Snapshot> {
-        let mut merged: Option<telemetry::Snapshot> = None;
-        for t in &self.traces {
-            if let Some(snap) = &t.telemetry {
-                match &mut merged {
-                    Some(m) => m.merge(snap),
-                    None => merged = Some(snap.clone()),
-                }
-            }
-        }
-        merged
     }
 
     /// Aggregate every metric across the seeds of each label
@@ -479,46 +462,6 @@ fn json_f64(v: f64) -> String {
         // JSON has no Infinity/NaN; encode as null.
         "null".to_string()
     }
-}
-
-/// Resolve the worker-thread count: `--threads N` (or `--threads=N`) on
-/// the command line beats `P2P_ANON_THREADS`, which beats the legacy
-/// `EXPERIMENT_THREADS`, which beats the machine's available parallelism.
-pub fn resolve_threads() -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            if let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) {
-                return n.max(1);
-            }
-        } else if let Some(v) = arg.strip_prefix("--threads=") {
-            if let Ok(n) = v.parse::<usize>() {
-                return n.max(1);
-            }
-        }
-    }
-    crate::default_threads()
-}
-
-/// Resolve one `--name N` / `--name=N` CLI flag to a parsed value, or
-/// `None` when absent or unparsable. The shared idiom behind the
-/// binaries' `--seed` / `--trials` knobs (same shape as
-/// [`resolve_threads`], which keeps its environment-variable fallback).
-pub fn resolve_flag<T: std::str::FromStr>(name: &str) -> Option<T> {
-    let prefix = format!("{name}=");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == name {
-            if let Some(v) = args.next().and_then(|v| v.parse::<T>().ok()) {
-                return Some(v);
-            }
-        } else if let Some(v) = arg.strip_prefix(&prefix) {
-            if let Ok(v) = v.parse::<T>() {
-                return Some(v);
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]

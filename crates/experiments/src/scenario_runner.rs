@@ -3,7 +3,7 @@
 //! machinery, and checks (or blesses) the scenario's golden snapshot.
 //!
 //! Every `(label, seed)` pair is one job, exactly like the hand-coded
-//! experiment bins, so matrix runs inherit the `P2P_ANON_THREADS`
+//! experiment commands, so matrix runs inherit the `--threads`
 //! sharding guarantee: results are byte-identical at any thread count.
 
 use crate::runner::{run_all, RunSpec, TraceSet};

@@ -11,7 +11,7 @@
 
 use anon_core::mix::MixStrategy;
 use anon_core::protocols::runner::{
-    run_performance_experiment_traced, run_recovery_experiment_instrumented,
+    run_performance_experiment_traced, run_recovery_experiment_observed,
     run_setup_experiment_traced, PerfConfig, RecoveryConfig, RecoveryParams, SetupConfig,
 };
 use anon_core::protocols::ProtocolKind;
@@ -174,9 +174,10 @@ fn recovery_cfg(seed: u64) -> RecoveryConfig {
 fn telemetry_on_and_off_produce_identical_runs() {
     for seed in [3u64, 17] {
         let registry = telemetry::Registry::new();
-        let (on, stats_on) =
-            run_recovery_experiment_instrumented(&recovery_cfg(seed), Some(&registry));
-        let (off, stats_off) = run_recovery_experiment_instrumented(&recovery_cfg(seed), None);
+        let (on, stats_on, _) =
+            run_recovery_experiment_observed(&recovery_cfg(seed), Some(&registry), false);
+        let (off, stats_off, _) =
+            run_recovery_experiment_observed(&recovery_cfg(seed), None, false);
 
         assert_eq!(
             stats_on, stats_off,

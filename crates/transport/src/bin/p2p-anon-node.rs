@@ -269,33 +269,25 @@ fn run_role<T: Transport>(
 fn run_passive<T: Transport>(mut rt: Runtime<T>, args: &Args) -> ExitCode {
     let id = args.id;
     let deadline = args.run_secs.map(|s| s * 1_000_000).unwrap_or(u64::MAX);
-    let mut printed = (0usize, 0usize);
     while rt.transport.now_us() < deadline {
         rt.poll_once(100_000);
-        if args.quiet {
-            // Nothing reads the narration logs in quiet mode; trim them
-            // so a responder under sustained load stays flat in memory.
-            let ev = &mut rt.node_mut(id).events;
-            ev.deliveries.clear();
-            ev.completed.clear();
-            ev.acks.clear();
-            continue;
+        // Narrate, then drop every log: nothing else reads them, and a
+        // node that runs until killed must stay flat in memory under
+        // sustained (or hostile) construction and data traffic.
+        let ev = &mut rt.node_mut(id).events;
+        if !args.quiet {
+            for &(mid, index, _) in &ev.deliveries {
+                say(format!("DELIVERED mid={} index={index}", mid.0));
+            }
+            for (mid, msg) in &ev.completed {
+                say(format!(
+                    "MESSAGE mid={} text={}",
+                    mid.0,
+                    String::from_utf8_lossy(msg)
+                ));
+            }
         }
-        let ev = &rt.node(id).events;
-        while printed.0 < ev.deliveries.len() {
-            let (mid, index, _) = ev.deliveries[printed.0];
-            say(format!("DELIVERED mid={} index={index}", mid.0));
-            printed.0 += 1;
-        }
-        while printed.1 < ev.completed.len() {
-            let (mid, msg) = &ev.completed[printed.1];
-            say(format!(
-                "MESSAGE mid={} text={}",
-                mid.0,
-                String::from_utf8_lossy(msg)
-            ));
-            printed.1 += 1;
-        }
+        ev.clear_logs();
     }
     ExitCode::SUCCESS
 }

@@ -102,6 +102,21 @@ pub struct NodeEvents {
     pub stateless_drops: u64,
 }
 
+impl NodeEvents {
+    /// Empty every log, keeping the `retransmits` / `stateless_drops`
+    /// counters. A long-running process calls this once it has read what
+    /// it wants: each log grows by one entry per protocol event (and
+    /// `completed` by a whole message body) for as long as nobody does.
+    pub fn clear_logs(&mut self) {
+        self.established.clear();
+        self.constructions.clear();
+        self.deliveries.clear();
+        self.acks.clear();
+        self.ack_timeouts.clear();
+        self.completed.clear();
+    }
+}
+
 /// One peer's complete protocol state machine.
 pub struct ProtocolNode {
     id: NodeId,
@@ -762,5 +777,29 @@ mod tests {
         assert!(!node.message_complete(mid));
         assert!(node.outbox.is_empty(), "payload outlived its retry budget");
         assert!(node.retries.is_empty());
+    }
+
+    #[test]
+    fn clear_logs_empties_every_log_and_keeps_the_counters() {
+        let (mid, sid) = (MessageId(1), StreamId(7));
+        // No `..Default::default()`: a new field has to be placed here.
+        let mut events = NodeEvents {
+            established: vec![(sid, 1)],
+            constructions: vec![(NodeId(1), sid, 2)],
+            deliveries: vec![(mid, 0, 3)],
+            acks: vec![(mid, 0, 4)],
+            ack_timeouts: vec![(mid, 1, 5)],
+            completed: vec![(mid, b"body".to_vec())],
+            retransmits: 3,
+            stateless_drops: 2,
+        };
+        events.clear_logs();
+        assert!(events.established.is_empty());
+        assert!(events.constructions.is_empty());
+        assert!(events.deliveries.is_empty());
+        assert!(events.acks.is_empty());
+        assert!(events.ack_timeouts.is_empty());
+        assert!(events.completed.is_empty());
+        assert_eq!((events.retransmits, events.stateless_drops), (3, 2));
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example churn_resilience`
 
-use p2p_anon::anon::protocols::runner::{run_performance_experiment, PerfConfig};
+use p2p_anon::anon::protocols::runner::{run_performance_experiment_traced, PerfConfig};
 use p2p_anon::anon::protocols::ProtocolKind;
 use p2p_anon::anon::sim::WorldConfig;
 use p2p_anon::MixStrategy;
@@ -52,7 +52,7 @@ fn main() {
                 retry_interval: SimDuration::from_secs(1),
                 predict_threshold: None,
             };
-            let res = run_performance_experiment(&cfg);
+            let res = run_performance_experiment_traced(&cfg).0;
             println!(
                 "{:<18} {:>9} {:>10.0}s {:>10.1} {:>10.0}ms {:>9.1}%",
                 protocol.label(),

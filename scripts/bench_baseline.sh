@@ -29,28 +29,29 @@ done
 
 cargo build --release -p experiments
 cargo build --release -p loadgen -p transport
+EXPERIMENTS=./target/release/experiments
 
 if [[ $CRITERION -eq 1 ]]; then
-  # Criterion groups over the same hot paths (quick mode keeps the
-  # workloads small; results land in target/criterion/).
-  EXPERIMENT_QUICK=1 cargo bench -p bench --bench simulator
-  EXPERIMENT_QUICK=1 cargo bench -p bench --bench onion
+  # Criterion groups over the same hot paths (the benches pin quick
+  # scale themselves; results land in target/criterion/).
+  cargo bench -p bench --bench simulator
+  cargo bench -p bench --bench onion
 fi
 
-./target/release/perf $QUICK --out BENCH_simulator.json
+$EXPERIMENTS perf $QUICK --out BENCH_simulator.json
 echo "baseline written to BENCH_simulator.json"
 
 # Chaos soak throughput: thousands of faulted protocol rounds through
 # the live stack; rounds_per_sec is the tracked number. The harness
 # asserts its own recovery invariants and exits nonzero if any break.
-./target/release/chaos_soak $QUICK --out BENCH_chaos_soak.json
+$EXPERIMENTS chaos_soak $QUICK --out BENCH_chaos_soak.json
 echo "chaos soak written to BENCH_chaos_soak.json"
 
 # Large-N scaling curve: per-N success rate, latency, events/sec and peak
 # RSS on the procedural latency backend and sampled membership layer
 # (quick: {1k,10k,50k}; full sweeps to 1M nodes). Each grid point runs in
 # its own child process so its VmHWM is attributable to that N.
-./target/release/scale $QUICK --out BENCH_scale.json
+$EXPERIMENTS scale $QUICK --out BENCH_scale.json
 echo "scale sweep written to BENCH_scale.json"
 
 # Live onion-forward throughput: the load generator spins a real
@@ -72,14 +73,10 @@ echo "loadgen run written to BENCH_loadgen.json"
 
 # Adversary trilemma sweep throughput: simulated protocol grid plus the
 # post-hoc (cover x f) assessment grid over the observation tap;
-# points_per_sec is the tracked number. The bin asserts its own shape
-# properties (entropy/identification monotone in f, Eq. 4 match,
+# points_per_sec is the tracked number. The command asserts its own
+# shape properties (entropy/identification monotone in f, Eq. 4 match,
 # cover-vs-linkability) and exits nonzero on NOT-REPRODUCED.
-if [[ -n $QUICK ]]; then
-  EXPERIMENT_QUICK=1 ./target/release/trilemma --out BENCH_trilemma.json
-else
-  ./target/release/trilemma --out BENCH_trilemma.json
-fi
+$EXPERIMENTS trilemma $QUICK --out BENCH_trilemma.json
 echo "trilemma sweep written to BENCH_trilemma.json"
 
 # Append this run to the history, one JSON line per result file, each

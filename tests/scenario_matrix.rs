@@ -59,7 +59,7 @@ fn snapshots_match_committed_goldens() {
         let sc = Scenario::load(&file).expect("scenario loads");
         let actual = snapshot_of(&sc, 1);
         let golden = std::fs::read_to_string(golden_path(&file, &sc))
-            .expect("golden exists (run `cargo run --release -p experiments --bin scenario -- --bless scenarios/`)");
+            .expect("golden exists (run `cargo run --release -p experiments -- scenario --bless scenarios/`)");
         assert_eq!(
             golden, actual,
             "{name}: drifted from its golden; re-bless if intentional"
