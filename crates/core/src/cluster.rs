@@ -10,10 +10,11 @@
 //! failure model.
 
 use crate::endpoint::Outgoing;
-use crate::ids::StreamId;
-use crate::onion::PayloadLayer;
-use crate::relay::{Relay, RelayAction};
+use crate::ids::{MessageId, StreamId};
+use crate::relay::{Relay, Step};
+use crate::wire::Wire;
 use crate::AnonError;
+use erasure::Segment;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_crypto::{KeyPair, PublicKey, SymmetricKey};
@@ -43,8 +44,10 @@ pub enum RouteOutcome {
         from: NodeId,
         /// Stream id on the terminal link.
         sid: StreamId,
-        /// The decrypted terminal layer.
-        layer: PayloadLayer,
+        /// Message the segment belongs to.
+        mid: MessageId,
+        /// The delivered coded segment.
+        segment: Segment,
     },
     /// A reverse message reached the initiator.
     ReachedInitiator {
@@ -134,43 +137,11 @@ impl Cluster {
         initiator: NodeId,
         msg: &Outgoing,
     ) -> Result<RouteOutcome, AnonError> {
-        let mut from = initiator;
-        let mut to = msg.to;
-        let mut sid = msg.sid;
-        let mut onion = msg.blob.clone();
-        loop {
-            if self.is_down(to) {
-                return Ok(RouteOutcome::Lost { at: to });
-            }
-            let now = self.now;
-            let relay = self.relays.get_mut(&to).ok_or(AnonError::UnknownStream)?;
-            // Borrow dance: take actions out before touching self again.
-            let action = relay.handle_construction(from, sid, &onion, now, &mut self.rng)?;
-            match action {
-                RelayAction::ForwardConstruction {
-                    to: next,
-                    sid: nsid,
-                    onion: inner,
-                } => {
-                    from = to;
-                    to = next;
-                    sid = nsid;
-                    onion = inner;
-                }
-                RelayAction::ConstructionComplete => {
-                    let key = self.relays[&to]
-                        .terminal_key(from, sid)
-                        .expect("terminal entry just cached");
-                    return Ok(RouteOutcome::ConstructionDone {
-                        at: to,
-                        from,
-                        sid,
-                        session_key: key,
-                    });
-                }
-                other => unreachable!("construction produced {other:?}"),
-            }
-        }
+        let wire = Wire::Construct {
+            initiator_sid: msg.sid,
+            onion: msg.blob.clone(),
+        };
+        self.route(initiator, msg.to, msg.sid, wire, None, initiator)
     }
 
     /// Route a payload onion from `initiator` until delivery/loss.
@@ -179,39 +150,10 @@ impl Cluster {
         initiator: NodeId,
         msg: &Outgoing,
     ) -> Result<RouteOutcome, AnonError> {
-        let mut from = initiator;
-        let mut to = msg.to;
-        let mut sid = msg.sid;
-        let mut blob = msg.blob.clone();
-        loop {
-            if self.is_down(to) {
-                return Ok(RouteOutcome::Lost { at: to });
-            }
-            let now = self.now;
-            let relay = self.relays.get_mut(&to).ok_or(AnonError::UnknownStream)?;
-            let action = relay.handle_payload(from, sid, &blob, now, &mut self.rng)?;
-            match action {
-                RelayAction::ForwardPayload {
-                    to: next,
-                    sid: nsid,
-                    blob: inner,
-                } => {
-                    from = to;
-                    to = next;
-                    sid = nsid;
-                    blob = inner;
-                }
-                RelayAction::Delivered { layer } => {
-                    return Ok(RouteOutcome::Delivered {
-                        at: to,
-                        from,
-                        sid,
-                        layer,
-                    });
-                }
-                other => unreachable!("payload produced {other:?}"),
-            }
-        }
+        let wire = Wire::Payload {
+            blob: msg.blob.clone(),
+        };
+        self.route(initiator, msg.to, msg.sid, wire, None, initiator)
     }
 
     /// Route a combined construction+payload message (§4.2) from
@@ -221,45 +163,15 @@ impl Cluster {
         &mut self,
         initiator: NodeId,
         to: NodeId,
-        sid: crate::ids::StreamId,
+        sid: StreamId,
         onion: &[u8],
         payload: &[u8],
     ) -> Result<RouteOutcome, AnonError> {
-        let mut from = initiator;
-        let mut to = to;
-        let mut sid = sid;
-        let mut onion = onion.to_vec();
-        let mut payload = payload.to_vec();
-        loop {
-            if self.is_down(to) {
-                return Ok(RouteOutcome::Lost { at: to });
-            }
-            let now = self.now;
-            let relay = self.relays.get_mut(&to).ok_or(AnonError::UnknownStream)?;
-            let action = relay.handle_combined(from, sid, &onion, &payload, now, &mut self.rng)?;
-            match action {
-                crate::relay::CombinedAction::Forward {
-                    to: next,
-                    sid: nsid,
-                    onion: o,
-                    payload: p,
-                } => {
-                    from = to;
-                    to = next;
-                    sid = nsid;
-                    onion = o;
-                    payload = p;
-                }
-                crate::relay::CombinedAction::Delivered { layer } => {
-                    return Ok(RouteOutcome::Delivered {
-                        at: to,
-                        from,
-                        sid,
-                        layer,
-                    });
-                }
-            }
-        }
+        let wire = Wire::Construct {
+            initiator_sid: sid,
+            onion: onion.to_vec(),
+        };
+        self.route(initiator, to, sid, wire, Some(payload.to_vec()), initiator)
     }
 
     /// Route a reverse (reply) message starting at the terminal link:
@@ -274,35 +186,80 @@ impl Cluster {
         blob: Vec<u8>,
         initiator: NodeId,
     ) -> Result<RouteOutcome, AnonError> {
-        let mut from = responder;
-        let mut to = first_relay;
-        let mut sid = sid;
-        let mut blob = blob;
+        self.route(
+            responder,
+            first_relay,
+            sid,
+            Wire::Reverse { blob },
+            None,
+            initiator,
+        )
+    }
+
+    /// The hop loop: hand `wire` (with the §4.2 payload `rider`, if one
+    /// travels with a construction onion) to `to` as arriving from `from`
+    /// on `sid`, and follow it until it terminates, is lost, or — for
+    /// reverse traffic — is addressed to `initiator`.
+    fn route(
+        &mut self,
+        mut from: NodeId,
+        mut to: NodeId,
+        mut sid: StreamId,
+        mut wire: Wire,
+        mut rider: Option<Vec<u8>>,
+        initiator: NodeId,
+    ) -> Result<RouteOutcome, AnonError> {
         loop {
+            if to == initiator {
+                if let Wire::Reverse { blob } = wire {
+                    return Ok(RouteOutcome::ReachedInitiator { sid, blob });
+                }
+            }
             if self.is_down(to) {
                 return Ok(RouteOutcome::Lost { at: to });
             }
-            let now = self.now;
             let relay = self.relays.get_mut(&to).ok_or(AnonError::UnknownStream)?;
-            let action = relay.handle_reverse(from, sid, &blob, now, &mut self.rng)?;
-            match action {
-                RelayAction::ForwardReverse {
-                    to: next,
-                    sid: nsid,
-                    blob: wrapped,
-                } => {
-                    if next == initiator {
-                        return Ok(RouteOutcome::ReachedInitiator {
-                            sid: nsid,
-                            blob: wrapped,
-                        });
-                    }
-                    from = to;
-                    to = next;
-                    sid = nsid;
-                    blob = wrapped;
+            let step = match (&mut wire, &mut rider) {
+                (Wire::Construct { onion, .. }, Some(payload)) => {
+                    relay.handle_combined(from, sid, onion, payload, self.now, &mut self.rng)?
                 }
-                other => unreachable!("reverse produced {other:?}"),
+                _ => relay.handle_wire(from, sid, &mut wire, self.now, &mut self.rng)?,
+            };
+            match (step, wire) {
+                (
+                    Step::Forward {
+                        to: next,
+                        sid: nsid,
+                    },
+                    forwarded,
+                ) => {
+                    (from, to, sid, wire) = (to, next, nsid, forwarded);
+                }
+                (Step::Constructed, _) => {
+                    let session_key = relay
+                        .terminal_key(from, sid)
+                        .expect("terminal entry just cached");
+                    return Ok(RouteOutcome::ConstructionDone {
+                        at: to,
+                        from,
+                        sid,
+                        session_key,
+                    });
+                }
+                (Step::Delivered { mid, index }, wire) => {
+                    let data = match (rider, wire) {
+                        (Some(payload), _) | (None, Wire::Payload { blob: payload }) => payload,
+                        (None, other) => unreachable!("{other:?} delivered a segment"),
+                    };
+                    return Ok(RouteOutcome::Delivered {
+                        at: to,
+                        from,
+                        sid,
+                        mid,
+                        segment: Segment::new(index, data),
+                    });
+                }
+                (Step::Released, _) => unreachable!("the cluster routes no release"),
             }
         }
     }
@@ -358,9 +315,8 @@ mod tests {
         let mut delivered = 0;
         for msg in &out {
             match cluster.route_payload(initiator_id, msg).unwrap() {
-                RouteOutcome::Delivered { at, layer, .. } => {
-                    assert_eq!(at, responder_id);
-                    assert!(matches!(layer, PayloadLayer::Deliver { .. }));
+                RouteOutcome::Delivered { at, mid: got, .. } => {
+                    assert_eq!((at, got), (responder_id, mid));
                     delivered += 1;
                 }
                 other => panic!("payload lost: {other:?}"),
@@ -398,12 +354,13 @@ mod tests {
                 .route_combined(initiator_id, c.to, c.sid, &c.onion, &c.payloads[0])
                 .unwrap()
             {
-                RouteOutcome::Delivered { at, layer, .. } => {
-                    assert_eq!(at, responder_id);
-                    let PayloadLayer::Deliver { mid: got, segment } = layer else {
-                        panic!("expected deliver");
-                    };
-                    assert_eq!(got, mid);
+                RouteOutcome::Delivered {
+                    at,
+                    mid: got,
+                    segment,
+                    ..
+                } => {
+                    assert_eq!((at, got), (responder_id, mid));
                     assert_eq!(codec.decode(&[segment]).unwrap(), b"no extra round trips");
                 }
                 other => panic!("combined routing failed: {other:?}"),

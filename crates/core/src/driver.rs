@@ -14,11 +14,10 @@ use crate::endpoint::{Initiator, Outgoing};
 use crate::ids::{MessageId, StreamId};
 use crate::instrument::{wire_tag, DriverTelemetry};
 use crate::observe::ObservationLog;
-use crate::onion::{build_reverse_payload_into, peel_reverse_payload_in_place, PathPlan};
+use crate::onion::{peel_reverse_payload_in_place, PathPlan};
 use crate::pool::BufferPool;
-use crate::relay::{PeeledAction, Relay, RelayAction};
+use crate::relay::{Relay, Step};
 use crate::wire::{self, Frame, Wire};
-use erasure::Segment;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_crypto::{KeyPair, PublicKey, SymmetricKey};
@@ -139,6 +138,13 @@ impl DriverWorld {
             .chain(std::iter::once(&responder))
             .map(|&n| (n, self.public_key(n)))
             .collect()
+    }
+
+    /// Return a terminated message's buffer to the pool.
+    fn recycle(&mut self, wire: Wire) {
+        if let Wire::Payload { blob } | Wire::Reverse { blob } = wire {
+            self.pool.put(blob);
+        }
     }
 }
 
@@ -351,21 +357,14 @@ impl Driver {
                 let now = e.now();
                 if w.faults.drops(from, to, now) {
                     w.fault_drops += 1;
-                    if let Wire::Payload { blob } | Wire::Reverse { blob } = wire {
-                        w.pool.put(blob);
-                    }
-                    return;
+                    return w.recycle(wire);
                 }
                 let tag = wire_tag(&wire);
                 let frame = Frame::Stream { sid, wire };
                 let mut bytes = w.pool.get();
                 wire::encode_frame_into(&frame, &mut bytes);
-                if let Frame::Stream {
-                    wire: Wire::Payload { blob } | Wire::Reverse { blob },
-                    ..
-                } = frame
-                {
-                    w.pool.put(blob);
+                if let Frame::Stream { wire, .. } = frame {
+                    w.recycle(wire);
                 }
                 let owd = w.faults.scale_owd(w.latency.owd(from, to), from, to, now);
                 if let Some(t) = &w.telemetry {
@@ -397,15 +396,12 @@ impl Driver {
         from: NodeId,
         to: NodeId,
         sid: StreamId,
-        wire: Wire,
+        mut wire: Wire,
     ) {
         let now = e.now();
         if !w.schedule.is_up(to, now) {
             w.lost += 1;
-            if let Wire::Payload { blob } | Wire::Reverse { blob } = wire {
-                w.pool.put(blob);
-            }
-            return;
+            return w.recycle(wire);
         }
         // Lazily apply crash-restarts from the fault plan: the first time
         // a crashed node is asked to act after a crash instant, its soft
@@ -452,107 +448,61 @@ impl Driver {
                 return;
             }
         }
+        // Everything else is relay/responder work: one shared dispatch,
+        // and the frame — rewritten in its own buffer — stays ours.
         let relay = w.relays.get_mut(&to).expect("known node");
-        match wire {
-            Wire::Construct {
-                initiator_sid,
-                onion,
-            } => match relay.handle_construction(from, sid, &onion, now, &mut w.rng) {
-                Ok(RelayAction::ForwardConstruction {
+        let step = relay.handle_wire(from, sid, &mut wire, now, &mut w.rng);
+        match (step, wire) {
+            (
+                Ok(Step::Forward {
                     to: next,
                     sid: nsid,
-                    onion: inner,
-                }) => {
-                    let wire = Wire::Construct {
-                        initiator_sid,
-                        onion: inner,
-                    };
-                    Self::send(e, to, next, nsid, wire, now);
-                }
-                Ok(RelayAction::ConstructionComplete) => {
-                    let session_key = w.relays[&to].terminal_key(from, sid).expect("just cached");
-                    w.constructions.push(ConstructionRecord {
-                        initiator_sid,
-                        at: now,
-                        from,
-                        sid,
-                        session_key,
-                    });
-                    if w.auto_ack {
-                        let mut blob = w.pool.get();
-                        build_reverse_payload_into(
-                            &session_key,
-                            CONSTRUCT_ACK,
-                            &Segment::new(0, Vec::new()),
-                            &mut blob,
-                            &mut w.rng,
-                        );
-                        Self::send(e, to, from, sid, Wire::Reverse { blob }, now);
-                    }
-                }
-                Ok(_) => unreachable!("construction actions only"),
-                Err(_) => w.stateless_drops += 1,
-            },
-            Wire::Payload { mut blob } => {
-                match relay.handle_payload_in_place(from, sid, &mut blob, now, &mut w.rng) {
-                    Ok(PeeledAction::Forward {
-                        to: next,
-                        sid: nsid,
-                    }) => {
-                        // The peeled inner onion stays in `blob`: forward
-                        // the same buffer, no copy.
-                        Self::send(e, to, next, nsid, Wire::Payload { blob }, now);
-                    }
-                    Ok(PeeledAction::Deliver { mid, index }) => {
-                        w.deliveries.push(DeliveryRecord {
-                            mid,
-                            index,
-                            at: now,
-                            from,
-                            sid,
-                        });
-                        if w.auto_ack {
-                            let key = w.relays[&to]
-                                .terminal_key(from, sid)
-                                .expect("terminal entry just used");
-                            // Reuse the delivered onion's buffer for the
-                            // reverse ack travelling back.
-                            build_reverse_payload_into(
-                                &key,
-                                mid,
-                                &Segment::new(index, Vec::new()),
-                                &mut blob,
-                                &mut w.rng,
-                            );
-                            Self::send(e, to, from, sid, Wire::Reverse { blob }, now);
-                        } else {
-                            w.pool.put(blob);
-                        }
-                    }
-                    Ok(PeeledAction::DeliveredOwned { layer }) => {
-                        panic!("unexpected terminal layer {layer:?}")
-                    }
-                    Err(_) => {
-                        w.stateless_drops += 1;
-                        w.pool.put(blob);
-                    }
+                }),
+                wire,
+            ) => {
+                Self::send(e, to, next, nsid, wire, now);
+            }
+            (Ok(Step::Constructed), Wire::Construct { initiator_sid, .. }) => {
+                let session_key = relay.terminal_key(from, sid).expect("just cached");
+                w.constructions.push(ConstructionRecord {
+                    initiator_sid,
+                    at: now,
+                    from,
+                    sid,
+                    session_key,
+                });
+                if w.auto_ack {
+                    let mut blob = w.pool.get();
+                    relay
+                        .write_ack(from, sid, CONSTRUCT_ACK, 0, &mut blob, &mut w.rng)
+                        .expect("terminal entry just cached");
+                    Self::send(e, to, from, sid, Wire::Reverse { blob }, now);
                 }
             }
-            Wire::Reverse { mut blob } => {
-                match relay.handle_reverse_in_place(from, sid, &mut blob, now, &mut w.rng) {
-                    Ok((prev, psid)) => {
-                        Self::send(e, to, prev, psid, Wire::Reverse { blob }, now);
-                    }
-                    Err(_) => {
-                        w.stateless_drops += 1;
-                        w.pool.put(blob);
-                    }
+            (Ok(Step::Delivered { mid, index }), Wire::Payload { mut blob }) => {
+                w.deliveries.push(DeliveryRecord {
+                    mid,
+                    index,
+                    at: now,
+                    from,
+                    sid,
+                });
+                if w.auto_ack {
+                    // Reuse the delivered onion's buffer for the reverse
+                    // ack travelling back.
+                    relay
+                        .write_ack(from, sid, mid, index, &mut blob, &mut w.rng)
+                        .expect("terminal entry just used");
+                    Self::send(e, to, from, sid, Wire::Reverse { blob }, now);
+                } else {
+                    w.pool.put(blob);
                 }
             }
-            Wire::Release => {
-                if let Some((next, nsid)) = relay.release(from, sid) {
-                    Self::send(e, to, next, nsid, Wire::Release, now);
-                }
+            (Ok(Step::Released), _) => {}
+            (Ok(step), wire) => unreachable!("{step:?} for {wire:?}"),
+            (Err(_), wire) => {
+                w.stateless_drops += 1;
+                w.recycle(wire);
             }
         }
     }

@@ -10,8 +10,8 @@
 
 use crate::ids::{MessageId, StreamId};
 use crate::onion::{
-    build_construction_onion, build_payload_onion, build_reverse_payload, peel_reverse_payload,
-    PathPlan,
+    build_construction_onion, build_payload_onion, build_reverse_payload,
+    peel_reverse_payload_in_place, PathPlan,
 };
 use crate::AnonError;
 use erasure::{Codec, Segment};
@@ -254,17 +254,23 @@ impl Initiator {
             .ok_or(AnonError::UnknownStream)?;
         // Try the construction-time responder key first, then any minted
         // reuse keys (the reply's MID is inside the onion, so we cannot
-        // pre-select; the paths hold few reuse keys in practice).
-        let mut peeled = peel_reverse_payload(&path.plan, blob, None);
-        if peeled.is_err() {
-            for key in path.reuse_keys.values() {
-                peeled = peel_reverse_payload(&path.plan, blob, Some(key));
-                if peeled.is_ok() {
-                    break;
-                }
+        // pre-select; the paths hold few reuse keys in practice). A failed
+        // attempt leaves the buffer half peeled, so each starts from `blob`.
+        let mut buf = Vec::new();
+        let mut peel = |key: Option<&SymmetricKey>| {
+            buf.clear();
+            buf.extend_from_slice(blob);
+            peel_reverse_payload_in_place(&path.plan, &mut buf, key)
+        };
+        let mut peeled = peel(None);
+        for key in path.reuse_keys.values() {
+            if peeled.is_ok() {
+                break;
             }
+            peeled = peel(Some(key));
         }
-        let (mid, segment) = peeled?;
+        let (mid, index) = peeled?;
+        let segment = Segment::new(index, buf);
         Ok(self
             .reassembler
             .push(mid, segment, codec)?

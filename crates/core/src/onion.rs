@@ -42,8 +42,7 @@ use crate::AnonError;
 use erasure::Segment;
 use rand::{CryptoRng, Rng};
 use sim_crypto::{
-    seal, sym_decrypt, sym_decrypt_in_place, sym_encrypt, sym_encrypt_in_place, PublicKey,
-    SecretKey, SymmetricKey,
+    seal, sym_decrypt_in_place, sym_encrypt_in_place, unseal, PublicKey, SecretKey, SymmetricKey,
 };
 use simnet::NodeId;
 
@@ -183,43 +182,9 @@ pub fn peel_construction_layer(
     }
 }
 
-/// One peeled payload layer.
-#[derive(Debug)]
-pub enum PayloadLayer {
-    /// Relay: pass `inner` to the cached next hop.
-    Forward {
-        /// Ciphertext for the next hop.
-        inner: Vec<u8>,
-    },
-    /// Responder: a coded segment of message `mid`.
-    Deliver {
-        /// Message id correlating segments across paths.
-        mid: MessageId,
-        /// The coded segment.
-        segment: Segment,
-    },
-    /// Last relay, path reuse: forward `inner` to `new_dest` instead of the
-    /// path's original responder.
-    Redirect {
-        /// Overriding destination.
-        new_dest: NodeId,
-        /// Ciphertext for the new destination.
-        inner: Vec<u8>,
-    },
-    /// New responder (path reuse): session key sealed to its public key
-    /// plus ciphertext under that key.
-    DeliverWithKey {
-        /// Sealed-box containing the 32-byte session key.
-        sealed_key: Vec<u8>,
-        /// Ciphertext of a `Deliver` plaintext under the sealed key.
-        inner: Vec<u8>,
-    },
-}
-
-/// A payload layer peeled *in place*: the variant carries only the parsed
-/// header; the body (inner ciphertext, segment bytes, …) stays in the
-/// caller's buffer. The allocation-free counterpart of [`PayloadLayer`],
-/// used on the per-hop forwarding hot path.
+/// One peeled payload layer: the variant carries only the parsed header;
+/// the body (inner ciphertext, segment bytes, …) stays in the caller's
+/// buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PeeledPayload {
     /// Relay: the buffer now holds the next hop's ciphertext.
@@ -251,32 +216,35 @@ fn strip_prefix_in_place(buf: &mut Vec<u8>, header: usize) {
     buf.truncate(buf.len() - header);
 }
 
-/// Grow `buf` by one byte and plant `tag` at the front (the `Forward`
-/// framing) without allocating when capacity suffices.
-fn prepend_tag_in_place(buf: &mut Vec<u8>, tag: u8) {
+/// Grow `buf` by `header.len()` bytes and plant `header` at the front,
+/// without allocating when capacity suffices.
+fn prepend_in_place(buf: &mut Vec<u8>, header: &[u8]) {
     let len = buf.len();
-    buf.resize(len + 1, 0);
-    buf.copy_within(..len, 1);
-    buf[0] = tag;
+    buf.resize(len + header.len(), 0);
+    buf.copy_within(..len, header.len());
+    buf[..header.len()].copy_from_slice(header);
 }
 
-fn deliver_plaintext(mid: MessageId, segment: &Segment) -> Vec<u8> {
-    let mut p = Vec::with_capacity(13 + segment.data.len());
-    p.push(TAG_DELIVER);
-    p.extend_from_slice(&mid.to_bytes());
-    p.extend_from_slice(&(segment.index as u32).to_be_bytes());
-    p.extend_from_slice(&segment.data);
-    p
-}
-
-/// Write a `Deliver` plaintext into `buf` (cleared first), avoiding the
-/// fresh vector [`deliver_plaintext`] allocates.
+/// Write a `Deliver` plaintext into `buf` (cleared first).
 fn deliver_plaintext_into(buf: &mut Vec<u8>, mid: MessageId, segment: &Segment) {
     buf.clear();
     buf.push(TAG_DELIVER);
     buf.extend_from_slice(&mid.to_bytes());
     buf.extend_from_slice(&(segment.index as u32).to_be_bytes());
     buf.extend_from_slice(&segment.data);
+}
+
+/// Wrap the layer in `buf` for `relay_keys`' relays, last relay first:
+/// each adds the `Forward` tag and one encryption in place.
+fn wrap_forward_layers<R: Rng + CryptoRng>(
+    relay_keys: &[SymmetricKey],
+    buf: &mut Vec<u8>,
+    rng: &mut R,
+) {
+    for key in relay_keys.iter().rev() {
+        prepend_in_place(buf, &[TAG_FORWARD]);
+        sym_encrypt_in_place(key, buf, rng);
+    }
 }
 
 /// Build a payload onion along `plan` carrying one coded segment.
@@ -294,57 +262,34 @@ pub fn build_payload_onion<R: Rng + CryptoRng>(
     redirect: Option<(NodeId, PublicKey)>,
     rng: &mut R,
 ) -> (Vec<u8>, Option<SymmetricKey>) {
-    let num_relays = plan.num_relays();
+    let mut buf = Vec::new();
     let Some((new_dest, new_dest_pub)) = redirect else {
-        // Innermost: Deliver under the responder's session key. Shares the
-        // in-place construction path (identical bytes and RNG draws; see
-        // `build_payload_onion_into`).
-        let mut buf = Vec::new();
         build_payload_onion_into(plan, mid, segment, &mut buf, rng);
         return (buf, None);
     };
     // Fresh key for the new responder, sealed to its public key.
     let fresh = SymmetricKey::generate(rng);
     let sealed_key = seal(&new_dest_pub, &fresh.to_bytes(), rng);
-    let deliver_ct = sym_encrypt(&fresh, &deliver_plaintext(mid, segment), rng);
-    let mut dwk = Vec::with_capacity(5 + sealed_key.len() + deliver_ct.len());
-    dwk.push(TAG_DELIVER_WITH_KEY);
-    dwk.extend_from_slice(&(sealed_key.len() as u32).to_be_bytes());
-    dwk.extend_from_slice(&sealed_key);
-    dwk.extend_from_slice(&deliver_ct);
-    // Redirect layer for the last relay.
-    let mut redirect_layer = Vec::with_capacity(5 + dwk.len());
-    redirect_layer.push(TAG_REDIRECT);
-    redirect_layer.extend_from_slice(&new_dest.0.to_be_bytes());
-    redirect_layer.extend_from_slice(&dwk);
-    let mut blob = sym_encrypt(&plan.session_keys[num_relays - 1], &redirect_layer, rng);
-    let reuse_key = Some(fresh);
-
-    // Wrap Forward layers for the remaining relays, inner to outer. The
-    // last relay's layer (the redirect) is already built, so start one hop
-    // earlier.
-    for i in (0..num_relays - 1).rev() {
-        let mut layer = Vec::with_capacity(1 + blob.len());
-        layer.push(TAG_FORWARD);
-        layer.extend_from_slice(&blob);
-        blob = sym_encrypt(&plan.session_keys[i], &layer, rng);
-    }
-    (blob, reuse_key)
+    deliver_plaintext_into(&mut buf, mid, segment);
+    sym_encrypt_in_place(&fresh, &mut buf, rng);
+    // The last relay's layer: a redirect whose body is the new
+    // responder's deliver-with-key layer.
+    let mut header = Vec::with_capacity(10 + sealed_key.len());
+    header.push(TAG_REDIRECT);
+    header.extend_from_slice(&new_dest.0.to_be_bytes());
+    header.push(TAG_DELIVER_WITH_KEY);
+    header.extend_from_slice(&(sealed_key.len() as u32).to_be_bytes());
+    header.extend_from_slice(&sealed_key);
+    prepend_in_place(&mut buf, &header);
+    let last = plan.num_relays() - 1;
+    sym_encrypt_in_place(&plan.session_keys[last], &mut buf, rng);
+    wrap_forward_layers(&plan.session_keys[..last], &mut buf, rng);
+    (buf, Some(fresh))
 }
 
-/// Peel one payload layer with a hop's session key.
-pub fn peel_payload_layer(key: &SymmetricKey, blob: &[u8]) -> Result<PayloadLayer, AnonError> {
-    let plaintext = sym_decrypt(key, blob)?;
-    parse_payload_plaintext(&plaintext)
-}
-
-/// Build a non-redirect payload onion *into* `buf` (cleared first),
-/// reusing its capacity: the deliver plaintext is written once and every
-/// layer is encrypted in place on top of it.
-///
-/// Byte-for-byte and RNG-draw-for-draw identical to
-/// [`build_payload_onion`] with `redirect = None`; that function now
-/// delegates here.
+/// [`build_payload_onion`] without a redirect, *into* `buf` (cleared
+/// first), reusing its capacity: the deliver plaintext is written once and
+/// every layer is encrypted in place on top of it.
 pub fn build_payload_onion_into<R: Rng + CryptoRng>(
     plan: &PathPlan,
     mid: MessageId,
@@ -355,103 +300,76 @@ pub fn build_payload_onion_into<R: Rng + CryptoRng>(
     let num_relays = plan.num_relays();
     deliver_plaintext_into(buf, mid, segment);
     sym_encrypt_in_place(&plan.session_keys[num_relays], buf, rng);
-    for i in (0..num_relays).rev() {
-        prepend_tag_in_place(buf, TAG_FORWARD);
-        sym_encrypt_in_place(&plan.session_keys[i], buf, rng);
-    }
+    wrap_forward_layers(&plan.session_keys[..num_relays], buf, rng);
 }
 
-/// Peel one payload layer *in place*: decrypt `buf` under `key`, strip
-/// the layer header, and leave the body in `buf`. Allocation-free — the
-/// per-hop counterpart of [`peel_payload_layer`], which this mirrors
-/// exactly (same parse rules, same errors). On error `buf` holds the
-/// decrypted-but-unstripped plaintext only if decryption itself
-/// succeeded; callers treat the buffer as dead on any error.
-pub fn peel_payload_layer_in_place(
-    key: &SymmetricKey,
-    buf: &mut Vec<u8>,
-) -> Result<PeeledPayload, AnonError> {
-    sym_decrypt_in_place(key, buf).map_err(AnonError::Crypto)?;
-    match buf.first() {
-        Some(&TAG_FORWARD) => {
-            strip_prefix_in_place(buf, 1);
-            Ok(PeeledPayload::Forward)
-        }
-        Some(&TAG_DELIVER) => {
-            if buf.len() < 13 {
-                return Err(AnonError::Malformed("short deliver layer"));
-            }
-            let mid = MessageId::from_bytes(buf[1..9].try_into().unwrap());
-            let index = u32::from_be_bytes(buf[9..13].try_into().unwrap()) as usize;
-            strip_prefix_in_place(buf, 13);
-            Ok(PeeledPayload::Deliver { mid, index })
-        }
-        Some(&TAG_REDIRECT) => {
-            if buf.len() < 5 {
-                return Err(AnonError::Malformed("short redirect layer"));
-            }
-            let new_dest = NodeId(u32::from_be_bytes(buf[1..5].try_into().unwrap()));
-            strip_prefix_in_place(buf, 5);
-            Ok(PeeledPayload::Redirect { new_dest })
-        }
-        Some(&TAG_DELIVER_WITH_KEY) => {
-            if buf.len() < 5 {
-                return Err(AnonError::Malformed("short deliver-with-key layer"));
-            }
-            let sealed_len = u32::from_be_bytes(buf[1..5].try_into().unwrap()) as usize;
-            if buf.len() < 5 + sealed_len {
-                return Err(AnonError::Malformed("deliver-with-key length mismatch"));
-            }
-            strip_prefix_in_place(buf, 5);
-            Ok(PeeledPayload::DeliverWithKey { sealed_len })
-        }
-        _ => Err(AnonError::Malformed("unknown payload layer tag")),
-    }
-}
-
-/// Parse an already-decrypted payload plaintext (used by the new responder
-/// after unsealing a `DeliverWithKey`).
-pub fn parse_payload_plaintext(plaintext: &[u8]) -> Result<PayloadLayer, AnonError> {
+/// The one parser of the payload-layer format: read the header at the
+/// front of a decrypted layer. Returns the layer kind and the header's
+/// length; `plaintext` is not touched.
+fn parse_layer_header(plaintext: &[u8]) -> Result<(PeeledPayload, usize), AnonError> {
     match plaintext.first() {
-        Some(&TAG_FORWARD) => Ok(PayloadLayer::Forward {
-            inner: plaintext[1..].to_vec(),
-        }),
+        Some(&TAG_FORWARD) => Ok((PeeledPayload::Forward, 1)),
         Some(&TAG_DELIVER) => {
             if plaintext.len() < 13 {
                 return Err(AnonError::Malformed("short deliver layer"));
             }
             let mid = MessageId::from_bytes(plaintext[1..9].try_into().unwrap());
             let index = u32::from_be_bytes(plaintext[9..13].try_into().unwrap()) as usize;
-            Ok(PayloadLayer::Deliver {
-                mid,
-                segment: Segment::new(index, plaintext[13..].to_vec()),
-            })
+            Ok((PeeledPayload::Deliver { mid, index }, 13))
         }
         Some(&TAG_REDIRECT) => {
             if plaintext.len() < 5 {
                 return Err(AnonError::Malformed("short redirect layer"));
             }
             let new_dest = NodeId(u32::from_be_bytes(plaintext[1..5].try_into().unwrap()));
-            Ok(PayloadLayer::Redirect {
-                new_dest,
-                inner: plaintext[5..].to_vec(),
-            })
+            Ok((PeeledPayload::Redirect { new_dest }, 5))
         }
         Some(&TAG_DELIVER_WITH_KEY) => {
             if plaintext.len() < 5 {
                 return Err(AnonError::Malformed("short deliver-with-key layer"));
             }
             let sealed_len = u32::from_be_bytes(plaintext[1..5].try_into().unwrap()) as usize;
-            if plaintext.len() < 5 + sealed_len {
+            if plaintext.len() - 5 < sealed_len {
                 return Err(AnonError::Malformed("deliver-with-key length mismatch"));
             }
-            Ok(PayloadLayer::DeliverWithKey {
-                sealed_key: plaintext[5..5 + sealed_len].to_vec(),
-                inner: plaintext[5 + sealed_len..].to_vec(),
-            })
+            Ok((PeeledPayload::DeliverWithKey { sealed_len }, 5))
         }
         _ => Err(AnonError::Malformed("unknown payload layer tag")),
     }
+}
+
+/// Peel one payload layer *in place*: decrypt `buf` under `key`, strip
+/// the layer header, and leave the body in `buf`. Allocation-free. A
+/// failed decryption leaves `buf` untouched; a header that does not
+/// parse leaves the decrypted plaintext there.
+pub fn peel_payload_layer_in_place(
+    key: &SymmetricKey,
+    buf: &mut Vec<u8>,
+) -> Result<PeeledPayload, AnonError> {
+    sym_decrypt_in_place(key, buf)?;
+    let (layer, header) = parse_layer_header(buf)?;
+    strip_prefix_in_place(buf, header);
+    Ok(layer)
+}
+
+/// New-responder side of path reuse (§4.4): a last relay's redirect
+/// arrives as a bare deliver-with-key layer on a stream this node has
+/// never seen. Unseal the session key it carries and leave the ciphertext
+/// under that key in `buf`, ready for [`peel_payload_layer_in_place`].
+/// `Ok(None)`, with `buf` untouched, when the bytes are no such layer; an
+/// unseal failure leaves `buf` untouched too.
+pub fn unseal_deliver_with_key(
+    secret: &SecretKey,
+    buf: &mut Vec<u8>,
+) -> Result<Option<SymmetricKey>, AnonError> {
+    let Ok((PeeledPayload::DeliverWithKey { sealed_len }, header)) = parse_layer_header(buf) else {
+        return Ok(None);
+    };
+    let key_bytes: [u8; 32] = unseal(secret, &buf[header..header + sealed_len])?
+        .try_into()
+        .map_err(|_| AnonError::Malformed("bad sealed session key length"))?;
+    strip_prefix_in_place(buf, header + sealed_len);
+    Ok(Some(SymmetricKey::from_bytes(key_bytes)))
 }
 
 /// Responder side: encrypt a reply segment under its session key (the
@@ -482,18 +400,7 @@ pub fn build_reverse_payload_into<R: Rng + CryptoRng>(
 
 /// Relay side on the reverse path: add one layer with the cached session
 /// key ("the payload is encrypted by the cached symmetric key at each hop",
-/// §4.2).
-pub fn wrap_reverse_layer<R: Rng + CryptoRng>(
-    key: &SymmetricKey,
-    blob: &[u8],
-    rng: &mut R,
-) -> Vec<u8> {
-    sym_encrypt(key, blob, rng)
-}
-
-/// [`wrap_reverse_layer`] in place: the layer grows `buf` by the
-/// symmetric overhead, reusing its capacity. Identical output bytes and
-/// RNG draws.
+/// §4.2), growing `buf` by the symmetric overhead.
 pub fn wrap_reverse_layer_in_place<R: Rng + CryptoRng>(
     key: &SymmetricKey,
     buf: &mut Vec<u8>,
@@ -502,22 +409,11 @@ pub fn wrap_reverse_layer_in_place<R: Rng + CryptoRng>(
     sym_encrypt_in_place(key, buf, rng);
 }
 
-/// Initiator side: strip all `L + 1` reverse layers and recover the reply
-/// segment. `responder_key_override` replaces the plan's responder key for
-/// reused paths (where a fresh key was generated per message).
-pub fn peel_reverse_payload(
-    plan: &PathPlan,
-    blob: &[u8],
-    responder_key_override: Option<&SymmetricKey>,
-) -> Result<(MessageId, Segment), AnonError> {
-    let mut buf = blob.to_vec();
-    let (mid, index) = peel_reverse_payload_in_place(plan, &mut buf, responder_key_override)?;
-    Ok((mid, Segment::new(index, buf)))
-}
-
-/// [`peel_reverse_payload`] in place: strips all `L + 1` layers within
-/// `buf`, leaving the reply segment's bytes there, and returns the
-/// message id and segment index. Allocation-free.
+/// Initiator side: strip all `L + 1` reverse layers within `buf`, leaving
+/// the reply segment's bytes there, and return the message id and segment
+/// index. Allocation-free. `responder_key_override` replaces the plan's
+/// responder key for reused paths (where a fresh key was generated per
+/// message).
 pub fn peel_reverse_payload_in_place(
     plan: &PathPlan,
     buf: &mut Vec<u8>,
@@ -529,34 +425,11 @@ pub fn peel_reverse_payload_in_place(
         sym_decrypt_in_place(&plan.session_keys[i], buf)?;
     }
     let responder_key = responder_key_override.unwrap_or(&plan.session_keys[plan.num_relays()]);
-    sym_decrypt_in_place(responder_key, buf)?;
-    match peel_responder_plaintext(buf)? {
+    match peel_payload_layer_in_place(responder_key, buf)? {
         PeeledPayload::Deliver { mid, index } => Ok((mid, index)),
         _ => Err(AnonError::Malformed(
             "reverse payload must be a deliver layer",
         )),
-    }
-}
-
-/// Parse and strip an already-decrypted payload header held in `buf`
-/// (shared by the reverse-peel path; the forward path does this inside
-/// [`peel_payload_layer_in_place`]).
-fn peel_responder_plaintext(buf: &mut Vec<u8>) -> Result<PeeledPayload, AnonError> {
-    match buf.first() {
-        Some(&TAG_DELIVER) => {
-            if buf.len() < 13 {
-                return Err(AnonError::Malformed("short deliver layer"));
-            }
-            let mid = MessageId::from_bytes(buf[1..9].try_into().unwrap());
-            let index = u32::from_be_bytes(buf[9..13].try_into().unwrap()) as usize;
-            strip_prefix_in_place(buf, 13);
-            Ok(PeeledPayload::Deliver { mid, index })
-        }
-        Some(&TAG_FORWARD) => {
-            strip_prefix_in_place(buf, 1);
-            Ok(PeeledPayload::Forward)
-        }
-        _ => Err(AnonError::Malformed("unknown payload layer tag")),
     }
 }
 
@@ -640,44 +513,17 @@ mod tests {
         let (mut blob, reuse) = build_payload_onion(&plan, mid, &seg, None, &mut rng);
         assert!(reuse.is_none());
 
-        for i in 0..plan.num_relays() {
-            match peel_payload_layer(&plan.session_keys[i], &blob).unwrap() {
-                PayloadLayer::Forward { inner } => blob = inner,
-                other => panic!("hop {i}: expected forward, got {other:?}"),
-            }
-        }
-        match peel_payload_layer(&plan.session_keys[3], &blob).unwrap() {
-            PayloadLayer::Deliver {
-                mid: got_mid,
-                segment,
-            } => {
-                assert_eq!(got_mid, mid);
-                assert_eq!(segment, seg);
-            }
-            other => panic!("expected deliver, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn payload_onion_layers_shrink_monotonically() {
         // Each relay strips exactly one symmetric layer: sizes decrease by
         // the symmetric overhead + 1 tag byte.
-        let mut rng = StdRng::seed_from_u64(5);
-        let (hops, _) = make_hops(&mut rng, 4);
-        let (plan, _) = build_construction_onion(&hops, &mut rng);
-        let seg = Segment::new(0, vec![0u8; 256]);
-        let (mut blob, _) = build_payload_onion(&plan, MessageId(1), &seg, None, &mut rng);
-        let mut prev = blob.len();
         for i in 0..plan.num_relays() {
-            let PayloadLayer::Forward { inner } =
-                peel_payload_layer(&plan.session_keys[i], &blob).unwrap()
-            else {
-                panic!("expected forward");
-            };
-            blob = inner;
-            assert!(blob.len() < prev);
-            prev = blob.len();
+            let before = blob.len();
+            let peeled = peel_payload_layer_in_place(&plan.session_keys[i], &mut blob).unwrap();
+            assert_eq!(peeled, PeeledPayload::Forward, "hop {i}");
+            assert_eq!(blob.len(), before - sim_crypto::symmetric::OVERHEAD - 1);
         }
+        let peeled = peel_payload_layer_in_place(&plan.session_keys[3], &mut blob).unwrap();
+        assert_eq!(peeled, PeeledPayload::Deliver { mid, index: 5 });
+        assert_eq!(blob, seg.data);
     }
 
     #[test]
@@ -699,40 +545,63 @@ mod tests {
         );
         let fresh_key = fresh_key.expect("redirect must mint a key");
 
-        // Relays 0..L-1 see plain forwards.
-        for i in 0..plan.num_relays() - 1 {
-            match peel_payload_layer(&plan.session_keys[i], &blob).unwrap() {
-                PayloadLayer::Forward { inner } => blob = inner,
-                other => panic!("hop {i}: expected forward, got {other:?}"),
-            }
-        }
-        // The last relay sees the redirect.
+        // Relays 0..L-1 see plain forwards, the last relay the redirect.
         let last = plan.num_relays() - 1;
-        let dwk = match peel_payload_layer(&plan.session_keys[last], &blob).unwrap() {
-            PayloadLayer::Redirect {
-                new_dest: nd,
-                inner,
-            } => {
-                assert_eq!(nd, new_dest);
-                inner
-            }
-            other => panic!("expected redirect, got {other:?}"),
-        };
-        // The new responder parses deliver-with-key.
-        let layer = parse_payload_plaintext(&dwk).unwrap();
-        let PayloadLayer::DeliverWithKey { sealed_key, inner } = layer else {
-            panic!("expected deliver-with-key");
-        };
-        let key_bytes = sim_crypto::unseal(&new_responder.secret, &sealed_key).unwrap();
-        let recovered = SymmetricKey::from_bytes(key_bytes.try_into().unwrap());
-        assert_eq!(recovered, fresh_key);
-        match peel_payload_layer(&recovered, &inner).unwrap() {
-            PayloadLayer::Deliver { mid: got, segment } => {
-                assert_eq!(got, mid);
-                assert_eq!(segment, seg);
-            }
-            other => panic!("expected deliver, got {other:?}"),
+        for i in 0..last {
+            let peeled = peel_payload_layer_in_place(&plan.session_keys[i], &mut blob).unwrap();
+            assert_eq!(peeled, PeeledPayload::Forward, "hop {i}");
         }
+        let peeled = peel_payload_layer_in_place(&plan.session_keys[last], &mut blob).unwrap();
+        assert_eq!(peeled, PeeledPayload::Redirect { new_dest });
+
+        // Anyone but the new responder is refused, buffer untouched.
+        let before = blob.clone();
+        let stranger = KeyPair::generate(&mut rng);
+        assert!(unseal_deliver_with_key(&stranger.secret, &mut blob).is_err());
+        assert_eq!(blob, before);
+        // The new responder unseals its key and opens the delivery.
+        let recovered = unseal_deliver_with_key(&new_responder.secret, &mut blob)
+            .unwrap()
+            .expect("a deliver-with-key layer");
+        assert_eq!(recovered, fresh_key);
+        let peeled = peel_payload_layer_in_place(&recovered, &mut blob).unwrap();
+        assert_eq!(peeled, PeeledPayload::Deliver { mid, index: 2 });
+        assert_eq!(blob, seg.data);
+    }
+
+    #[test]
+    fn bytes_that_are_no_deliver_with_key_layer_are_left_alone() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let kp = KeyPair::generate(&mut rng);
+        for bytes in [
+            vec![],
+            vec![TAG_FORWARD, 1, 2, 3],
+            vec![TAG_DELIVER_WITH_KEY, 0, 0],
+            vec![TAG_DELIVER_WITH_KEY, 0, 0, 0, 9, 1, 2],
+        ] {
+            let mut buf = bytes.clone();
+            assert!(matches!(
+                unseal_deliver_with_key(&kp.secret, &mut buf),
+                Ok(None)
+            ));
+            assert_eq!(buf, bytes);
+        }
+    }
+
+    /// Responder ack under `responder_key`, wrapped by every relay of `plan`
+    /// on the way back (P_L first).
+    fn wrapped_reply(
+        plan: &PathPlan,
+        responder_key: &SymmetricKey,
+        mid: MessageId,
+        seg: &Segment,
+        rng: &mut StdRng,
+    ) -> Vec<u8> {
+        let mut blob = build_reverse_payload(responder_key, mid, seg, rng);
+        for key in plan.session_keys[..plan.num_relays()].iter().rev() {
+            wrap_reverse_layer_in_place(key, &mut blob, rng);
+        }
+        blob
     }
 
     #[test]
@@ -742,15 +611,10 @@ mod tests {
         let (plan, _) = build_construction_onion(&hops, &mut rng);
         let mid = MessageId(55);
         let seg = Segment::new(1, b"the reply".to_vec());
-        // Responder encrypts innermost.
-        let mut blob = build_reverse_payload(&plan.session_keys[3], mid, &seg, &mut rng);
-        // Relays wrap on the way back: P3, P2, P1.
-        for i in (0..plan.num_relays()).rev() {
-            blob = wrap_reverse_layer(&plan.session_keys[i], &blob, &mut rng);
-        }
-        let (got_mid, got_seg) = peel_reverse_payload(&plan, &blob, None).unwrap();
-        assert_eq!(got_mid, mid);
-        assert_eq!(got_seg, seg);
+        let mut blob = wrapped_reply(&plan, &plan.session_keys[3], mid, &seg, &mut rng);
+        let peeled = peel_reverse_payload_in_place(&plan, &mut blob, None).unwrap();
+        assert_eq!(peeled, (mid, 1));
+        assert_eq!(blob, seg.data);
     }
 
     #[test]
@@ -760,73 +624,24 @@ mod tests {
         let (plan, _) = build_construction_onion(&hops, &mut rng);
         let fresh = SymmetricKey::generate(&mut rng);
         let seg = Segment::new(0, b"reply on reused path".to_vec());
-        let mut blob = build_reverse_payload(&fresh, MessageId(9), &seg, &mut rng);
-        for i in (0..plan.num_relays()).rev() {
-            blob = wrap_reverse_layer(&plan.session_keys[i], &blob, &mut rng);
-        }
-        assert!(peel_reverse_payload(&plan, &blob, None).is_err());
-        let (_, got) = peel_reverse_payload(&plan, &blob, Some(&fresh)).unwrap();
-        assert_eq!(got, seg);
-    }
-
-    #[test]
-    fn in_place_payload_pipeline_matches_allocating_one() {
-        // Build with both APIs under identical RNG streams, peel each hop
-        // with both APIs, and require bit-identical blobs at every stage.
-        let mut setup = StdRng::seed_from_u64(11);
-        let (hops, _) = make_hops(&mut setup, 4);
-        let (plan, _) = build_construction_onion(&hops, &mut setup);
-        let mut rng_a = StdRng::seed_from_u64(10);
-        let mut rng_b = StdRng::seed_from_u64(10);
-        let mid = MessageId(321);
-        let seg = Segment::new(3, b"hot path bytes".to_vec());
-
-        let (blob, _) = build_payload_onion(&plan, mid, &seg, None, &mut rng_a);
-        let mut buf = Vec::new();
-        build_payload_onion_into(&plan, mid, &seg, &mut buf, &mut rng_b);
-        assert_eq!(buf, blob);
-
-        let mut alloc_blob = blob;
-        for i in 0..plan.num_relays() {
-            let peeled = peel_payload_layer_in_place(&plan.session_keys[i], &mut buf).unwrap();
-            assert_eq!(peeled, PeeledPayload::Forward);
-            match peel_payload_layer(&plan.session_keys[i], &alloc_blob).unwrap() {
-                PayloadLayer::Forward { inner } => alloc_blob = inner,
-                other => panic!("expected forward, got {other:?}"),
-            }
-            assert_eq!(buf, alloc_blob, "hop {i} diverged");
-        }
-        let last = plan.num_relays();
-        let peeled = peel_payload_layer_in_place(&plan.session_keys[last], &mut buf).unwrap();
-        assert_eq!(peeled, PeeledPayload::Deliver { mid, index: 3 });
+        let blob = wrapped_reply(&plan, &fresh, MessageId(9), &seg, &mut rng);
+        assert!(peel_reverse_payload_in_place(&plan, &mut blob.clone(), None).is_err());
+        let mut buf = blob;
+        peel_reverse_payload_in_place(&plan, &mut buf, Some(&fresh)).unwrap();
         assert_eq!(buf, seg.data);
     }
 
     #[test]
-    fn in_place_reverse_pipeline_matches_allocating_one() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let (hops, _) = make_hops(&mut rng, 4);
+    fn reverse_payload_must_be_a_deliver_layer() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let (hops, _) = make_hops(&mut rng, 1);
         let (plan, _) = build_construction_onion(&hops, &mut rng);
-        let mid = MessageId(900);
-        let seg = Segment::new(7, b"reply bytes".to_vec());
-
-        let mut rng_a = StdRng::seed_from_u64(13);
-        let mut rng_b = StdRng::seed_from_u64(13);
-        let blob = build_reverse_payload(&plan.session_keys[3], mid, &seg, &mut rng_a);
-        let mut buf = Vec::new();
-        build_reverse_payload_into(&plan.session_keys[3], mid, &seg, &mut buf, &mut rng_b);
-        assert_eq!(buf, blob);
-
-        let mut alloc = blob;
-        for i in (0..plan.num_relays()).rev() {
-            wrap_reverse_layer_in_place(&plan.session_keys[i], &mut buf, &mut rng_b);
-            alloc = wrap_reverse_layer(&plan.session_keys[i], &alloc, &mut rng_a);
-            // Same RNG draws → same bytes at every wrapping stage.
-            assert_eq!(buf, alloc);
-        }
-        let (got_mid, index) = peel_reverse_payload_in_place(&plan, &mut buf, None).unwrap();
-        assert_eq!((got_mid, index), (mid, 7));
-        assert_eq!(buf, seg.data);
+        let mut buf = vec![TAG_FORWARD, 1, 2, 3];
+        sym_encrypt_in_place(&plan.session_keys[0], &mut buf, &mut rng);
+        assert!(matches!(
+            peel_reverse_payload_in_place(&plan, &mut buf, None),
+            Err(AnonError::Malformed(_))
+        ));
     }
 
     #[test]
@@ -842,9 +657,11 @@ mod tests {
             &mut rng,
         );
         blob[10] ^= 0xff;
+        let tampered = blob.clone();
         assert!(matches!(
-            peel_payload_layer(&plan.session_keys[0], &blob),
+            peel_payload_layer_in_place(&plan.session_keys[0], &mut blob),
             Err(AnonError::Crypto(_))
         ));
+        assert_eq!(blob, tampered, "a refused layer is left as it arrived");
     }
 }

@@ -16,7 +16,7 @@
 //! first hop of each path); and the payload is end-to-end sealed to `D`.
 
 use crate::ids::{MessageId, StreamId};
-use crate::onion::{build_reverse_payload, peel_reverse_payload, PathPlan};
+use crate::onion::{build_reverse_payload, peel_reverse_payload_in_place, PathPlan};
 use crate::AnonError;
 use erasure::Segment;
 use rand::{CryptoRng, Rng};
@@ -131,9 +131,10 @@ impl HiddenResponder {
     /// relay layers plus the rendezvous layer, then unseal the end-to-end
     /// envelope. Returns `(mid, plaintext segment)`.
     pub fn receive(&self, blob: &[u8]) -> Result<(MessageId, Segment), AnonError> {
-        let (mid, sealed_seg) = peel_reverse_payload(&self.plan, blob, None)?;
-        let plaintext = unseal(&self.keypair.secret, &sealed_seg.data)?;
-        Ok((mid, Segment::new(sealed_seg.index, plaintext)))
+        let mut sealed = blob.to_vec();
+        let (mid, index) = peel_reverse_payload_in_place(&self.plan, &mut sealed, None)?;
+        let plaintext = unseal(&self.keypair.secret, &sealed)?;
+        Ok((mid, Segment::new(index, plaintext)))
     }
 }
 
@@ -171,7 +172,6 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, RouteOutcome};
     use crate::endpoint::Initiator;
-    use crate::onion::PayloadLayer;
     use erasure::Codec as _;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -224,19 +224,16 @@ mod tests {
         let out = i_endpoint
             .send_message(mid, &wrapped.data, &codec, None, &mut rng)
             .unwrap();
-        let RouteOutcome::Delivered { at, layer, .. } =
-            net.route_payload(initiator_id, &out[0]).unwrap()
+        let RouteOutcome::Delivered {
+            at,
+            mid: got_mid,
+            segment,
+            ..
+        } = net.route_payload(initiator_id, &out[0]).unwrap()
         else {
             panic!("segment lost")
         };
         assert_eq!(at, rendezvous_id);
-        let PayloadLayer::Deliver {
-            mid: got_mid,
-            segment,
-        } = layer
-        else {
-            panic!("expected deliver at rendezvous")
-        };
 
         // --- V pivots it backward down D's path -----------------------------
         let inner = codec.decode(&[segment]).unwrap();

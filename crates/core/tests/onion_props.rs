@@ -4,7 +4,8 @@
 use anon_core::ids::MessageId;
 use anon_core::onion::{
     build_construction_onion, build_payload_onion, build_reverse_payload, peel_construction_layer,
-    peel_payload_layer, peel_reverse_payload, wrap_reverse_layer, ConstructionLayer, PayloadLayer,
+    peel_payload_layer_in_place, peel_reverse_payload_in_place, wrap_reverse_layer_in_place,
+    ConstructionLayer, PeeledPayload,
 };
 use erasure::Segment;
 use proptest::prelude::*;
@@ -67,19 +68,33 @@ proptest! {
         let mid = MessageId(seed);
         let (mut blob, _) = build_payload_onion(&plan, mid, &seg, None, &mut rng);
         for i in 0..l {
-            match peel_payload_layer(&plan.session_keys[i], &blob).unwrap() {
-                PayloadLayer::Forward { inner } => blob = inner,
-                other => prop_assert!(false, "hop {} got {:?}", i, other),
-            }
+            let peeled = peel_payload_layer_in_place(&plan.session_keys[i], &mut blob).unwrap();
+            prop_assert_eq!(peeled, PeeledPayload::Forward, "hop {}", i);
         }
-        match peel_payload_layer(&plan.session_keys[l], &blob).unwrap() {
-            PayloadLayer::Deliver { mid: m, segment } => {
-                prop_assert_eq!(m, mid);
-                prop_assert_eq!(segment.index, index);
-                prop_assert_eq!(segment.data, data);
-            }
-            other => prop_assert!(false, "terminal got {:?}", other),
-        }
+        let peeled = peel_payload_layer_in_place(&plan.session_keys[l], &mut blob).unwrap();
+        prop_assert_eq!(peeled, PeeledPayload::Deliver { mid, index });
+        prop_assert_eq!(blob, data);
+    }
+
+    /// A flipped bit anywhere in a payload onion is refused by the first
+    /// hop, which leaves the bytes as they arrived.
+    #[test]
+    fn tampered_payload_is_refused_untouched(
+        l in 1usize..5,
+        seed in any::<u64>(),
+        data in proptest::collection::vec(any::<u8>(), 0..256),
+        flip in any::<prop::sample::Index>(),
+        bit in 0u8..8,
+    ) {
+        let (hops, _, mut rng) = make_path(seed, l);
+        let (plan, _) = build_construction_onion(&hops, &mut rng);
+        let seg = Segment::new(0, data);
+        let (mut blob, _) = build_payload_onion(&plan, MessageId(seed), &seg, None, &mut rng);
+        let at = flip.index(blob.len());
+        blob[at] ^= 1 << bit;
+        let tampered = blob.clone();
+        prop_assert!(peel_payload_layer_in_place(&plan.session_keys[0], &mut blob).is_err());
+        prop_assert_eq!(blob, tampered);
     }
 
     /// Reverse payloads survive wrap-at-every-relay and peel-at-initiator
@@ -96,11 +111,11 @@ proptest! {
         let mid = MessageId(seed ^ 1);
         let mut blob = build_reverse_payload(&plan.session_keys[l], mid, &seg, &mut rng);
         for i in (0..l).rev() {
-            blob = wrap_reverse_layer(&plan.session_keys[i], &blob, &mut rng);
+            wrap_reverse_layer_in_place(&plan.session_keys[i], &mut blob, &mut rng);
         }
-        let (m, s) = peel_reverse_payload(&plan, &blob, None).unwrap();
-        prop_assert_eq!(m, mid);
-        prop_assert_eq!(s.data, data);
+        let peeled = peel_reverse_payload_in_place(&plan, &mut blob, None).unwrap();
+        prop_assert_eq!(peeled, (mid, 3));
+        prop_assert_eq!(blob, data);
     }
 
     /// Onion sizes are a function of (L, segment length) only — never of

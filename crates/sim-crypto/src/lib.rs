@@ -41,4 +41,4 @@ mod error;
 pub use error::CryptoError;
 pub use keys::{KeyPair, PublicKey, SecretKey, SymmetricKey};
 pub use sealed::{seal, unseal};
-pub use symmetric::{sym_decrypt, sym_decrypt_in_place, sym_encrypt, sym_encrypt_in_place};
+pub use symmetric::{sym_decrypt_in_place, sym_encrypt_in_place};

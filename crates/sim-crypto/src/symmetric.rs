@@ -23,23 +23,10 @@ pub const TAG_LEN: usize = 16;
 /// Ciphertext expansion: nonce + tag.
 pub const OVERHEAD: usize = NONCE_LEN + TAG_LEN;
 
-/// Encrypt and authenticate `plaintext` under `key`.
+/// Encrypt and authenticate the plaintext held in `buf` under `key`,
+/// within `buf`: it grows by [`OVERHEAD`] bytes, reusing its capacity.
 ///
 /// Output layout: `nonce (12) || ciphertext || tag (16)`.
-pub fn sym_encrypt<R: Rng + CryptoRng>(
-    key: &SymmetricKey,
-    plaintext: &[u8],
-    rng: &mut R,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(plaintext.len() + OVERHEAD);
-    out.extend_from_slice(plaintext);
-    sym_encrypt_in_place(key, &mut out, rng);
-    out
-}
-
-/// [`sym_encrypt`] within the caller's buffer: seals the plaintext held in
-/// `buf`, growing it by [`OVERHEAD`] bytes, reusing `buf`'s capacity
-/// instead of allocating an output vector.
 pub fn sym_encrypt_in_place<R: Rng + CryptoRng>(
     key: &SymmetricKey,
     buf: &mut Vec<u8>,
@@ -57,16 +44,10 @@ pub fn sym_encrypt_in_place<R: Rng + CryptoRng>(
     tag.copy_from_slice(&key.mac_key().mac(&[body])[..TAG_LEN]);
 }
 
-/// Verify and decrypt a ciphertext produced by [`sym_encrypt`].
-pub fn sym_decrypt(key: &SymmetricKey, ciphertext: &[u8]) -> Result<Vec<u8>, CryptoError> {
-    let mut buf = ciphertext.to_vec();
-    sym_decrypt_in_place(key, &mut buf)?;
-    Ok(buf)
-}
-
-/// [`sym_decrypt`] within the caller's buffer: verifies the tag, decrypts
-/// within `buf`, moves the plaintext to the front and truncates off the
-/// [`OVERHEAD`]. On error `buf` is left untouched. Never allocates.
+/// Verify and decrypt a ciphertext produced by [`sym_encrypt_in_place`],
+/// within `buf`: checks the tag, decrypts, moves the plaintext to the
+/// front and truncates off the [`OVERHEAD`]. On error `buf` is left
+/// untouched. Never allocates.
 pub fn sym_decrypt_in_place(key: &SymmetricKey, buf: &mut Vec<u8>) -> Result<(), CryptoError> {
     if buf.len() < OVERHEAD {
         return Err(CryptoError::Truncated);
@@ -144,34 +125,33 @@ mod tests {
         }
     }
 
+    fn sealed(key: &SymmetricKey, msg: &[u8], rng: &mut StdRng) -> Vec<u8> {
+        let mut buf = msg.to_vec();
+        sym_encrypt_in_place(key, &mut buf, rng);
+        buf
+    }
+
     #[test]
     fn roundtrip() {
         let (key, mut rng) = key_and_rng();
         for len in [0usize, 1, 15, 16, 17, 100, 1024] {
             let msg = vec![0xabu8; len];
-            let ct = sym_encrypt(&key, &msg, &mut rng);
-            assert_eq!(ct.len(), len + OVERHEAD);
-            assert_eq!(sym_decrypt(&key, &ct).unwrap(), msg, "len {len}");
+            let mut buf = sealed(&key, &msg, &mut rng);
+            assert_eq!(buf.len(), len + OVERHEAD);
+            sym_decrypt_in_place(&key, &mut buf).unwrap();
+            assert_eq!(buf, msg, "len {len}");
         }
-    }
-
-    #[test]
-    fn wrong_key_rejected() {
-        let (key, mut rng) = key_and_rng();
-        let other = SymmetricKey::generate(&mut rng);
-        let ct = sym_encrypt(&key, b"secret", &mut rng);
-        assert_eq!(sym_decrypt(&other, &ct), Err(CryptoError::BadTag));
     }
 
     #[test]
     fn tampering_rejected_every_byte() {
         let (key, mut rng) = key_and_rng();
-        let ct = sym_encrypt(&key, b"integrity matters", &mut rng);
+        let ct = sealed(&key, b"integrity matters", &mut rng);
         for i in 0..ct.len() {
             let mut bad = ct.clone();
             bad[i] ^= 0x01;
             assert_eq!(
-                sym_decrypt(&key, &bad),
+                sym_decrypt_in_place(&key, &mut bad),
                 Err(CryptoError::BadTag),
                 "byte {i}"
             );
@@ -179,41 +159,10 @@ mod tests {
     }
 
     #[test]
-    fn truncated_rejected() {
-        let (key, mut rng) = key_and_rng();
-        let ct = sym_encrypt(&key, b"", &mut rng);
-        assert_eq!(
-            sym_decrypt(&key, &ct[..OVERHEAD - 1]),
-            Err(CryptoError::Truncated)
-        );
-        assert_eq!(sym_decrypt(&key, &[]), Err(CryptoError::Truncated));
-    }
-
-    #[test]
-    fn in_place_variants_match_allocating_ones() {
-        let (key, _) = key_and_rng();
-        for len in [0usize, 1, 15, 16, 17, 100, 1024] {
-            let msg = vec![0x5au8; len];
-            // Same RNG seed: both variants must emit identical bytes.
-            let mut rng_a = StdRng::seed_from_u64(7);
-            let mut rng_b = StdRng::seed_from_u64(7);
-            let ct = sym_encrypt(&key, &msg, &mut rng_a);
-            let mut buf = msg.clone();
-            sym_encrypt_in_place(&key, &mut buf, &mut rng_b);
-            assert_eq!(buf, ct, "len {len}");
-            // Cross-decrypt both ways.
-            let mut open = ct.clone();
-            sym_decrypt_in_place(&key, &mut open).unwrap();
-            assert_eq!(open, msg);
-            assert_eq!(sym_decrypt(&key, &buf).unwrap(), msg);
-        }
-    }
-
-    #[test]
-    fn in_place_decrypt_failure_preserves_buffer() {
+    fn decrypt_failure_preserves_buffer() {
         let (key, mut rng) = key_and_rng();
         let other = SymmetricKey::generate(&mut rng);
-        let ct = sym_encrypt(&key, b"payload", &mut rng);
+        let ct = sealed(&key, b"payload", &mut rng);
         let mut tampered = ct.clone();
         let last = tampered.len() - 1;
         tampered[last] ^= 1;
@@ -229,22 +178,23 @@ mod tests {
             Err(CryptoError::BadTag)
         );
         assert_eq!(wrong_key, ct);
-        let mut short = vec![0u8; OVERHEAD - 1];
-        assert_eq!(
-            sym_decrypt_in_place(&key, &mut short),
-            Err(CryptoError::Truncated)
-        );
+        for len in [0, OVERHEAD - 1] {
+            let mut short = vec![0u8; len];
+            assert_eq!(
+                sym_decrypt_in_place(&key, &mut short),
+                Err(CryptoError::Truncated)
+            );
+        }
     }
 
     #[test]
     fn nonce_randomisation_changes_ciphertext() {
         let (key, mut rng) = key_and_rng();
-        let a = sym_encrypt(&key, b"same message", &mut rng);
-        let b = sym_encrypt(&key, b"same message", &mut rng);
+        let mut a = sealed(&key, b"same message", &mut rng);
+        let mut b = sealed(&key, b"same message", &mut rng);
         assert_ne!(a, b);
-        assert_eq!(
-            sym_decrypt(&key, &a).unwrap(),
-            sym_decrypt(&key, &b).unwrap()
-        );
+        sym_decrypt_in_place(&key, &mut a).unwrap();
+        sym_decrypt_in_place(&key, &mut b).unwrap();
+        assert_eq!(a, b);
     }
 }

@@ -132,6 +132,35 @@ pub fn hash_unit(seed: u64, tag: u64, a: u64, b: u64) -> f64 {
 /// Internal alias kept for brevity at the many call sites below.
 use self::hash_unit as unit;
 
+/// Whether `link` is inside one of its connection-reset windows at
+/// `now_us`.
+///
+/// Time is divided into slots of mean reset spacing
+/// (`3600 s / resets_per_hour`); each slot holds one window of
+/// `window_us` at a hash-jittered offset. A pure function of
+/// `(seed, tag, link, slot)` like every other fault decision; `tag`
+/// separates the simulator's reset stream from the live chaos layer's.
+pub fn in_reset_window(
+    seed: u64,
+    tag: u64,
+    link: u64,
+    now_us: u64,
+    resets_per_hour: f64,
+    window_us: u64,
+) -> bool {
+    if resets_per_hour <= 0.0 || window_us == 0 {
+        return false;
+    }
+    let interval_us = ((3600.0 * 1e6 / resets_per_hour) as u64).max(1);
+    if window_us >= interval_us {
+        return true; // windows cover the whole timeline
+    }
+    let slot = now_us / interval_us;
+    let jitter = hash_unit(seed, tag, link, slot);
+    let start = slot * interval_us + (jitter * (interval_us - window_us) as f64) as u64;
+    now_us >= start && now_us < start + window_us
+}
+
 fn link_word(from: NodeId, to: NodeId) -> u64 {
     ((from.0 as u64) << 32) | to.0 as u64
 }
@@ -193,27 +222,16 @@ impl FaultPlan {
     }
 
     /// Whether the directed link `(from → to)` is inside a connection
-    /// reset window at `at`.
-    ///
-    /// Time is divided into slots of mean reset spacing
-    /// (`3600 s / resets_per_hour`); each slot holds one window of
-    /// `reset_window` at a hash-jittered offset. A pure function of
-    /// `(seed, link, slot)` like every other fault decision.
+    /// reset window at `at` (see [`in_reset_window`]).
     pub fn link_reset(&self, from: NodeId, to: NodeId, at: SimTime) -> bool {
-        if self.cfg.resets_per_hour <= 0.0 || self.cfg.reset_window == SimDuration::ZERO {
-            return false;
-        }
-        let interval_us = ((3600.0 * 1e6 / self.cfg.resets_per_hour) as u64).max(1);
-        let window_us = self.cfg.reset_window.as_micros();
-        if window_us >= interval_us {
-            return true; // windows cover the whole timeline
-        }
-        let link = link_word(from, to);
-        let slot = at.as_micros() / interval_us;
-        let jitter = unit(self.seed, TAG_RESET, link, slot);
-        let start = slot * interval_us + (jitter * (interval_us - window_us) as f64) as u64;
-        let t = at.as_micros();
-        t >= start && t < start + window_us
+        in_reset_window(
+            self.seed,
+            TAG_RESET,
+            link_word(from, to),
+            at.as_micros(),
+            self.cfg.resets_per_hour,
+            self.cfg.reset_window.as_micros(),
+        )
     }
 
     /// The (possibly spiked) one-way delay for a transmission departing on

@@ -49,7 +49,6 @@ struct Args {
     codec: (usize, usize),
     ack_timeout_ms: Option<u64>,
     max_retries: Option<u32>,
-    path_bias: bool,
     chaos: Option<String>,
     chaos_seed: u64,
     run_secs: Option<u64>,
@@ -63,7 +62,7 @@ fn usage() -> ! {
         "usage: p2p-anon-node --config FILE --id N --role relay|responder|initiator\n\
          \x20    [--transport evented]\n\
          \x20    [--paths \"1,2,3;4,5,6\"] [--responder N] [--codec M,N]\n\
-         \x20    [--ack-timeout-ms MS] [--max-retries N] [--path-bias]\n\
+         \x20    [--ack-timeout-ms MS] [--max-retries N]\n\
          \x20    [--chaos SPEC] [--chaos-seed N]\n\
          \x20    [--run-secs S] [--seed N] [--stats-addr ADDR] [--quiet]\n\
          \n\
@@ -84,7 +83,6 @@ fn parse_args() -> Args {
         codec: (2, 4),
         ack_timeout_ms: None,
         max_retries: None,
-        path_bias: false,
         chaos: None,
         chaos_seed: 0,
         run_secs: None,
@@ -129,7 +127,6 @@ fn parse_args() -> Args {
                 args.ack_timeout_ms = Some(value().parse().unwrap_or_else(|_| usage()))
             }
             "--max-retries" => args.max_retries = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--path-bias" => args.path_bias = true,
             "--chaos" => args.chaos = Some(value()),
             "--chaos-seed" => args.chaos_seed = value().parse().unwrap_or_else(|_| usage()),
             "--run-secs" => args.run_secs = Some(value().parse().unwrap_or_else(|_| usage())),
@@ -178,9 +175,6 @@ fn main() -> ExitCode {
     }
     if let Some(retries) = args.max_retries {
         policy.max_retries = retries;
-    }
-    if args.path_bias {
-        policy.path_bias = true;
     }
     let codec = match ErasureCodec::new(args.codec.0, args.codec.1) {
         Ok(c) => c,

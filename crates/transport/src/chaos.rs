@@ -43,7 +43,7 @@
 use crate::policy::Priority;
 use crate::{Transport, TransportError, TransportEvent};
 use anon_core::wire::{decode_frame_vec, encode_frame, Frame};
-use simnet::fault::hash_unit;
+use simnet::fault::{hash_unit, in_reset_window};
 use simnet::NodeId;
 use std::collections::HashMap;
 
@@ -232,21 +232,16 @@ impl ChaosPlan {
         ((u * self.cfg.delay_max_us as f64) as u64).max(1)
     }
 
-    /// Whether the link sits inside one of its reset windows (same slot
-    /// construction as `simnet::FaultPlan::link_reset`).
+    /// Whether the link sits inside one of its reset windows.
     fn link_reset(&self, link: u64, now_us: u64) -> bool {
-        if self.cfg.resets_per_hour <= 0.0 || self.cfg.reset_window_us == 0 {
-            return false;
-        }
-        let interval_us = ((3600.0 * 1e6 / self.cfg.resets_per_hour) as u64).max(1);
-        if self.cfg.reset_window_us >= interval_us {
-            return true;
-        }
-        let slot = now_us / interval_us;
-        let jitter = hash_unit(self.seed, TAG_RESET, link, slot);
-        let start =
-            slot * interval_us + (jitter * (interval_us - self.cfg.reset_window_us) as f64) as u64;
-        now_us >= start && now_us < start + self.cfg.reset_window_us
+        in_reset_window(
+            self.seed,
+            TAG_RESET,
+            link,
+            now_us,
+            self.cfg.resets_per_hour,
+            self.cfg.reset_window_us,
+        )
     }
 
     fn partitioned(&self, from: NodeId, to: NodeId, now_us: u64) -> bool {

@@ -189,10 +189,7 @@ impl Roster {
             let _ = writeln!(s, "breaker_cooldown_us = {}", p.breaker_cooldown_us);
             let _ = writeln!(s, "queue_capacity = {}", p.queue_capacity);
             let _ = writeln!(s, "ack_timeout_us = {}", p.ack_timeout_us);
-            let _ = writeln!(s, "ack_backoff = {}", p.ack_backoff);
-            let _ = writeln!(s, "ack_jitter = {}", p.ack_jitter);
             let _ = writeln!(s, "max_retries = {}", p.max_retries);
-            let _ = writeln!(s, "path_bias = {}", p.path_bias);
             let _ = writeln!(s, "seed = {}", p.seed);
         }
         s
@@ -216,10 +213,7 @@ fn set_policy_key(policy: &mut PolicyConfig, key: &str, value: &str) -> Result<(
         "breaker_cooldown_us" => policy.breaker_cooldown_us = num(key, value)?,
         "queue_capacity" => policy.queue_capacity = num(key, value)?,
         "ack_timeout_us" => policy.ack_timeout_us = num(key, value)?,
-        "ack_backoff" => policy.ack_backoff = num(key, value)?,
-        "ack_jitter" => policy.ack_jitter = num(key, value)?,
         "max_retries" => policy.max_retries = num(key, value)?,
-        "path_bias" => policy.path_bias = num(key, value)?,
         "seed" => policy.seed = num(key, value)?,
         other => return Err(format!("unknown policy key `{other}`")),
     }
@@ -284,13 +278,13 @@ mod tests {
             breaker_threshold = 4
             queue_capacity = 64
             reconnect_multiplier = 1.5
-            path_bias = true
+            max_retries = 2
         "#;
         let roster = Roster::parse(text).unwrap();
         assert_eq!(roster.policy.breaker_threshold, 4);
         assert_eq!(roster.policy.queue_capacity, 64);
         assert_eq!(roster.policy.reconnect_multiplier, 1.5);
-        assert!(roster.policy.path_bias);
+        assert_eq!(roster.policy.max_retries, 2);
         assert_eq!(
             roster.policy.ack_timeout_us,
             PolicyConfig::default().ack_timeout_us
@@ -302,6 +296,7 @@ mod tests {
     #[test]
     fn policy_section_rejects_bad_input() {
         assert!(Roster::parse("key_seed = 1\n[policy]\nnope = 3").is_err());
+        assert!(Roster::parse("key_seed = 1\n[policy]\npath_bias = true").is_err());
         assert!(Roster::parse("key_seed = 1\n[policy]\nseed = x").is_err());
         assert!(Roster::parse("key_seed = 1\n[wat]\nseed = 1").is_err());
     }

@@ -164,7 +164,7 @@ pub struct NodeTelemetry {
     /// relay/initiator state.
     pub stateless_drops: Arc<Counter>,
     /// `node_ack_rtt_us{node}` — end-to-end segment ack round-trip
-    /// times, the raw material of the health EWMA.
+    /// times.
     pub ack_rtt_us: Arc<Histogram>,
 }
 

@@ -45,7 +45,7 @@ pub use config::Roster;
 pub use evented::EventedTransport;
 pub use instrument::{NodeTelemetry, TcpTelemetry, WriterTelemetry};
 pub use node::{Input, NodeEvents, Output, ProtocolNode};
-pub use policy::{BackoffPolicy, BreakerState, CircuitBreaker, PeerHealth, PolicyConfig, Priority};
+pub use policy::{BackoffPolicy, BreakerState, CircuitBreaker, PolicyConfig, Priority};
 pub use runtime::Runtime;
 pub use sim::SimTransport;
 pub use stats::StatsServer;

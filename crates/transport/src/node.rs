@@ -13,13 +13,11 @@
 //! behavior proven in simulation carries over to the live node verbatim.
 
 use crate::instrument::NodeTelemetry;
-use crate::policy::{PeerHealth, PolicyConfig};
+use crate::policy::PolicyConfig;
 use anon_core::driver::CONSTRUCT_ACK;
 use anon_core::endpoint::{Initiator, Reassembler};
-use anon_core::onion::{
-    build_payload_onion, build_reverse_payload, peel_reverse_payload_in_place, PathPlan,
-};
-use anon_core::relay::{PeeledAction, Relay, RelayAction};
+use anon_core::onion::{build_payload_onion, peel_reverse_payload_in_place, PathPlan};
+use anon_core::relay::{Relay, Step};
 use anon_core::wire::{Frame, Wire};
 use anon_core::{AnonError, MessageId, StreamId};
 use erasure::{Codec, Segment};
@@ -145,12 +143,11 @@ pub struct ProtocolNode {
     /// Retransmits already spent per segment (dropped with the message's
     /// `outbox` entry).
     retries: HashMap<(MessageId, usize), u32>,
-    /// Which path each in-flight segment last rode, and when it left:
-    /// `(mid, index)` → `(path sid, sent_at_us)`. Feeds [`PeerHealth`].
-    inflight: HashMap<(MessageId, usize), (StreamId, u64)>,
-    /// Per-path health: consecutive ack failures plus an RTT EWMA,
-    /// always tracked, consulted for path choice only under `path_bias`.
-    path_health: HashMap<StreamId, PeerHealth>,
+    /// When each in-flight segment last left, for the ack round-trip
+    /// histogram: `(mid, index)` → `sent_at_us`.
+    inflight: HashMap<(MessageId, usize), u64>,
+    /// When the relay half last reclaimed expired path state.
+    last_sweep: SimTime,
     next_token: u64,
     policy: PolicyConfig,
     /// The caller's clock as of the last `handle`/`set_now`, letting
@@ -183,7 +180,7 @@ impl ProtocolNode {
             timer_purpose: HashMap::new(),
             retries: HashMap::new(),
             inflight: HashMap::new(),
-            path_health: HashMap::new(),
+            last_sweep: SimTime::ZERO,
             next_token: 1,
             policy: PolicyConfig::default(),
             now_hint: 0,
@@ -225,9 +222,9 @@ impl ProtocolNode {
         self
     }
 
-    /// Adopt a full retry/backoff policy (ack deadlines, retransmit
-    /// budget, health-biased path choice). The default policy reproduces
-    /// the historical behavior exactly.
+    /// Adopt a full retry/backoff policy (ack deadline, retransmit
+    /// budget). The default policy reproduces the historical behavior
+    /// exactly.
     pub fn with_policy(mut self, policy: &PolicyConfig) -> Self {
         self.policy = *policy;
         self
@@ -255,12 +252,6 @@ impl ProtocolNode {
     /// forward entries wiped. (Chaos harness hook.)
     pub fn crash_relay_state(&mut self) -> usize {
         self.relay.crash()
-    }
-
-    /// The health record of the path `sid`, if any ack or timeout has
-    /// been attributed to it.
-    pub fn path_health(&self, sid: StreamId) -> Option<&PeerHealth> {
-        self.path_health.get(&sid)
     }
 
     /// This node's identity.
@@ -358,7 +349,7 @@ impl ProtocolNode {
         self.want.insert(mid, msgs.len());
         self.acked.entry(mid).or_default();
         for (index, msg) in msgs.into_iter().enumerate() {
-            self.inflight.insert((mid, index), (msg.sid, self.now_hint));
+            self.inflight.insert((mid, index), self.now_hint);
             out.push(Output::Send {
                 to: msg.to,
                 frame: Frame::Stream {
@@ -366,7 +357,7 @@ impl ProtocolNode {
                     wire: Wire::Payload { blob: msg.blob },
                 },
             });
-            self.arm_ack_timer(mid, index, 0, out);
+            self.arm_ack_timer(mid, index, out);
         }
         Ok(())
     }
@@ -413,20 +404,13 @@ impl ProtocolNode {
         t
     }
 
-    /// The jitter salt identifying one segment's ack-deadline stream.
-    fn ack_salt(mid: MessageId, index: usize) -> u64 {
-        mid.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ index as u64
-    }
-
-    fn arm_ack_timer(&mut self, mid: MessageId, index: usize, retry: u32, out: &mut Vec<Output>) {
+    fn arm_ack_timer(&mut self, mid: MessageId, index: usize, out: &mut Vec<Output>) {
         let token = self.alloc_token();
         self.pending_acks.insert((mid, index), token);
         self.timer_purpose.insert(token, (mid, index));
         out.push(Output::SetTimer {
             token,
-            after_us: self
-                .policy
-                .ack_deadline_us(retry, Self::ack_salt(mid, index)),
+            after_us: self.policy.ack_timeout_us.max(1),
         });
     }
 
@@ -435,182 +419,128 @@ impl ProtocolNode {
         now_us: u64,
         from: NodeId,
         sid: StreamId,
-        wire: Wire,
+        mut wire: Wire,
         out: &mut Vec<Output>,
     ) {
         let now = SimTime(now_us);
-        match wire {
-            Wire::Construct {
-                initiator_sid,
-                onion,
-            } => match self
-                .relay
-                .handle_construction(from, sid, &onion, now, &mut self.rng)
-            {
-                Ok(RelayAction::ForwardConstruction {
-                    to: next,
-                    sid: nsid,
-                    onion: inner,
-                }) => out.push(Output::Send {
-                    to: next,
-                    frame: Frame::Stream {
-                        sid: nsid,
-                        wire: Wire::Construct {
-                            initiator_sid,
-                            onion: inner,
-                        },
-                    },
-                }),
-                Ok(RelayAction::ConstructionComplete) => {
-                    self.events.constructions.push((from, sid, now_us));
-                    if let Some(t) = &self.telemetry {
-                        t.constructions.inc();
-                    }
-                    if self.auto_ack {
-                        self.send_auto_ack(from, sid, CONSTRUCT_ACK, 0, out);
-                    }
-                }
-                Ok(_) => unreachable!("construction actions only"),
-                Err(_) => self.note_stateless_drop(),
-            },
-            Wire::Payload { mut blob } => {
-                match self
-                    .relay
-                    .handle_payload_in_place(from, sid, &mut blob, now, &mut self.rng)
-                {
-                    Ok(PeeledAction::Forward {
-                        to: next,
-                        sid: nsid,
-                    }) => out.push(Output::Send {
-                        to: next,
-                        frame: Frame::Stream {
-                            sid: nsid,
-                            wire: Wire::Payload { blob },
-                        },
-                    }),
-                    Ok(PeeledAction::Deliver { mid, index }) => {
-                        self.events.deliveries.push((mid, index, now_us));
-                        if let Some(t) = &self.telemetry {
-                            t.deliveries.inc();
-                        }
-                        if let Some(codec) = self.codec.as_ref() {
-                            let seg = Segment::new(index, blob.clone());
-                            if let Ok(Some(msg)) = self.reassembler.push(mid, seg, codec.as_ref()) {
-                                self.events.completed.push((mid, msg));
-                            }
-                        }
-                        if self.auto_ack {
-                            self.send_auto_ack(from, sid, mid, index, out);
-                        }
-                    }
-                    Ok(PeeledAction::DeliveredOwned { .. }) => self.note_stateless_drop(),
+        // Reverse traffic on a stream this node built terminates here as
+        // the initiator: peel all layers with the path's plan.
+        if let Wire::Reverse { blob } = &mut wire {
+            if let Some(plan) = self.plan(sid) {
+                return match peel_reverse_payload_in_place(plan, blob, None) {
+                    Ok((mid, index)) => self.on_ack(now_us, sid, mid, index, out),
                     Err(_) => self.note_stateless_drop(),
-                }
-            }
-            // Reverse traffic terminating here as the initiator: peel
-            // all layers with the registered plan and log the ack.
-            // Otherwise the relay half wraps a layer and passes it back.
-            Wire::Reverse { mut blob } => {
-                let Some(plan) = self.plan(sid) else {
-                    return self.relay_reverse(now, from, sid, blob, out);
                 };
-                match peel_reverse_payload_in_place(plan, &mut blob, None) {
-                    Ok((mid, index)) => {
-                        if mid == CONSTRUCT_ACK {
-                            self.events.established.push((sid, now_us));
-                            if let Some(t) = &self.telemetry {
-                                t.established.inc();
-                            }
-                            if let Some(init) = self.initiator.as_mut() {
-                                init.mark_established(sid);
-                            }
-                        } else {
-                            if let Some(token) = self.pending_acks.remove(&(mid, index)) {
-                                self.timer_purpose.remove(&token);
-                                out.push(Output::CancelTimer { token });
-                            }
-                            // Credit the path the segment last rode with
-                            // the round trip it just completed.
-                            if let Some((path_sid, sent_at)) = self.inflight.remove(&(mid, index)) {
-                                let rtt = now_us.saturating_sub(sent_at);
-                                self.path_health
-                                    .entry(path_sid)
-                                    .or_default()
-                                    .record_success(Some(rtt));
-                                if let Some(t) = &self.telemetry {
-                                    t.ack_rtt_us.record(rtt);
-                                }
-                            }
-                            self.acked.entry(mid).or_default().insert(index);
-                            self.events.acks.push((mid, index, now_us));
-                            if let Some(t) = &self.telemetry {
-                                t.acks.inc();
-                            }
-                            self.retire_if_settled(mid);
-                        }
+            }
+        }
+        // Constructions are what grow the relay half's state, so they pay
+        // for reclaiming what has expired, at most once per TTL.
+        if matches!(wire, Wire::Construct { .. })
+            && now.since(self.last_sweep) >= self.relay.state_ttl()
+        {
+            self.relay.sweep(now);
+            self.last_sweep = now;
+        }
+        // Everything else is relay/responder work, decided by the one
+        // dispatch the simulator's driver uses.
+        let step = self
+            .relay
+            .handle_wire(from, sid, &mut wire, now, &mut self.rng);
+        match (step, wire) {
+            (Ok(Step::Forward { to, sid }), wire) => out.push(Output::Send {
+                to,
+                frame: Frame::Stream { sid, wire },
+            }),
+            (Ok(Step::Constructed), Wire::Construct { onion, .. }) => {
+                self.events.constructions.push((from, sid, now_us));
+                if let Some(t) = &self.telemetry {
+                    t.constructions.inc();
+                }
+                if self.auto_ack {
+                    self.send_auto_ack(from, sid, CONSTRUCT_ACK, 0, onion, out);
+                }
+            }
+            (Ok(Step::Delivered { mid, index }), Wire::Payload { blob }) => {
+                self.events.deliveries.push((mid, index, now_us));
+                if let Some(t) = &self.telemetry {
+                    t.deliveries.inc();
+                }
+                if let Some(codec) = self.codec.as_ref() {
+                    let seg = Segment::new(index, blob.clone());
+                    if let Ok(Some(msg)) = self.reassembler.push(mid, seg, codec.as_ref()) {
+                        self.events.completed.push((mid, msg));
                     }
-                    Err(_) => self.note_stateless_drop(),
+                }
+                if self.auto_ack {
+                    self.send_auto_ack(from, sid, mid, index, blob, out);
                 }
             }
-            Wire::Release => {
-                if let Some((next, nsid)) = self.relay.release(from, sid) {
-                    out.push(Output::Send {
-                        to: next,
-                        frame: Frame::Stream {
-                            sid: nsid,
-                            wire: Wire::Release,
-                        },
-                    });
-                }
-            }
+            (Ok(Step::Released), _) => {}
+            (Ok(step), wire) => unreachable!("{step:?} for {wire:?}"),
+            (Err(_), _) => self.note_stateless_drop(),
         }
     }
 
-    /// Responder's ack for segment `index` of `mid`: one reverse layer
-    /// under the terminal entry's session key, sent back the way the frame
-    /// came. Without a terminal entry for the stream there is no key to
-    /// ack under and the frame counts as a stateless drop.
+    /// Initiator side: the reverse onion on path `sid` peeled to an ack for
+    /// segment `index` of `mid` (or to the path's construction ack).
+    fn on_ack(
+        &mut self,
+        now_us: u64,
+        sid: StreamId,
+        mid: MessageId,
+        index: usize,
+        out: &mut Vec<Output>,
+    ) {
+        if mid == CONSTRUCT_ACK {
+            self.events.established.push((sid, now_us));
+            if let Some(t) = &self.telemetry {
+                t.established.inc();
+            }
+            if let Some(init) = self.initiator.as_mut() {
+                init.mark_established(sid);
+            }
+            return;
+        }
+        if let Some(token) = self.pending_acks.remove(&(mid, index)) {
+            self.timer_purpose.remove(&token);
+            out.push(Output::CancelTimer { token });
+        }
+        if let Some(sent_at) = self.inflight.remove(&(mid, index)) {
+            if let Some(t) = &self.telemetry {
+                t.ack_rtt_us.record(now_us.saturating_sub(sent_at));
+            }
+        }
+        self.acked.entry(mid).or_default().insert(index);
+        self.events.acks.push((mid, index, now_us));
+        if let Some(t) = &self.telemetry {
+            t.acks.inc();
+        }
+        self.retire_if_settled(mid);
+    }
+
+    /// Responder's ack for segment `index` of `mid`, written into `buf`
+    /// (the buffer of the frame being acked) and sent back the way that
+    /// frame came. Without a terminal entry for
+    /// the stream there is no key to ack under and the frame counts as a
+    /// stateless drop.
     fn send_auto_ack(
         &mut self,
         from: NodeId,
         sid: StreamId,
         mid: MessageId,
         index: usize,
-        out: &mut Vec<Output>,
-    ) {
-        let Some(key) = self.relay.terminal_key(from, sid) else {
-            return self.note_stateless_drop();
-        };
-        let blob =
-            build_reverse_payload(&key, mid, &Segment::new(index, Vec::new()), &mut self.rng);
-        out.push(Output::Send {
-            to: from,
-            frame: Frame::Stream {
-                sid,
-                wire: Wire::Reverse { blob },
-            },
-        });
-    }
-
-    /// Relay half of reverse handling: wrap one layer and pass it back
-    /// toward the initiator.
-    fn relay_reverse(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        sid: StreamId,
-        mut blob: Vec<u8>,
+        mut buf: Vec<u8>,
         out: &mut Vec<Output>,
     ) {
         match self
             .relay
-            .handle_reverse_in_place(from, sid, &mut blob, now, &mut self.rng)
+            .write_ack(from, sid, mid, index, &mut buf, &mut self.rng)
         {
-            Ok((prev, psid)) => out.push(Output::Send {
-                to: prev,
+            Ok(()) => out.push(Output::Send {
+                to: from,
                 frame: Frame::Stream {
-                    sid: psid,
-                    wire: Wire::Reverse { blob },
+                    sid,
+                    wire: Wire::Reverse { blob: buf },
                 },
             }),
             Err(_) => self.note_stateless_drop(),
@@ -619,13 +549,8 @@ impl ProtocolNode {
 
     /// An armed ack deadline fired: record the timeout and retransmit
     /// the segment over another path, so a dead path is routed around
-    /// instead of hammered.
-    ///
-    /// Path choice is pure rotation by default (retry `r` of segment `i`
-    /// rides path `(i + r) mod k` — the behavior the driver-equivalence
-    /// test pins). Under [`PolicyConfig::path_bias`] the rotation order
-    /// becomes a preference order and the healthiest path in it wins,
-    /// steering retries away from flapping relays.
+    /// instead of hammered: retry `r` of segment `i` rides path
+    /// `(i + r) mod k` — the behavior the driver-equivalence test pins.
     fn on_timer(&mut self, now_us: u64, token: u64, out: &mut Vec<Output>) {
         let Some((mid, index)) = self.timer_purpose.remove(&token) else {
             return; // stale token (cancelled and re-fired in a race)
@@ -637,13 +562,6 @@ impl ProtocolNode {
         self.events.ack_timeouts.push((mid, index, now_us));
         if let Some(t) = &self.telemetry {
             t.ack_timeouts.inc();
-        }
-        // Debit the path that failed to produce the ack.
-        if let Some(&(path_sid, _)) = self.inflight.get(&(mid, index)) {
-            self.path_health
-                .entry(path_sid)
-                .or_default()
-                .record_failure();
         }
         let retry = self.retries.entry((mid, index)).or_insert(0);
         *retry += 1;
@@ -668,29 +586,13 @@ impl ProtocolNode {
         let Some(segment) = segments.get(index) else {
             return;
         };
-        let start = (index + retry as usize) % k;
-        let chosen = if self.policy.path_bias {
-            // Stable min over the rotation order: equal healths reduce
-            // to pure rotation, any difference routes around it.
-            (0..k)
-                .map(|off| (start + off) % k)
-                .min_by_key(|&p| {
-                    self.path_health
-                        .get(&init.paths()[p].sid)
-                        .map(|h| h.score())
-                        .unwrap_or((0, 0))
-                })
-                .unwrap_or(start)
-        } else {
-            start
-        };
-        let path = &init.paths()[chosen];
+        let path = &init.paths()[(index + retry as usize) % k];
         let (blob, _) = build_payload_onion(&path.plan, mid, segment, None, &mut self.rng);
         self.events.retransmits += 1;
         if let Some(t) = &self.telemetry {
             t.retransmits.inc();
         }
-        self.inflight.insert((mid, index), (path.sid, now_us));
+        self.inflight.insert((mid, index), now_us);
         out.push(Output::Send {
             to: path.plan.first_hop(),
             frame: Frame::Stream {
@@ -698,14 +600,14 @@ impl ProtocolNode {
                 wire: Wire::Payload { blob },
             },
         });
-        self.arm_ack_timer(mid, index, retry, out);
+        self.arm_ack_timer(mid, index, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Runtime, SimTransport};
+    use crate::{Runtime, SimTransport, Transport};
     use erasure::ErasureCodec;
     use simnet::{ChurnSchedule, LatencyMatrix};
 
@@ -777,6 +679,28 @@ mod tests {
         assert!(!node.message_complete(mid));
         assert!(node.outbox.is_empty(), "payload outlived its retry budget");
         assert!(node.retries.is_empty());
+    }
+
+    #[test]
+    fn expired_relay_state_is_reclaimed_when_the_next_construction_arrives() {
+        // Two paths through relay 1, then silence for longer than the TTL.
+        let mut rt = world(&[NodeId(1), NodeId(1)]);
+        let idle = anon_core::relay::DEFAULT_STATE_TTL.as_micros() + 1;
+        // A token nobody armed: firing it only moves the clock.
+        rt.transport.set_timer(INITIATOR, u64::MAX, idle);
+        rt.run_until_idle(0);
+        let cached = |rt: &Runtime<SimTransport>, id| rt.node(id).relay.cached_paths();
+        assert_eq!((cached(&rt, NodeId(1)), cached(&rt, RESPONDER)), (2, 2));
+
+        let hops: Vec<_> = [NodeId(1), RESPONDER]
+            .map(|hop| (hop, rt.node(hop).public_key()))
+            .into();
+        rt.drive(INITIATOR, |n, out| n.construct_paths(&[hops], out));
+        rt.run_until_idle(0);
+        assert_eq!(rt.node(INITIATOR).established_paths(), 3);
+        // Only the path just built is still held, at the relay and at
+        // the responder.
+        assert_eq!((cached(&rt, NodeId(1)), cached(&rt, RESPONDER)), (1, 1));
     }
 
     #[test]

@@ -14,14 +14,13 @@
 //!   failures the breaker opens and sends fail fast instead of queuing
 //!   behind a dead peer; after `cooldown` one probe is let through and
 //!   the breaker re-closes on its success.
-//! * [`PeerHealth`] — consecutive-failure count plus an RTT EWMA,
-//!   scoring relays so path selection can route away from flapping ones.
 //! * [`Priority`] — the shed order under overload: cover traffic first,
 //!   then data, control last.
 //!
-//! Every default in [`PolicyConfig`] preserves the pre-policy behavior
-//! of the protocol layer (fixed ack deadline, rotation-only retransmit
-//! path choice), which the `sim_equivalence` test pins µs-exactly.
+//! The protocol layer's own retransmit behavior is not configurable
+//! beyond the deadline and the budget: the ack deadline is fixed and a
+//! retry rotates to the next path, which the `sim_equivalence` test pins
+//! µs-exactly.
 
 use anon_core::wire::{Frame, Wire};
 use simnet::fault::hash_unit;
@@ -238,79 +237,11 @@ impl CircuitBreaker {
     }
 }
 
-/// EWMA weight of each new RTT sample in [`PeerHealth`].
-const RTT_EWMA_ALPHA: f64 = 0.2;
-
-/// Health record for one peer or path: consecutive failures plus an RTT
-/// EWMA, combinable into a score that routes traffic away from flapping
-/// relays.
-#[derive(Clone, Debug, Default)]
-pub struct PeerHealth {
-    consecutive_failures: u32,
-    total_failures: u64,
-    total_successes: u64,
-    rtt_ewma_us: Option<f64>,
-}
-
-impl PeerHealth {
-    /// A fresh record: no observations yet.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a success, optionally with the round-trip time observed.
-    pub fn record_success(&mut self, rtt_us: Option<u64>) {
-        self.consecutive_failures = 0;
-        self.total_successes += 1;
-        if let Some(rtt) = rtt_us {
-            let sample = rtt as f64;
-            self.rtt_ewma_us = Some(match self.rtt_ewma_us {
-                None => sample,
-                Some(prev) => prev + RTT_EWMA_ALPHA * (sample - prev),
-            });
-        }
-    }
-
-    /// Record a failure (timeout, refused connect, …).
-    pub fn record_failure(&mut self) {
-        self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-        self.total_failures += 1;
-    }
-
-    /// Failures since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures
-    }
-
-    /// Failures observed in total.
-    pub fn total_failures(&self) -> u64 {
-        self.total_failures
-    }
-
-    /// Successes observed in total.
-    pub fn total_successes(&self) -> u64 {
-        self.total_successes
-    }
-
-    /// Smoothed RTT, if any sample has been recorded.
-    pub fn rtt_ewma_us(&self) -> Option<u64> {
-        self.rtt_ewma_us.map(|v| v.round() as u64)
-    }
-
-    /// Ordering score: lower is healthier. Consecutive failures dominate;
-    /// the RTT EWMA breaks ties (unknown RTT scores as zero, so
-    /// unexplored paths are preferred over slow proven ones).
-    pub fn score(&self) -> (u32, u64) {
-        (self.consecutive_failures, self.rtt_ewma_us().unwrap_or(0))
-    }
-}
-
 /// Every retry/backoff/degradation knob of the live stack in one place.
 ///
-/// Defaults preserve the protocol layer's pre-policy behavior exactly
-/// (fixed ack deadline, rotation-only retransmit paths) so the
-/// `sim_equivalence` pin keeps holding; the transport-side defaults are
-/// the tuned replacements for the old hard-coded reconnect loop.
+/// The protocol-side defaults (ack deadline, retransmit budget) are the
+/// ones the `sim_equivalence` pin runs with; the transport-side defaults
+/// are the tuned replacements for the old hard-coded reconnect loop.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PolicyConfig {
     /// Reconnect backoff: first-attempt delay (µs).
@@ -331,19 +262,11 @@ pub struct PolicyConfig {
     pub breaker_cooldown_us: u64,
     /// Bounded per-peer outbound queue capacity, in frames.
     pub queue_capacity: usize,
-    /// End-to-end ack deadline for the first transmission (µs).
+    /// End-to-end ack deadline of every transmission, first or retried
+    /// (µs).
     pub ack_timeout_us: u64,
-    /// Ack-deadline growth factor per retry (`1.0` = fixed deadline, the
-    /// historical behavior).
-    pub ack_backoff: f64,
-    /// Ack-deadline jitter fraction in `[0, 1]` (`0.0` = deterministic).
-    pub ack_jitter: f64,
     /// Per-segment retransmit budget after the first send.
     pub max_retries: u32,
-    /// Bias retransmit path selection by [`PeerHealth`] scores instead of
-    /// pure rotation. Off by default: rotation is the behavior the
-    /// driver-equivalence test pins.
-    pub path_bias: bool,
     /// Seed of every deterministic jitter stream in this policy.
     pub seed: u64,
 }
@@ -360,10 +283,7 @@ impl Default for PolicyConfig {
             breaker_cooldown_us: 2_000_000,
             queue_capacity: 1024,
             ack_timeout_us: crate::node::DEFAULT_ACK_TIMEOUT_US,
-            ack_backoff: 1.0,
-            ack_jitter: 0.0,
             max_retries: crate::node::DEFAULT_MAX_RETRIES,
-            path_bias: false,
             seed: 0,
         }
     }
@@ -384,21 +304,6 @@ impl PolicyConfig {
     /// The breaker a fresh peer starts with.
     pub fn breaker(&self) -> CircuitBreaker {
         CircuitBreaker::new(self.breaker_threshold, self.breaker_cooldown_us)
-    }
-
-    /// The ack deadline armed for retry `retry` (0 = first transmission)
-    /// of the segment identified by `salt`: `ack_timeout · backoff^retry`
-    /// spread by up to `ack_jitter` of itself in either direction.
-    pub fn ack_deadline_us(&self, retry: u32, salt: u64) -> u64 {
-        let raw = self.ack_timeout_us as f64 * self.ack_backoff.max(0.0).powi(retry as i32);
-        let jitter = self.ack_jitter.clamp(0.0, 1.0);
-        let spread = if jitter > 0.0 {
-            let u = hash_unit(self.seed, TAG_BACKOFF ^ 0xACED, salt, retry as u64);
-            raw * (1.0 + jitter * (2.0 * u - 1.0))
-        } else {
-            raw
-        };
-        (spread.round() as u64).max(1)
     }
 }
 
@@ -485,37 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn health_scores_failures_over_rtt() {
-        let mut fast = PeerHealth::new();
-        fast.record_success(Some(10_000));
-        let mut slow = PeerHealth::new();
-        slow.record_success(Some(200_000));
-        let mut flapping = PeerHealth::new();
-        flapping.record_success(Some(5_000));
-        flapping.record_failure();
-        assert!(fast.score() < slow.score(), "rtt breaks ties");
-        assert!(
-            slow.score() < flapping.score(),
-            "any consecutive failure outweighs rtt"
-        );
-        flapping.record_success(Some(5_000));
-        assert_eq!(flapping.consecutive_failures(), 0, "success resets");
-    }
-
-    #[test]
-    fn health_ewma_converges_toward_samples() {
-        let mut h = PeerHealth::new();
-        h.record_success(Some(100_000));
-        assert_eq!(h.rtt_ewma_us(), Some(100_000), "first sample seeds");
-        for _ in 0..60 {
-            h.record_success(Some(10_000));
-        }
-        let ewma = h.rtt_ewma_us().unwrap();
-        assert!(ewma < 12_000, "converged toward the new level: {ewma}");
-        assert!(ewma >= 10_000);
-    }
-
-    #[test]
     fn priority_classifies_frames_and_orders_sheds() {
         use anon_core::StreamId;
         assert!(Priority::Cover < Priority::Data);
@@ -546,33 +420,5 @@ mod tests {
         let p = PolicyConfig::default();
         assert_eq!(p.ack_timeout_us, crate::node::DEFAULT_ACK_TIMEOUT_US);
         assert_eq!(p.max_retries, crate::node::DEFAULT_MAX_RETRIES);
-        assert!(!p.path_bias);
-        // Fixed deadline at every retry depth: the sim-equivalence pin.
-        for retry in 0..8 {
-            assert_eq!(p.ack_deadline_us(retry, 42), p.ack_timeout_us);
-        }
-    }
-
-    #[test]
-    fn ack_backoff_scales_the_deadline() {
-        let p = PolicyConfig {
-            ack_backoff: 2.0,
-            ..PolicyConfig::default()
-        };
-        assert_eq!(p.ack_deadline_us(0, 0), 1_000_000);
-        assert_eq!(p.ack_deadline_us(1, 0), 2_000_000);
-        assert_eq!(p.ack_deadline_us(3, 0), 8_000_000);
-        let j = PolicyConfig {
-            ack_backoff: 2.0,
-            ack_jitter: 0.25,
-            seed: 9,
-            ..PolicyConfig::default()
-        };
-        for retry in 0..6 {
-            let d = j.ack_deadline_us(retry, 5);
-            let exact = p.ack_deadline_us(retry, 5) as f64;
-            assert!(d as f64 >= exact * 0.75 && d as f64 <= exact * 1.25);
-            assert_eq!(d, j.ack_deadline_us(retry, 5), "deterministic jitter");
-        }
     }
 }

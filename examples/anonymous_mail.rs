@@ -8,7 +8,6 @@
 use p2p_anon::anon::cluster::{Cluster, RouteOutcome};
 use p2p_anon::anon::endpoint::{Initiator, Responder};
 use p2p_anon::anon::ids::MessageId;
-use p2p_anon::anon::onion::PayloadLayer;
 use p2p_anon::coding::{Codec, ErasureCodec};
 use p2p_anon::{NodeId, SimDuration};
 use rand::rngs::StdRng;
@@ -48,12 +47,10 @@ fn main() {
     let out = alice
         .send_message(mid1, &mail, &codec, None, &mut rng)
         .unwrap();
-    let RouteOutcome::Delivered { layer, .. } = net.route_payload(alice_id, &out[0]).unwrap()
+    let RouteOutcome::Delivered { mid, segment, .. } =
+        net.route_payload(alice_id, &out[0]).unwrap()
     else {
         panic!("mail lost")
-    };
-    let PayloadLayer::Deliver { mid, segment } = layer else {
-        panic!("bad layer")
     };
     let delivered = bob
         .accept_segment(from, sid, session_key, mid, segment, &codec)
@@ -112,16 +109,15 @@ fn main() {
     let out = alice
         .send_message(mid2, &mail2, &codec, Some((carol_id, carol_pub)), &mut rng)
         .unwrap();
-    let RouteOutcome::Delivered { at, layer, .. } = net.route_payload(alice_id, &out[0]).unwrap()
+    // Carol's relay unseals her session key from the payload (§4.4) and
+    // hands up the segment it protects.
+    let RouteOutcome::Delivered {
+        at, mid, segment, ..
+    } = net.route_payload(alice_id, &out[0]).unwrap()
     else {
         panic!("redirected mail lost")
     };
     assert_eq!(at, carol_id, "the redirect must land at Carol");
-    // Carol's relay unsealed her session key from the payload (§4.4) and
-    // handed up the decrypted deliver layer.
-    let PayloadLayer::Deliver { mid, segment } = layer else {
-        panic!("expected the unwrapped deliver layer at the new responder")
-    };
     assert_eq!(mid, mid2);
     let decoded = codec.decode(&[segment]).unwrap();
     assert_eq!(decoded, mail2);

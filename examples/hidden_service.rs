@@ -8,7 +8,6 @@
 use p2p_anon::anon::cluster::{Cluster, RouteOutcome};
 use p2p_anon::anon::endpoint::Initiator;
 use p2p_anon::anon::ids::MessageId;
-use p2p_anon::anon::onion::PayloadLayer;
 use p2p_anon::anon::rendezvous::{
     unwrap_at_rendezvous, wrap_for_hidden_responder, HiddenResponder, RendezvousPoint,
 };
@@ -77,7 +76,12 @@ fn main() {
     let out = alice
         .send_message(mid, &wrapped.data, &codec, None, &mut rng)
         .unwrap();
-    let RouteOutcome::Delivered { at, layer, .. } = net.route_payload(alice_id, &out[0]).unwrap()
+    let RouteOutcome::Delivered {
+        at,
+        mid: got_mid,
+        segment,
+        ..
+    } = net.route_payload(alice_id, &out[0]).unwrap()
     else {
         panic!("request lost")
     };
@@ -85,13 +89,6 @@ fn main() {
     println!("request delivered to the rendezvous through alice's onion path");
 
     // --- The rendezvous pivots it backward down the service's path -------
-    let PayloadLayer::Deliver {
-        mid: got_mid,
-        segment,
-    } = layer
-    else {
-        panic!("bad layer")
-    };
     let inner = codec.decode(&[segment]).unwrap();
     let (cookie, sealed_seg) = unwrap_at_rendezvous(&Segment::new(0, inner)).unwrap();
     let (back_to, back_sid, blob) = rendezvous

@@ -7,7 +7,6 @@
 use p2p_anon::anon::cluster::{Cluster, RouteOutcome};
 use p2p_anon::anon::endpoint::{Initiator, Responder};
 use p2p_anon::anon::ids::MessageId;
-use p2p_anon::anon::onion::PayloadLayer;
 use p2p_anon::coding::ErasureCodec;
 use p2p_anon::NodeId;
 use rand::rngs::StdRng;
@@ -70,11 +69,12 @@ fn main() {
     for (i, msg) in outgoing.iter().enumerate() {
         match net.route_payload(initiator_id, msg).expect("routing works") {
             RouteOutcome::Delivered {
-                from, sid, layer, ..
+                from,
+                sid,
+                mid,
+                segment,
+                ..
             } => {
-                let PayloadLayer::Deliver { mid, segment } = layer else {
-                    panic!("expected a deliver layer")
-                };
                 let key = reply_handles
                     .iter()
                     .find(|(f, s, _)| (*f, *s) == (from, sid))

@@ -5,7 +5,6 @@
 use p2p_anon::anon::cluster::{Cluster, RouteOutcome};
 use p2p_anon::anon::endpoint::{Initiator, Responder};
 use p2p_anon::anon::ids::MessageId;
-use p2p_anon::anon::onion::PayloadLayer;
 use p2p_anon::coding::{Codec, ErasureCodec};
 use p2p_anon::crypto::SymmetricKey;
 use p2p_anon::{NodeId, SimDuration};
@@ -72,11 +71,12 @@ fn deliver(s: &mut Session, mid: MessageId, msg: &[u8], codec: &dyn Codec) -> Op
     for m in &out {
         match s.net.route_payload(s.alice_id, m).unwrap() {
             RouteOutcome::Delivered {
-                from, sid, layer, ..
+                from,
+                sid,
+                mid,
+                segment,
+                ..
             } => {
-                let PayloadLayer::Deliver { mid, segment } = layer else {
-                    panic!("expected deliver")
-                };
                 let key = s
                     .terminal
                     .iter()
