@@ -47,7 +47,9 @@ impl Default for GossipConfig {
 }
 
 /// The gossip layer over a whole simulated network: one cache per node plus
-/// the round scheduler.
+/// the round scheduler. Plain data: a clone (with a clone of the RNG) is a
+/// fork that replays identically.
+#[derive(Clone)]
 pub struct GossipSim {
     caches: Vec<NodeCache>,
     rounds: BinaryHeap<Reverse<(SimTime, u32)>>,
@@ -55,6 +57,10 @@ pub struct GossipSim {
     now: SimTime,
     messages_sent: u64,
     messages_lost: u64,
+    /// Per-round scratch, kept so a round allocates nothing: the ids drawn
+    /// by the current sampling pass, and the digest built from them.
+    picked: Vec<NodeId>,
+    digest: Vec<(NodeId, LivenessInfo)>,
 }
 
 impl GossipSim {
@@ -77,6 +83,8 @@ impl GossipSim {
             now: SimTime::ZERO,
             messages_sent: 0,
             messages_lost: 0,
+            picked: Vec::with_capacity(cfg.digest_size.max(cfg.fanout)),
+            digest: Vec::with_capacity(cfg.digest_size),
         }
     }
 
@@ -127,23 +135,41 @@ impl GossipSim {
                 self.caches[sender.index()].evict_stale(t, timeout);
             }
 
-            // Build the digest once per round from the sender's cache.
-            let digest = self.sample_digest(sender, t, rng);
-            let targets = self.sample_cached_nodes(sender, self.cfg.fanout, rng);
-            for target in targets {
+            // Build the digest once per round from the sender's cache, then
+            // pick the targets — in that order, it is the RNG draw order.
+            let GossipSim {
+                caches,
+                picked,
+                digest,
+                ..
+            } = self;
+            let n = caches.len() as u32;
+            let cache = &caches[sender.index()];
+            digest.clear();
+            let digest_size = self.cfg.digest_size.min(caches.len() - 1);
+            sample_universe(n, sender, digest_size, rng, picked, |cand| {
+                cache
+                    .get(cand)
+                    .map(|entry| digest.push((cand, entry.piggyback(t))))
+                    .is_some()
+            });
+            sample_universe(n, sender, self.cfg.fanout, rng, picked, |cand| {
+                cache.contains(cand)
+            });
+            for &target in picked.iter() {
                 if !schedule.is_up(target, t) {
                     // Delivery failure: the sender detects the silent peer
                     // (timeout) and records a death notice that future
                     // digests will disseminate — OneHop's membership-change
                     // propagation.
                     self.messages_lost += 1;
-                    self.caches[sender.index()].record_death(target, t);
+                    caches[sender.index()].record_death(target, t);
                     continue;
                 }
                 self.messages_sent += 1;
-                let cache = &mut self.caches[target.index()];
+                let cache = &mut caches[target.index()];
                 cache.hear_direct(sender, sender_uptime, t);
-                for &(node, info) in &digest {
+                for &(node, info) in digest.iter() {
                     if node != target {
                         cache.hear_indirect(node, info, t);
                     }
@@ -154,51 +180,32 @@ impl GossipSim {
             self.now = until;
         }
     }
+}
 
-    /// Sample up to `count` distinct cached peers of `sender`, uniformly
-    /// over the node universe filtered by cache membership.
-    ///
-    /// With the default open-membership configuration the cache contains
-    /// (nearly) every node, so this is equivalent to sampling the cache
-    /// directly, but O(count) instead of O(cache); with eviction enabled
-    /// misses are simply skipped, mildly under-filling the sample.
-    fn sample_cached_nodes<R: Rng>(
-        &self,
-        sender: NodeId,
-        count: usize,
-        rng: &mut R,
-    ) -> Vec<NodeId> {
-        let n = self.caches.len() as u32;
-        let cache = &self.caches[sender.index()];
-        let mut out: Vec<NodeId> = Vec::with_capacity(count);
-        let mut tries = 0usize;
-        while out.len() < count && tries < count * 8 + 16 {
-            tries += 1;
-            let cand = NodeId(rng.gen_range(0..n));
-            if cand != sender && !out.contains(&cand) && cache.contains(cand) {
-                out.push(cand);
-            }
+/// Sample up to `count` distinct peers of `sender` into `out`, uniformly
+/// over the node universe `0..n`, keeping a candidate only if `accept`
+/// finds it in the sender's cache.
+///
+/// With the default open-membership configuration the cache contains
+/// (nearly) every node, so this is equivalent to sampling the cache
+/// directly, but O(count) instead of O(cache); with eviction enabled
+/// misses are simply skipped, mildly under-filling the sample.
+fn sample_universe<R: Rng>(
+    n: u32,
+    sender: NodeId,
+    count: usize,
+    rng: &mut R,
+    out: &mut Vec<NodeId>,
+    mut accept: impl FnMut(NodeId) -> bool,
+) {
+    out.clear();
+    let mut tries = 0usize;
+    while out.len() < count && tries < count * 8 + 16 {
+        tries += 1;
+        let cand = NodeId(rng.gen_range(0..n));
+        if cand != sender && !out.contains(&cand) && accept(cand) {
+            out.push(cand);
         }
-        out
-    }
-
-    /// Sample a `digest_size` digest from the sender's cache with
-    /// piggybacked liveness values (same sampling strategy as
-    /// [`Self::sample_cached_nodes`]).
-    fn sample_digest<R: Rng>(
-        &self,
-        sender: NodeId,
-        now: SimTime,
-        rng: &mut R,
-    ) -> Vec<(NodeId, LivenessInfo)> {
-        let cache = &self.caches[sender.index()];
-        self.sample_cached_nodes(sender, self.cfg.digest_size.min(self.caches.len() - 1), rng)
-            .into_iter()
-            .map(|node| {
-                let entry = cache.get(node).expect("sampled from cache");
-                (node, entry.piggyback(now))
-            })
-            .collect()
     }
 }
 

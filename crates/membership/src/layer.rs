@@ -49,7 +49,10 @@ impl MembershipConfig {
     }
 }
 
-/// The running membership layer.
+/// The running membership layer. Every variant is plain data, so a clone
+/// taken together with a clone of the RNG is a fork: both copies advance
+/// through the same states.
+#[derive(Clone)]
 pub enum MembershipLayer {
     /// Flat gossip instance.
     Gossip(GossipSim),

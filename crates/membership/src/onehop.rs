@@ -75,6 +75,7 @@ struct PendingDelivery {
 
 /// The OneHop membership layer over a simulated network. API-compatible
 /// with [`crate::gossip::GossipSim`] so experiments can swap layers.
+#[derive(Clone)]
 pub struct OneHopSim {
     caches: Vec<NodeCache>,
     cfg: OneHopConfig,

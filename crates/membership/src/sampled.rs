@@ -16,11 +16,10 @@
 //! pure in `(seed, node, peer, time)`. Two runs with the same seed see the
 //! same views with the same staleness, byte for byte.
 
-use crate::cache::NodeCache;
+use crate::cache::{IdMap, NodeCache};
 use crate::liveness::LivenessInfo;
 use rand::Rng;
 use simnet::{ChurnSchedule, NodeId, SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Parameters for the sampled-view layer.
 #[derive(Clone, Copy, Debug)]
@@ -55,6 +54,7 @@ fn hash3(seed: u64, a: u64, b: u64) -> u64 {
 }
 
 /// One tracked node's materialized view.
+#[derive(Clone)]
 struct Tracked {
     cache: NodeCache,
     refreshed_at: SimTime,
@@ -81,12 +81,13 @@ struct Tracked {
 /// assert_eq!(cache.len(), 256);
 /// assert!(!cache.contains(NodeId(42)), "never samples itself");
 /// ```
+#[derive(Clone)]
 pub struct SampledView {
     n: usize,
     cfg: SampledConfig,
     seed: u64,
     now: SimTime,
-    tracked: HashMap<NodeId, Tracked>,
+    tracked: IdMap<Tracked>,
 }
 
 impl SampledView {
@@ -99,7 +100,7 @@ impl SampledView {
             cfg,
             seed: rng.gen::<u64>(),
             now: SimTime::ZERO,
-            tracked: HashMap::new(),
+            tracked: IdMap::default(),
         }
     }
 
@@ -125,19 +126,18 @@ impl SampledView {
 
     /// Build `node`'s view fresh from ground truth at time `t`.
     fn build_cache(&self, node: NodeId, schedule: &ChurnSchedule, t: SimTime) -> NodeCache {
-        let mut cache = NodeCache::new();
         let k = self.view_size();
-        let mut chosen: Vec<u32> = Vec::with_capacity(k);
+        let mut cache = NodeCache::with_capacity(k);
         let mut attempt: u64 = 0;
-        while chosen.len() < k {
+        while cache.len() < k {
             let h = hash3(self.seed, u64::from(node.0), attempt);
             attempt += 1;
-            let peer = (h % self.n as u64) as u32;
-            if peer == node.0 || chosen.contains(&peer) {
+            let peer = NodeId((h % self.n as u64) as u32);
+            // Every accepted peer is inserted below, so the cache being
+            // filled is also the set of peers already chosen.
+            if peer == node || cache.contains(peer) {
                 continue;
             }
-            chosen.push(peer);
-            let peer = NodeId(peer);
             // Hash-jittered observation age: this entry was last heard
             // about up to `max_staleness` ago, deterministically per
             // (seed, node, peer, t).
@@ -181,7 +181,7 @@ impl SampledView {
 
     /// Advance layer time, refreshing every tracked view from ground truth.
     pub fn advance(&mut self, schedule: &ChurnSchedule, until: SimTime) {
-        if until <= self.now && !self.tracked.is_empty() {
+        if until <= self.now {
             return;
         }
         self.now = self.now.max(until);
