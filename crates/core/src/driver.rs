@@ -262,7 +262,9 @@ impl Driver {
         self.world.plans.insert(sid, plan);
     }
 
-    /// Forget a torn-down path's plan and drop any acks pending on it.
+    /// Forget a torn-down path's plan, and nothing else: a reverse onion
+    /// still in flight on it is counted as a stateless drop, and ack
+    /// deadlines armed for its segments stay armed and fire as timeouts.
     pub fn unregister_path(&mut self, sid: StreamId) {
         self.world.plans.remove(&sid);
     }

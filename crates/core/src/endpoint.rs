@@ -17,7 +17,7 @@ use crate::AnonError;
 use erasure::{Codec, Segment};
 use rand::{CryptoRng, Rng};
 use sim_crypto::{PublicKey, SymmetricKey};
-use simnet::NodeId;
+use simnet::{NodeId, SimDuration, SimTime};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -271,18 +271,30 @@ impl Initiator {
         }
         let (mid, index) = peeled?;
         let segment = Segment::new(index, buf);
+        // This endpoint has no clock and never sweeps: the stamp goes unread.
         Ok(self
             .reassembler
-            .push(mid, segment, codec)?
+            .push(mid, segment, codec, SimTime::ZERO)?
             .map(|msg| (mid, msg)))
     }
 }
 
 /// Reassembles erasure-coded segments into messages, per message id.
+///
+/// Every entry carries the time of its last arrival so that an owner with
+/// a clock can [`sweep`](Self::sweep) what went quiet: the segment bodies
+/// of a message that never reaches `m`, and the ids of delivered ones.
 #[derive(Default)]
 pub struct Reassembler {
-    pending: HashMap<MessageId, Vec<Segment>>,
-    completed: HashMap<MessageId, ()>,
+    pending: HashMap<MessageId, Partial>,
+    /// Delivered message ids, with when they completed.
+    completed: HashMap<MessageId, SimTime>,
+}
+
+/// The segments of a message still short of `m`.
+struct Partial {
+    last_arrival: SimTime,
+    segments: Vec<Segment>,
 }
 
 impl Reassembler {
@@ -296,39 +308,61 @@ impl Reassembler {
         self.pending.len()
     }
 
-    /// Add one segment. Returns the reconstructed message when `m` distinct
-    /// segments have arrived (exactly once per message id — duplicates and
-    /// late segments after completion are ignored).
+    /// Number of delivered message ids still remembered.
+    pub fn completed(&self) -> usize {
+        self.completed.len()
+    }
+
+    /// Add one segment, arriving at `now`. Returns the reconstructed
+    /// message when `m` distinct segments have arrived (exactly once per
+    /// message id — duplicates and late segments after completion are
+    /// ignored).
     pub fn push(
         &mut self,
         mid: MessageId,
         segment: Segment,
         codec: &dyn Codec,
+        now: SimTime,
     ) -> Result<Option<Vec<u8>>, AnonError> {
         if self.completed.contains_key(&mid) {
             return Ok(None);
         }
         let entry = match self.pending.entry(mid) {
             Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => e.insert(Vec::new()),
+            Entry::Vacant(e) => e.insert(Partial {
+                last_arrival: now,
+                segments: Vec::new(),
+            }),
         };
-        if entry.iter().any(|s| s.index == segment.index) {
+        if entry.segments.iter().any(|s| s.index == segment.index) {
             return Ok(None); // duplicate
         }
-        entry.push(segment);
-        if entry.len() >= codec.required() {
-            let segments = self.pending.remove(&mid).expect("just inserted");
-            let msg = codec.decode(&segments)?;
-            self.completed.insert(mid, ());
+        entry.last_arrival = now;
+        entry.segments.push(segment);
+        if entry.segments.len() >= codec.required() {
+            let partial = self.pending.remove(&mid).expect("just inserted");
+            let msg = codec.decode(&partial.segments)?;
+            self.completed.insert(mid, now);
             return Ok(Some(msg));
         }
         Ok(None)
     }
 
-    /// Forget a message's state (e.g. after timeout).
-    pub fn forget(&mut self, mid: MessageId) {
-        self.pending.remove(&mid);
-        self.completed.remove(&mid);
+    /// Drop every entry whose last arrival is more than `ttl` before
+    /// `now`. Returns the number of entries removed.
+    ///
+    /// Forgetting a *delivered* id reopens it: a segment of that message
+    /// arriving later would start a fresh entry and, at `m = 1`, deliver
+    /// twice. That needs a segment still in flight `ttl` after the message
+    /// completed, so `ttl` must exceed the sender's retransmit horizon,
+    /// `ack_timeout × (max_retries + 1)` — 5 s at the node's defaults
+    /// against the 120-s relay TTL the node sweeps with.
+    pub fn sweep(&mut self, now: SimTime, ttl: SimDuration) -> usize {
+        let before = self.pending.len() + self.completed.len();
+        self.pending
+            .retain(|_, partial| now.since(partial.last_arrival) <= ttl);
+        self.completed.retain(|_, &mut at| now.since(at) <= ttl);
+        before - self.pending.len() - self.completed.len()
     }
 }
 
@@ -369,7 +403,8 @@ impl Responder {
         codec: &dyn Codec,
     ) -> Result<Option<Vec<u8>>, AnonError> {
         self.arrivals.entry(mid).or_default().push((from, sid, key));
-        self.reassembler.push(mid, segment, codec)
+        // This endpoint has no clock and never sweeps: the stamp goes unread.
+        self.reassembler.push(mid, segment, codec, SimTime::ZERO)
     }
 
     /// Build reply wire messages: the response is coded with `codec` and
@@ -416,9 +451,15 @@ mod tests {
         let segs = codec.encode(&msg);
         let mut r = Reassembler::new();
         let mid = MessageId(1);
-        assert_eq!(r.push(mid, segs[5].clone(), &codec).unwrap(), None);
-        assert_eq!(r.push(mid, segs[1].clone(), &codec).unwrap(), None);
-        let got = r.push(mid, segs[3].clone(), &codec).unwrap();
+        assert_eq!(
+            r.push(mid, segs[5].clone(), &codec, SimTime::ZERO).unwrap(),
+            None
+        );
+        assert_eq!(
+            r.push(mid, segs[1].clone(), &codec, SimTime::ZERO).unwrap(),
+            None
+        );
+        let got = r.push(mid, segs[3].clone(), &codec, SimTime::ZERO).unwrap();
         assert_eq!(got, Some(msg));
         assert_eq!(r.pending(), 0);
     }
@@ -431,10 +472,19 @@ mod tests {
         let mut r = Reassembler::new();
         let mid = MessageId(2);
         // Replication completes on the first segment.
-        assert_eq!(r.push(mid, segs[0].clone(), &codec).unwrap(), Some(msg));
+        assert_eq!(
+            r.push(mid, segs[0].clone(), &codec, SimTime::ZERO).unwrap(),
+            Some(msg)
+        );
         // Later segments of a completed message are swallowed.
-        assert_eq!(r.push(mid, segs[1].clone(), &codec).unwrap(), None);
-        assert_eq!(r.push(mid, segs[2].clone(), &codec).unwrap(), None);
+        assert_eq!(
+            r.push(mid, segs[1].clone(), &codec, SimTime::ZERO).unwrap(),
+            None
+        );
+        assert_eq!(
+            r.push(mid, segs[2].clone(), &codec, SimTime::ZERO).unwrap(),
+            None
+        );
     }
 
     #[test]
@@ -444,13 +494,19 @@ mod tests {
         let segs = codec.encode(&msg);
         let mut r = Reassembler::new();
         let mid = MessageId(3);
-        assert_eq!(r.push(mid, segs[0].clone(), &codec).unwrap(), None);
         assert_eq!(
-            r.push(mid, segs[0].clone(), &codec).unwrap(),
+            r.push(mid, segs[0].clone(), &codec, SimTime::ZERO).unwrap(),
+            None
+        );
+        assert_eq!(
+            r.push(mid, segs[0].clone(), &codec, SimTime::ZERO).unwrap(),
             None,
             "same index again"
         );
-        assert_eq!(r.push(mid, segs[2].clone(), &codec).unwrap(), Some(msg));
+        assert_eq!(
+            r.push(mid, segs[2].clone(), &codec, SimTime::ZERO).unwrap(),
+            Some(msg)
+        );
     }
 
     #[test]
@@ -461,17 +517,51 @@ mod tests {
         let s1 = codec.encode(&m1);
         let s2 = codec.encode(&m2);
         let mut r = Reassembler::new();
-        assert_eq!(r.push(MessageId(1), s1[0].clone(), &codec).unwrap(), None);
-        assert_eq!(r.push(MessageId(2), s2[1].clone(), &codec).unwrap(), None);
+        assert_eq!(
+            r.push(MessageId(1), s1[0].clone(), &codec, SimTime::ZERO)
+                .unwrap(),
+            None
+        );
+        assert_eq!(
+            r.push(MessageId(2), s2[1].clone(), &codec, SimTime::ZERO)
+                .unwrap(),
+            None
+        );
         assert_eq!(r.pending(), 2);
         assert_eq!(
-            r.push(MessageId(2), s2[0].clone(), &codec).unwrap(),
+            r.push(MessageId(2), s2[0].clone(), &codec, SimTime::ZERO)
+                .unwrap(),
             Some(m2)
         );
         assert_eq!(
-            r.push(MessageId(1), s1[1].clone(), &codec).unwrap(),
+            r.push(MessageId(1), s1[1].clone(), &codec, SimTime::ZERO)
+                .unwrap(),
             Some(m1)
         );
+    }
+
+    #[test]
+    fn sweep_drops_what_went_quiet_for_longer_than_the_ttl() {
+        let codec = ErasureCodec::new(2, 3).unwrap();
+        let segs = codec.encode(b"aged");
+        let (at, ttl) = (SimTime::from_secs, SimDuration::from_secs(10));
+        let mut r = Reassembler::new();
+        // Message 1 completes at 1 s; 2 and 3 stay one segment short, 3
+        // (which needs all three) with a last arrival at 8 s.
+        r.push(MessageId(1), segs[0].clone(), &codec, at(0))
+            .unwrap();
+        r.push(MessageId(1), segs[1].clone(), &codec, at(1))
+            .unwrap();
+        r.push(MessageId(2), segs[0].clone(), &codec, at(1))
+            .unwrap();
+        let all = ErasureCodec::new(3, 3).unwrap();
+        r.push(MessageId(3), segs[0].clone(), &all, at(1)).unwrap();
+        r.push(MessageId(3), segs[2].clone(), &all, at(8)).unwrap();
+        assert_eq!(r.sweep(at(11), ttl), 0, "exactly `ttl` old is kept");
+        assert_eq!(r.sweep(at(12), ttl), 2);
+        assert_eq!((r.pending(), r.completed()), (1, 0));
+        assert_eq!(r.sweep(at(19), ttl), 1);
+        assert_eq!(r.pending(), 0);
     }
 
     #[test]

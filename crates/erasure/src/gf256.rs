@@ -82,8 +82,7 @@ pub fn mul(a: u8, b: u8) -> u8 {
 
 /// Carry-less shift-and-add ("Russian peasant") multiplication.
 ///
-/// Used as an independent oracle for testing the table-driven [`mul`], and
-/// benchmarked against it (see `bench_gf256` in the bench crate).
+/// Used as an independent oracle for testing the table-driven [`mul`].
 pub const fn mul_slow(mut a: u8, mut b: u8) -> u8 {
     let mut acc: u8 = 0;
     while b != 0 {

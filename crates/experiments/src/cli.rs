@@ -247,10 +247,13 @@ mod tests {
     /// Every command rejects a mistyped flag and is in the listing.
     #[test]
     fn every_command_rejects_a_typo_and_is_listed() {
-        assert_eq!(cmd::COMMANDS.len(), 21);
+        assert_eq!(cmd::COMMANDS.len(), 20);
         for c in cmd::COMMANDS {
             assert!(parse(&argv(&format!("{} --sead 1", c.name))).is_err());
             assert!(help().contains(&format!("\n  {} ", c.name)), "{}", c.name);
         }
+        // Retired with the Criterion harness; `main` exits 2 on any `Err`.
+        let retired = parse(&argv("perf")).unwrap_err();
+        assert!(retired.starts_with("experiments: unknown command perf\n"));
     }
 }

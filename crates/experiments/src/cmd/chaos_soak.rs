@@ -15,8 +15,7 @@
 //!
 //! `--rounds` sets the round count (default 2000, or 200 under
 //! `--quick`), `--seed` the chaos seed (default 42); `--out` writes a
-//! JSON blob including `rounds_per_sec` (the number tracked in
-//! BENCH_HISTORY.jsonl).
+//! JSON blob including `rounds_per_sec`.
 
 use super::{Args, ExitCode};
 use anon_core::MessageId;

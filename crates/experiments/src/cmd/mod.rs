@@ -20,7 +20,6 @@ mod fig3;
 mod fig4;
 mod fig5;
 mod membership_ablation;
-mod perf;
 mod recovery;
 pub mod scale;
 mod scenario;
@@ -74,7 +73,6 @@ pub const COMMANDS: &[Command] = &[
     Command { name: "scenario", run: scenario::run, usage: "[--bless] [--threads N] <file|dir>..." },
     Command { name: "chaos_soak", run: chaos_soak::run, usage: "[--quick] [--rounds N] [--seed S] [--out FILE]" },
     Command { name: "scale", run: scale::run, usage: "[--quick] [--n A,B,...] [--flows K] [--seed S] [--single N] [--max-rss-mb M] [--out FILE]" },
-    Command { name: "perf", run: perf::run, usage: "[--quick] [--threads N] [--out FILE]" },
     Command { name: "all", run: all::run, usage: "[--quick] [--threads N] [--telemetry]" },
 ];
 
@@ -169,9 +167,6 @@ mod tests {
     #[test]
     fn the_suite_stops_before_the_harnesses() {
         let rest: Vec<&str> = COMMANDS[SUITE..].iter().map(|c| c.name).collect();
-        assert_eq!(
-            rest,
-            ["trilemma", "scenario", "chaos_soak", "scale", "perf", "all"]
-        );
+        assert_eq!(rest, ["trilemma", "scenario", "chaos_soak", "scale", "all"]);
     }
 }

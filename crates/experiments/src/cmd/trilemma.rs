@@ -12,7 +12,7 @@
 //! linkability decays as cover traffic grows.
 //!
 //! `--out` writes a JSON blob including `points_per_sec` (grid rows
-//! produced per wall-clock second) for `scripts/bench_baseline.sh`.
+//! produced per wall-clock second).
 
 use super::{reproduced, Args, ExitCode};
 use experiments::experiments::trilemma_data;
@@ -138,8 +138,8 @@ pub fn run(args: &Args) -> ExitCode {
         println!("\nwrote {path}");
     }
 
-    // The shape checks are the exit code, so CI and bench_baseline.sh
-    // fail loudly when the sweep stops reproducing.
+    // The shape checks are the exit code, so CI fails loudly when the
+    // sweep stops reproducing.
     if entropy_monotone && eq4_gap < 0.1 && auc_decays {
         ExitCode::SUCCESS
     } else {

@@ -1,9 +1,8 @@
 //! Data-producing functions for every table and figure.
 //!
-//! Each function returns plain data; the commands format it (and the
-//! benches time it). All functions take explicit seeds/trial counts so
-//! runs are reproducible; "quick" variants shrink the workload for smoke
-//! tests and Criterion.
+//! Each function returns plain data; the commands format it. All
+//! functions take explicit seeds/trial counts so runs are reproducible;
+//! "quick" variants shrink the workload for smoke tests.
 
 use crate::runner::{run_all, run_all_instrumented, RunSpec, Traced};
 use anon_core::allocation::{self, BandwidthModel};

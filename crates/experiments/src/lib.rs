@@ -6,8 +6,8 @@
 //! paper's published values where applicable, and writing CSV output
 //! under `results/`.
 //!
-//! The library half hosts the data-producing functions so the Criterion
-//! benches in `crates/bench` can run the identical workloads. It reads
+//! The library half hosts the data-producing functions so the tests and
+//! the benchmark (`benchmark/`) can run the identical workloads. It reads
 //! nothing from the environment: scale, thread count and the telemetry
 //! switch are arguments.
 

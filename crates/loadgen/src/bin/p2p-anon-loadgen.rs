@@ -14,11 +14,10 @@
 //! * `--auto-chain N` — spawn N relays and one responder itself on
 //!   ephemeral localhost ports (the `p2p-anon-node` binary is found
 //!   next to this executable, or via `--node-bin`), run, and tear them
-//!   down. One command for CI smoke and baseline runs.
+//!   down. One command for the CI smoke run.
 //!
 //! Output: a human summary on stderr, one JSON object on stdout (and to
-//! `--out FILE` for `scripts/bench_baseline.sh` to append to
-//! `BENCH_HISTORY.jsonl`).
+//! `--out FILE`).
 //!
 //! Examples:
 //!
@@ -237,8 +236,8 @@ fn json_escape_f64(v: f64) -> String {
     }
 }
 
-/// The machine-readable result: one JSON object, schema documented in
-/// PERFORMANCE.md §8.
+/// The machine-readable result: one JSON object, accounting documented
+/// in PERFORMANCE.md §6.
 fn to_json(args: &Args, relays: usize, summary: &Summary) -> String {
     let arrival = match args.mode.as_str() {
         "open" => format!("\"open\", \"rate_hz\": {:.1}", args.rate_hz),
@@ -246,8 +245,8 @@ fn to_json(args: &Args, relays: usize, summary: &Summary) -> String {
     };
     format!(
         concat!(
-            // "transport" has one value; the field stays so new
-            // BENCH_HISTORY.jsonl lines compare with recorded ones.
+            // "transport" has one value; the field stays so the output
+            // compares with the lines recorded in BENCH_HISTORY.jsonl.
             "{{\"harness\": \"loadgen\", \"transport\": \"evented\", \"mode\": {}, ",
             "\"relays\": {}, \"hops\": {}, \"payload_bytes\": {}, ",
             "\"warmup_s\": {}, \"measure_s\": {}, ",

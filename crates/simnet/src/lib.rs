@@ -13,8 +13,8 @@
 //! * [`time`] — microsecond-resolution simulated clock types.
 //! * [`engine`] — the event loop: schedule closures at absolute/relative
 //!   times, with cancellation handles.
-//! * [`sched`] — pluggable queue disciplines behind the [`Scheduler`]
-//!   trait: the default calendar queue and the binary-heap reference.
+//! * [`sched`] — the engine's event queue: a calendar queue popping in
+//!   total `(time, seq)` order.
 //! * [`latency`] — pluggable pairwise one-way-delay models behind the
 //!   [`LatencyModel`] trait, calibrated to a target average RTT (the
 //!   paper's network averages 152 ms RTT): the dense synthetic matrix
@@ -52,6 +52,6 @@ pub use fault::{FaultConfig, FaultPlan};
 pub use instrument::EngineTelemetry;
 pub use latency::{Latency, LatencyMatrix, LatencyModel, LatencyRow, ProceduralLatency};
 pub use node::NodeId;
-pub use sched::{BinaryHeapScheduler, CalendarQueue, Scheduler, SchedulerKind};
+pub use sched::CalendarQueue;
 pub use time::{SimDuration, SimTime};
 pub use topology::{TopologyGraph, TopologyKind};

@@ -1,47 +1,36 @@
-//! Pluggable event schedulers for the [`Engine`].
+//! The [`Engine`]'s event queue.
 //!
 //! The engine's hot loop is "pop the earliest event, run its handler,
-//! repeat". This module abstracts the priority-queue behind the
-//! [`Scheduler`] trait so the queue discipline can be swapped without
-//! touching any engine user:
+//! repeat". [`CalendarQueue`] is the one queue behind it: a calendar
+//! queue (Brown 1988), i.e. a bucketed timing wheel with amortised `O(1)`
+//! push/pop under the uniformly-spread event distributions a
+//! discrete-event network simulation produces.
 //!
-//! * [`BinaryHeapScheduler`] — the reference implementation: a plain
-//!   `std::collections::BinaryHeap`, `O(log n)` push/pop. Obviously
-//!   correct; kept as the differential-testing oracle.
-//! * [`CalendarQueue`] — the default: a hierarchical calendar queue
-//!   (Brown 1988), i.e. a bucketed timing wheel with amortised `O(1)`
-//!   push/pop under the uniformly-spread event distributions a
-//!   discrete-event network simulation produces.
-//!
-//! Both implementations pop events in exactly the same total order —
-//! ascending `(time, seq)`, where `seq` is the engine's monotone
-//! scheduling counter — so swapping schedulers cannot change any
-//! simulation result, only its wall-clock cost. The differential
-//! proptest `heap_vs_calendar_same_trajectory` (in the crate's test
-//! suite) and the byte-identical `results/*.csv` gate both enforce this.
+//! It pops in ascending `(time, seq)` order, where `seq` is the engine's
+//! monotone scheduling counter — a total order, so a run is a pure
+//! function of what was scheduled. A `std::collections::BinaryHeap` over
+//! the same keys is the obviously-correct oracle the proptest
+//! `calendar_pops_like_a_binary_heap` below compares it against; the
+//! engine-level trajectory is pinned by known-answer hashes in
+//! `engine.rs`.
 //!
 //! ```
-//! use simnet::{sched::{BinaryHeapScheduler, CalendarQueue, Scheduler}, SimTime};
+//! use simnet::sched::{CalendarQueue, Scheduled};
+//! use simnet::SimTime;
 //!
-//! // Drive both schedulers with the same (time, seq) stream and observe
-//! // the identical pop order. `W = ()` — the handler payload is unused here.
-//! let mut heap: BinaryHeapScheduler<()> = BinaryHeapScheduler::default();
-//! let mut cal: CalendarQueue<()> = CalendarQueue::default();
+//! let mut queue: CalendarQueue<()> = CalendarQueue::default();
 //! for (seq, t) in [5u64, 1, 5, 3].into_iter().enumerate() {
-//!     heap.push(simnet::sched::Scheduled::new(SimTime::from_secs(t), seq as u64, |_, _| {}));
-//!     cal.push(simnet::sched::Scheduled::new(SimTime::from_secs(t), seq as u64, |_, _| {}));
+//!     queue.push(Scheduled::new(SimTime::from_secs(t), seq as u64, |_, _| {}));
 //! }
-//! let order = |s: &mut dyn Scheduler<()>| {
-//!     std::iter::from_fn(|| s.pop().map(|ev| (ev.at(), ev.seq()))).collect::<Vec<_>>()
-//! };
-//! assert_eq!(order(&mut heap), order(&mut cal)); // (1s,1) (3s,3) (5s,0) (5s,2)
+//! let order: Vec<_> = std::iter::from_fn(|| queue.pop())
+//!     .map(|ev| (ev.at().as_micros() / 1_000_000, ev.seq()))
+//!     .collect();
+//! assert_eq!(order, [(1, 1), (3, 3), (5, 0), (5, 2)]);
 //! ```
 
 use crate::engine::Engine;
 use crate::time::SimTime;
 use std::cell::Cell;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 /// Boxed event handler: consumes the world and the engine that fired it.
@@ -58,7 +47,7 @@ pub struct Scheduled<W> {
 }
 
 impl<W> Scheduled<W> {
-    /// Build an event; used by the engine and by scheduler tests/benches.
+    /// Build an event; used by the engine and by the queue tests.
     pub fn new(
         at: SimTime,
         seq: u64,
@@ -81,92 +70,6 @@ impl<W> Scheduled<W> {
     pub fn seq(&self) -> u64 {
         self.seq
     }
-
-    /// Sort key: schedulers must pop in ascending `(at, seq)` order.
-    fn key(&self) -> (u64, u64) {
-        (self.at.0, self.seq)
-    }
-}
-
-impl<W> PartialEq for Scheduled<W> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<W> Eq for Scheduled<W> {}
-impl<W> PartialOrd for Scheduled<W> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<W> Ord for Scheduled<W> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse so a max-heap pops the earliest event; seq breaks ties
-        // FIFO.
-        other.key().cmp(&self.key())
-    }
-}
-
-/// A pending-event queue ordered by `(time, seq)`.
-///
-/// Implementations must pop events in ascending `(at, seq)` order — a
-/// *total* order, since `seq` is unique — so that every scheduler
-/// produces bit-identical simulations. The engine guarantees pushes are
-/// monotone in time relative to pops: an event is never pushed with a
-/// firing time earlier than the last popped event's time (scheduling in
-/// the past clamps to `now`).
-pub trait Scheduler<W> {
-    /// Enqueue an event.
-    fn push(&mut self, ev: Scheduled<W>);
-    /// Remove and return the event with the smallest `(at, seq)`.
-    fn pop(&mut self) -> Option<Scheduled<W>>;
-    /// Number of pending events.
-    fn len(&self) -> usize;
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Human-readable implementation name (reported by the perf harness).
-    fn name(&self) -> &'static str;
-    /// How many internal restructurings (e.g. calendar-queue rebuilds)
-    /// this scheduler has performed. Telemetry only; implementations
-    /// without such a notion report 0.
-    fn resizes(&self) -> u64 {
-        0
-    }
-}
-
-/// Reference scheduler: `std::collections::BinaryHeap`, `O(log n)`
-/// push/pop. Kept as the obviously-correct oracle for differential tests
-/// and as the perf-ablation baseline.
-pub struct BinaryHeapScheduler<W> {
-    heap: BinaryHeap<Scheduled<W>>,
-}
-
-impl<W> Default for BinaryHeapScheduler<W> {
-    fn default() -> Self {
-        BinaryHeapScheduler {
-            heap: BinaryHeap::new(),
-        }
-    }
-}
-
-impl<W> Scheduler<W> for BinaryHeapScheduler<W> {
-    fn push(&mut self, ev: Scheduled<W>) {
-        self.heap.push(ev);
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<W>> {
-        self.heap.pop()
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "binary-heap"
-    }
 }
 
 /// Smallest bucket count the calendar keeps (power of two).
@@ -174,7 +77,12 @@ const MIN_BUCKETS: usize = 16;
 /// Largest bucket count the calendar grows to (power of two).
 const MAX_BUCKETS: usize = 1 << 16;
 
-/// Calendar-queue scheduler (Brown 1988): the engine's default.
+/// Calendar queue (Brown 1988): the engine's pending-event queue.
+///
+/// Pops in ascending `(at, seq)` order — a *total* order, since `seq` is
+/// unique. The engine guarantees pushes are monotone in time relative to
+/// pops: an event is never pushed with a firing time earlier than the
+/// last popped event's time (scheduling in the past clamps to `now`).
 ///
 /// Events hash into `buckets.len()` day-buckets by `(at / width) %
 /// buckets.len()`; the calendar "year" is `buckets.len() * width`
@@ -295,10 +203,9 @@ impl<W> CalendarQueue<W> {
         self.len -= 1;
         self.buckets[i].pop()
     }
-}
 
-impl<W> Scheduler<W> for CalendarQueue<W> {
-    fn push(&mut self, ev: Scheduled<W>) {
+    /// Enqueue an event.
+    pub fn push(&mut self, ev: Scheduled<W>) {
         if self.len == 0 || ev.at.0 < self.bucket_top.saturating_sub(self.width) {
             // Empty calendar, or an event landing before the cursor's
             // current window (possible before the first pop): re-park the
@@ -312,7 +219,8 @@ impl<W> Scheduler<W> for CalendarQueue<W> {
         }
     }
 
-    fn pop(&mut self) -> Option<Scheduled<W>> {
+    /// Remove and return the event with the smallest `(at, seq)`.
+    pub fn pop(&mut self) -> Option<Scheduled<W>> {
         if self.len == 0 {
             return None;
         }
@@ -334,52 +242,53 @@ impl<W> Scheduler<W> for CalendarQueue<W> {
         self.pop_global_min()
     }
 
-    fn len(&self) -> usize {
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn name(&self) -> &'static str {
-        "calendar-queue"
+    /// Whether no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
-    fn resizes(&self) -> u64 {
+    /// How many rebuilds the queue has performed (telemetry only).
+    pub fn resizes(&self) -> u64 {
         self.resizes
-    }
-}
-
-/// Which [`Scheduler`] implementation an [`Engine`] uses.
-///
-/// [`Engine::new`](crate::Engine::new) uses the calendar queue; tests
-/// and the perf harness pass an explicit kind to
-/// [`Engine::with_kind`](crate::Engine::with_kind) to compare both.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// [`CalendarQueue`] — amortised `O(1)`, the default.
-    Calendar,
-    /// [`BinaryHeapScheduler`] — `O(log n)` reference implementation.
-    Heap,
-}
-
-impl SchedulerKind {
-    /// Instantiate a scheduler of this kind.
-    pub fn build<W: 'static>(self) -> Box<dyn Scheduler<W>> {
-        match self {
-            SchedulerKind::Calendar => Box::new(CalendarQueue::default()),
-            SchedulerKind::Heap => Box::new(BinaryHeapScheduler::default()),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The reference queue: `std::collections::BinaryHeap`, `O(log n)`
+    /// push/pop, obviously correct. It holds the `(at, seq)` keys only —
+    /// pop order is all the oracle is asked about.
+    #[derive(Default)]
+    struct BinaryHeapScheduler {
+        heap: BinaryHeap<Reverse<(u64, u64)>>,
+    }
+
+    impl BinaryHeapScheduler {
+        fn push(&mut self, at_us: u64, seq: u64) {
+            self.heap.push(Reverse((at_us, seq)));
+        }
+
+        fn pop(&mut self) -> Option<(u64, u64)> {
+            self.heap.pop().map(|Reverse(key)| key)
+        }
+    }
 
     fn ev(at_us: u64, seq: u64) -> Scheduled<()> {
         Scheduled::new(SimTime(at_us), seq, |_, _| {})
     }
 
-    fn drain(s: &mut dyn Scheduler<()>) -> Vec<(u64, u64)> {
-        std::iter::from_fn(|| s.pop().map(|e| (e.at.0, e.seq))).collect()
+    fn drain(q: &mut CalendarQueue<()>) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| q.pop().map(|e| (e.at.0, e.seq))).collect()
     }
 
     #[test]
@@ -425,42 +334,83 @@ mod tests {
         );
     }
 
-    #[test]
-    fn calendar_interleaves_push_pop_monotonically() {
-        // Mimic the engine contract: each push's time >= last popped time.
-        let mut q = CalendarQueue::default();
-        let mut heap = BinaryHeapScheduler::default();
-        let mut seq = 0u64;
-        let mut now = 0u64;
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            state >> 33
-        };
-        for _ in 0..200 {
-            for _ in 0..(next() % 4 + 1) {
-                let at = now + next() % 1_000_000;
-                q.push(ev(at, seq));
-                heap.push(ev(at, seq));
-                seq += 1;
-            }
-            for _ in 0..(next() % 3) {
-                let a = q.pop().map(|e| (e.at.0, e.seq));
-                let b = heap.pop().map(|e| (e.at.0, e.seq));
-                assert_eq!(a, b);
-                if let Some((at, _)) = a {
-                    now = at;
-                }
-            }
-        }
-        assert_eq!(drain(&mut q), drain(&mut heap));
+    /// The calendar and the heap under the same pushes, compared at
+    /// every pop. `now` is the last popped time: the engine never pushes
+    /// below it, and neither does `push`.
+    #[derive(Default)]
+    struct Both {
+        calendar: CalendarQueue<()>,
+        heap: BinaryHeapScheduler,
+        seq: u64,
+        now: u64,
     }
 
-    #[test]
-    fn kind_builds_named_schedulers() {
-        let c: Box<dyn Scheduler<()>> = SchedulerKind::Calendar.build();
-        let h: Box<dyn Scheduler<()>> = SchedulerKind::Heap.build();
-        assert_eq!(c.name(), "calendar-queue");
-        assert_eq!(h.name(), "binary-heap");
+    impl Both {
+        fn push(&mut self, delay_us: u64) {
+            let at = self.now + delay_us;
+            self.calendar.push(ev(at, self.seq));
+            self.heap.push(at, self.seq);
+            self.seq += 1;
+        }
+
+        /// Pop both; `Ok(false)` once empty, `Err` names a disagreement.
+        fn pop(&mut self) -> Result<bool, String> {
+            let got = self.calendar.pop().map(|e| (e.at.0, e.seq));
+            let want = self.heap.pop();
+            if got != want {
+                return Err(format!("calendar popped {got:?}, heap {want:?}"));
+            }
+            if let Some((at, _)) = got {
+                self.now = at;
+            }
+            Ok(got.is_some())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Differential test against the heap oracle: any interleaving of
+        /// pushes and pops that respects the engine's contract — ties at
+        /// `now`, bursts that force grow rebuilds, drains that force
+        /// shrink rebuilds, events more than a calendar year ahead (the
+        /// direct-scan fallback) — pops in the identical `(at, seq)` order.
+        #[test]
+        fn calendar_pops_like_a_binary_heap(ops in proptest::collection::vec(any::<u64>(), 1..300)) {
+            let mut both = Both::default();
+            let mut bursts = 0;
+            for raw in ops {
+                // Unpack one random word into an (op, argument) pair.
+                let (op, arg) = (raw % 8, raw >> 3);
+                match op {
+                    // A tie with whatever else fires at `now`.
+                    0 => both.push(0),
+                    1 | 2 => both.push(arg % 1_000_000),
+                    // Grow: the smallest calendar rebuilds above 32 events.
+                    3 => {
+                        bursts += 1;
+                        let span = 1 + (arg >> 8) % 10_000_000;
+                        for i in 0..40 + arg % 100 {
+                            both.push(arg.wrapping_mul(i + 1) % span);
+                        }
+                    }
+                    // Shrink: a grown calendar rebuilds once nearly empty.
+                    4 => {
+                        while both.calendar.len() > arg as usize % 8 {
+                            both.pop()?;
+                        }
+                    }
+                    // Hours ahead of a queue whose year is seconds at most.
+                    5 => both.push(10_000_000_000 + arg % 90_000_000_000_000),
+                    _ => {
+                        both.pop()?;
+                    }
+                }
+            }
+            while both.pop()? {}
+            prop_assert!(both.calendar.is_empty());
+            // Every burst grew the calendar and the final drain shrank it.
+            prop_assert!(bursts == 0 || both.calendar.resizes() >= 2);
+        }
     }
 }

@@ -5,8 +5,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simnet::trace::{Samples, Summary};
 use simnet::{
-    ChurnSchedule, Engine, EventHandle, FaultConfig, FaultPlan, LatencyMatrix,
-    LifetimeDistribution, NodeId, SchedulerKind, SimDuration, SimTime,
+    ChurnSchedule, Engine, FaultConfig, FaultPlan, LatencyMatrix, LifetimeDistribution, NodeId,
+    SimDuration, SimTime,
 };
 
 proptest! {
@@ -234,68 +234,6 @@ proptest! {
                 prop_assert!(c <= horizon);
             }
         }
-    }
-
-    /// Differential test: the binary-heap and calendar-queue schedulers
-    /// execute any generated workload — plain events, handler-spawned
-    /// children, cancellable timers (kept, cancelled immediately, or
-    /// cancelled later), interleaved partial `run_until` segments — in the
-    /// exact same order, tie-breaks included.
-    #[test]
-    fn heap_vs_calendar_same_trajectory(
-        ops in proptest::collection::vec(any::<u64>(), 1..150),
-        horizons in proptest::collection::vec(0u64..2_000_000, 1..6),
-    ) {
-        fn drive(kind: SchedulerKind, ops: &[u64], horizons: &[u64]) -> Vec<(u64, u64)> {
-            let mut engine: Engine<Vec<(u64, u64)>> = Engine::with_kind(kind);
-            let mut log: Vec<(u64, u64)> = Vec::new();
-            let mut held: Vec<EventHandle> = Vec::new();
-            for (i, &raw) in ops.iter().enumerate() {
-                // Unpack one random word into an (op, delay) pair.
-                let (op, delay) = ((raw % 4) as u8, (raw >> 2) % 500_000);
-                let label = i as u64;
-                match op {
-                    // Plain event whose handler sometimes spawns a child
-                    // (reentrant push while the queue is mid-drain).
-                    0 => engine.schedule_at(SimTime(delay), move |w: &mut Vec<(u64, u64)>, e| {
-                        w.push((e.now().as_micros(), label));
-                        if label.is_multiple_of(3) {
-                            e.schedule_in(SimDuration(1 + label % 1000), move |w, e| {
-                                w.push((e.now().as_micros(), label + 1_000_000));
-                            });
-                        }
-                    }),
-                    // Cancellable timer kept alive (may be cancelled by a
-                    // later op 3, else fires normally).
-                    1 => held.push(engine.schedule_cancellable(
-                        SimTime(delay),
-                        move |w: &mut Vec<(u64, u64)>, e| w.push((e.now().as_micros(), label)),
-                    )),
-                    // Cancelled before it can fire.
-                    2 => engine
-                        .schedule_cancellable(SimTime(delay), move |w: &mut Vec<(u64, u64)>, e| {
-                            w.push((e.now().as_micros(), label))
-                        })
-                        .cancel(),
-                    // Late cancellation of the most recent held timer.
-                    _ => {
-                        if let Some(h) = held.pop() {
-                            h.cancel();
-                        }
-                    }
-                }
-                // Interleave partial drains so events land both in an idle
-                // queue and a mid-run one.
-                if i % 7 == 3 {
-                    engine.run_until(&mut log, SimTime(horizons[i % horizons.len()]));
-                }
-            }
-            engine.run(&mut log);
-            log
-        }
-        let heap = drive(SchedulerKind::Heap, &ops, &horizons);
-        let calendar = drive(SchedulerKind::Calendar, &ops, &horizons);
-        prop_assert_eq!(heap, calendar);
     }
 
     /// SimTime/SimDuration arithmetic is consistent.

@@ -146,7 +146,8 @@ pub struct ProtocolNode {
     /// When each in-flight segment last left, for the ack round-trip
     /// histogram: `(mid, index)` → `sent_at_us`.
     inflight: HashMap<(MessageId, usize), u64>,
-    /// When the relay half last reclaimed expired path state.
+    /// When the relay half and the reassembler last reclaimed expired
+    /// state.
     last_sweep: SimTime,
     next_token: u64,
     policy: PolicyConfig,
@@ -434,11 +435,14 @@ impl ProtocolNode {
             }
         }
         // Constructions are what grow the relay half's state, so they pay
-        // for reclaiming what has expired, at most once per TTL.
+        // for reclaiming what has expired, at most once per TTL — and the
+        // responder half's with it: segments of messages whose sender gave
+        // up, and the ids of delivered ones.
         if matches!(wire, Wire::Construct { .. })
             && now.since(self.last_sweep) >= self.relay.state_ttl()
         {
             self.relay.sweep(now);
+            self.reassembler.sweep(now, self.relay.state_ttl());
             self.last_sweep = now;
         }
         // Everything else is relay/responder work, decided by the one
@@ -467,7 +471,7 @@ impl ProtocolNode {
                 }
                 if let Some(codec) = self.codec.as_ref() {
                     let seg = Segment::new(index, blob.clone());
-                    if let Ok(Some(msg)) = self.reassembler.push(mid, seg, codec.as_ref()) {
+                    if let Ok(Some(msg)) = self.reassembler.push(mid, seg, codec.as_ref(), now) {
                         self.events.completed.push((mid, msg));
                     }
                 }
@@ -616,9 +620,10 @@ mod tests {
     const MAX_RETRIES: u32 = 2;
 
     /// Initiator 0, responder 3, one established single-relay path per
-    /// entry of `relays`, one segment per path.
-    fn world(relays: &[NodeId]) -> Runtime<SimTransport> {
-        let codec = || Box::new(ErasureCodec::new(1, relays.len()).unwrap());
+    /// entry of `relays`, one segment per path, any `needed` of which
+    /// rebuild the message.
+    fn world(needed: usize, relays: &[NodeId]) -> Runtime<SimTransport> {
+        let codec = || Box::new(ErasureCodec::new(needed, relays.len()).unwrap());
         let mut rt = Runtime::new(SimTransport::new(
             ChurnSchedule::always_up(4, SimTime::from_secs(1 << 20)),
             LatencyMatrix::uniform(4, SimDuration::from_millis(10)),
@@ -646,7 +651,7 @@ mod tests {
 
     #[test]
     fn completed_messages_leave_the_outbox() {
-        let mut rt = world(&[NodeId(1), NodeId(2)]);
+        let mut rt = world(1, &[NodeId(1), NodeId(2)]);
         for m in 1..=5 {
             let mid = MessageId(m);
             rt.drive(INITIATOR, |n, out| {
@@ -665,7 +670,7 @@ mod tests {
 
     #[test]
     fn a_message_on_a_dead_path_leaves_the_outbox_after_max_retries() {
-        let mut rt = world(&[NodeId(1)]);
+        let mut rt = world(1, &[NodeId(1)]);
         rt.drive(NodeId(1), |n, _| n.crash_relay_state());
         let mid = MessageId(1);
         rt.drive(INITIATOR, |n, out| n.send_message(mid, b"lost", out))
@@ -684,7 +689,7 @@ mod tests {
     #[test]
     fn expired_relay_state_is_reclaimed_when_the_next_construction_arrives() {
         // Two paths through relay 1, then silence for longer than the TTL.
-        let mut rt = world(&[NodeId(1), NodeId(1)]);
+        let mut rt = world(1, &[NodeId(1), NodeId(1)]);
         let idle = anon_core::relay::DEFAULT_STATE_TTL.as_micros() + 1;
         // A token nobody armed: firing it only moves the clock.
         rt.transport.set_timer(INITIATOR, u64::MAX, idle);
@@ -701,6 +706,42 @@ mod tests {
         // Only the path just built is still held, at the relay and at
         // the responder.
         assert_eq!((cached(&rt, NodeId(1)), cached(&rt, RESPONDER)), (1, 1));
+    }
+
+    #[test]
+    fn stale_reassembly_state_is_reclaimed_when_the_next_construction_arrives() {
+        let mut rt = world(2, &[NodeId(1), NodeId(2)]);
+        let send = |rt: &mut Runtime<SimTransport>, m: u64| {
+            rt.drive(INITIATOR, |n, out| {
+                n.send_message(MessageId(m), &[m as u8; 300], out)
+            })
+            .unwrap();
+            rt.run_until_idle(0);
+        };
+        send(&mut rt, 1);
+        // Message 2 loses its second segment for good: relay 2 forgets
+        // the path and the sender has no retransmit left.
+        rt.drive(NodeId(2), |n, _| n.crash_relay_state());
+        rt.drive(INITIATOR, |n, _| n.policy.max_retries = 0);
+        send(&mut rt, 2);
+        let held = |rt: &Runtime<SimTransport>| {
+            let reassembler = &rt.node(RESPONDER).reassembler;
+            (reassembler.pending(), reassembler.completed())
+        };
+        assert_eq!(rt.node(RESPONDER).events.completed.len(), 1);
+        assert_eq!(held(&rt), (1, 1));
+
+        // Silence for longer than the TTL, then one more construction.
+        let idle = anon_core::relay::DEFAULT_STATE_TTL.as_micros() + 1;
+        rt.transport.set_timer(INITIATOR, u64::MAX, idle);
+        rt.run_until_idle(0);
+        assert_eq!(held(&rt), (1, 1), "nothing reclaims without a construction");
+        let hops: Vec<_> = [NodeId(1), RESPONDER]
+            .map(|hop| (hop, rt.node(hop).public_key()))
+            .into();
+        rt.drive(INITIATOR, |n, out| n.construct_paths(&[hops], out));
+        rt.run_until_idle(0);
+        assert_eq!(held(&rt), (0, 0));
     }
 
     #[test]
