@@ -55,7 +55,9 @@ const TAG_REDIRECT: u8 = 0x03;
 const TAG_DELIVER_WITH_KEY: u8 = 0x04;
 
 /// The initiator's private plan for one path: hop identities and the
-/// session keys planted at each hop. `hops[L]` is the responder.
+/// session keys planted at each hop. `hops[L]` is the responder, so a plan
+/// is never empty: [`build_construction_onion`] refuses an empty hop list
+/// and [`crate::cover::random_cover_plan`] appends the destination.
 #[derive(Clone, Debug)]
 pub struct PathPlan {
     /// Relay nodes followed by the responder (length `L + 1`).
@@ -72,7 +74,7 @@ impl PathPlan {
 
     /// The responder node.
     pub fn responder(&self) -> NodeId {
-        *self.hops.last().expect("plans have at least the responder")
+        self.hops[self.num_relays()]
     }
 
     /// The first relay (where the initiator sends everything).
@@ -137,6 +139,7 @@ pub fn build_construction_onion<R: Rng + CryptoRng>(
         blob = seal(&hop_keys[i].1, &layer, rng);
     }
 
+    // Non-empty, by the assertion above: `PathPlan::responder` relies on it.
     let plan = PathPlan {
         hops: hop_keys.iter().map(|&(n, _)| n).collect(),
         session_keys,
@@ -144,38 +147,49 @@ pub fn build_construction_onion<R: Rng + CryptoRng>(
     (plan, blob)
 }
 
+/// The `N` bytes of a layer at offset `at`, or `Malformed` when the layer
+/// ends before them.
+fn bytes_at<const N: usize>(layer: &[u8], at: usize) -> Result<[u8; N], AnonError> {
+    layer
+        .get(at..)
+        .and_then(|tail| tail.first_chunk::<N>())
+        .copied()
+        .ok_or(AnonError::Malformed("truncated onion layer"))
+}
+
+fn be_u32(layer: &[u8], at: usize) -> Result<u32, AnonError> {
+    bytes_at(layer, at).map(u32::from_be_bytes)
+}
+
 /// Peel one construction layer with the hop's secret key.
 pub fn peel_construction_layer(
     secret: &SecretKey,
     blob: &[u8],
 ) -> Result<ConstructionLayer, AnonError> {
-    let plaintext = sim_crypto::unseal(secret, blob)?;
+    let mut plaintext = unseal(secret, blob)?;
     match plaintext.first() {
         Some(&TAG_RELAY) => {
-            if plaintext.len() < 1 + 4 + 32 + 4 {
-                return Err(AnonError::Malformed("short relay construction layer"));
-            }
-            let next_hop = NodeId(u32::from_be_bytes(plaintext[1..5].try_into().unwrap()));
-            let mut key = [0u8; 32];
-            key.copy_from_slice(&plaintext[5..37]);
-            let inner_len = u32::from_be_bytes(plaintext[37..41].try_into().unwrap()) as usize;
-            if plaintext.len() != 41 + inner_len {
+            let next_hop = NodeId(be_u32(&plaintext, 1)?);
+            let session_key = SymmetricKey::from_bytes(bytes_at(&plaintext, 5)?);
+            let inner_len = be_u32(&plaintext, 37)? as usize;
+            if plaintext.len() - 41 != inner_len {
                 return Err(AnonError::Malformed("construction layer length mismatch"));
             }
+            // The successor's onion is the tail of the buffer `unseal`
+            // returned: drop the header, keep the allocation.
+            plaintext.drain(..41);
             Ok(ConstructionLayer::Relay {
                 next_hop,
-                session_key: SymmetricKey::from_bytes(key),
-                inner: plaintext[41..].to_vec(),
+                session_key,
+                inner: plaintext,
             })
         }
         Some(&TAG_TERMINAL) => {
             if plaintext.len() != 33 {
                 return Err(AnonError::Malformed("bad terminal construction layer"));
             }
-            let mut key = [0u8; 32];
-            key.copy_from_slice(&plaintext[1..33]);
             Ok(ConstructionLayer::Terminal {
-                session_key: SymmetricKey::from_bytes(key),
+                session_key: SymmetricKey::from_bytes(bytes_at(&plaintext, 1)?),
             })
         }
         _ => Err(AnonError::Malformed("unknown construction layer tag")),
@@ -310,25 +324,16 @@ fn parse_layer_header(plaintext: &[u8]) -> Result<(PeeledPayload, usize), AnonEr
     match plaintext.first() {
         Some(&TAG_FORWARD) => Ok((PeeledPayload::Forward, 1)),
         Some(&TAG_DELIVER) => {
-            if plaintext.len() < 13 {
-                return Err(AnonError::Malformed("short deliver layer"));
-            }
-            let mid = MessageId::from_bytes(plaintext[1..9].try_into().unwrap());
-            let index = u32::from_be_bytes(plaintext[9..13].try_into().unwrap()) as usize;
+            let mid = MessageId::from_bytes(bytes_at(plaintext, 1)?);
+            let index = be_u32(plaintext, 9)? as usize;
             Ok((PeeledPayload::Deliver { mid, index }, 13))
         }
         Some(&TAG_REDIRECT) => {
-            if plaintext.len() < 5 {
-                return Err(AnonError::Malformed("short redirect layer"));
-            }
-            let new_dest = NodeId(u32::from_be_bytes(plaintext[1..5].try_into().unwrap()));
+            let new_dest = NodeId(be_u32(plaintext, 1)?);
             Ok((PeeledPayload::Redirect { new_dest }, 5))
         }
         Some(&TAG_DELIVER_WITH_KEY) => {
-            if plaintext.len() < 5 {
-                return Err(AnonError::Malformed("short deliver-with-key layer"));
-            }
-            let sealed_len = u32::from_be_bytes(plaintext[1..5].try_into().unwrap()) as usize;
+            let sealed_len = be_u32(plaintext, 1)? as usize;
             if plaintext.len() - 5 < sealed_len {
                 return Err(AnonError::Malformed("deliver-with-key length mismatch"));
             }

@@ -7,11 +7,12 @@ use anon_core::onion::{
     peel_payload_layer_in_place, peel_reverse_payload_in_place, wrap_reverse_layer_in_place,
     ConstructionLayer, PeeledPayload,
 };
+use anon_core::AnonError;
 use erasure::Segment;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sim_crypto::{KeyPair, PublicKey};
+use sim_crypto::{seal, KeyPair, PublicKey};
 use simnet::NodeId;
 
 fn make_path(seed: u64, l: usize) -> (Vec<(NodeId, PublicKey)>, Vec<KeyPair>, StdRng) {
@@ -52,6 +53,56 @@ proptest! {
             ConstructionLayer::Terminal { .. }
         );
         prop_assert!(terminal);
+    }
+
+    /// What a relay finds inside a box sealed to it is the sender's to
+    /// choose: any bytes parse without a panic, and anything but a
+    /// well-formed layer is `Malformed`.
+    #[test]
+    fn sealed_garbage_is_malformed_not_a_panic(
+        shape in 0u8..4,
+        bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        seed in any::<u64>(),
+    ) {
+        let mut bytes = bytes;
+        // Raw bytes, a forced relay or terminal tag, or a relay layer whose
+        // length field is made to agree with what follows it.
+        match (shape, bytes.len()) {
+            (1, 1..) => bytes[0] = 0x01,
+            (2, 1..) => bytes[0] = 0x02,
+            (3, 41..) => {
+                bytes[0] = 0x01;
+                let inner_len = (bytes.len() - 41) as u32;
+                bytes[37..41].copy_from_slice(&inner_len.to_be_bytes());
+            }
+            _ => {}
+        }
+        let well_formed = match bytes.first() {
+            Some(0x01) => {
+                bytes.len() >= 41
+                    && u32::from_be_bytes(bytes[37..41].try_into().unwrap()) as usize
+                        == bytes.len() - 41
+            }
+            Some(0x02) => bytes.len() == 33,
+            _ => false,
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let relay = KeyPair::generate(&mut rng);
+        let blob = seal(&relay.public, &bytes, &mut rng);
+        match peel_construction_layer(&relay.secret, &blob) {
+            Ok(ConstructionLayer::Relay { next_hop, inner, .. }) => {
+                prop_assert!(well_formed && bytes[0] == 0x01);
+                prop_assert_eq!(next_hop.0.to_be_bytes(), bytes[1..5]);
+                prop_assert_eq!(inner, bytes[41..].to_vec());
+            }
+            Ok(ConstructionLayer::Terminal { .. }) => {
+                prop_assert!(well_formed && bytes[0] == 0x02);
+            }
+            Err(e) => {
+                prop_assert!(!well_formed, "refused a well-formed layer: {e}");
+                prop_assert!(matches!(e, AnonError::Malformed(_)), "{e}");
+            }
+        }
     }
 
     /// Payload onions carry arbitrary segments intact through any L.

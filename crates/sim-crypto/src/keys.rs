@@ -17,9 +17,16 @@ use rand::{CryptoRng, Rng};
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PublicKey(pub [u8; 32]);
 
-/// An X25519 secret scalar.
+/// An X25519 secret scalar, together with the public key it determines.
+///
+/// Like a [`SymmetricKey`]'s schedule, the public half is derived when the
+/// key is made: opening a sealed box needs it for the HKDF salt, and a
+/// relay opens one per construction onion under a key that never changes.
 #[derive(Clone)]
-pub struct SecretKey(pub(crate) [u8; 32]);
+pub struct SecretKey {
+    scalar: [u8; 32],
+    public: PublicKey,
+}
 
 /// A node's key pair.
 #[derive(Clone)]
@@ -52,17 +59,19 @@ impl SecretKey {
     pub fn generate<R: Rng + CryptoRng>(rng: &mut R) -> Self {
         let mut bytes = [0u8; 32];
         rng.fill_bytes(&mut bytes);
-        SecretKey(x25519::clamp_scalar(bytes))
+        let scalar = x25519::clamp_scalar(bytes);
+        let public = PublicKey(x25519::public_key(&scalar));
+        SecretKey { scalar, public }
     }
 
-    /// Derive the matching public key.
+    /// The matching public key.
     pub fn public_key(&self) -> PublicKey {
-        PublicKey(x25519::public_key(&self.0))
+        self.public
     }
 
     /// Raw Diffie–Hellman with a peer's public key.
     pub fn diffie_hellman(&self, peer: &PublicKey) -> [u8; 32] {
-        x25519::x25519(&self.0, &peer.0)
+        x25519::x25519(&self.scalar, &peer.0)
     }
 }
 
@@ -174,6 +183,25 @@ mod tests {
         assert_eq!(k1.public, k2.public);
         let k3 = KeyPair::generate(&mut StdRng::seed_from_u64(8));
         assert_ne!(k1.public, k3.public);
+    }
+
+    #[test]
+    fn secret_key_carries_its_public_key() {
+        use rand::RngCore;
+        // Deriving the public half consumes no randomness: after
+        // `generate`, the generator stands where 32 drawn bytes leave it.
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut twin = StdRng::seed_from_u64(4);
+        let kp = KeyPair::generate(&mut rng);
+        let mut drawn = [0u8; 32];
+        twin.fill_bytes(&mut drawn);
+        assert_eq!(rng.next_u64(), twin.next_u64());
+
+        let scalar = x25519::clamp_scalar(drawn);
+        assert_eq!(kp.public, kp.secret.public_key());
+        assert_eq!(kp.public, PublicKey(x25519::public_key(&scalar)));
+        assert_eq!(std::mem::size_of::<SecretKey>(), 64);
+        assert_eq!(format!("{:?}", kp.secret), "SecretKey(..)");
     }
 
     #[test]

@@ -124,6 +124,27 @@ impl Fe {
         ])
     }
 
+    /// Carry five wide column sums back to limbs below 2^51 (plus a small
+    /// excess in limb 1), folding the top carry in through 2^255 = 19.
+    #[inline]
+    fn carry(mut r: [u128; 5]) -> Fe {
+        for i in 0..4 {
+            r[i + 1] += r[i] >> 51;
+            r[i] &= MASK51 as u128;
+        }
+        let c = (r[4] >> 51) as u64;
+        r[4] &= MASK51 as u128;
+        let t0 = (r[0] as u64) + 19 * c;
+        Fe([
+            t0 & MASK51,
+            (r[1] as u64) + (t0 >> 51),
+            r[2] as u64,
+            r[3] as u64,
+            r[4] as u64,
+        ])
+    }
+
+    #[inline]
     fn mul(self, rhs: Fe) -> Fe {
         let a = self.0;
         let b = rhs.0;
@@ -133,84 +154,72 @@ impl Fe {
         let b2_19 = b[2] * 19;
         let b3_19 = b[3] * 19;
         let b4_19 = b[4] * 19;
-
-        let mut r0 =
-            m(a[0], b[0]) + m(a[1], b4_19) + m(a[2], b3_19) + m(a[3], b2_19) + m(a[4], b1_19);
-        let mut r1 =
-            m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19);
-        let mut r2 =
-            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19);
-        let mut r3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19);
-        let mut r4 = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
-
-        // Carry chain.
-        let mut c;
-        c = (r0 >> 51) as u64;
-        r0 &= MASK51 as u128;
-        r1 += c as u128;
-        c = (r1 >> 51) as u64;
-        r1 &= MASK51 as u128;
-        r2 += c as u128;
-        c = (r2 >> 51) as u64;
-        r2 &= MASK51 as u128;
-        r3 += c as u128;
-        c = (r3 >> 51) as u64;
-        r3 &= MASK51 as u128;
-        r4 += c as u128;
-        c = (r4 >> 51) as u64;
-        r4 &= MASK51 as u128;
-        let mut t0 = (r0 as u64) + 19 * c;
-        let mut t1 = r1 as u64;
-        let c2 = t0 >> 51;
-        t0 &= MASK51;
-        t1 += c2;
-        Fe([t0, t1, r2 as u64, r3 as u64, r4 as u64])
+        Fe::carry([
+            m(a[0], b[0]) + m(a[1], b4_19) + m(a[2], b3_19) + m(a[3], b2_19) + m(a[4], b1_19),
+            m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19),
+            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19),
+            m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19),
+            m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]),
+        ])
     }
 
+    /// `self * self` in 15 wide products: each of `mul`'s ten cross terms
+    /// appears twice, so it is computed once against a doubled (and, where
+    /// it wraps past 2^255, x19) limb. The column sums are `mul`'s exactly.
     #[inline]
     fn square(self) -> Fe {
-        self.mul(self)
+        let a = self.0;
+        debug_assert!(a.iter().all(|&l| l < 1 << 54));
+        let m = |x: u64, y: u64| (x as u128) * (y as u128);
+        let a0_2 = a[0] * 2;
+        let a1_2 = a[1] * 2;
+        let a1_38 = a[1] * 38;
+        let a2_38 = a[2] * 38;
+        let a3_19 = a[3] * 19;
+        let a3_38 = a[3] * 38;
+        let a4_19 = a[4] * 19;
+        Fe::carry([
+            m(a[0], a[0]) + m(a1_38, a[4]) + m(a2_38, a[3]),
+            m(a0_2, a[1]) + m(a2_38, a[4]) + m(a3_19, a[3]),
+            m(a0_2, a[2]) + m(a[1], a[1]) + m(a3_38, a[4]),
+            m(a0_2, a[3]) + m(a1_2, a[2]) + m(a4_19, a[4]),
+            m(a0_2, a[4]) + m(a1_2, a[3]) + m(a[2], a[2]),
+        ])
+    }
+
+    /// `self^(2^n)`.
+    fn square_n(mut self, n: u32) -> Fe {
+        for _ in 0..n {
+            self = self.square();
+        }
+        self
     }
 
     /// Multiply by the curve constant a24 = 121665.
+    #[inline]
     fn mul_small(self, k: u32) -> Fe {
-        let a = self.0;
         let k = k as u128;
-        let mut r = [
-            a[0] as u128 * k,
-            a[1] as u128 * k,
-            a[2] as u128 * k,
-            a[3] as u128 * k,
-            a[4] as u128 * k,
-        ];
-        let mut c;
-        for i in 0..4 {
-            c = (r[i] >> 51) as u64;
-            r[i] &= MASK51 as u128;
-            r[i + 1] += c as u128;
-        }
-        c = (r[4] >> 51) as u64;
-        r[4] &= MASK51 as u128;
-        let mut t0 = (r[0] as u64) + 19 * c;
-        let mut t1 = r[1] as u64;
-        let c2 = t0 >> 51;
-        t0 &= MASK51;
-        t1 += c2;
-        Fe([t0, t1, r[2] as u64, r[3] as u64, r[4] as u64])
+        Fe::carry(self.0.map(|l| l as u128 * k))
     }
 
     /// Inversion by Fermat's little theorem: self^(p-2).
     ///
-    /// The exponent 2^255 - 21 has every bit set except bits 2 and 4.
+    /// The exponent 2^255 - 21 is reached by the standard addition chain
+    /// (254 squarings, 11 multiplications); `zA_B` below is
+    /// self^(2^A - 2^B).
     fn invert(self) -> Fe {
-        let mut acc = Fe::ONE;
-        for i in (0..255).rev() {
-            acc = acc.square();
-            if i != 2 && i != 4 {
-                acc = acc.mul(self);
-            }
-        }
-        acc
+        let z2 = self.square();
+        let z9 = z2.square_n(2).mul(self);
+        let z11 = z9.mul(z2);
+        let z5_0 = z11.square().mul(z9);
+        let z10_0 = z5_0.square_n(5).mul(z5_0);
+        let z20_0 = z10_0.square_n(10).mul(z10_0);
+        let z40_0 = z20_0.square_n(20).mul(z20_0);
+        let z50_0 = z40_0.square_n(10).mul(z10_0);
+        let z100_0 = z50_0.square_n(50).mul(z50_0);
+        let z200_0 = z100_0.square_n(100).mul(z100_0);
+        let z250_0 = z200_0.square_n(50).mul(z50_0);
+        z250_0.square_n(5).mul(z11)
     }
 }
 
@@ -293,6 +302,99 @@ mod tests {
         d.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// The inversion this module used to ship: 255-step square-and-multiply
+    /// over the bits of p - 2 (all set but bits 2 and 4). Kept as the oracle
+    /// for the addition chain.
+    fn invert_bitwise(x: Fe) -> Fe {
+        let mut acc = Fe::ONE;
+        for i in (0..255).rev() {
+            acc = acc.mul(acc);
+            if i != 2 && i != 4 {
+                acc = acc.mul(x);
+            }
+        }
+        acc
+    }
+
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn random_bytes32(state: &mut u64) -> [u8; 32] {
+        let mut out = [0u8; 32];
+        for chunk in out.chunks_exact_mut(8) {
+            chunk.copy_from_slice(&splitmix64(state).to_le_bytes());
+        }
+        out
+    }
+
+    /// Where carries and the final reduction can go wrong, plus random
+    /// elements both reduced (as `from_bytes` makes them) and with limbs
+    /// anywhere below `mul`'s 2^54 bound.
+    fn field_samples() -> Vec<Fe> {
+        let p = Fe([MASK51 - 18, MASK51, MASK51, MASK51, MASK51]);
+        let mut samples = vec![
+            Fe::ZERO,
+            Fe::ONE,
+            Fe([MASK51 - 19, MASK51, MASK51, MASK51, MASK51]), // p - 1
+            p,
+            Fe::from_bytes(&[0xff; 32]), // 2^255 - 1 once bit 255 is masked
+            Fe([MASK51; 5]),
+            // What the ladder feeds `mul` and `square`: the sum of two
+            // reduced elements, and a difference (which adds 2p first).
+            Fe([MASK51; 5]).add(Fe([MASK51; 5])),
+            Fe([MASK51; 5]).sub(Fe::ZERO),
+            // The bound the debug_assert states.
+            Fe([(1 << 54) - 1; 5]),
+        ];
+        let mut state = 0x7748;
+        for _ in 0..64 {
+            samples.push(Fe::from_bytes(&random_bytes32(&mut state)));
+        }
+        for _ in 0..64 {
+            samples.push(Fe([0; 5].map(|_| splitmix64(&mut state) >> 10)));
+        }
+        samples
+    }
+
+    #[test]
+    fn square_equals_mul_by_self() {
+        for (i, x) in field_samples().into_iter().enumerate() {
+            let x2 = x.mul(x);
+            assert_eq!(x.square().to_bytes(), x2.to_bytes(), "sample {i}");
+            let x4 = x2.mul(x2);
+            assert_eq!(
+                x.square_n(3).to_bytes(),
+                x4.mul(x4).to_bytes(),
+                "sample {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn addition_chain_inversion_equals_bitwise() {
+        for (i, x) in field_samples().into_iter().enumerate() {
+            assert_eq!(
+                x.invert().to_bytes(),
+                invert_bitwise(x).to_bytes(),
+                "sample {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn public_key_is_ladder_on_base_point() {
+        let mut state = 9;
+        for _ in 0..64 {
+            let scalar = random_bytes32(&mut state);
+            assert_eq!(public_key(&scalar), x25519(&scalar, &BASE_POINT));
+        }
+    }
+
     #[test]
     fn rfc7748_vector_1() {
         let scalar = unhex32("a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4");
@@ -332,6 +434,27 @@ mod tests {
         assert_eq!(
             hex(&k),
             "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51"
+        );
+    }
+
+    /// RFC 7748 section 5.2 after 1 000 000 iterations (~40 s in release):
+    /// a million ladders on chained outputs, where the 1 000-iteration
+    /// vector might miss a rare carry. The expected value is the RFC's, and
+    /// was also reproduced on the ladder as it stood before `square` and
+    /// the addition-chain `invert` were written.
+    #[test]
+    #[ignore = "a million ladders; CI runs it in release"]
+    fn rfc7748_iterated_1000000() {
+        let mut k = BASE_POINT;
+        let mut u = BASE_POINT;
+        for _ in 0..1_000_000 {
+            let next = x25519(&k, &u);
+            u = k;
+            k = next;
+        }
+        assert_eq!(
+            hex(&k),
+            "7c3911e0ab2586fd864497297e575e6f3bc601c0883c30df5f4dd2d24f665424"
         );
     }
 
