@@ -10,11 +10,11 @@
 //! The `validate` experiment cross-checks the two layers on identical
 //! ground truth.
 
-use crate::endpoint::{Initiator, Outgoing};
+use crate::endpoint::{open_ack, Outgoing, CONSTRUCT_ACK};
 use crate::ids::{MessageId, StreamId};
 use crate::instrument::{wire_tag, DriverTelemetry};
 use crate::observe::ObservationLog;
-use crate::onion::{peel_reverse_payload_in_place, PathPlan};
+use crate::onion::PathPlan;
 use crate::pool::BufferPool;
 use crate::relay::{Relay, Step};
 use crate::wire::{self, Frame, Wire};
@@ -23,10 +23,6 @@ use rand::SeedableRng;
 use sim_crypto::{KeyPair, PublicKey, SymmetricKey};
 use simnet::{ChurnSchedule, Engine, EventHandle, FaultPlan, LatencyMatrix, NodeId, SimTime};
 use std::collections::HashMap;
-
-/// Sentinel message id carried by construction acks (reverse onions the
-/// responder sends when a path finishes forming under auto-ack).
-pub const CONSTRUCT_ACK: MessageId = MessageId(u64::MAX);
 
 /// A record of a segment arriving at the responder.
 #[derive(Clone, Debug)]
@@ -298,7 +294,7 @@ impl Driver {
         );
     }
 
-    /// Schedule a construction onion (from [`Initiator::construct_paths`])
+    /// Schedule a construction onion (from [`crate::endpoint::Initiator::construct_paths`])
     /// to leave the initiator at `at`.
     pub fn launch_construction(&mut self, msg: &Outgoing, at: SimTime) {
         let wire = Wire::Construct {
@@ -420,34 +416,26 @@ impl Driver {
                 w.relays.get_mut(&to).expect("known node").crash();
             }
         }
-        // Reverse traffic terminating at the initiator: peel all layers
-        // with the registered path plan and log the ack.
+        // Reverse traffic terminating at the initiator: open it with the
+        // registered path plan — gone if the path was torn down — and log
+        // the ack.
         if to == w.initiator {
             if let Wire::Reverse { mut blob } = wire {
-                let Some(plan) = w.plans.get(&sid) else {
-                    w.stateless_drops += 1;
-                    w.pool.put(blob);
-                    return;
-                };
-                match peel_reverse_payload_in_place(plan, &mut blob, None) {
-                    Ok((mid, index)) => {
-                        if mid == CONSTRUCT_ACK {
-                            w.established.push((sid, now));
-                        } else {
-                            if let Some(timer) = w.pending_acks.remove(&(mid, index)) {
-                                timer.cancel();
-                            }
-                            w.acks.push(AckRecord {
-                                mid,
-                                index,
-                                at: now,
-                            });
+                match w.plans.get(&sid).map(|plan| open_ack(plan, &mut blob)) {
+                    Some(Ok(None)) => w.established.push((sid, now)),
+                    Some(Ok(Some((mid, index)))) => {
+                        if let Some(timer) = w.pending_acks.remove(&(mid, index)) {
+                            timer.cancel();
                         }
+                        w.acks.push(AckRecord {
+                            mid,
+                            index,
+                            at: now,
+                        });
                     }
-                    Err(_) => w.stateless_drops += 1,
+                    Some(Err(_)) | None => w.stateless_drops += 1,
                 }
-                w.pool.put(blob);
-                return;
+                return w.pool.put(blob);
             }
         }
         // Everything else is relay/responder work: one shared dispatch,
@@ -510,52 +498,10 @@ impl Driver {
     }
 }
 
-/// Convenience harness for the validation experiment: construct `paths`
-/// at `t0`, then send `messages` (each erasure-coded by `codec`) at the
-/// given times, and return the driver for inspection.
-#[allow(clippy::too_many_arguments)] // a harness bundling one scenario's knobs
-pub fn run_message_level(
-    n: usize,
-    schedule: ChurnSchedule,
-    latency: LatencyMatrix,
-    initiator_id: NodeId,
-    responder_id: NodeId,
-    relay_paths: &[Vec<NodeId>],
-    t0: SimTime,
-    message_times: &[(MessageId, SimTime)],
-    codec: &dyn erasure::Codec,
-    seed: u64,
-) -> (Driver, Initiator) {
-    let mut driver = Driver::new(n, schedule, latency, initiator_id, seed);
-    let mut initiator = Initiator::new(initiator_id);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x51ed);
-
-    let hop_lists: Vec<Vec<(NodeId, PublicKey)>> = relay_paths
-        .iter()
-        .map(|p| driver.world.hops(p, responder_id))
-        .collect();
-    for msg in initiator.construct_paths(&hop_lists, &mut rng) {
-        driver.launch_construction(&msg, t0);
-    }
-
-    let payload = vec![0xEEu8; 1024];
-    for &(mid, at) in message_times {
-        let out = initiator
-            .send_message(mid, &payload, codec, None, &mut rng)
-            .expect("paths exist");
-        for msg in &out {
-            driver.launch_payload(msg, at);
-        }
-    }
-    let horizon = message_times.iter().map(|&(_, t)| t).max().unwrap_or(t0)
-        + simnet::SimDuration::from_secs(60);
-    driver.run_until(horizon);
-    (driver, initiator)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::endpoint::Initiator;
     use erasure::ErasureCodec;
     use simnet::{FaultConfig, LifetimeDistribution, SimDuration};
 
@@ -590,24 +536,28 @@ mod tests {
     #[test]
     fn segments_deliver_and_arrival_times_match_topology() {
         let (schedule, latency) = always_up(12);
-        let paths = vec![
+        let paths = [
             vec![NodeId(1), NodeId(2), NodeId(3)],
             vec![NodeId(4), NodeId(5), NodeId(6)],
         ];
         let codec = ErasureCodec::new(1, 2).unwrap();
-        let times = [(MessageId(5), SimTime::from_secs(2))];
-        let (driver, _) = run_message_level(
-            12,
-            schedule,
-            latency,
-            NodeId(0),
-            NodeId(11),
-            &paths,
-            SimTime::from_secs(1),
-            &times,
-            &codec,
-            3,
-        );
+        let mut driver = Driver::new(12, schedule, latency, NodeId(0), 3);
+        let mut initiator = Initiator::new(NodeId(0));
+        let mut rng = StdRng::seed_from_u64(3 ^ 0x51ed);
+        let hop_lists: Vec<_> = paths
+            .iter()
+            .map(|p| driver.world.hops(p, NodeId(11)))
+            .collect();
+        for msg in initiator.construct_paths(&hop_lists, &mut rng) {
+            driver.launch_construction(&msg, SimTime::from_secs(1));
+        }
+        let out = initiator
+            .send_message(MessageId(5), &[0xEE; 1024], &codec, None, &mut rng)
+            .unwrap();
+        for msg in &out {
+            driver.launch_payload(msg, SimTime::from_secs(2));
+        }
+        driver.run_until(SimTime::from_secs(62));
         assert_eq!(driver.world.deliveries.len(), 2, "both segments arrive");
         for d in &driver.world.deliveries {
             assert_eq!(d.mid, MessageId(5));

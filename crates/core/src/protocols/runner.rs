@@ -513,7 +513,7 @@ pub fn run_recovery_experiment_observed(
     // the first/last relay of the path it rode (for observation gating).
     fn record_flow_segment(fl: &mut FlowTruth, at: SimTime, sid: StreamId, initiator: &Initiator) {
         fl.sent_at.push(at);
-        if let Some(p) = initiator.paths().iter().find(|p| p.sid == sid) {
+        if let Some(p) = initiator.path(sid) {
             let hops = &p.plan.hops;
             fl.first_relays.push(hops[0]);
             fl.last_relays.push(hops[hops.len().saturating_sub(2)]);
@@ -705,27 +705,23 @@ pub fn run_recovery_experiment_observed(
             }
         }
         let mut msg_wire_segments = n_seg as u64;
-        let mut seg_sid: HashMap<usize, StreamId> = HashMap::new();
         let mut deadline = t + cfg.recovery.ack_timeout;
         for (i, o) in out.iter().enumerate() {
             driver.launch_payload(o, t);
             driver.arm_ack_timer(mid, i, deadline);
-            seg_sid.insert(i, o.sid);
         }
 
-        let mut acked: HashSet<usize> = HashSet::new();
         let mut attempt = 0u32;
         loop {
             driver.run_until(deadline);
             for a in driver.world.acks.drain(..) {
                 acks_total += 1;
-                if a.mid == mid {
-                    acked.insert(a.index);
-                }
+                initiator.note_ack(a.mid, a.index, a.at);
             }
             timeouts_total += driver.world.ack_timeouts.len() as u64;
             driver.world.ack_timeouts.clear();
-            if acked.len() >= needed || attempt >= cfg.recovery.retry_budget {
+            let missing = initiator.missing(mid);
+            if n_seg - missing.len() >= needed || attempt >= cfg.recovery.retry_budget {
                 break;
             }
             attempt += 1;
@@ -734,19 +730,18 @@ pub fn run_recovery_experiment_observed(
             // missing segments; localizations run concurrently, so the
             // wall-clock cost is the slowest one. ----
             let mut t_now = deadline;
-            let missing: Vec<usize> = (0..n_seg).filter(|i| !acked.contains(i)).collect();
             // Segment-index order, each path once: the order decides the
             // order of `blamed` and so which relays BLAME_MEMORY forgets.
             let mut suspects: Vec<StreamId> = Vec::new();
-            for sid in missing.iter().filter_map(|i| seg_sid.get(i)) {
-                if !suspects.contains(sid) {
-                    suspects.push(*sid);
+            for seg in missing.iter().filter_map(|&i| initiator.segment(mid, i)) {
+                if !suspects.contains(&seg.path) {
+                    suspects.push(seg.path);
                 }
             }
             let mut recovery_done = t_now;
             let mut to_drop: Vec<StreamId> = Vec::new();
             for sid in suspects {
-                let Some(path) = initiator.paths().iter().find(|p| p.sid == sid) else {
+                let Some(path) = initiator.path(sid) else {
                     continue;
                 };
                 let relays: Vec<NodeId> = path.plan.hops[..path.plan.hops.len() - 1].to_vec();
@@ -783,7 +778,7 @@ pub fn run_recovery_experiment_observed(
             }
             for sid in &to_drop {
                 timeout_streak.remove(sid);
-                if let Some(p) = initiator.paths().iter().find(|p| p.sid == *sid) {
+                if let Some(p) = initiator.path(*sid) {
                     driver.launch_release(p.plan.first_hop(), *sid, recovery_done);
                 }
                 initiator.drop_path(*sid);
@@ -817,22 +812,17 @@ pub fn run_recovery_experiment_observed(
             // needed, with an exponentially backed-off deadline. ----
             for a in driver.world.acks.drain(..) {
                 acks_total += 1;
-                if a.mid == mid {
-                    acked.insert(a.index);
-                }
+                initiator.note_ack(a.mid, a.index, a.at);
             }
-            let still_missing: Vec<usize> = (0..n_seg).filter(|i| !acked.contains(i)).collect();
+            // The round's slot rule: its `j`-th missing segment rides path
+            // `j mod k` of the repaired set.
+            let still_missing: Vec<(usize, usize)> =
+                initiator.missing(mid).into_iter().zip(0..).collect();
             if still_missing.is_empty() {
                 break;
             }
             let retx = initiator
-                .resend_segments(
-                    mid,
-                    &payload,
-                    codec.as_ref(),
-                    &still_missing,
-                    &mut proto_rng,
-                )
+                .resend(mid, codec.as_ref(), &still_missing, &mut proto_rng)
                 .expect("paths exist");
             retransmits += retx.len() as u64;
             msg_wire_segments += retx.len() as u64;
@@ -845,10 +835,9 @@ pub fn run_recovery_experiment_observed(
                 cfg.recovery.ack_timeout.as_secs_f64() * cfg.recovery.backoff.powi(attempt as i32),
             );
             deadline = t_now + wait;
-            for (j, o) in retx.iter().enumerate() {
+            for (&(index, _), o) in still_missing.iter().zip(&retx) {
                 driver.launch_payload(o, t_now);
-                driver.arm_ack_timer(mid, still_missing[j], deadline);
-                seg_sid.insert(still_missing[j], o.sid);
+                driver.arm_ack_timer(mid, index, deadline);
             }
         }
 

@@ -161,7 +161,8 @@ pub fn in_reset_window(
     now_us >= start && now_us < start + window_us
 }
 
-fn link_word(from: NodeId, to: NodeId) -> u64 {
+/// The directed link `from → to` as one hash word for [`hash_unit`].
+pub fn link_word(from: NodeId, to: NodeId) -> u64 {
     ((from.0 as u64) << 32) | to.0 as u64
 }
 

@@ -43,7 +43,7 @@
 use crate::policy::Priority;
 use crate::{Transport, TransportError, TransportEvent};
 use anon_core::wire::{decode_frame_vec, encode_frame, Frame};
-use simnet::fault::{hash_unit, in_reset_window};
+use simnet::fault::{hash_unit, in_reset_window, link_word};
 use simnet::NodeId;
 use std::collections::HashMap;
 
@@ -174,10 +174,6 @@ impl ChaosConfig {
 pub struct ChaosPlan {
     cfg: ChaosConfig,
     seed: u64,
-}
-
-fn link_word(from: NodeId, to: NodeId) -> u64 {
-    ((from.0 as u64) << 32) | to.0 as u64
 }
 
 impl ChaosPlan {

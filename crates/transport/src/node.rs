@@ -14,9 +14,7 @@
 
 use crate::instrument::NodeTelemetry;
 use crate::policy::PolicyConfig;
-use anon_core::driver::CONSTRUCT_ACK;
-use anon_core::endpoint::{Initiator, Reassembler};
-use anon_core::onion::{build_payload_onion, peel_reverse_payload_in_place, PathPlan};
+use anon_core::endpoint::{Initiator, Outgoing, Reassembler, CONSTRUCT_ACK};
 use anon_core::relay::{Relay, Step};
 use anon_core::wire::{Frame, Wire};
 use anon_core::{AnonError, MessageId, StreamId};
@@ -25,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_crypto::{KeyPair, PublicKey};
 use simnet::{NodeId, SimDuration, SimTime};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Default end-to-end ack deadline for live nodes (1 s).
 pub const DEFAULT_ACK_TIMEOUT_US: u64 = 1_000_000;
@@ -122,33 +120,19 @@ pub struct ProtocolNode {
     rng: StdRng,
     auto_ack: bool,
     codec: Option<Box<dyn Codec>>,
-    initiator: Option<Initiator>,
+    /// Initiator half: paths, and the ledger of what was sent and acked.
+    /// The node adds only time — when deadlines are armed and fire.
+    initiator: Initiator,
     /// Responder-side segment reassembly.
     reassembler: Reassembler,
-    /// Initiator side: where in `initiator.paths()` the path of a stream
-    /// id sits, so a reverse onion finds its plan without the node keeping
-    /// a second copy of every session key. Paths are never dropped here.
-    path_index: HashMap<StreamId, usize>,
-    /// Outgoing messages kept for erasure-aware retransmission, until no
-    /// segment of theirs can be retransmitted again (`retire_if_settled`).
-    outbox: HashMap<MessageId, Vec<u8>>,
-    /// Segments acked so far, per message.
-    acked: HashMap<MessageId, HashSet<usize>>,
-    /// Total segment count per in-flight message.
-    want: HashMap<MessageId, usize>,
-    /// Armed ack-deadline timers: `(mid, index)` → token.
-    pending_acks: HashMap<(MessageId, usize), u64>,
-    /// Reverse map: token → the segment it guards.
-    timer_purpose: HashMap<u64, (MessageId, usize)>,
-    /// Retransmits already spent per segment (dropped with the message's
-    /// `outbox` entry).
-    retries: HashMap<(MessageId, usize), u32>,
-    /// When each in-flight segment last left, for the ack round-trip
-    /// histogram: `(mid, index)` → `sent_at_us`.
-    inflight: HashMap<(MessageId, usize), u64>,
+    /// Armed ack-deadline timers: token → the segment it guards (the
+    /// ledger holds the other direction).
+    timers: HashMap<u64, (MessageId, usize)>,
     /// When the relay half and the reassembler last reclaimed expired
     /// state.
     last_sweep: SimTime,
+    /// When the initiator half's ledger last did.
+    ledger_swept: SimTime,
     next_token: u64,
     policy: PolicyConfig,
     /// The caller's clock as of the last `handle`/`set_now`, letting
@@ -171,17 +155,11 @@ impl ProtocolNode {
             rng: StdRng::seed_from_u64(seed),
             auto_ack: false,
             codec: None,
-            initiator: None,
+            initiator: Initiator::new(id),
             reassembler: Reassembler::new(),
-            path_index: HashMap::new(),
-            outbox: HashMap::new(),
-            acked: HashMap::new(),
-            want: HashMap::new(),
-            pending_acks: HashMap::new(),
-            timer_purpose: HashMap::new(),
-            retries: HashMap::new(),
-            inflight: HashMap::new(),
+            timers: HashMap::new(),
             last_sweep: SimTime::ZERO,
+            ledger_swept: SimTime::ZERO,
             next_token: 1,
             policy: PolicyConfig::default(),
             now_hint: 0,
@@ -208,18 +186,6 @@ impl ProtocolNode {
     /// incoming messages (initiator and responder roles).
     pub fn with_codec(mut self, codec: Box<dyn Codec>) -> Self {
         self.codec = Some(codec);
-        self
-    }
-
-    /// Override the end-to-end ack deadline.
-    pub fn with_ack_timeout_us(mut self, us: u64) -> Self {
-        self.policy.ack_timeout_us = us;
-        self
-    }
-
-    /// Override the per-segment retransmit budget.
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.policy.max_retries = retries;
         self
     }
 
@@ -267,37 +233,24 @@ impl ProtocolNode {
 
     /// Paths whose construction ack has arrived.
     pub fn established_paths(&self) -> usize {
-        self.initiator
-            .as_ref()
-            .map(|i| i.paths().iter().filter(|p| p.established).count())
-            .unwrap_or(0)
+        self.initiator.established()
     }
 
     /// This initiator's paths: `(stream id, first hop, established)`.
     pub fn paths(&self) -> Vec<(StreamId, NodeId, bool)> {
         self.initiator
-            .as_ref()
-            .map(|i| {
-                i.paths()
-                    .iter()
-                    .map(|p| (p.sid, p.plan.first_hop(), p.established))
-                    .collect()
-            })
-            .unwrap_or_default()
+            .paths()
+            .iter()
+            .map(|p| (p.sid, p.plan.first_hop(), p.established))
+            .collect()
     }
 
-    /// The plan of the path this node built under stream id `sid`.
-    fn plan(&self, sid: StreamId) -> Option<&PathPlan> {
-        let &i = self.path_index.get(&sid)?;
-        Some(&self.initiator.as_ref()?.paths().get(i)?.plan)
-    }
-
-    /// Whether every segment of `mid` has been acked end to end.
+    /// Whether every segment of `mid` has been acked end to end. A
+    /// message's record is reclaimed one state TTL after it settled (every
+    /// segment acked or out of retry budget); from then on its id answers
+    /// `false`, like one never sent.
     pub fn message_complete(&self, mid: MessageId) -> bool {
-        match (self.acked.get(&mid), self.want.get(&mid)) {
-            (Some(acked), Some(&want)) => acked.len() >= want,
-            _ => false,
-        }
+        self.initiator.is_complete(mid)
     }
 
     /// Build `k` construction onions (one per hop list, responder last)
@@ -307,14 +260,7 @@ impl ProtocolNode {
         paths_hops: &[Vec<(NodeId, PublicKey)>],
         out: &mut Vec<Output>,
     ) {
-        let id = self.id;
-        let initiator = self.initiator.get_or_insert_with(|| Initiator::new(id));
-        let start = initiator.paths().len();
-        let msgs = initiator.construct_paths(paths_hops, &mut self.rng);
-        for (i, p) in initiator.paths().iter().enumerate().skip(start) {
-            self.path_index.insert(p.sid, i);
-        }
-        for msg in msgs {
+        for msg in self.initiator.construct_paths(paths_hops, &mut self.rng) {
             out.push(Output::Send {
                 to: msg.to,
                 frame: Frame::Stream {
@@ -330,7 +276,9 @@ impl ProtocolNode {
 
     /// Erasure-code `message`, send one payload onion per segment over
     /// the node's paths (segment `i` on path `i mod k`), and arm an ack
-    /// deadline for each. Initiator role; requires a codec.
+    /// deadline for each. Initiator role; requires a codec. This call is
+    /// what grows the ledger, so it pays for reclaiming settled records,
+    /// at most once per state TTL.
     pub fn send_message(
         &mut self,
         mid: MessageId,
@@ -339,26 +287,18 @@ impl ProtocolNode {
     ) -> Result<(), AnonError> {
         let codec = self
             .codec
-            .as_ref()
+            .as_deref()
             .ok_or(AnonError::InvalidParameters("no codec attached".into()))?;
-        let initiator = self
+        let (now, ttl) = (SimTime(self.now_hint), self.relay.state_ttl());
+        if now.since(self.ledger_swept) >= ttl {
+            self.initiator.sweep(now, ttl);
+            self.ledger_swept = now;
+        }
+        let msgs = self
             .initiator
-            .as_mut()
-            .ok_or(AnonError::InvalidParameters("no paths constructed".into()))?;
-        let msgs = initiator.send_message(mid, message, codec.as_ref(), None, &mut self.rng)?;
-        self.outbox.insert(mid, message.to_vec());
-        self.want.insert(mid, msgs.len());
-        self.acked.entry(mid).or_default();
+            .send_message(mid, message, codec, None, &mut self.rng)?;
         for (index, msg) in msgs.into_iter().enumerate() {
-            self.inflight.insert((mid, index), self.now_hint);
-            out.push(Output::Send {
-                to: msg.to,
-                frame: Frame::Stream {
-                    sid: msg.sid,
-                    wire: Wire::Payload { blob: msg.blob },
-                },
-            });
-            self.arm_ack_timer(mid, index, out);
+            self.launch(mid, index, msg, out);
         }
         Ok(())
     }
@@ -384,31 +324,21 @@ impl ProtocolNode {
         }
     }
 
-    /// Forget `mid`'s payload and retry counters once no ack deadline of
-    /// it is armed: every segment is then either acked or out of retry
-    /// budget, so nothing can ask for the payload again. `acked`/`want`
-    /// stay, keeping [`ProtocolNode::message_complete`] answerable.
-    fn retire_if_settled(&mut self, mid: MessageId) {
-        let want = self.want.get(&mid).copied().unwrap_or(0);
-        if (0..want).any(|index| self.pending_acks.contains_key(&(mid, index))) {
-            return;
-        }
-        self.outbox.remove(&mid);
-        for index in 0..want {
-            self.retries.remove(&(mid, index));
-        }
-    }
-
-    fn alloc_token(&mut self) -> u64 {
-        let t = self.next_token;
+    /// Send segment `index` of `mid` as the payload onion `msg` and arm
+    /// its ack deadline.
+    fn launch(&mut self, mid: MessageId, index: usize, msg: Outgoing, out: &mut Vec<Output>) {
+        out.push(Output::Send {
+            to: msg.to,
+            frame: Frame::Stream {
+                sid: msg.sid,
+                wire: Wire::Payload { blob: msg.blob },
+            },
+        });
+        let token = self.next_token;
         self.next_token += 1;
-        t
-    }
-
-    fn arm_ack_timer(&mut self, mid: MessageId, index: usize, out: &mut Vec<Output>) {
-        let token = self.alloc_token();
-        self.pending_acks.insert((mid, index), token);
-        self.timer_purpose.insert(token, (mid, index));
+        self.timers.insert(token, (mid, index));
+        self.initiator
+            .arm(mid, index, token, SimTime(self.now_hint));
         out.push(Output::SetTimer {
             token,
             after_us: self.policy.ack_timeout_us.max(1),
@@ -425,13 +355,12 @@ impl ProtocolNode {
     ) {
         let now = SimTime(now_us);
         // Reverse traffic on a stream this node built terminates here as
-        // the initiator: peel all layers with the path's plan.
+        // the initiator; on any other stream it is relay work, below.
         if let Wire::Reverse { blob } = &mut wire {
-            if let Some(plan) = self.plan(sid) {
-                return match peel_reverse_payload_in_place(plan, blob, None) {
-                    Ok((mid, index)) => self.on_ack(now_us, sid, mid, index, out),
-                    Err(_) => self.note_stateless_drop(),
-                };
+            match self.initiator.open_ack(sid, blob, now) {
+                Err(AnonError::UnknownStream) => {}
+                Ok(acked) => return self.on_ack(now_us, sid, acked, out),
+                Err(_) => return self.note_stateless_drop(),
             }
         }
         // Constructions are what grow the relay half's state, so they pay
@@ -485,41 +414,39 @@ impl ProtocolNode {
         }
     }
 
-    /// Initiator side: the reverse onion on path `sid` peeled to an ack for
-    /// segment `index` of `mid` (or to the path's construction ack).
+    /// Initiator side: the reverse onion on path `sid` acked a segment —
+    /// `(mid, index, token of the deadline that disarmed)` — or, `None`,
+    /// the path's construction; the ledger has booked either.
     fn on_ack(
         &mut self,
         now_us: u64,
         sid: StreamId,
-        mid: MessageId,
-        index: usize,
+        acked: Option<(MessageId, usize, Option<u64>)>,
         out: &mut Vec<Output>,
     ) {
-        if mid == CONSTRUCT_ACK {
+        let Some((mid, index, disarmed)) = acked else {
             self.events.established.push((sid, now_us));
             if let Some(t) = &self.telemetry {
                 t.established.inc();
             }
-            if let Some(init) = self.initiator.as_mut() {
-                init.mark_established(sid);
-            }
             return;
-        }
-        if let Some(token) = self.pending_acks.remove(&(mid, index)) {
-            self.timer_purpose.remove(&token);
-            out.push(Output::CancelTimer { token });
-        }
-        if let Some(sent_at) = self.inflight.remove(&(mid, index)) {
-            if let Some(t) = &self.telemetry {
-                t.ack_rtt_us.record(now_us.saturating_sub(sent_at));
-            }
-        }
-        self.acked.entry(mid).or_default().insert(index);
+        };
         self.events.acks.push((mid, index, now_us));
         if let Some(t) = &self.telemetry {
             t.acks.inc();
         }
-        self.retire_if_settled(mid);
+        let Some(token) = disarmed else {
+            return; // a duplicate, or later than its last deadline
+        };
+        self.timers.remove(&token);
+        out.push(Output::CancelTimer { token });
+        if let Some(t) = &self.telemetry {
+            let sent_at = self
+                .initiator
+                .segment(mid, index)
+                .map_or(now_us, |s| s.sent_at.0);
+            t.ack_rtt_us.record(now_us.saturating_sub(sent_at));
+        }
     }
 
     /// Responder's ack for segment `index` of `mid`, written into `buf`
@@ -556,55 +483,34 @@ impl ProtocolNode {
     /// instead of hammered: retry `r` of segment `i` rides path
     /// `(i + r) mod k` — the behavior the driver-equivalence test pins.
     fn on_timer(&mut self, now_us: u64, token: u64, out: &mut Vec<Output>) {
-        let Some((mid, index)) = self.timer_purpose.remove(&token) else {
+        let Some((mid, index)) = self.timers.remove(&token) else {
             return; // stale token (cancelled and re-fired in a race)
         };
-        self.pending_acks.remove(&(mid, index));
-        if self.acked.get(&mid).is_some_and(|a| a.contains(&index)) {
-            return; // ack raced the timer through the transport
-        }
+        let retries = match self.initiator.segment(mid, index) {
+            Some(seg) if !seg.acked => seg.retries,
+            _ => return, // ack raced the timer through the transport
+        };
         self.events.ack_timeouts.push((mid, index, now_us));
         if let Some(t) = &self.telemetry {
             t.ack_timeouts.inc();
         }
-        let retry = self.retries.entry((mid, index)).or_insert(0);
-        *retry += 1;
-        if *retry > self.policy.max_retries {
-            self.inflight.remove(&(mid, index));
-            self.retire_if_settled(mid);
-            return;
-        }
-        let retry = *retry;
-        let (Some(codec), Some(init), Some(message)) = (
-            self.codec.as_ref(),
-            self.initiator.as_ref(),
-            self.outbox.get(&mid),
-        ) else {
+        let slot = index + retries as usize + 1;
+        let resent = match self.codec.as_deref() {
+            Some(codec) if retries < self.policy.max_retries => self
+                .initiator
+                .resend(mid, codec, &[(index, slot)], &mut self.rng)
+                .ok(),
+            _ => None,
+        };
+        let Some(msg) = resent.and_then(|mut msgs| msgs.pop()) else {
+            self.initiator.disarm(mid, index);
             return;
         };
-        let k = init.paths().len();
-        if k == 0 {
-            return;
-        }
-        let segments = codec.encode(message);
-        let Some(segment) = segments.get(index) else {
-            return;
-        };
-        let path = &init.paths()[(index + retry as usize) % k];
-        let (blob, _) = build_payload_onion(&path.plan, mid, segment, None, &mut self.rng);
         self.events.retransmits += 1;
         if let Some(t) = &self.telemetry {
             t.retransmits.inc();
         }
-        self.inflight.insert((mid, index), now_us);
-        out.push(Output::Send {
-            to: path.plan.first_hop(),
-            frame: Frame::Stream {
-                sid: path.sid,
-                wire: Wire::Payload { blob },
-            },
-        });
-        self.arm_ack_timer(mid, index, out);
+        self.launch(mid, index, msg, out);
     }
 }
 
@@ -632,7 +538,10 @@ mod tests {
         for i in 0..4 {
             let mut node = ProtocolNode::new(NodeId(i), KeyPair::generate(&mut keyrng), i.into());
             if node.id == INITIATOR {
-                node = node.with_codec(codec()).with_max_retries(MAX_RETRIES);
+                node = node.with_codec(codec()).with_policy(&PolicyConfig {
+                    max_retries: MAX_RETRIES,
+                    ..PolicyConfig::default()
+                });
             } else if node.id == RESPONDER {
                 node = node.with_auto_ack().with_codec(codec());
             }
@@ -658,13 +567,17 @@ mod tests {
                 n.send_message(mid, &[m as u8; 300], out)
             })
             .unwrap();
-            assert!(rt.node(INITIATOR).outbox.contains_key(&mid));
+            assert_eq!(rt.node(INITIATOR).initiator.ledger_len().1, 1);
             rt.run_until_idle(0);
             assert!(rt.node(INITIATOR).message_complete(mid));
         }
         let node = rt.node(INITIATOR);
-        assert!(node.outbox.is_empty(), "payloads outlived their acks");
-        assert!(node.retries.is_empty());
+        assert_eq!(
+            node.initiator.ledger_len().1,
+            0,
+            "payloads outlived their acks"
+        );
+        assert!(node.timers.is_empty());
         assert!((1..=5).all(|m| node.message_complete(MessageId(m))));
     }
 
@@ -675,15 +588,59 @@ mod tests {
         let mid = MessageId(1);
         rt.drive(INITIATOR, |n, out| n.send_message(mid, b"lost", out))
             .unwrap();
-        assert!(rt.node(INITIATOR).outbox.contains_key(&mid));
+        assert_eq!(rt.node(INITIATOR).initiator.ledger_len().1, 1);
         rt.run_until_idle(0);
         let node = rt.node(INITIATOR);
         // The first send and every retransmit timed out, then it gave up.
         assert_eq!(node.events.ack_timeouts.len() as u32, MAX_RETRIES + 1);
         assert_eq!(node.events.retransmits, u64::from(MAX_RETRIES));
         assert!(!node.message_complete(mid));
-        assert!(node.outbox.is_empty(), "payload outlived its retry budget");
-        assert!(node.retries.is_empty());
+        assert_eq!(
+            node.initiator.ledger_len().1,
+            0,
+            "payload outlived its retry budget"
+        );
+        assert!(node.timers.is_empty());
+    }
+
+    #[test]
+    fn settled_messages_are_reclaimed_after_the_ttl() {
+        let mut rt = world(1, &[NodeId(1), NodeId(2)]);
+        let send = |rt: &mut Runtime<SimTransport>, m: u64| {
+            rt.drive(INITIATOR, |n, out| {
+                n.send_message(MessageId(m), &[m as u8; 300], out)
+            })
+            .unwrap();
+            rt.run_until_idle(0);
+        };
+        // Messages 1–3 are acked in full; 4 loses one segment for good and
+        // settles by running out of retry budget.
+        (1..=3).for_each(|m| send(&mut rt, m));
+        rt.drive(NodeId(2), |n, _| n.crash_relay_state());
+        rt.drive(INITIATOR, |n, _| n.policy.max_retries = 0);
+        send(&mut rt, 4);
+        let node = rt.node(INITIATOR);
+        assert_eq!(
+            node.initiator.ledger_len().0,
+            4,
+            "records answer until the TTL"
+        );
+        assert!(node.message_complete(MessageId(3)) && !node.message_complete(MessageId(4)));
+
+        // Silence for longer than the TTL: nothing reclaims without a send;
+        // the next send drops the four settled records, not its own.
+        let idle = anon_core::relay::DEFAULT_STATE_TTL.as_micros() + 1;
+        rt.transport.set_timer(INITIATOR, u64::MAX, idle);
+        rt.run_until_idle(0);
+        assert_eq!(rt.node(INITIATOR).initiator.ledger_len().0, 4);
+        rt.drive(INITIATOR, |n, out| n.send_message(MessageId(5), b"x", out))
+            .unwrap();
+        let node = rt.node(INITIATOR);
+        assert_eq!(node.initiator.ledger_len().0, 1);
+        assert!(
+            !node.message_complete(MessageId(3)),
+            "a swept id answers false"
+        );
     }
 
     #[test]
