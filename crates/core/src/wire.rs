@@ -37,8 +37,11 @@ use std::fmt;
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"PANR";
 
-/// Current protocol version.
-pub const VERSION: u8 = 1;
+/// Current protocol version. 2 is the ChaCha20-Poly1305 payload layer
+/// (`sim_crypto::symmetric`); it replaced 1 (ChaCha20 + HMAC-SHA-256) with
+/// the same frame lengths, so the version byte is what tells a v1 peer
+/// apart before its every layer fails authentication.
+pub const VERSION: u8 = 2;
 
 /// Fixed header length: magic (4) + version (1) + type (1) + body length
 /// (4).
@@ -510,6 +513,19 @@ mod tests {
             } => assert_eq!(blob.capacity(), cap, "same backing buffer"),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// The version this one replaced is refused at the header, by name:
+    /// there is no negotiation and no v1 code path left to fall back to.
+    #[test]
+    fn version_1_header_is_rejected() {
+        let mut v1 = encode_frame(&Frame::Stream {
+            sid: StreamId(1),
+            wire: Wire::Payload { blob: vec![0; 44] },
+        });
+        assert_eq!(v1[4], VERSION);
+        v1[4] = 1;
+        assert_eq!(decode_frame(&v1), Err(WireError::UnsupportedVersion(1)));
     }
 
     #[test]

@@ -23,14 +23,16 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
 /// The cipher's input state for (key, counter, nonce): constants, key
 /// words, block counter in word 12, nonce words.
 fn init_state(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u32; 16] {
+    let le32 =
+        |bytes: &[u8], i: usize| u32::from_le_bytes(std::array::from_fn(|j| bytes[4 * i + j]));
     let mut state = [0u32; 16];
     state[..4].copy_from_slice(&SIGMA);
-    for (word, bytes) in state[4..12].iter_mut().zip(key.chunks_exact(4)) {
-        *word = u32::from_le_bytes(bytes.try_into().expect("chunks_exact(4)"));
+    for (i, word) in state[4..12].iter_mut().enumerate() {
+        *word = le32(key, i);
     }
     state[12] = counter;
-    for (word, bytes) in state[13..].iter_mut().zip(nonce.chunks_exact(4)) {
-        *word = u32::from_le_bytes(bytes.try_into().expect("chunks_exact(4)"));
+    for (i, word) in state[13..].iter_mut().enumerate() {
+        *word = le32(nonce, i);
     }
     state
 }

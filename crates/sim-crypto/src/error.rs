@@ -7,6 +7,9 @@ pub enum CryptoError {
     Truncated,
     /// Authentication tag mismatch: wrong key or tampered ciphertext.
     BadTag,
+    /// Longer than one nonce's keystream can cover
+    /// ([`crate::symmetric::MAX_PLAINTEXT_LEN`]).
+    TooLong,
 }
 
 impl fmt::Display for CryptoError {
@@ -14,6 +17,7 @@ impl fmt::Display for CryptoError {
         match self {
             CryptoError::Truncated => write!(f, "ciphertext truncated"),
             CryptoError::BadTag => write!(f, "authentication tag mismatch"),
+            CryptoError::TooLong => write!(f, "message exceeds one nonce's keystream"),
         }
     }
 }

@@ -5,16 +5,15 @@ use crate::sha256::{block_midstate, sha256, Sha256, BLOCK_LEN, DIGEST_LEN};
 /// An HMAC-SHA-256 key with its pad blocks already hashed: the SHA-256
 /// chaining values after `key ^ ipad` and after `key ^ opad`. A MAC under
 /// it costs only the message's own blocks plus one for the outer hash, so
-/// whoever MACs many messages under one key (a relay's session key, the
-/// blocks of one HKDF expansion) keeps this instead of the key bytes.
-#[derive(Clone, Copy)]
-pub(crate) struct HmacKey {
+/// whoever MACs several messages under one key (the blocks of one HKDF
+/// expansion) keeps this instead of the key bytes.
+struct HmacKey {
     inner: [u32; 8],
     outer: [u32; 8],
 }
 
 impl HmacKey {
-    pub(crate) fn new(key: &[u8]) -> Self {
+    fn new(key: &[u8]) -> Self {
         let mut k = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
             k[..DIGEST_LEN].copy_from_slice(&sha256(key));
@@ -29,7 +28,7 @@ impl HmacKey {
 
     /// MAC over the concatenation of `parts`, streamed into the hash so
     /// callers never materialise the joined message. Allocation-free.
-    pub(crate) fn mac(&self, parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
+    fn mac(&self, parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
         let mut inner = Sha256::after_block(self.inner);
         for part in parts {
             inner.update(part);

@@ -5,11 +5,12 @@
 //! paper pays for a path once, at construction, and every frame afterwards
 //! costs a relay one symmetric layer under the planted `R_i`. The key
 //! therefore carries what [`crate::symmetric`] needs per layer (the
-//! ChaCha20 key and the HMAC pad states HKDF derives from `R_i`) next to
-//! the 32 bytes that travel in the construction onion, and whoever stores
-//! the key per path entry stores the schedule with it.
+//! ChaCha20 key HKDF derives from `R_i`; the Poly1305 key is per nonce and
+//! comes out of the cipher) next to the 32 bytes that travel in the
+//! construction onion, and whoever stores the key per path entry stores
+//! the derived key with it.
 
-use crate::hmac::{hkdf, HmacKey};
+use crate::hmac::hkdf;
 use crate::x25519;
 use rand::{CryptoRng, Rng};
 
@@ -19,7 +20,7 @@ pub struct PublicKey(pub [u8; 32]);
 
 /// An X25519 secret scalar, together with the public key it determines.
 ///
-/// Like a [`SymmetricKey`]'s schedule, the public half is derived when the
+/// Like a [`SymmetricKey`]'s cipher key, the public half is derived when the
 /// key is made: opening a sealed box needs it for the HKDF salt, and a
 /// relay opens one per construction onion under a key that never changes.
 #[derive(Clone)]
@@ -85,16 +86,15 @@ impl KeyPair {
 }
 
 /// A 256-bit symmetric key: the per-hop session key `R_i` the initiator
-/// plants at each relay during path construction, together with the key
-/// schedule derived from it (128 bytes in all, still `Copy`).
+/// plants at each relay during path construction, together with the
+/// ChaCha20 key derived from it (64 bytes in all, `Copy`).
 ///
 /// Identity is the 32 key bytes: equality and hashing look at nothing
-/// else, and the schedule is a pure function of them.
+/// else, and the derived key is a pure function of them.
 #[derive(Clone, Copy)]
 pub struct SymmetricKey {
     bytes: [u8; 32],
     enc: [u8; 32],
-    mac: HmacKey,
 }
 
 impl PartialEq for SymmetricKey {
@@ -130,32 +130,18 @@ impl SymmetricKey {
         self.bytes
     }
 
-    /// Deserialize, and expand: one HKDF over the key bytes (12 SHA-256
-    /// compressions, once per key instead of once per layer).
+    /// Deserialize, and derive the symmetric layer's ChaCha20 key (wire
+    /// v2): `HKDF(salt = "p2p-anon/sym/v2", ikm = R_i, info = "enc")`, once
+    /// per key instead of once per layer.
     pub fn from_bytes(bytes: [u8; 32]) -> Self {
-        let (enc, mac) = derive_keys(&bytes);
-        SymmetricKey { bytes, enc, mac }
+        let enc = hkdf(b"p2p-anon/sym/v2", &bytes, b"enc");
+        SymmetricKey { bytes, enc }
     }
 
     /// ChaCha20 key of the symmetric layer.
     pub(crate) fn enc_key(&self) -> &[u8; 32] {
         &self.enc
     }
-
-    /// HMAC key of the symmetric layer's tag.
-    pub(crate) fn mac_key(&self) -> &HmacKey {
-        &self.mac
-    }
-}
-
-/// Encryption and MAC keys of the symmetric layer (wire v1):
-/// `HKDF(salt = "p2p-anon/sym/v1", ikm = R_i, info = "enc|mac")`, first
-/// half ChaCha20 key, second half HMAC key.
-fn derive_keys(bytes: &[u8; 32]) -> ([u8; 32], HmacKey) {
-    let okm: [u8; 64] = hkdf(b"p2p-anon/sym/v1", bytes, b"enc|mac");
-    let mut enc = [0u8; 32];
-    enc.copy_from_slice(&okm[..32]);
-    (enc, HmacKey::new(&okm[32..]))
 }
 
 #[cfg(test)]
@@ -223,15 +209,14 @@ mod tests {
     fn symmetric_key_identity_is_its_bytes() {
         use std::hash::{BuildHasher, RandomState};
         // Every path entry holds one by value.
-        assert!(std::mem::size_of::<SymmetricKey>() <= 128);
+        assert!(std::mem::size_of::<SymmetricKey>() <= 64);
         let a = SymmetricKey::from_bytes([1; 32]);
         let b = SymmetricKey::from_bytes([2; 32]);
         assert_ne!(a, b);
-        // Same bytes under a foreign schedule: still the same key.
+        // Same bytes under a foreign derived key: still the same key.
         let grafted = SymmetricKey {
             bytes: a.bytes,
             enc: b.enc,
-            mac: b.mac,
         };
         assert_eq!(grafted, a);
         let hasher = RandomState::new();

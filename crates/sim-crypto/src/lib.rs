@@ -10,14 +10,16 @@
 //! * [`sha256`] — FIPS 180-4 SHA-256.
 //! * [`hmac`] — RFC 2104 HMAC-SHA-256 and RFC 5869 HKDF.
 //! * [`chacha20`] — RFC 8439 ChaCha20 stream cipher.
+//! * [`poly1305`] — RFC 8439 Poly1305 one-time authenticator.
 //! * [`x25519`] — RFC 7748 X25519 Diffie–Hellman over Curve25519.
 //! * [`keys`] — key pairs, node identities, and the per-hop session key
-//!   that carries its own key schedule.
+//!   that carries its derived cipher key.
 //! * [`sealed`] — hybrid public-key encryption ("sealed boxes"):
 //!   ephemeral X25519 + HKDF + ChaCha20 + HMAC tag (encrypt-then-MAC),
 //!   used for onion layers at path-construction time.
 //! * [`symmetric`] — authenticated symmetric encryption with the per-hop
-//!   session keys `R_i`, used for payload onions.
+//!   session keys `R_i` (the ChaCha20-Poly1305 AEAD of RFC 8439), used for
+//!   payload onions.
 //!
 //! # Security disclaimer
 //!
@@ -31,6 +33,7 @@
 pub mod chacha20;
 pub mod hmac;
 pub mod keys;
+pub mod poly1305;
 pub mod sealed;
 pub mod sha256;
 pub mod symmetric;
