@@ -128,11 +128,12 @@ pub fn choose_path<R: Rng>(
     now: SimTime,
     rng: &mut R,
 ) -> Result<Vec<NodeId>, AnonError> {
-    Ok(
-        choose_disjoint_paths(cache, 1, l, exclude, strategy, now, rng)?
-            .pop()
-            .expect("k = 1 yields one path"),
-    )
+    choose_disjoint_paths(cache, 1, l, exclude, strategy, now, rng)?
+        .pop()
+        .ok_or(AnonError::NotEnoughRelays {
+            needed: l,
+            available: 0,
+        })
 }
 
 #[cfg(test)]

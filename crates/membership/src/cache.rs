@@ -77,10 +77,10 @@ impl CacheEntry {
     }
 }
 
-/// `NodeId → V` table for ids that are *not* a dense `0..n` range (a
-/// 256-of-1M sampled view, the set of tracked initiators). Ids are
-/// simulator-generated indices, never outside input, so std's keyed
-/// SipHash buys nothing here and costs most of a lookup.
+/// `NodeId → V` table for ids that are *not* a dense `0..n` range (the set
+/// of tracked initiators of a sampled layer). Ids are simulator-generated
+/// indices, never outside input, so std's keyed SipHash buys nothing here
+/// and costs most of a lookup.
 pub(crate) type IdMap<V> = HashMap<NodeId, V, BuildHasherDefault<IdHasher>>;
 
 /// One multiply (Fibonacci hashing) and a fold, so hashbrown's bucket index
@@ -109,8 +109,10 @@ impl Hasher for IdHasher {
 
 /// The two layouts behind [`NodeCache`]. Which one a cache gets follows
 /// from how it is built, because the two traffic shapes are real: full
-/// views over a universe of a few thousand ids, and 256-entry samples of a
-/// million.
+/// views over a universe of a few thousand ids, updated entry by entry
+/// every gossip round, and 256-entry samples of a million, built once from
+/// distinct ids, read by full scans and point-updated only by a death
+/// notice.
 #[derive(Clone, Debug)]
 enum Store {
     /// Slot `i` holds node `i`'s entry; `len` counts the occupied slots.
@@ -119,8 +121,12 @@ enum Store {
         slots: Vec<Option<CacheEntry>>,
         len: usize,
     },
-    /// Hash table keyed by id, for views whose ids are sparse.
-    Table(IdMap<CacheEntry>),
+    /// `(id, entry)` pairs in insertion order, ids distinct, for views
+    /// whose ids are sparse. A lookup is a linear scan: these views hold a
+    /// few hundred entries and are read whole (mix choice ranks every
+    /// entry), so a hash table's buckets cost more to fill and to walk
+    /// than they save.
+    List(Vec<(NodeId, CacheEntry)>),
 }
 
 // The slot layout's memory claim rests on `dead: bool` giving `Option` a
@@ -134,8 +140,9 @@ const _: () = assert!(std::mem::size_of::<Option<CacheEntry>>() == 32);
 /// [`NodeCache::bootstrap`] over a dense id universe `0..n` (the gossip and
 /// OneHop layers) stores id-indexed slots, while [`NodeCache::new`] /
 /// [`NodeCache::with_capacity`] (sampled views, hand-built caches) start a
-/// hash table, since a slot per id cannot exist for a 256-of-1M sample.
-/// Behaviour is identical; iteration order is unspecified in both.
+/// flat list of `(id, entry)` pairs, since a slot per id cannot exist for
+/// a 256-of-1M sample. Behaviour is identical; iteration order is
+/// unspecified in both.
 ///
 /// ```
 /// use membership::{NodeCache, LivenessInfo};
@@ -168,7 +175,7 @@ impl Default for NodeCache {
 /// layouts, so callers stay statically dispatched.
 enum Entries<'a> {
     Slots(std::iter::Enumerate<std::slice::Iter<'a, Option<CacheEntry>>>),
-    Table(std::collections::hash_map::Iter<'a, NodeId, CacheEntry>),
+    List(std::slice::Iter<'a, (NodeId, CacheEntry)>),
 }
 
 impl<'a> Iterator for Entries<'a> {
@@ -179,7 +186,7 @@ impl<'a> Iterator for Entries<'a> {
             Entries::Slots(slots) => {
                 slots.find_map(|(i, slot)| slot.as_ref().map(|entry| (NodeId(i as u32), entry)))
             }
-            Entries::Table(table) => table.next().map(|(&node, entry)| (node, entry)),
+            Entries::List(list) => list.next().map(|(node, entry)| (*node, entry)),
         }
     }
 }
@@ -191,13 +198,17 @@ impl NodeCache {
     }
 
     /// Empty cache with room for `capacity` peers, so a view of known size
-    /// is filled without rehashing.
+    /// is filled without reallocating.
     pub fn with_capacity(capacity: usize) -> Self {
+        NodeCache::from_distinct(Vec::with_capacity(capacity))
+    }
+
+    /// A list-layout cache holding exactly `list`, whose ids the caller
+    /// has already made distinct (a sampled view dedupes its draws before
+    /// it computes a single entry).
+    pub(crate) fn from_distinct(list: Vec<(NodeId, CacheEntry)>) -> Self {
         NodeCache {
-            store: Store::Table(IdMap::with_capacity_and_hasher(
-                capacity,
-                Default::default(),
-            )),
+            store: Store::List(list),
         }
     }
 
@@ -206,7 +217,7 @@ impl NodeCache {
     ///
     /// The ids are taken to be (most of) a universe `0..n` and stored as
     /// id-indexed slots; a sparse set, where that would waste more than
-    /// half the slots, gets the table instead.
+    /// half the slots, gets the list instead.
     pub fn bootstrap(nodes: impl IntoIterator<Item = NodeId>) -> Self {
         let entry = CacheEntry {
             delta_alive: SimDuration::ZERO,
@@ -236,7 +247,7 @@ impl NodeCache {
     pub fn len(&self) -> usize {
         match &self.store {
             Store::Slots { len, .. } => *len,
-            Store::Table(table) => table.len(),
+            Store::List(list) => list.len(),
         }
     }
 
@@ -258,7 +269,7 @@ impl NodeCache {
     pub fn get(&self, node: NodeId) -> Option<&CacheEntry> {
         match &self.store {
             Store::Slots { slots, .. } => slots.get(node.index())?.as_ref(),
-            Store::Table(table) => table.get(&node),
+            Store::List(list) => list.iter().find(|(id, _)| *id == node).map(|(_, e)| e),
         }
     }
 
@@ -266,7 +277,7 @@ impl NodeCache {
     fn get_mut(&mut self, node: NodeId) -> Option<&mut CacheEntry> {
         match &mut self.store {
             Store::Slots { slots, .. } => slots.get_mut(node.index())?.as_mut(),
-            Store::Table(table) => table.get_mut(&node),
+            Store::List(list) => list.iter_mut().find(|(id, _)| *id == node).map(|(_, e)| e),
         }
     }
 
@@ -284,19 +295,20 @@ impl NodeCache {
                     self.insert(node, entry);
                 }
             },
-            Store::Table(table) => {
-                table.insert(node, entry);
-            }
+            Store::List(list) => match list.iter_mut().find(|(id, _)| *id == node) {
+                Some((_, slot)) => *slot = entry,
+                None => list.push((node, entry)),
+            },
         }
     }
 
-    /// An id beyond the bootstrap universe arrived: move to the table
+    /// An id beyond the bootstrap universe arrived: move to the list
     /// layout rather than grow slots up to an arbitrary id. No simulated
     /// overlay does this (its universe is fixed at construction); it keeps
     /// the type total over `NodeId`.
     #[cold]
     fn spill(&mut self) {
-        self.store = Store::Table(self.entries().map(|(n, e)| (n, *e)).collect());
+        self.store = Store::List(self.entries().map(|(n, e)| (n, *e)).collect());
     }
 
     /// Direct update: we heard *from* `node` with its self-reported uptime
@@ -362,7 +374,13 @@ impl NodeCache {
                 *len -= usize::from(removed);
                 removed
             }
-            Store::Table(table) => table.remove(&node).is_some(),
+            Store::List(list) => match list.iter().position(|(id, _)| *id == node) {
+                Some(i) => {
+                    list.swap_remove(i);
+                    true
+                }
+                None => false,
+            },
         }
     }
 
@@ -380,7 +398,7 @@ impl NodeCache {
                     }
                 }
             }
-            Store::Table(table) => table.retain(|_, e| fresh(e)),
+            Store::List(list) => list.retain(|(_, e)| fresh(e)),
         }
         before - self.len()
     }
@@ -399,7 +417,7 @@ impl NodeCache {
     pub fn entries(&self) -> impl Iterator<Item = (NodeId, &CacheEntry)> + '_ {
         match &self.store {
             Store::Slots { slots, .. } => Entries::Slots(slots.iter().enumerate()),
-            Store::Table(table) => Entries::Table(table.iter()),
+            Store::List(list) => Entries::List(list.iter()),
         }
     }
 
@@ -412,10 +430,9 @@ impl NodeCache {
         rng: &mut R,
     ) -> Vec<NodeId> {
         let mut candidates: Vec<NodeId> = self.nodes().filter(|n| !exclude.contains(n)).collect();
-        // The table layout iterates in an order that depends on insertion
-        // history; sort so the seeded shuffle sees the same input whatever
-        // the layout (slots already iterate in id order, where this is one
-        // linear pass).
+        // The list layout iterates in insertion order; sort so the seeded
+        // shuffle sees the same input whatever the layout (slots already
+        // iterate in id order, where this is one linear pass).
         candidates.sort_unstable();
         candidates.shuffle(rng);
         candidates.truncate(count);

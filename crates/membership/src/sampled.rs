@@ -12,14 +12,45 @@
 //! memory is O(tracked × view_size) — independent of `n`.
 //!
 //! The layer stays inside the crate's determinism contract: construction
-//! draws exactly one `u64` from the caller's RNG, and everything else is
-//! pure in `(seed, node, peer, time)`. Two runs with the same seed see the
-//! same views with the same staleness, byte for byte.
+//! draws exactly one `u64` from the caller's RNG, and a view is a pure
+//! function of `(seed, node, t, schedule)`. Peers are drawn as
+//! `hash(seed, node, attempt) mod n` for `attempt = 0, 1, …` until
+//! `view_size` (clamped to `n − 1`) distinct ones are found; the first
+//! occurrence of an id wins and the owner is never its own peer. Two runs
+//! with the same seed see the same views with the same staleness, byte
+//! for byte.
+//!
+//! # How a view is built
+//!
+//! Biased mix choice ranks *every* entry of a view, so none of the
+//! `view_size` schedule probes can be skipped; what can be chosen is their
+//! order. Probing entry by entry makes one long dependent chain — hash,
+//! offset table, session pool, store — whose two cache-missing loads never
+//! overlap with the next entry's. `build_cache` therefore works in passes,
+//! each a short loop of independent iterations, so the core has many
+//! loads in flight where the chain had one:
+//!
+//! 1. *who* — draw and dedupe the peer ids;
+//! 2. *when* — every entry's hash-jittered observation age;
+//! 3. *where* — every peer's session span (the offset-table loads);
+//! 4. *what* — every binary search ([`Session::containing`], the
+//!    session-pool loads), writing Δt_alive or a death notice.
+//!
+//! Passes 1, 2 and 4 write straight into the `(id, entry)` list that
+//! becomes the view's [`NodeCache`]; a `track` allocates nothing else. Two
+//! things are scratch: the `drawn` bitset of the [`SampledView`] (one bit
+//! per node id, dedupe for pass 1, zero again when the pass ends) and a
+//! fixed-size stack array holding one block of spans between passes 3
+//! and 4.
 
-use crate::cache::{IdMap, NodeCache};
-use crate::liveness::LivenessInfo;
+use crate::cache::{CacheEntry, IdMap, NodeCache};
 use rand::Rng;
-use simnet::{ChurnSchedule, NodeId, SimDuration, SimTime};
+use simnet::{ChurnSchedule, NodeId, Session, SimDuration, SimTime};
+
+/// Peers per block of the span-fetch and search passes: enough
+/// independent loads to fill the core's miss queue several times over,
+/// small enough that the fetched spans sit in a stack array.
+const BLOCK: usize = 64;
 
 /// Parameters for the sampled-view layer.
 #[derive(Clone, Copy, Debug)]
@@ -53,11 +84,14 @@ fn hash3(seed: u64, a: u64, b: u64) -> u64 {
     mix64(seed ^ mix64(a ^ mix64(b)))
 }
 
-/// One tracked node's materialized view.
+/// One node's materialized state.
 #[derive(Clone)]
 struct Tracked {
     cache: NodeCache,
-    refreshed_at: SimTime,
+    /// Whether `cache` is a sampled view ([`SampledView::track`] built it)
+    /// and so is rebuilt by [`SampledView::advance`], or only the record
+    /// of first-hand deaths [`SampledView::cache_mut`] started.
+    sampled: bool,
 }
 
 /// A membership layer whose views are deterministic samples refreshed from
@@ -88,6 +122,9 @@ pub struct SampledView {
     seed: u64,
     now: SimTime,
     tracked: IdMap<Tracked>,
+    /// Scratch for pass 1 of `build_cache`: one bit per node id, set while
+    /// that id is in the view being drawn, all zero between builds.
+    drawn: Vec<u64>,
 }
 
 impl SampledView {
@@ -101,6 +138,7 @@ impl SampledView {
             seed: rng.gen::<u64>(),
             now: SimTime::ZERO,
             tracked: IdMap::default(),
+            drawn: vec![0; n.div_ceil(64)],
         }
     }
 
@@ -124,38 +162,67 @@ impl SampledView {
         self.tracked.contains_key(&node)
     }
 
-    /// Build `node`'s view fresh from ground truth at time `t`.
-    fn build_cache(&self, node: NodeId, schedule: &ChurnSchedule, t: SimTime) -> NodeCache {
-        let k = self.view_size();
-        let mut cache = NodeCache::with_capacity(k);
+    /// Build `node`'s view fresh from ground truth at time `t`, in the
+    /// passes the module docs describe.
+    fn build_cache(&mut self, node: NodeId, schedule: &ChurnSchedule, t: SimTime) -> NodeCache {
+        let (k, n, seed) = (self.view_size(), self.n as u64, self.seed);
+        let owner = u64::from(node.0);
+        let mut view: Vec<(NodeId, CacheEntry)> = Vec::with_capacity(k);
+
+        // Pass 1: who. First occurrence of a drawn id wins; a peer with no
+        // live session at its observation instant keeps this entry.
+        let unobserved = CacheEntry {
+            delta_alive: SimDuration::ZERO,
+            delta_since: SimDuration::ZERO,
+            t_last: t,
+            dead: true,
+        };
         let mut attempt: u64 = 0;
-        while cache.len() < k {
-            let h = hash3(self.seed, u64::from(node.0), attempt);
+        while view.len() < k {
+            let peer = NodeId((hash3(seed, owner, attempt) % n) as u32);
             attempt += 1;
-            let peer = NodeId((h % self.n as u64) as u32);
-            // Every accepted peer is inserted below, so the cache being
-            // filled is also the set of peers already chosen.
-            if peer == node || cache.contains(peer) {
+            let (word, bit) = (peer.index() / 64, 1u64 << (peer.0 % 64));
+            if peer == node || self.drawn[word] & bit != 0 {
                 continue;
             }
-            // Hash-jittered observation age: this entry was last heard
-            // about up to `max_staleness` ago, deterministically per
-            // (seed, node, peer, t).
-            let span = self.cfg.max_staleness.as_micros() + 1;
+            self.drawn[word] |= bit;
+            view.push((peer, unobserved));
+        }
+        // Every bit set above belongs to this view, so whole words go.
+        for (peer, _) in &view {
+            self.drawn[peer.index() / 64] = 0;
+        }
+
+        // Pass 2: when. Hash-jittered observation age: each entry was last
+        // heard about up to `max_staleness` ago, deterministically per
+        // (seed, node, peer, t).
+        let span = self.cfg.max_staleness.as_micros() + 1;
+        for (peer, entry) in &mut view {
             let jitter = hash3(
-                self.seed ^ 0xA5A5_A5A5_A5A5_A5A5,
-                u64::from(node.0),
+                seed ^ 0xA5A5_A5A5_A5A5_A5A5,
+                owner,
                 u64::from(peer.0) ^ t.as_micros(),
             ) % span;
-            let age = SimDuration(jitter);
-            let t_obs = SimTime(t.as_micros().saturating_sub(age.as_micros()));
-            let info = match schedule.uptime_at(peer, t_obs) {
-                Some(delta_alive) => LivenessInfo::alive(delta_alive, age),
-                None => LivenessInfo::death(age),
-            };
-            cache.hear_indirect(peer, info, t);
+            entry.delta_since = SimDuration(jitter);
         }
-        cache
+
+        // Passes 3 and 4: what was true then. All of a block's spans are
+        // fetched before any is searched, so the loads that miss (the
+        // offset table, then the session pool) are in flight together.
+        for block in view.chunks_mut(BLOCK) {
+            let mut spans: [&[Session]; BLOCK] = [&[]; BLOCK];
+            for (span, (peer, _)) in spans.iter_mut().zip(block.iter()) {
+                *span = schedule.sessions(*peer);
+            }
+            for (span, (_, entry)) in spans.iter().zip(block.iter_mut()) {
+                let t_obs = SimTime(t.as_micros().saturating_sub(entry.delta_since.as_micros()));
+                if let Some(session) = Session::containing(span, t_obs) {
+                    entry.delta_alive = t_obs - session.start;
+                    entry.dead = false;
+                }
+            }
+        }
+        NodeCache::from_distinct(view)
     }
 
     /// Materialize (or refresh) `node`'s view from ground truth at `now`.
@@ -169,7 +236,7 @@ impl SampledView {
             node,
             Tracked {
                 cache,
-                refreshed_at: self.now,
+                sampled: true,
             },
         );
     }
@@ -179,18 +246,19 @@ impl SampledView {
         self.tracked.remove(&node);
     }
 
-    /// Advance layer time, refreshing every tracked view from ground truth.
+    /// Advance layer time, refreshing every view [`SampledView::track`]
+    /// materialized from ground truth.
     pub fn advance(&mut self, schedule: &ChurnSchedule, until: SimTime) {
         if until <= self.now {
             return;
         }
         self.now = self.now.max(until);
-        let nodes: Vec<NodeId> = self.tracked.keys().copied().collect();
+        let sampled = self.tracked.iter().filter(|(_, tracked)| tracked.sampled);
+        let nodes: Vec<NodeId> = sampled.map(|(&node, _)| node).collect();
         for node in nodes {
             let cache = self.build_cache(node, schedule, self.now);
-            if let Some(entry) = self.tracked.get_mut(&node) {
-                entry.cache = cache;
-                entry.refreshed_at = self.now;
+            if let Some(tracked) = self.tracked.get_mut(&node) {
+                tracked.cache = cache;
             }
         }
     }
@@ -210,14 +278,19 @@ impl SampledView {
 
     /// Mutable cache access, materializing an *empty* cache for untracked
     /// nodes so failure-detection writes (`record_death`) always land.
+    ///
+    /// Such a cache holds only what was written into it: it is not a
+    /// sampled view, so [`SampledView::advance`] leaves it as it is (the
+    /// recorded deaths stay, and it never grows to `view_size` entries),
+    /// until [`SampledView::track`] replaces it with a view or
+    /// [`SampledView::untrack`] drops it.
     pub fn cache_mut(&mut self, node: NodeId) -> &mut NodeCache {
-        let now = self.now;
         &mut self
             .tracked
             .entry(node)
             .or_insert_with(|| Tracked {
                 cache: NodeCache::new(),
-                refreshed_at: now,
+                sampled: false,
             })
             .cache
     }
@@ -343,6 +416,19 @@ mod tests {
         let now = SimTime::from_secs(50);
         view.cache_mut(NodeId(3)).record_death(NodeId(4), now);
         assert_eq!(view.cache(NodeId(3)).predictor(NodeId(4), now), Some(0.0));
+    }
+
+    #[test]
+    fn advance_leaves_a_failure_detection_cache_alone() {
+        let (schedule, mut view) = fixture(2000, 21);
+        let now = SimTime::from_secs(50);
+        view.cache_mut(NodeId(3)).record_death(NodeId(4), now);
+        view.track(NodeId(9), &schedule, now);
+        view.advance(&schedule, SimTime::from_secs(400));
+        let t = view.now();
+        assert_eq!(view.cache(NodeId(3)).predictor(NodeId(4), t), Some(0.0));
+        assert_eq!(view.cache(NodeId(3)).len(), 1);
+        assert_eq!(view.cache(NodeId(9)).len(), 256, "tracked views refresh");
     }
 
     #[test]

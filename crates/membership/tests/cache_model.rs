@@ -1,8 +1,8 @@
 //! Differential model test for [`NodeCache`]: random operation sequences
 //! run against a `BTreeMap<NodeId, CacheEntry>` reference, once on a
 //! `bootstrap`-built cache (id-indexed slots) and once on an empty-built one
-//! (hash table). Every observable must match the model — and therefore the
-//! other layout.
+//! (flat `(id, entry)` list). Every observable must match the model — and
+//! therefore the other layout.
 
 use membership::{CacheEntry, LivenessInfo, NodeCache};
 use proptest::prelude::*;
@@ -184,6 +184,25 @@ fn apply(
     Ok(())
 }
 
+/// Both layouts and the model, holding ids `0..UNIVERSE` as bootstrapped.
+fn bootstrapped() -> ([NodeCache; 2], Model) {
+    let bootstrap: Vec<NodeId> = (0..UNIVERSE).map(NodeId).collect();
+    // [bootstrap-built: id-indexed slots, empty-built: flat list]
+    let mut caches = [
+        NodeCache::bootstrap(bootstrap.iter().copied()),
+        NodeCache::new(),
+    ];
+    let mut model = Model::new();
+    // Bring the empty-built cache and the model to the bootstrap state
+    // through the public update rule.
+    for &node in &bootstrap {
+        let info = LivenessInfo::alive(SimDuration::ZERO, SimDuration::ZERO);
+        caches[1].hear_indirect(node, info, SimTime::ZERO);
+        model_hear_indirect(&mut model, node, info, SimTime::ZERO);
+    }
+    (caches, model)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -191,18 +210,7 @@ proptest! {
     fn both_layouts_match_the_btreemap_model(
         ops in prop::collection::vec(any::<u64>(), 1..80),
     ) {
-        let bootstrap: Vec<NodeId> = (0..UNIVERSE).map(NodeId).collect();
-        // [bootstrap-built: id-indexed slots, empty-built: hash table]
-        let mut caches = [NodeCache::bootstrap(bootstrap.iter().copied()), NodeCache::new()];
-        let mut model = Model::new();
-        // Bring the empty-built cache and the model to the bootstrap state
-        // through the public update rule.
-        for &node in &bootstrap {
-            let info = LivenessInfo::alive(SimDuration::ZERO, SimDuration::ZERO);
-            caches[1].hear_indirect(node, info, SimTime::ZERO);
-            model_hear_indirect(&mut model, node, info, SimTime::ZERO);
-        }
-
+        let (mut caches, mut model) = bootstrapped();
         let id_span = if ops[0] & 0x8 == 0 { UNIVERSE } else { 2 * UNIVERSE };
         let mut now = SimTime::ZERO;
         for &word in &ops {
@@ -213,4 +221,43 @@ proptest! {
             }
         }
     }
+}
+
+/// The list layout fills holes by moving its last pair into them, so an id
+/// that was removed or evicted and is then heard about again must come
+/// back as a fresh insert — at the end, not into the slot it once had.
+#[test]
+fn list_reinserts_ids_it_removed_or_evicted() {
+    let (mut caches, mut model) = bootstrapped();
+    let mut step = |now: u64, word: u64| {
+        let now = SimTime::from_secs(now);
+        apply(&mut caches, &mut model, now, word, UNIVERSE).unwrap();
+        for cache in &caches {
+            check_observables(cache, &model, now, word).unwrap();
+        }
+        model.keys().map(|n| n.0).collect::<Vec<_>>()
+    };
+    // Op words as `apply` decodes them: kind in bits 0..3, Δt_alive (s) in
+    // bits 16..28, Δt_since (s) in bits 28..38, and the id is everything
+    // above bit 8 modulo UNIVERSE — which `alive + since` leaves alone
+    // when it is a multiple of 3 (2^8 ≡ 2^20 ≡ 4 mod 12).
+    let word =
+        |kind: u64, id: u64, alive: u64, since: u64| kind | id << 8 | alive << 16 | since << 28;
+    // Ids 0..3 get a first-hand death at t = 10, so they are 10 s fresher
+    // than the bootstrap entries from t = 0.
+    for id in 0..3 {
+        step(10, word(4, id, 0, 0));
+    }
+    step(20, word(5, 1, 0, 0)); // remove a middle id
+    let kept = step(20, word(5, 1, 0, 0)); // and again: not there
+    assert_eq!(kept, [0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
+    // At t = 70 the deaths are 60 s old, the bootstrap entries 70 s.
+    let kept = step(70, word(6, 0, 0, 65));
+    assert_eq!(kept, [0, 2]);
+    for id in [1, 5, 11, 3] {
+        step(80, word(2, id, 900, 6));
+    }
+    let kept = step(90, word(3, 1, 0, 3)); // a fresher death notice lands
+    assert_eq!(kept, [0, 1, 2, 3, 5, 11]);
+    assert!(model[&NodeId(1)].dead);
 }

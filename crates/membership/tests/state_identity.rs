@@ -87,12 +87,17 @@ fn sampled_hash(view: &SampledView) -> u64 {
     h.0
 }
 
-fn tracked_views() -> (ChurnSchedule, SampledView) {
-    let n = 4096;
+/// A seed-16 world of `n` nodes and its sampled layer, nobody tracked yet.
+fn sampled_world(n: usize) -> (ChurnSchedule, SampledView) {
     let dist = LifetimeDistribution::pareto_with_median(300.0);
     let mut rng = StdRng::seed_from_u64(16);
     let schedule = ChurnSchedule::generate(n, &dist, &dist, SimTime::from_secs(600), &mut rng);
-    let mut view = SampledView::new(n, SampledConfig::default(), &mut rng);
+    let view = SampledView::new(n, SampledConfig::default(), &mut rng);
+    (schedule, view)
+}
+
+fn tracked_views() -> (ChurnSchedule, SampledView) {
+    let (schedule, mut view) = sampled_world(4096);
     for (i, node) in TRACKED.into_iter().enumerate() {
         view.track(node, &schedule, SimTime::from_secs(60 * (i as u64 + 1)));
     }
@@ -123,6 +128,40 @@ fn sampled_views_match_parent_commit() {
     assert_eq!(sampled_hash(&view), 0x0fa0_7ea7_4e9d_6df1);
     view.advance(&schedule, SimTime::from_secs(400));
     assert_eq!(sampled_hash(&view), 0x4c1c_3f03_ec52_b809);
+}
+
+/// Hash of the views `nodes` get when tracked at `t` in a world of `n`.
+fn sampled_hash_at(n: usize, nodes: &[NodeId], t: SimTime) -> u64 {
+    let (schedule, mut view) = sampled_world(n);
+    let mut h = Fnv::new();
+    for &node in nodes {
+        view.track(node, &schedule, t);
+        h.view(node, view.cache(node));
+    }
+    h.0
+}
+
+/// Recorded on PR 24's parent, before `build_cache` became a batch.
+#[test]
+fn tiny_world_view_matches_parent_commit() {
+    // n = 8: the view is everyone else, and almost every draw after the
+    // first few is a duplicate, so first-occurrence-wins decides the fill.
+    let nodes = [NodeId(0), NodeId(3), NodeId(7)];
+    assert_eq!(
+        sampled_hash_at(8, &nodes, SimTime::from_secs(120)),
+        0xb408_571f_64ac_fd80
+    );
+}
+
+/// Recorded on PR 24's parent, before `build_cache` became a batch.
+#[test]
+fn early_view_matches_parent_commit() {
+    // t = 5 s < max_staleness = 30 s: most observation instants clamp to
+    // time zero (the `saturating_sub` arm).
+    assert_eq!(
+        sampled_hash_at(4096, &TRACKED, SimTime::from_secs(5)),
+        0x032b_0a56_5be8_1b91
+    );
 }
 
 #[test]

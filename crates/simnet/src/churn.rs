@@ -164,6 +164,21 @@ impl Session {
     pub fn is_empty(&self) -> bool {
         self.start >= self.end
     }
+
+    /// The session of `span` that contains `t`, if any. `span` must be
+    /// time-ordered and non-overlapping, as [`ChurnSchedule::sessions`]
+    /// returns it: the only candidate is the last session starting at or
+    /// before `t`, found by binary search.
+    ///
+    /// This is the one liveness rule: every point query of
+    /// [`ChurnSchedule`] goes through it, and a caller that already holds
+    /// many spans (a sampled view fetches all of its peers' spans before
+    /// searching any) calls it directly.
+    #[inline]
+    pub fn containing(span: &[Session], t: SimTime) -> Option<&Session> {
+        let idx = span.partition_point(|s| s.start <= t);
+        span.get(idx.checked_sub(1)?).filter(|s| s.contains(t))
+    }
 }
 
 /// A scripted churn shock applied on top of a generated [`ChurnSchedule`]
@@ -347,12 +362,7 @@ impl ChurnSchedule {
 
     /// The session containing `t`, if the node is up at `t`.
     pub fn session_at(&self, node: NodeId, t: SimTime) -> Option<&Session> {
-        let sessions = self.sessions(node);
-        // Sessions are sorted by start; binary search for the candidate.
-        let idx = sessions.partition_point(|s| s.start <= t);
-        idx.checked_sub(1)
-            .map(|i| &sessions[i])
-            .filter(|s| s.contains(t))
+        Session::containing(self.sessions(node), t)
     }
 
     /// Whether the node is up at `t`.

@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use simnet::trace::{Samples, Summary};
 use simnet::{
     ChurnSchedule, Engine, FaultConfig, FaultPlan, LatencyMatrix, LifetimeDistribution, NodeId,
-    SimDuration, SimTime,
+    Session, SimDuration, SimTime,
 };
 
 proptest! {
@@ -186,6 +186,44 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// `Session::containing` — the slice-level search a caller holding a
+    /// span runs itself — answers like `uptime_at` / `is_up` on the
+    /// schedule and like a linear scan, at every session boundary (start
+    /// inclusive, end exclusive) and on a node with no session at all.
+    #[test]
+    fn churn_span_search_matches_point_queries(
+        n in 1usize..12,
+        median in 5.0f64..400.0,
+        seed in any::<u64>(),
+    ) {
+        let horizon = SimTime::from_secs(3000);
+        let dist = LifetimeDistribution::pareto_with_median(median);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let generated = ChurnSchedule::generate(n, &dist, &dist, horizon, &mut rng);
+        // One more node, never up; node 0 pinned past the horizon.
+        let mut per_node: Vec<Vec<Session>> =
+            (0..n).map(|i| generated.sessions(NodeId::from(i)).to_vec()).collect();
+        per_node.push(Vec::new());
+        let mut sched = ChurnSchedule::from_sessions(per_node, horizon);
+        sched.pin_up(NodeId(0));
+
+        for i in 0..=n {
+            let node = NodeId::from(i);
+            let span = sched.sessions(node);
+            let edges = span.iter().flat_map(|s| [s.start, s.end]);
+            for edge in edges.chain([SimTime::ZERO, horizon]) {
+                for t in [edge.0.saturating_sub(1), edge.0, edge.0 + 1].map(SimTime) {
+                    let found = Session::containing(span, t);
+                    prop_assert_eq!(found, span.iter().find(|s| s.start <= t && t < s.end));
+                    prop_assert_eq!(found, sched.session_at(node, t));
+                    prop_assert_eq!(found.is_some(), sched.is_up(node, t));
+                    prop_assert_eq!(found.map(|s| t - s.start), sched.uptime_at(node, t));
+                }
+            }
+        }
+        prop_assert!(sched.sessions(NodeId::from(n)).is_empty());
     }
 
     /// A fault plan is a pure function of (seed, config): two plans built
