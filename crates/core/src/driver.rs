@@ -19,7 +19,7 @@ use crate::pool::BufferPool;
 use crate::relay::{Relay, Step};
 use crate::wire::{self, Frame, Wire};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use sim_crypto::{KeyPair, PublicKey, SymmetricKey};
 use simnet::{ChurnSchedule, Engine, EventHandle, FaultPlan, LatencyMatrix, NodeId, SimTime};
 use std::collections::HashMap;
@@ -65,9 +65,57 @@ pub struct AckRecord {
     pub at: SimTime,
 }
 
+/// Every node's relay, derived the first time the run needs it.
+///
+/// The secret bytes are drawn up front, in node order, exactly as
+/// [`KeyPair::generate`] draws them, so the driver's RNG stream — and every
+/// stream id and ciphertext drawn from it later — is the one an eager build
+/// leaves. The X25519 ladder that turns the bytes into a key pair runs when
+/// a frame is first routed to the node or its public key is first asked
+/// for; most relays of a large world are never on a path and never pay it.
+struct RelayTable {
+    secrets: Vec<[u8; 32]>,
+    relays: Vec<Option<Relay>>,
+}
+
+impl RelayTable {
+    fn draw(n: usize, rng: &mut StdRng) -> Self {
+        let secrets = (0..n)
+            .map(|_| {
+                let mut bytes = [0u8; 32];
+                rng.fill_bytes(&mut bytes);
+                bytes
+            })
+            .collect();
+        RelayTable {
+            secrets,
+            relays: (0..n).map(|_| None).collect(),
+        }
+    }
+
+    /// Whether `node` is one of the table's `0..n`.
+    fn contains(&self, node: NodeId) -> bool {
+        node.index() < self.secrets.len()
+    }
+
+    /// `node`'s relay, derived now if nothing needed it before. `node` must
+    /// be in `0..n`.
+    fn get(&mut self, node: NodeId) -> &mut Relay {
+        let secret = self.secrets[node.index()];
+        self.relays[node.index()]
+            .get_or_insert_with(|| Relay::new(node, KeyPair::from_secret_bytes(secret)))
+    }
+
+    /// `node`'s relay if it has been derived: one that has not holds no
+    /// soft state yet.
+    fn derived(&mut self, node: NodeId) -> Option<&mut Relay> {
+        self.relays.get_mut(node.index())?.as_mut()
+    }
+}
+
 /// The event-driven world: relays plus ground truth plus outcome logs.
 pub struct DriverWorld {
-    relays: HashMap<NodeId, Relay>,
+    relays: RelayTable,
     /// Ground-truth churn (shared with the trajectory level in the
     /// validation experiment).
     pub schedule: ChurnSchedule,
@@ -88,14 +136,16 @@ pub struct DriverWorld {
     pub ack_timeouts: Vec<(MessageId, usize, SimTime)>,
     /// Construction acks received at the initiator (path stream id, when).
     pub established: Vec<(StreamId, SimTime)>,
-    /// Messages swallowed by down nodes.
+    /// Messages swallowed by down nodes (or addressed outside `0..n`,
+    /// where no node ever answers).
     pub lost: u64,
     /// Messages dropped due to missing relay state (e.g. the path never
     /// finished constructing).
     pub stateless_drops: u64,
     /// Messages eaten by injected link-drop faults.
     pub fault_drops: u64,
-    /// Crash-restart events applied (each wipes one relay's soft state).
+    /// Crash-restart events applied (each wipes one relay's soft state;
+    /// one that was never derived has none, and still counts).
     pub crash_wipes: u64,
     /// When the responder acks traffic end to end (reverse onions for
     /// every delivery and construction completion).
@@ -122,13 +172,18 @@ pub struct DriverWorld {
 }
 
 impl DriverWorld {
-    /// A node's public key.
-    pub fn public_key(&self, node: NodeId) -> PublicKey {
-        self.relays[&node].public_key()
+    /// A node's public key, deriving its key pair if this is the first use.
+    ///
+    /// # Panics
+    ///
+    /// If `node` is outside the driver's `0..n`: no key is published for it.
+    pub fn public_key(&mut self, node: NodeId) -> PublicKey {
+        self.relays.get(node).public_key()
     }
 
-    /// Hop list (relays then responder) with public keys.
-    pub fn hops(&self, relays: &[NodeId], responder: NodeId) -> Vec<(NodeId, PublicKey)> {
+    /// Hop list (relays then responder) with public keys; see
+    /// [`public_key`](Self::public_key).
+    pub fn hops(&mut self, relays: &[NodeId], responder: NodeId) -> Vec<(NodeId, PublicKey)> {
         relays
             .iter()
             .chain(std::iter::once(&responder))
@@ -154,9 +209,11 @@ pub struct Driver {
 }
 
 impl Driver {
-    /// Build a driver over `n` relay-capable nodes with fresh key pairs,
-    /// sharing externally built ground truth (pass clones of the same
-    /// schedule/matrix to the trajectory level to compare like for like).
+    /// Build a driver over `n` relay-capable nodes, sharing externally
+    /// built ground truth (pass clones of the same schedule/matrix to the
+    /// trajectory level to compare like for like). Every node's secret
+    /// key bytes are drawn now, in node order, from `seed`; its key pair is
+    /// derived from them on first use (see [`DriverWorld::public_key`]).
     pub fn new(
         n: usize,
         schedule: ChurnSchedule,
@@ -165,14 +222,8 @@ impl Driver {
         seed: u64,
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let relays = (0..n)
-            .map(|i| {
-                let id = NodeId::from(i);
-                (id, Relay::new(id, KeyPair::generate(&mut rng)))
-            })
-            .collect();
         let world = DriverWorld {
-            relays,
+            relays: RelayTable::draw(n, &mut rng),
             schedule,
             latency,
             faults: FaultPlan::none(),
@@ -340,7 +391,7 @@ impl Driver {
     /// pool), the bytes travel, and the arrival edge decodes them back —
     /// so the simulator exercises the exact bytes a live transport puts
     /// on a socket, at zero extra events and (steady-state) zero extra
-    /// allocations.
+    /// allocations. A frame addressed outside `0..n` is lost on departure.
     fn send(
         engine: &mut Engine<DriverWorld>,
         from: NodeId,
@@ -353,6 +404,10 @@ impl Driver {
             depart,
             move |w: &mut DriverWorld, e: &mut Engine<DriverWorld>| {
                 let now = e.now();
+                if !w.relays.contains(to) {
+                    w.lost += 1;
+                    return w.recycle(wire);
+                }
                 if w.faults.drops(from, to, now) {
                     w.fault_drops += 1;
                     return w.recycle(wire);
@@ -375,12 +430,15 @@ impl Driver {
                     if let Some(tap) = &mut w.tap {
                         tap.record_ingress(from, to, e.now(), tag, bytes.len() as u64, sid);
                     }
-                    let frame =
-                        wire::decode_frame_vec(bytes).expect("driver-encoded frames decode");
-                    let Frame::Stream { sid, wire } = frame else {
-                        unreachable!("the driver never sends Hello frames");
-                    };
-                    Self::receive(w, e, from, to, sid, wire);
+                    match wire::decode_frame_vec(bytes) {
+                        Ok(Frame::Stream { sid, wire }) => Self::receive(w, e, from, to, sid, wire),
+                        // A node drops what it cannot decode; the driver
+                        // only encodes stream frames, so none arrive here.
+                        _ => {
+                            debug_assert!(false, "a driver-encoded stream frame decodes");
+                            w.stateless_drops += 1;
+                        }
+                    }
                 });
             },
         );
@@ -413,7 +471,9 @@ impl Driver {
             }
             if fired > 0 {
                 w.crash_wipes += fired;
-                w.relays.get_mut(&to).expect("known node").crash();
+                if let Some(relay) = w.relays.derived(to) {
+                    relay.crash();
+                }
             }
         }
         // Reverse traffic terminating at the initiator: open it with the
@@ -440,9 +500,11 @@ impl Driver {
         }
         // Everything else is relay/responder work: one shared dispatch,
         // and the frame — rewritten in its own buffer — stays ours.
-        let relay = w.relays.get_mut(&to).expect("known node");
+        // `send` lost every frame addressed outside `0..n`.
+        let relay = w.relays.get(to);
         let step = relay.handle_wire(from, sid, &mut wire, now, &mut w.rng);
-        match (step, wire) {
+        // The responder's end-to-end ack: (mid, index, buffer to write it in).
+        let ack = match (step, wire) {
             (
                 Ok(Step::Forward {
                     to: next,
@@ -451,9 +513,15 @@ impl Driver {
                 wire,
             ) => {
                 Self::send(e, to, next, nsid, wire, now);
+                None
             }
             (Ok(Step::Constructed), Wire::Construct { initiator_sid, .. }) => {
-                let session_key = relay.terminal_key(from, sid).expect("just cached");
+                // `Constructed` means the terminal entry was just cached.
+                let Some(session_key) = relay.terminal_key(from, sid) else {
+                    debug_assert!(false, "a constructed path has a terminal key");
+                    w.stateless_drops += 1;
+                    return;
+                };
                 w.constructions.push(ConstructionRecord {
                     initiator_sid,
                     at: now,
@@ -461,15 +529,9 @@ impl Driver {
                     sid,
                     session_key,
                 });
-                if w.auto_ack {
-                    let mut blob = w.pool.get();
-                    relay
-                        .write_ack(from, sid, CONSTRUCT_ACK, 0, &mut blob, &mut w.rng)
-                        .expect("terminal entry just cached");
-                    Self::send(e, to, from, sid, Wire::Reverse { blob }, now);
-                }
+                w.auto_ack.then(|| (CONSTRUCT_ACK, 0, w.pool.get()))
             }
-            (Ok(Step::Delivered { mid, index }), Wire::Payload { mut blob }) => {
+            (Ok(Step::Delivered { mid, index }), Wire::Payload { blob }) => {
                 w.deliveries.push(DeliveryRecord {
                     mid,
                     index,
@@ -477,22 +539,33 @@ impl Driver {
                     from,
                     sid,
                 });
+                // Reuse the delivered onion's buffer for the reverse ack
+                // travelling back.
                 if w.auto_ack {
-                    // Reuse the delivered onion's buffer for the reverse
-                    // ack travelling back.
-                    relay
-                        .write_ack(from, sid, mid, index, &mut blob, &mut w.rng)
-                        .expect("terminal entry just used");
-                    Self::send(e, to, from, sid, Wire::Reverse { blob }, now);
+                    Some((mid, index, blob))
                 } else {
                     w.pool.put(blob);
+                    None
                 }
             }
-            (Ok(Step::Released), _) => {}
+            (Ok(Step::Released), _) => None,
             (Ok(step), wire) => unreachable!("{step:?} for {wire:?}"),
             (Err(_), wire) => {
                 w.stateless_drops += 1;
                 w.recycle(wire);
+                None
+            }
+        };
+        if let Some((mid, index, mut blob)) = ack {
+            // The terminal entry `write_ack` keys on was cached or used by
+            // the step above; were it gone, there is no key to ack under.
+            let relay = w.relays.get(to);
+            match relay.write_ack(from, sid, mid, index, &mut blob, &mut w.rng) {
+                Ok(()) => Self::send(e, to, from, sid, Wire::Reverse { blob }, now),
+                Err(_) => {
+                    w.stateless_drops += 1;
+                    w.pool.put(blob);
+                }
             }
         }
     }
@@ -531,6 +604,123 @@ mod tests {
             SimTime::from_secs(1) + SimDuration::from_millis(80)
         );
         assert_eq!(driver.world.lost, 0);
+    }
+
+    /// The nodes whose key pair has been derived, in id order.
+    fn derived(driver: &Driver) -> Vec<NodeId> {
+        let table = &driver.world.relays.relays;
+        (0..table.len())
+            .filter(|&i| table[i].is_some())
+            .map(NodeId::from)
+            .collect()
+    }
+
+    #[test]
+    fn lazy_keys_are_the_eager_build() {
+        let n = 16;
+        let seed = 21;
+        let mut eager_rng = StdRng::seed_from_u64(seed);
+        let eager: Vec<PublicKey> = (0..n)
+            .map(|_| KeyPair::generate(&mut eager_rng).public)
+            .collect();
+        let in_order: Vec<usize> = (0..n).collect();
+        // A fixed shuffle: stride 7 is coprime to 16.
+        let shuffled: Vec<usize> = (0..n).map(|i| i * 7 % n).collect();
+        for order in [in_order, shuffled] {
+            let (schedule, latency) = always_up(n);
+            let mut driver = Driver::new(n, schedule, latency, NodeId(0), seed);
+            for &i in &order {
+                assert_eq!(
+                    driver.world.public_key(NodeId::from(i)),
+                    eager[i],
+                    "node {i}"
+                );
+            }
+            assert_eq!(derived(&driver).len(), n);
+            // Asking again re-derives nothing and answers the same.
+            assert_eq!(driver.world.public_key(NodeId(3)), eager[3]);
+            let mut twin = eager_rng.clone();
+            assert_eq!(driver.world.rng.next_u64(), twin.next_u64());
+        }
+    }
+
+    #[test]
+    fn a_relay_is_derived_when_first_used() {
+        let (schedule, latency) = always_up(8);
+        let mut driver = Driver::new(8, schedule, latency, NodeId(0), 1);
+        assert!(
+            derived(&driver).is_empty(),
+            "a fresh driver derives nothing"
+        );
+        let mut initiator = Initiator::new(NodeId(0));
+        let mut rng = StdRng::seed_from_u64(2);
+        let hops = vec![driver
+            .world
+            .hops(&[NodeId(1), NodeId(2), NodeId(3)], NodeId(7))];
+        let four_hops = [NodeId(1), NodeId(2), NodeId(3), NodeId(7)];
+        assert_eq!(derived(&driver), four_hops);
+        let msgs = initiator.construct_paths(&hops, &mut rng);
+        driver.launch_construction(&msgs[0], SimTime::from_secs(1));
+        driver.run_until(SimTime::from_secs(10));
+        assert_eq!(driver.world.constructions.len(), 1);
+        assert_eq!(derived(&driver), four_hops, "routing derived no one else");
+    }
+
+    #[test]
+    fn crashing_an_underived_node_derives_nothing_and_counts() {
+        // Every crash instant falls before the horizon, and the path is
+        // built after it, so each node wipes all of its crashes at the
+        // first frame it meets — the initiator when the construct ack
+        // comes back, without ever needing a key pair.
+        let (schedule, latency) = always_up(8);
+        let faults = FaultPlan::new(
+            8,
+            FaultConfig {
+                crashes_per_hour: 36.0,
+                ..FaultConfig::NONE
+            },
+            SimTime::from_secs(1_000),
+            13,
+        );
+        let touched = [0u32, 1, 2, 3, 7].map(NodeId);
+        let crashes: u64 = touched
+            .iter()
+            .map(|&node| faults.crash_times(node).len() as u64)
+            .sum();
+        assert!(
+            !faults.crash_times(NodeId(0)).is_empty(),
+            "the initiator crashes"
+        );
+        let mut driver = Driver::new(8, schedule, latency, NodeId(0), 1)
+            .with_faults(faults)
+            .with_auto_ack();
+        let mut initiator = Initiator::new(NodeId(0));
+        let mut rng = StdRng::seed_from_u64(5);
+        let hops = vec![driver
+            .world
+            .hops(&[NodeId(1), NodeId(2), NodeId(3)], NodeId(7))];
+        let msgs = initiator.construct_paths(&hops, &mut rng);
+        let sid = initiator.paths()[0].sid;
+        driver.register_path(sid, initiator.paths()[0].plan.clone());
+        driver.launch_construction(&msgs[0], SimTime::from_secs(2_000));
+        driver.run_until(SimTime::from_secs(2_001));
+        assert_eq!(driver.world.established.len(), 1, "the ack came home");
+        assert_eq!(driver.world.crash_wipes, crashes);
+        assert_eq!(
+            derived(&driver),
+            &touched[1..],
+            "the initiator stays underived"
+        );
+    }
+
+    #[test]
+    fn a_frame_addressed_outside_the_world_is_lost() {
+        let (schedule, latency) = always_up(8);
+        let mut driver = Driver::new(8, schedule, latency, NodeId(0), 1);
+        driver.launch_release(NodeId(8), StreamId(1), SimTime::from_secs(1));
+        driver.run_until(SimTime::from_secs(2));
+        assert_eq!(driver.world.lost, 1);
+        assert!(derived(&driver).is_empty());
     }
 
     #[test]
@@ -831,7 +1021,7 @@ mod tests {
         driver.run_until(SimTime::from_secs(4));
         for node in [1u32, 2, 3, 7] {
             assert_eq!(
-                driver.world.relays[&NodeId(node)].cached_paths(),
+                driver.world.relays.get(NodeId(node)).cached_paths(),
                 0,
                 "node {node} state released"
             );

@@ -58,9 +58,11 @@ pub struct GossipSim {
     messages_sent: u64,
     messages_lost: u64,
     /// Per-round scratch, kept so a round allocates nothing: the ids drawn
-    /// by the current sampling pass, and the digest built from them.
+    /// by the current sampling pass, the digest built from them, and the
+    /// pass's dedupe bitset (one bit per node id, all zero between passes).
     picked: Vec<NodeId>,
     digest: Vec<(NodeId, LivenessInfo)>,
+    seen: Vec<u64>,
 }
 
 impl GossipSim {
@@ -85,6 +87,7 @@ impl GossipSim {
             messages_lost: 0,
             picked: Vec::with_capacity(cfg.digest_size.max(cfg.fanout)),
             digest: Vec::with_capacity(cfg.digest_size),
+            seen: vec![0; n.div_ceil(64)],
         }
     }
 
@@ -141,19 +144,20 @@ impl GossipSim {
                 caches,
                 picked,
                 digest,
+                seen,
                 ..
             } = self;
             let n = caches.len() as u32;
             let cache = &caches[sender.index()];
             digest.clear();
             let digest_size = self.cfg.digest_size.min(caches.len() - 1);
-            sample_universe(n, sender, digest_size, rng, picked, |cand| {
+            sample_universe(n, sender, digest_size, rng, picked, seen, |cand| {
                 cache
                     .get(cand)
                     .map(|entry| digest.push((cand, entry.piggyback(t))))
                     .is_some()
             });
-            sample_universe(n, sender, self.cfg.fanout, rng, picked, |cand| {
+            sample_universe(n, sender, self.cfg.fanout, rng, picked, seen, |cand| {
                 cache.contains(cand)
             });
             for &target in picked.iter() {
@@ -190,12 +194,19 @@ impl GossipSim {
 /// (nearly) every node, so this is equivalent to sampling the cache
 /// directly, but O(count) instead of O(cache); with eviction enabled
 /// misses are simply skipped, mildly under-filling the sample.
-fn sample_universe<R: Rng>(
+///
+/// Duplicates are rejected against `seen`, one bit per id of `0..n`, all
+/// zero on entry and again on return: an accepted id sets its bit, and the
+/// bits are cleared by walking `out`. A candidate `accept` turns down stays
+/// unmarked and may be drawn and asked again, so the draws, the accepts and
+/// the output order are those of a scan of `out` per draw.
+pub fn sample_universe<R: Rng>(
     n: u32,
     sender: NodeId,
     count: usize,
     rng: &mut R,
     out: &mut Vec<NodeId>,
+    seen: &mut [u64],
     mut accept: impl FnMut(NodeId) -> bool,
 ) {
     out.clear();
@@ -203,9 +214,14 @@ fn sample_universe<R: Rng>(
     while out.len() < count && tries < count * 8 + 16 {
         tries += 1;
         let cand = NodeId(rng.gen_range(0..n));
-        if cand != sender && !out.contains(&cand) && accept(cand) {
+        let (word, bit) = (cand.index() / 64, 1u64 << (cand.0 % 64));
+        if cand != sender && seen[word] & bit == 0 && accept(cand) {
+            seen[word] |= bit;
             out.push(cand);
         }
+    }
+    for &id in out.iter() {
+        seen[id.index() / 64] = 0;
     }
 }
 

@@ -16,7 +16,7 @@ use membership::{
     SampledView,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use simnet::{ChurnSchedule, LifetimeDistribution, NodeId, SimDuration, SimTime};
 
 const N: usize = 64;
@@ -108,6 +108,27 @@ fn tracked_views() -> (ChurnSchedule, SampledView) {
 fn gossip_state_matches_parent_commit() {
     let (_, _, gossip) = warmed_gossip(GossipConfig::default());
     assert_eq!(gossip_hash(&gossip), 0xb2ee_6b76_7113_171c);
+}
+
+/// Recorded on PR 25's parent, before `sample_universe` deduped against a
+/// bitset: the `sim_recovery` world's membership (n = 256, the paper's
+/// churn and gossip defaults) after its one-hour warm-up.
+#[test]
+fn paper_scale_gossip_matches_parent_commit() {
+    const PAPER_N: usize = 256;
+    let mut rng = StdRng::seed_from_u64(25);
+    let dist = LifetimeDistribution::PAPER_DEFAULT;
+    let schedule = ChurnSchedule::generate(PAPER_N, &dist, &dist, HORIZON, &mut rng);
+    let mut gossip = GossipSim::new(PAPER_N, GossipConfig::default(), &mut rng);
+    gossip.advance(&schedule, WARM, &mut rng);
+    let mut h = Fnv::new();
+    for i in 0..PAPER_N {
+        h.view(NodeId::from(i), gossip.cache(NodeId::from(i)));
+    }
+    h.word(gossip.messages_sent());
+    h.word(gossip.messages_lost());
+    h.word(rng.next_u64());
+    assert_eq!(h.0, 0x064c_7941_0ad2_5454);
 }
 
 #[test]

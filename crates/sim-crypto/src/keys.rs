@@ -60,9 +60,7 @@ impl SecretKey {
     pub fn generate<R: Rng + CryptoRng>(rng: &mut R) -> Self {
         let mut bytes = [0u8; 32];
         rng.fill_bytes(&mut bytes);
-        let scalar = x25519::clamp_scalar(bytes);
-        let public = PublicKey(x25519::public_key(&scalar));
-        SecretKey { scalar, public }
+        KeyPair::from_secret_bytes(bytes).secret
     }
 
     /// The matching public key.
@@ -82,6 +80,18 @@ impl KeyPair {
         let secret = SecretKey::generate(rng);
         let public = secret.public_key();
         KeyPair { public, secret }
+    }
+
+    /// The key pair 32 drawn secret bytes determine: clamp, then one ladder
+    /// for the public half. [`KeyPair::generate`] is this after 32 bytes
+    /// from its RNG, so a caller may draw the bytes now and derive later.
+    pub fn from_secret_bytes(bytes: [u8; 32]) -> Self {
+        let scalar = x25519::clamp_scalar(bytes);
+        let public = PublicKey(x25519::public_key(&scalar));
+        KeyPair {
+            public,
+            secret: SecretKey { scalar, public },
+        }
     }
 }
 
@@ -186,6 +196,9 @@ mod tests {
         let scalar = x25519::clamp_scalar(drawn);
         assert_eq!(kp.public, kp.secret.public_key());
         assert_eq!(kp.public, PublicKey(x25519::public_key(&scalar)));
+        let later = KeyPair::from_secret_bytes(drawn);
+        assert_eq!(later.public, kp.public);
+        assert_eq!(later.secret.scalar, kp.secret.scalar);
         assert_eq!(std::mem::size_of::<SecretKey>(), 64);
         assert_eq!(format!("{:?}", kp.secret), "SecretKey(..)");
     }
