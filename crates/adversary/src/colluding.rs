@@ -185,7 +185,7 @@ impl Adversary for Fused {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anon_core::observe::{ObservationLog, ObservedRun};
+    use anon_core::observe::{ConstructionObservation, ObservationLog, ObservedRun};
     use simnet::SimTime;
 
     /// A synthetic run: `cons` constructions, the first `bad_first` of
@@ -194,13 +194,13 @@ mod tests {
         let mut log = ObservationLog::new();
         for i in 0..cons {
             let first = NodeId(first_hops[i % first_hops.len()]);
-            log.record_construction(
-                NodeId(0),
-                NodeId(1),
-                vec![first, NodeId(5), NodeId(6)],
-                anon_core::StreamId(i as u64),
-                SimTime::from_secs(i as u64),
-            );
+            log.constructions.push(ConstructionObservation {
+                initiator: NodeId(0),
+                responder: NodeId(1),
+                relays: vec![first, NodeId(5), NodeId(6)],
+                sid: anon_core::StreamId(i as u64),
+                at: SimTime::from_secs(i as u64),
+            });
         }
         ObservedRun {
             log,

@@ -340,13 +340,9 @@ mod tests {
         let codec = ErasureCodec::new(1, 2).unwrap();
         let mid = MessageId(77);
         let mut rng = StdRng::seed_from_u64(5);
-        let combined = initiator.construct_and_send(
-            &hop_lists,
-            mid,
-            b"no extra round trips",
-            &codec,
-            &mut rng,
-        );
+        let combined = initiator
+            .construct_and_send(&hop_lists, mid, b"no extra round trips", &codec, &mut rng)
+            .unwrap();
         assert_eq!(combined.len(), 2);
         for c in &combined {
             assert_eq!(c.payloads.len(), 1, "one segment per path here");

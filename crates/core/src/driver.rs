@@ -11,59 +11,19 @@
 //! ground truth.
 
 use crate::endpoint::{open_ack, Outgoing, CONSTRUCT_ACK};
+use crate::events::{Event, Events};
 use crate::ids::{MessageId, StreamId};
-use crate::instrument::{wire_tag, DriverTelemetry};
-use crate::observe::ObservationLog;
+use crate::instrument::{wire_tag, ProtocolTelemetry};
+use crate::observe::{ObservationLog, PacketObservation};
 use crate::onion::PathPlan;
 use crate::pool::BufferPool;
 use crate::relay::{Relay, Step};
 use crate::wire::{self, Frame, Wire};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use sim_crypto::{KeyPair, PublicKey, SymmetricKey};
+use sim_crypto::{KeyPair, PublicKey};
 use simnet::{ChurnSchedule, Engine, EventHandle, FaultPlan, LatencyMatrix, NodeId, SimTime};
 use std::collections::HashMap;
-
-/// A record of a segment arriving at the responder.
-#[derive(Clone, Debug)]
-pub struct DeliveryRecord {
-    /// Message the segment belongs to.
-    pub mid: MessageId,
-    /// Segment index.
-    pub index: usize,
-    /// Arrival time at the responder.
-    pub at: SimTime,
-    /// Upstream hop of the terminal link.
-    pub from: NodeId,
-    /// Terminal-link stream id.
-    pub sid: StreamId,
-}
-
-/// A record of a completed path construction.
-#[derive(Clone, Debug)]
-pub struct ConstructionRecord {
-    /// The initiator-side stream id identifying the path.
-    pub initiator_sid: StreamId,
-    /// When the terminal layer was processed.
-    pub at: SimTime,
-    /// Terminal link upstream hop.
-    pub from: NodeId,
-    /// Terminal link stream id.
-    pub sid: StreamId,
-    /// The responder's session key.
-    pub session_key: SymmetricKey,
-}
-
-/// A record of an end-to-end segment ack arriving back at the initiator.
-#[derive(Clone, Copy, Debug)]
-pub struct AckRecord {
-    /// Message the acked segment belongs to.
-    pub mid: MessageId,
-    /// Acked segment index.
-    pub index: usize,
-    /// When the ack reached the initiator.
-    pub at: SimTime,
-}
 
 /// Every node's relay, derived the first time the run needs it.
 ///
@@ -113,7 +73,7 @@ impl RelayTable {
     }
 }
 
-/// The event-driven world: relays plus ground truth plus outcome logs.
+/// The event-driven world: relays plus ground truth plus the event record.
 pub struct DriverWorld {
     relays: RelayTable,
     /// Ground-truth churn (shared with the trajectory level in the
@@ -126,22 +86,13 @@ pub struct DriverWorld {
     pub faults: FaultPlan,
     /// RNG for relay-side stream ids.
     pub rng: StdRng,
-    /// Segments that reached the responder.
-    pub deliveries: Vec<DeliveryRecord>,
-    /// Constructions that reached the responder.
-    pub constructions: Vec<ConstructionRecord>,
-    /// End-to-end acks that made it back to the initiator.
-    pub acks: Vec<AckRecord>,
-    /// Ack deadlines that fired before the ack arrived.
-    pub ack_timeouts: Vec<(MessageId, usize, SimTime)>,
-    /// Construction acks received at the initiator (path stream id, when).
-    pub established: Vec<(StreamId, SimTime)>,
+    /// Every protocol event of the run, the initiator's and every
+    /// relay's and the responder's alike, with the optional telemetry and
+    /// adversary tap it feeds.
+    pub events: Events,
     /// Messages swallowed by down nodes (or addressed outside `0..n`,
     /// where no node ever answers).
     pub lost: u64,
-    /// Messages dropped due to missing relay state (e.g. the path never
-    /// finished constructing).
-    pub stateless_drops: u64,
     /// Messages eaten by injected link-drop faults.
     pub fault_drops: u64,
     /// Crash-restart events applied (each wipes one relay's soft state;
@@ -154,13 +105,6 @@ pub struct DriverWorld {
     /// `Vec<u8>` peeled/wrapped in place hop to hop, and terminated
     /// messages return their capacity here for the next launch.
     pub pool: BufferPool,
-    /// Optional live instruments (see [`crate::instrument`]); write-only,
-    /// so `None` vs `Some` cannot change a trajectory.
-    pub telemetry: Option<DriverTelemetry>,
-    /// Optional adversary observation tap (see [`crate::observe`]):
-    /// record-only like telemetry, so attaching it cannot change a
-    /// trajectory — pinned by `observation_tap_changes_nothing`.
-    pub tap: Option<ObservationLog>,
     initiator: NodeId,
     /// Initiator-side path plans keyed by initiator stream id, needed to
     /// peel reverse onions arriving back at the initiator.
@@ -191,6 +135,11 @@ impl DriverWorld {
             .collect()
     }
 
+    /// A frame died for want of relay or initiator state at `now`.
+    fn stateless_drop(&mut self, now: SimTime) {
+        self.events.record(now.as_micros(), Event::StatelessDrop);
+    }
+
     /// Return a terminated message's buffer to the pool.
     fn recycle(&mut self, wire: Wire) {
         if let Wire::Payload { blob } | Wire::Reverse { blob } = wire {
@@ -203,9 +152,8 @@ impl DriverWorld {
 pub struct Driver {
     /// The event engine; `world` is stepped against it.
     pub engine: Engine<DriverWorld>,
-    /// The world (relays + ground truth + logs).
+    /// The world (relays + ground truth + the event record).
     pub world: DriverWorld,
-    initiator_id: NodeId,
 }
 
 impl Driver {
@@ -228,19 +176,12 @@ impl Driver {
             latency,
             faults: FaultPlan::none(),
             rng,
-            deliveries: Vec::new(),
-            constructions: Vec::new(),
-            acks: Vec::new(),
-            ack_timeouts: Vec::new(),
-            established: Vec::new(),
+            events: Events::default(),
             lost: 0,
-            stateless_drops: 0,
             fault_drops: 0,
             crash_wipes: 0,
             auto_ack: false,
             pool: BufferPool::new(),
-            telemetry: None,
-            tap: None,
             initiator: initiator_id,
             plans: HashMap::new(),
             pending_acks: HashMap::new(),
@@ -249,19 +190,18 @@ impl Driver {
         Driver {
             engine: Engine::new(),
             world,
-            initiator_id,
         }
     }
 
     /// Attach live telemetry from a shared registry: engine instruments
-    /// ([`simnet::instrument::EngineTelemetry`]) plus driver instruments
-    /// ([`crate::instrument::DriverTelemetry`]). Telemetry is
+    /// ([`simnet::instrument::EngineTelemetry`]) plus the protocol's
+    /// ([`ProtocolTelemetry`], without a node label). Telemetry is
     /// write-only, so the run's trajectory is identical with or without
     /// this call.
     pub fn attach_telemetry(&mut self, registry: &telemetry::Registry) {
         self.engine
             .set_telemetry(simnet::EngineTelemetry::register(registry));
-        self.world.telemetry = Some(DriverTelemetry::register(registry));
+        self.world.events.telemetry = Some(ProtocolTelemetry::register(registry, None));
     }
 
     /// Inject a fault plan (link drops, latency spikes, crash-restarts).
@@ -283,29 +223,28 @@ impl Driver {
     /// [`take_observations`](Self::take_observations). Record-only —
     /// the trajectory is identical with or without this call.
     pub fn with_observation(mut self) -> Self {
-        self.world.tap = Some(ObservationLog::new());
+        self.world.events.tap = Some(ObservationLog::new());
         self
     }
 
     /// Detach and return the observation log (`None` if the tap was
     /// never attached).
     pub fn take_observations(&mut self) -> Option<ObservationLog> {
-        self.world.tap.take()
+        self.world.events.tap.take()
     }
 
     /// Register an initiator-side path plan so reverse onions arriving on
     /// its stream id can be peeled (required for auto-ack traffic).
     pub fn register_path(&mut self, sid: StreamId, plan: PathPlan) {
-        if let Some(tap) = &mut self.world.tap {
-            let relays = plan.hops[..plan.hops.len() - 1].to_vec();
-            tap.record_construction(
-                self.initiator_id,
-                plan.responder(),
-                relays,
-                sid,
-                self.engine.now(),
-            );
-        }
+        let event = Event::PathRegistered {
+            initiator: self.world.initiator,
+            responder: plan.responder(),
+            relays: &plan.hops[..plan.hops.len() - 1],
+            sid,
+        };
+        self.world
+            .events
+            .record(self.engine.now().as_micros(), event);
         self.world.plans.insert(sid, plan);
     }
 
@@ -324,7 +263,8 @@ impl Driver {
             deadline,
             move |w: &mut DriverWorld, e: &mut Engine<DriverWorld>| {
                 w.pending_acks.remove(&(mid, index));
-                w.ack_timeouts.push((mid, index, e.now()));
+                w.events
+                    .record(e.now().as_micros(), Event::TimedOut { mid, index });
             },
         );
         if let Some(old) = self.world.pending_acks.insert((mid, index), handle) {
@@ -332,17 +272,16 @@ impl Driver {
         }
     }
 
+    /// Schedule `wire` to leave the initiator for `to` on stream `sid` at
+    /// `at`.
+    fn launch(&mut self, to: NodeId, sid: StreamId, wire: Wire, at: SimTime) {
+        Self::send(&mut self.engine, self.world.initiator, to, sid, wire, at);
+    }
+
     /// Schedule an explicit teardown to leave the initiator at `at`,
     /// releasing state hop by hop along the path (§4.3).
     pub fn launch_release(&mut self, first_hop: NodeId, sid: StreamId, at: SimTime) {
-        Self::send(
-            &mut self.engine,
-            self.initiator_id,
-            first_hop,
-            sid,
-            Wire::Release,
-            at,
-        );
+        self.launch(first_hop, sid, Wire::Release, at);
     }
 
     /// Schedule a construction onion (from [`crate::endpoint::Initiator::construct_paths`])
@@ -352,14 +291,7 @@ impl Driver {
             initiator_sid: msg.sid,
             onion: msg.blob.clone(),
         };
-        Self::send(
-            &mut self.engine,
-            self.initiator_id,
-            msg.to,
-            msg.sid,
-            wire,
-            at,
-        );
+        self.launch(msg.to, msg.sid, wire, at);
     }
 
     /// Schedule a payload onion to leave the initiator at `at`.
@@ -367,14 +299,7 @@ impl Driver {
         let wire = Wire::Payload {
             blob: self.world.pool.get_copy(&msg.blob),
         };
-        Self::send(
-            &mut self.engine,
-            self.initiator_id,
-            msg.to,
-            msg.sid,
-            wire,
-            at,
-        );
+        self.launch(msg.to, msg.sid, wire, at);
     }
 
     /// Run all scheduled traffic to completion (or up to `until`).
@@ -420,23 +345,35 @@ impl Driver {
                     w.recycle(wire);
                 }
                 let owd = w.faults.scale_owd(w.latency.owd(from, to), from, to, now);
-                if let Some(t) = &w.telemetry {
-                    t.record_send(tag, bytes.len() as u64, owd.as_micros());
-                }
-                if let Some(tap) = &mut w.tap {
-                    tap.record_egress(from, to, now, tag, bytes.len() as u64, sid);
-                }
+                let packet = PacketObservation {
+                    node: from,
+                    peer: to,
+                    at: now,
+                    ingress: false,
+                    tag,
+                    bytes: bytes.len() as u64,
+                    sid,
+                };
+                let owd_us = owd.as_micros();
+                w.events
+                    .record(now.as_micros(), Event::Sent { packet, owd_us });
                 e.schedule_at(now + owd, move |w, e| {
-                    if let Some(tap) = &mut w.tap {
-                        tap.record_ingress(from, to, e.now(), tag, bytes.len() as u64, sid);
-                    }
+                    let packet = PacketObservation {
+                        node: to,
+                        peer: from,
+                        at: e.now(),
+                        ingress: true,
+                        ..packet
+                    };
+                    w.events
+                        .record(e.now().as_micros(), Event::Arrived { packet });
                     match wire::decode_frame_vec(bytes) {
                         Ok(Frame::Stream { sid, wire }) => Self::receive(w, e, from, to, sid, wire),
                         // A node drops what it cannot decode; the driver
                         // only encodes stream frames, so none arrive here.
                         _ => {
                             debug_assert!(false, "a driver-encoded stream frame decodes");
-                            w.stateless_drops += 1;
+                            w.stateless_drop(e.now());
                         }
                     }
                 });
@@ -455,6 +392,7 @@ impl Driver {
         mut wire: Wire,
     ) {
         let now = e.now();
+        let now_us = now.as_micros();
         if !w.schedule.is_up(to, now) {
             w.lost += 1;
             return w.recycle(wire);
@@ -482,18 +420,19 @@ impl Driver {
         if to == w.initiator {
             if let Wire::Reverse { mut blob } = wire {
                 match w.plans.get(&sid).map(|plan| open_ack(plan, &mut blob)) {
-                    Some(Ok(None)) => w.established.push((sid, now)),
+                    Some(Ok(None)) => w.events.record(now_us, Event::Established { sid }),
                     Some(Ok(Some((mid, index)))) => {
                         if let Some(timer) = w.pending_acks.remove(&(mid, index)) {
                             timer.cancel();
                         }
-                        w.acks.push(AckRecord {
+                        let acked = Event::Acked {
                             mid,
                             index,
-                            at: now,
-                        });
+                            rtt_us: None,
+                        };
+                        w.events.record(now_us, acked);
                     }
-                    Some(Err(_)) | None => w.stateless_drops += 1,
+                    Some(Err(_)) | None => w.stateless_drop(now),
                 }
                 return w.pool.put(blob);
             }
@@ -515,30 +454,12 @@ impl Driver {
                 Self::send(e, to, next, nsid, wire, now);
                 None
             }
-            (Ok(Step::Constructed), Wire::Construct { initiator_sid, .. }) => {
-                // `Constructed` means the terminal entry was just cached.
-                let Some(session_key) = relay.terminal_key(from, sid) else {
-                    debug_assert!(false, "a constructed path has a terminal key");
-                    w.stateless_drops += 1;
-                    return;
-                };
-                w.constructions.push(ConstructionRecord {
-                    initiator_sid,
-                    at: now,
-                    from,
-                    sid,
-                    session_key,
-                });
+            (Ok(Step::Constructed), Wire::Construct { .. }) => {
+                w.events.record(now_us, Event::Constructed { from, sid });
                 w.auto_ack.then(|| (CONSTRUCT_ACK, 0, w.pool.get()))
             }
             (Ok(Step::Delivered { mid, index }), Wire::Payload { blob }) => {
-                w.deliveries.push(DeliveryRecord {
-                    mid,
-                    index,
-                    at: now,
-                    from,
-                    sid,
-                });
+                w.events.record(now_us, Event::Delivered { mid, index });
                 // Reuse the delivered onion's buffer for the reverse ack
                 // travelling back.
                 if w.auto_ack {
@@ -551,7 +472,7 @@ impl Driver {
             (Ok(Step::Released), _) => None,
             (Ok(step), wire) => unreachable!("{step:?} for {wire:?}"),
             (Err(_), wire) => {
-                w.stateless_drops += 1;
+                w.stateless_drop(now);
                 w.recycle(wire);
                 None
             }
@@ -563,7 +484,7 @@ impl Driver {
             match relay.write_ack(from, sid, mid, index, &mut blob, &mut w.rng) {
                 Ok(()) => Self::send(e, to, from, sid, Wire::Reverse { blob }, now),
                 Err(_) => {
-                    w.stateless_drops += 1;
+                    w.stateless_drop(now);
                     w.pool.put(blob);
                 }
             }
@@ -597,10 +518,10 @@ mod tests {
         let msgs = initiator.construct_paths(&hops, &mut rng);
         driver.launch_construction(&msgs[0], SimTime::from_secs(1));
         driver.run_until(SimTime::from_secs(10));
-        assert_eq!(driver.world.constructions.len(), 1);
+        assert_eq!(driver.world.events.constructions.len(), 1);
         // 4 links at 20 ms each.
         assert_eq!(
-            driver.world.constructions[0].at,
+            SimTime(driver.world.events.constructions[0].2),
             SimTime::from_secs(1) + SimDuration::from_millis(80)
         );
         assert_eq!(driver.world.lost, 0);
@@ -662,7 +583,7 @@ mod tests {
         let msgs = initiator.construct_paths(&hops, &mut rng);
         driver.launch_construction(&msgs[0], SimTime::from_secs(1));
         driver.run_until(SimTime::from_secs(10));
-        assert_eq!(driver.world.constructions.len(), 1);
+        assert_eq!(driver.world.events.constructions.len(), 1);
         assert_eq!(derived(&driver), four_hops, "routing derived no one else");
     }
 
@@ -704,7 +625,11 @@ mod tests {
         driver.register_path(sid, initiator.paths()[0].plan.clone());
         driver.launch_construction(&msgs[0], SimTime::from_secs(2_000));
         driver.run_until(SimTime::from_secs(2_001));
-        assert_eq!(driver.world.established.len(), 1, "the ack came home");
+        assert_eq!(
+            driver.world.events.established.len(),
+            1,
+            "the ack came home"
+        );
         assert_eq!(driver.world.crash_wipes, crashes);
         assert_eq!(
             derived(&driver),
@@ -748,10 +673,17 @@ mod tests {
             driver.launch_payload(msg, SimTime::from_secs(2));
         }
         driver.run_until(SimTime::from_secs(62));
-        assert_eq!(driver.world.deliveries.len(), 2, "both segments arrive");
-        for d in &driver.world.deliveries {
-            assert_eq!(d.mid, MessageId(5));
-            assert_eq!(d.at, SimTime::from_secs(2) + SimDuration::from_millis(80));
+        assert_eq!(
+            driver.world.events.deliveries.len(),
+            2,
+            "both segments arrive"
+        );
+        for &(mid, _, at) in &driver.world.events.deliveries {
+            assert_eq!(mid, MessageId(5));
+            assert_eq!(
+                SimTime(at),
+                SimTime::from_secs(2) + SimDuration::from_millis(80)
+            );
         }
     }
 
@@ -771,10 +703,10 @@ mod tests {
         driver.run_until(SimTime::from_secs(2));
 
         // Construct ack: 4 links out + 4 links back at 20 ms each.
-        assert_eq!(driver.world.established.len(), 1);
-        assert_eq!(driver.world.established[0].0, sid);
+        assert_eq!(driver.world.events.established.len(), 1);
+        assert_eq!(driver.world.events.established[0].0, sid);
         assert_eq!(
-            driver.world.established[0].1,
+            SimTime(driver.world.events.established[0].1),
             SimTime::from_secs(1) + SimDuration::from_millis(160)
         );
 
@@ -786,13 +718,13 @@ mod tests {
         driver.launch_payload(&out[0], SimTime::from_secs(2));
         driver.arm_ack_timer(MessageId(9), 0, SimTime::from_secs(3));
         driver.run_until(SimTime::from_secs(5));
-        assert_eq!(driver.world.acks.len(), 1);
-        assert_eq!(driver.world.acks[0].mid, MessageId(9));
+        assert_eq!(driver.world.events.acks.len(), 1);
+        assert_eq!(driver.world.events.acks[0].0, MessageId(9));
         assert_eq!(
-            driver.world.acks[0].at,
+            SimTime(driver.world.events.acks[0].2),
             SimTime::from_secs(2) + SimDuration::from_millis(160)
         );
-        assert!(driver.world.ack_timeouts.is_empty());
+        assert!(driver.world.events.ack_timeouts.is_empty());
         assert_eq!(driver.engine.counters().cancelled, 1, "timer cancelled");
     }
 
@@ -816,11 +748,14 @@ mod tests {
         driver.launch_payload(&out[0], SimTime::from_secs(1));
         driver.arm_ack_timer(MessageId(7), 0, SimTime::from_secs(2));
         driver.run_until(SimTime::from_secs(5));
-        assert!(driver.world.acks.is_empty());
-        assert_eq!(driver.world.ack_timeouts.len(), 1);
-        assert_eq!(driver.world.ack_timeouts[0].0, MessageId(7));
-        assert_eq!(driver.world.ack_timeouts[0].2, SimTime::from_secs(2));
-        assert!(driver.world.stateless_drops >= 1);
+        assert!(driver.world.events.acks.is_empty());
+        assert_eq!(driver.world.events.ack_timeouts.len(), 1);
+        assert_eq!(driver.world.events.ack_timeouts[0].0, MessageId(7));
+        assert_eq!(
+            SimTime(driver.world.events.ack_timeouts[0].2),
+            SimTime::from_secs(2)
+        );
+        assert!(driver.world.events.stateless_drops >= 1);
     }
 
     #[test]
@@ -844,7 +779,7 @@ mod tests {
         let msgs = initiator.construct_paths(&hops, &mut rng);
         driver.launch_construction(&msgs[0], SimTime::from_secs(1));
         driver.run_until(SimTime::from_secs(5));
-        assert_eq!(driver.world.constructions.len(), 0);
+        assert_eq!(driver.world.events.constructions.len(), 0);
         assert_eq!(driver.world.fault_drops, 1, "died on the first link");
         assert_eq!(driver.world.lost, 0, "no churn losses involved");
     }
@@ -880,9 +815,9 @@ mod tests {
         driver.launch_payload(&out[0], SimTime::from_secs(500));
         driver.run_until(SimTime::from_secs(600));
         assert!(driver.world.crash_wipes > 0, "crashes were applied");
-        assert_eq!(driver.world.deliveries.len(), 0);
+        assert_eq!(driver.world.events.deliveries.len(), 0);
         assert!(
-            driver.world.stateless_drops >= 1,
+            driver.world.events.stateless_drops >= 1,
             "payload died at a crashed relay"
         );
     }
@@ -925,9 +860,10 @@ mod tests {
                 driver.engine.counters(),
                 driver
                     .world
+                    .events
                     .deliveries
                     .iter()
-                    .map(|d| d.at)
+                    .map(|d| d.2)
                     .collect::<Vec<_>>(),
             )
         };
@@ -992,11 +928,12 @@ mod tests {
                 driver.engine.counters(),
                 driver
                     .world
+                    .events
                     .deliveries
                     .iter()
-                    .map(|d| d.at)
+                    .map(|d| d.2)
                     .collect::<Vec<_>>(),
-                driver.world.acks.len(),
+                driver.world.events.acks.len(),
             )
         };
         assert_eq!(run(false), run(true), "the tap is event-for-event inert");
@@ -1015,7 +952,7 @@ mod tests {
         let sid = initiator.paths()[0].sid;
         driver.launch_construction(&msgs[0], SimTime::from_secs(1));
         driver.run_until(SimTime::from_secs(2));
-        assert_eq!(driver.world.constructions.len(), 1);
+        assert_eq!(driver.world.events.constructions.len(), 1);
 
         driver.launch_release(NodeId(1), sid, SimTime::from_secs(3));
         driver.run_until(SimTime::from_secs(4));
@@ -1034,8 +971,8 @@ mod tests {
             .unwrap();
         driver.launch_payload(&out[0], SimTime::from_secs(5));
         driver.run_until(SimTime::from_secs(6));
-        assert_eq!(driver.world.deliveries.len(), 0);
-        assert!(driver.world.stateless_drops >= 1);
+        assert_eq!(driver.world.events.deliveries.len(), 0);
+        assert!(driver.world.events.stateless_drops >= 1);
     }
 
     #[test]
@@ -1087,14 +1024,14 @@ mod tests {
         driver.run_until(t_down + SimDuration::from_secs(700));
 
         assert_eq!(
-            driver.world.constructions.len(),
+            driver.world.events.constructions.len(),
             0,
             "construction died at node 2"
         );
         assert_eq!(driver.world.lost, 1, "construction onion lost");
-        assert_eq!(driver.world.deliveries.len(), 0);
+        assert_eq!(driver.world.events.deliveries.len(), 0);
         // The payload reached relay 1 (which has state) then relay 2
         // (which has none): a stateless drop, not a loss.
-        assert!(driver.world.stateless_drops >= 1);
+        assert!(driver.world.events.stateless_drops >= 1);
     }
 }

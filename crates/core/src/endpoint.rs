@@ -193,7 +193,8 @@ impl Initiator {
     /// §4.2's combined mode: build paths and send the first message's
     /// segments in the same round trip ("allows the initiator to form
     /// paths on-demand ... without message delays"). One combined wire
-    /// message per segment-carrying path.
+    /// message per segment-carrying path; an error, and no segment sent,
+    /// when `paths_hops` is empty.
     pub fn construct_and_send<R: Rng + CryptoRng>(
         &mut self,
         paths_hops: &[Vec<(NodeId, PublicKey)>],
@@ -201,7 +202,10 @@ impl Initiator {
         message: &[u8],
         codec: &dyn Codec,
         rng: &mut R,
-    ) -> Vec<CombinedOutgoing> {
+    ) -> Result<Vec<CombinedOutgoing>, AnonError> {
+        if paths_hops.is_empty() {
+            return Err(AnonError::InvalidParameters("no paths to construct".into()));
+        }
         let start = self.paths.len();
         let cons = self.construct_paths(paths_hops, rng);
         let k = paths_hops.len();
@@ -216,11 +220,14 @@ impl Initiator {
             })
             .collect();
         let pairs = (0..segments.len()).map(|i| (i, start + i % k));
-        let onions = self.segment_onions(mid, &segments, pairs, None, rng);
-        for (i, o) in onions.expect("paths just built").into_iter().enumerate() {
+        for (i, o) in self
+            .segment_onions(mid, &segments, pairs, None, rng)?
+            .into_iter()
+            .enumerate()
+        {
             out[i % k].payloads.push(o.blob);
         }
-        out
+        Ok(out)
     }
 
     /// Mark a path established (end-to-end ack arrived on its stream).
@@ -239,11 +246,8 @@ impl Initiator {
             return false;
         };
         self.established -= usize::from(self.paths.remove(at).established);
-        for later in &self.paths[at..] {
-            *self
-                .index
-                .get_mut(&later.sid)
-                .expect("every path is indexed") -= 1;
+        for (i, later) in self.paths.iter().enumerate().skip(at) {
+            self.index.insert(later.sid, i);
         }
         true
     }
@@ -303,9 +307,13 @@ impl Initiator {
         let no_payload = || AnonError::InvalidParameters("no payload kept for the message".into());
         let segments = codec.encode(payload.ok_or_else(no_payload)?);
         let out = self.segment_onions(mid, &segments, pairs.iter().copied(), None, rng)?;
-        let record = self.sent.get_mut(&mid).expect("found above");
+        // The payload above came from this record.
+        let segs = self
+            .sent
+            .get_mut(&mid)
+            .map_or(&mut [][..], |m| &mut m.segments);
         for (&(index, _), msg) in pairs.iter().zip(&out) {
-            if let Some(seg) = record.segments.get_mut(index) {
+            if let Some(seg) = segs.get_mut(index) {
                 (seg.path, seg.retries) = (msg.sid, seg.retries + 1);
             }
         }
@@ -519,21 +527,21 @@ impl Reassembler {
         if self.completed.contains_key(&mid) {
             return Ok(None);
         }
-        let entry = match self.pending.entry(mid) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => e.insert(Partial {
+        let mut entry = match self.pending.entry(mid) {
+            Entry::Occupied(e) => e,
+            Entry::Vacant(e) => e.insert_entry(Partial {
                 last_arrival: now,
                 segments: Vec::new(),
             }),
         };
-        if entry.segments.iter().any(|s| s.index == segment.index) {
+        let partial = entry.get_mut();
+        if partial.segments.iter().any(|s| s.index == segment.index) {
             return Ok(None); // duplicate
         }
-        entry.last_arrival = now;
-        entry.segments.push(segment);
-        if entry.segments.len() >= codec.required() {
-            let partial = self.pending.remove(&mid).expect("just inserted");
-            let msg = codec.decode(&partial.segments)?;
+        partial.last_arrival = now;
+        partial.segments.push(segment);
+        if partial.segments.len() >= codec.required() {
+            let msg = codec.decode(&entry.remove().segments)?;
             self.completed.insert(mid, now);
             return Ok(Some(msg));
         }
@@ -793,7 +801,9 @@ mod tests {
         ];
         // 4 segments over 2 paths: each combined message carries 2 payloads.
         let codec = ErasureCodec::new(2, 4).unwrap();
-        let out = initiator.construct_and_send(&paths, MessageId(1), b"bundle", &codec, &mut rng);
+        let out = initiator
+            .construct_and_send(&paths, MessageId(1), b"bundle", &codec, &mut rng)
+            .unwrap();
         assert_eq!(out.len(), 2);
         for c in &out {
             assert_eq!(c.payloads.len(), 2);

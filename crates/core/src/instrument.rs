@@ -1,13 +1,13 @@
-//! Runtime telemetry wiring for the protocol driver.
+//! Runtime telemetry wiring for the protocol's event record.
 //!
-//! [`DriverTelemetry`] bundles the instruments the event-driven
-//! [`Driver`](crate::driver::Driver) records into when one is attached
-//! with [`Driver::attach_telemetry`](crate::driver::Driver::attach_telemetry):
-//! per-hop latency distributions, frame traffic split by wire tag, and
-//! erasure decode outcomes. Instruments resolve from a shared
-//! [`telemetry::Registry`] once, so the per-message hot path touches
-//! only pre-resolved `Arc`s; with no telemetry attached every record
-//! site is a never-taken branch.
+//! [`ProtocolTelemetry`] bundles the instruments
+//! [`Events::record`](crate::events::Events::record) counts into, so the
+//! simulator's [`Driver`](crate::driver::Driver) (attached with
+//! [`Driver::attach_telemetry`](crate::driver::Driver::attach_telemetry))
+//! and a live `transport::ProtocolNode` publish the same names for the
+//! same events. Instruments resolve from a shared [`telemetry::Registry`]
+//! once, so recording touches only pre-resolved `Arc`s; with no telemetry
+//! attached, recording touches none.
 //!
 //! Like the engine's instruments ([`simnet::instrument`]), everything
 //! here is write-only: no protocol decision ever reads a telemetry
@@ -16,6 +16,8 @@
 //! latency summaries) stay in [`crate::metrics`]; this module is the
 //! operational view.
 
+use crate::events::KINDS;
+use simnet::NodeId;
 use std::sync::Arc;
 use telemetry::{Counter, Histogram, Registry};
 
@@ -34,93 +36,69 @@ pub fn wire_tag(wire: &crate::wire::Wire) -> usize {
     }
 }
 
-/// Grouping power used for the driver's latency histograms: relative
-/// quantile error ≤ 2⁻⁷ ≈ 0.8%.
+/// Grouping power of the latency histograms: relative quantile error
+/// ≤ 2⁻⁷ ≈ 0.8%.
 pub const LATENCY_GROUPING_POWER: u32 = 7;
 
-/// Pre-resolved driver instruments (see the module docs).
-///
-/// Instrument names:
+/// Pre-resolved protocol instruments: one family, registered alike by
+/// the simulator and by each live node.
 ///
 /// | name | kind | meaning |
 /// |---|---|---|
-/// | `core_hop_latency_us` | histogram | one-way delay of each link crossing, µs |
-/// | `core_frames_total{wire=…}` | counter | frames encoded, by wire tag |
-/// | `core_frame_bytes_total{wire=…}` | counter | encoded frame bytes, by wire tag |
-/// | `core_erasure_decodes_total` | counter | messages that reached erasure decodability |
-/// | `core_erasure_decode_failures_total` | counter | messages that never did |
-#[derive(Clone)]
-pub struct DriverTelemetry {
-    /// One-way delay of each link crossing (µs).
-    pub hop_latency_us: Arc<Histogram>,
-    /// Frames encoded, by wire tag ([`WIRE_LABELS`] order).
-    pub frames: [Arc<Counter>; 4],
-    /// Encoded frame bytes, by wire tag.
-    pub frame_bytes: [Arc<Counter>; 4],
-    /// Messages whose segment quorum reached erasure decodability.
-    pub erasure_decodes: Arc<Counter>,
-    /// Messages that ran out of retries before decodability.
-    pub erasure_decode_failures: Arc<Counter>,
+/// | `protocol_events_total{kind=…}` | counter | events recorded, by [`KINDS`] label |
+/// | `protocol_frame_bytes_total{wire=…}` | counter | encoded bytes of `sent` frames, by wire tag |
+/// | `protocol_hop_latency_us` | histogram | one-way delay of each `sent` frame, µs |
+/// | `protocol_ack_rtt_us` | histogram | round trip of each timed `acked` segment, µs |
+///
+/// A live node's instruments also carry its `node=…` label.
+#[derive(Clone, Debug)]
+pub struct ProtocolTelemetry {
+    pub(crate) events: [Arc<Counter>; KINDS.len()],
+    pub(crate) frame_bytes: [Arc<Counter>; WIRE_LABELS.len()],
+    pub(crate) hop_latency_us: Arc<Histogram>,
+    pub(crate) ack_rtt_us: Arc<Histogram>,
 }
 
-impl DriverTelemetry {
-    /// Resolve the driver's instruments from `registry` (creating them
-    /// on first use; see the type docs for names).
-    pub fn register(registry: &Registry) -> Self {
-        let per_tag = |name: &str| -> [Arc<Counter>; 4] {
-            WIRE_LABELS.map(|tag| registry.counter(name, &[("wire", tag)]))
+impl ProtocolTelemetry {
+    /// Resolve the instruments from `registry` (creating them on first
+    /// use; see the type docs for names), labelled with `node` if given.
+    pub fn register(registry: &Registry, node: Option<NodeId>) -> Self {
+        let id = node.map(|n| n.0.to_string());
+        let node: Vec<(&str, &str)> = id.iter().map(|id| ("node", id.as_str())).collect();
+        let counter = |name: &str, key: &str, value: &str| {
+            registry.counter(name, &[&node[..], &[(key, value)]].concat())
         };
-        DriverTelemetry {
-            hop_latency_us: registry.histogram("core_hop_latency_us", &[], LATENCY_GROUPING_POWER),
-            frames: per_tag("core_frames_total"),
-            frame_bytes: per_tag("core_frame_bytes_total"),
-            erasure_decodes: registry.counter("core_erasure_decodes_total", &[]),
-            erasure_decode_failures: registry.counter("core_erasure_decode_failures_total", &[]),
+        let histogram = |name: &str| registry.histogram(name, &node, LATENCY_GROUPING_POWER);
+        ProtocolTelemetry {
+            events: KINDS.map(|kind| counter("protocol_events_total", "kind", kind)),
+            frame_bytes: WIRE_LABELS
+                .map(|wire| counter("protocol_frame_bytes_total", "wire", wire)),
+            hop_latency_us: histogram("protocol_hop_latency_us"),
+            ack_rtt_us: histogram("protocol_ack_rtt_us"),
         }
-    }
-
-    /// Record one encoded frame leaving on a link: its wire tag index,
-    /// encoded size, and the link's one-way delay.
-    #[inline]
-    pub fn record_send(&self, tag: usize, bytes: u64, owd_us: u64) {
-        self.frames[tag].inc();
-        self.frame_bytes[tag].add(bytes);
-        self.hop_latency_us.record(owd_us);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use telemetry::SnapshotValue;
 
     #[test]
-    fn register_creates_the_documented_instruments() {
+    fn a_node_registers_under_its_label_and_the_simulator_without() {
         let reg = Registry::new();
-        let tel = DriverTelemetry::register(&reg);
-        tel.record_send(1, 1500, 20_000);
-        tel.record_send(1, 1500, 22_000);
-        tel.record_send(3, 10, 20_000);
-        tel.erasure_decodes.inc();
-
+        ProtocolTelemetry::register(&reg, None).events[4].inc();
+        ProtocolTelemetry::register(&reg, Some(NodeId(7))).events[4].add(2);
         let s = reg.snapshot();
         assert_eq!(
-            s.counter_value("core_frames_total", &[("wire", "payload")]),
-            2
-        );
-        assert_eq!(
-            s.counter_value("core_frame_bytes_total", &[("wire", "payload")]),
-            3000
-        );
-        assert_eq!(
-            s.counter_value("core_frames_total", &[("wire", "release")]),
+            s.counter_value("protocol_events_total", &[("kind", "acked")]),
             1
         );
-        assert_eq!(s.counter_value("core_erasure_decodes_total", &[]), 1);
-        match s.get("core_hop_latency_us", &[]) {
-            Some(SnapshotValue::Histogram(h)) => assert_eq!(h.count(), 3),
-            other => panic!("expected histogram, got {other:?}"),
-        }
+        assert_eq!(
+            s.counter_value("protocol_events_total", &[("kind", "acked"), ("node", "7")]),
+            2
+        );
+        let families = 2 * (KINDS.len() + WIRE_LABELS.len() + 2);
+        assert_eq!(s.len(), families, "every instrument, once per label set");
     }
 
     #[test]

@@ -41,6 +41,8 @@
 //!   reverse paths (§4.2, §4.4).
 //! * [`cluster`] — in-memory message-level network for end-to-end runs.
 //! * [`driver`] — event-driven protocol execution over `simnet`.
+//! * [`events`] — the one protocol event record the driver and the live
+//!   node both write; [`instrument`] holds its instruments.
 //! * [`mix`] — random vs biased mix choice and disjoint path selection
 //!   (§4.9), plus the horizon-biased extension.
 //! * [`allocation`] — SimEra segment allocation analytics: `P(k)`, the
@@ -72,6 +74,7 @@ pub mod cluster;
 pub mod cover;
 pub mod driver;
 pub mod endpoint;
+pub mod events;
 pub mod ids;
 pub mod instrument;
 pub mod metrics;

@@ -1,6 +1,8 @@
 //! Read-only observation tap for adversary models: per-relay packet
 //! timing events plus path-construction metadata, recorded during a
-//! driver run and handed to `crates/adversary` afterwards.
+//! driver run and handed to `crates/adversary` afterwards. The log is
+//! written by [`Events::record`](crate::events::Events::record) alone,
+//! from the driver's `sent`, `arrived` and `path_registered` events.
 //!
 //! The tap follows the same inertness discipline as
 //! [`simnet::FaultPlan::none`] and telemetry-off: it is *record-only*.
@@ -77,68 +79,6 @@ impl ObservationLog {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Record a packet leaving `from` towards `to` at `at`.
-    #[allow(clippy::too_many_arguments)] // flat call used on the hot path
-    pub fn record_egress(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        at: SimTime,
-        tag: usize,
-        bytes: u64,
-        sid: StreamId,
-    ) {
-        self.packets.push(PacketObservation {
-            node: from,
-            peer: to,
-            at,
-            ingress: false,
-            tag,
-            bytes,
-            sid,
-        });
-    }
-
-    /// Record a packet arriving at `to` from `from` at `at`.
-    #[allow(clippy::too_many_arguments)] // flat call used on the hot path
-    pub fn record_ingress(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        at: SimTime,
-        tag: usize,
-        bytes: u64,
-        sid: StreamId,
-    ) {
-        self.packets.push(PacketObservation {
-            node: to,
-            peer: from,
-            at,
-            ingress: true,
-            tag,
-            bytes,
-            sid,
-        });
-    }
-
-    /// Record a registered path construction.
-    pub fn record_construction(
-        &mut self,
-        initiator: NodeId,
-        responder: NodeId,
-        relays: Vec<NodeId>,
-        sid: StreamId,
-        at: SimTime,
-    ) {
-        self.constructions.push(ConstructionObservation {
-            initiator,
-            responder,
-            relays,
-            sid,
-            at,
-        });
-    }
 }
 
 /// Ground truth for one end-to-end message ("flow"): what the
@@ -177,44 +117,4 @@ pub struct ObservedRun {
     pub responder: NodeId,
     /// Per-message ground truth, in send order.
     pub flows: Vec<FlowTruth>,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn log_records_in_order() {
-        let mut log = ObservationLog::new();
-        log.record_egress(
-            NodeId(0),
-            NodeId(1),
-            SimTime::from_secs(1),
-            1,
-            128,
-            StreamId(7),
-        );
-        log.record_ingress(
-            NodeId(0),
-            NodeId(1),
-            SimTime::from_secs(2),
-            1,
-            128,
-            StreamId(7),
-        );
-        log.record_construction(
-            NodeId(0),
-            NodeId(5),
-            vec![NodeId(1), NodeId(2)],
-            StreamId(9),
-            SimTime::from_secs(0),
-        );
-        assert_eq!(log.packets.len(), 2);
-        assert!(!log.packets[0].ingress);
-        assert_eq!(log.packets[0].node, NodeId(0));
-        assert!(log.packets[1].ingress);
-        assert_eq!(log.packets[1].node, NodeId(1));
-        assert_eq!(log.constructions.len(), 1);
-        assert_eq!(log.constructions[0].relays.len(), 2);
-    }
 }

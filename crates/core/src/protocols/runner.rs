@@ -477,9 +477,10 @@ pub fn run_recovery_experiment_traced(cfg: &RecoveryConfig) -> (RecoveryResult, 
 /// [`run_recovery_experiment_traced`] with optional live telemetry and
 /// the adversary observation tap optionally attached.
 ///
-/// When `registry` is `Some`, the driver's engine and wire path record
-/// into it (`sim_*`, `core_*` instruments — see [`crate::instrument`]
-/// and [`simnet::instrument`]) and erasure decode outcomes are counted.
+/// When `registry` is `Some`, the driver's engine and event record count
+/// into it (`sim_*`, `protocol_*` instruments — see [`crate::instrument`]
+/// and [`simnet::instrument`]), erasure decode outcomes and the
+/// runner's retransmits included.
 /// Telemetry is write-only, so the returned result and statistics are
 /// bit-identical to the uninstrumented run — the experiments crate's
 /// determinism suite pins this.
@@ -502,6 +503,7 @@ pub fn run_recovery_experiment_observed(
 ) {
     use crate::driver::Driver;
     use crate::endpoint::Initiator;
+    use crate::events::Event;
     use crate::ids::{MessageId, StreamId};
     use crate::observe::{FlowTruth, ObservedRun};
     use rand::rngs::StdRng;
@@ -554,12 +556,6 @@ pub fn run_recovery_experiment_observed(
     if let Some(reg) = registry {
         driver.attach_telemetry(reg);
     }
-    let decode_counters = registry.map(|reg| {
-        (
-            reg.counter("core_erasure_decodes_total", &[]),
-            reg.counter("core_erasure_decode_failures_total", &[]),
-        )
-    });
     let mut initiator = Initiator::new(initiator_id);
     let mut proto_rng = StdRng::seed_from_u64(cfg.world.seed ^ 0x9E37);
 
@@ -624,15 +620,13 @@ pub fn run_recovery_experiment_observed(
         }
         let deadline = t + cfg.recovery.ack_timeout;
         driver.run_until(deadline);
-        let drained: Vec<(StreamId, SimTime)> = std::mem::take(&mut driver.world.established);
+        let drained = std::mem::take(&mut driver.world.events.established);
         let mut formed = 0usize;
         let mut latest = t;
         for (sid, at) in drained {
             if initiator.mark_established(sid) {
                 formed += 1;
-                if at > latest {
-                    latest = at;
-                }
+                latest = latest.max(SimTime(at));
             }
         }
         let dead: Vec<StreamId> = initiator
@@ -714,12 +708,12 @@ pub fn run_recovery_experiment_observed(
         let mut attempt = 0u32;
         loop {
             driver.run_until(deadline);
-            for a in driver.world.acks.drain(..) {
+            for (mid, index, at) in driver.world.events.acks.drain(..) {
                 acks_total += 1;
-                initiator.note_ack(a.mid, a.index, a.at);
+                initiator.note_ack(mid, index, SimTime(at));
             }
-            timeouts_total += driver.world.ack_timeouts.len() as u64;
-            driver.world.ack_timeouts.clear();
+            timeouts_total += driver.world.events.ack_timeouts.len() as u64;
+            driver.world.events.ack_timeouts.clear();
             let missing = initiator.missing(mid);
             if n_seg - missing.len() >= needed || attempt >= cfg.recovery.retry_budget {
                 break;
@@ -810,9 +804,9 @@ pub fn run_recovery_experiment_observed(
 
             // ---- Erasure-aware retransmission: only the segments still
             // needed, with an exponentially backed-off deadline. ----
-            for a in driver.world.acks.drain(..) {
+            for (mid, index, at) in driver.world.events.acks.drain(..) {
                 acks_total += 1;
-                initiator.note_ack(a.mid, a.index, a.at);
+                initiator.note_ack(mid, index, SimTime(at));
             }
             // The round's slot rule: its `j`-th missing segment rides path
             // `j mod k` of the repaired set.
@@ -825,6 +819,12 @@ pub fn run_recovery_experiment_observed(
                 .resend(mid, codec.as_ref(), &still_missing, &mut proto_rng)
                 .expect("paths exist");
             retransmits += retx.len() as u64;
+            for _ in &retx {
+                driver
+                    .world
+                    .events
+                    .record(t_now.as_micros(), Event::Retransmitted);
+            }
             msg_wire_segments += retx.len() as u64;
             if let Some(fl) = &mut flow {
                 for o in &retx {
@@ -845,20 +845,21 @@ pub fn run_recovery_experiment_observed(
         // delivered when `m` distinct segments arrived. ----
         let mut distinct: HashSet<usize> = HashSet::new();
         let mut arrivals: Vec<SimTime> = Vec::new();
-        for d in driver.world.deliveries.iter().filter(|d| d.mid == mid) {
-            if distinct.insert(d.index) {
-                arrivals.push(d.at);
+        let delivered = driver.world.events.deliveries.iter();
+        for &(_, index, at) in delivered.filter(|d| d.0 == mid) {
+            if distinct.insert(index) {
+                arrivals.push(SimTime(at));
             }
         }
         arrivals.sort_unstable();
         let ok = distinct.len() >= needed;
-        if let Some((decodes, failures)) = &decode_counters {
-            if ok {
-                decodes.inc();
-            } else {
-                failures.inc();
-            }
-        }
+        let decoded = if ok {
+            Event::Decoded
+        } else {
+            Event::Undecodable
+        };
+        let engine_now = driver.engine.now();
+        driver.world.events.record(engine_now.as_micros(), decoded);
         let latency = ok.then(|| arrivals[needed - 1] - send_t);
         let bytes = per_path_bytes * (l + 1) as f64 * msg_wire_segments as f64;
         metrics.record_message(ok, latency, bytes);
@@ -870,15 +871,15 @@ pub fn run_recovery_experiment_observed(
         if let Some(mut fl) = flow {
             fl.delivered_at = driver
                 .world
+                .events
                 .deliveries
                 .iter()
-                .filter(|d| d.mid == mid)
-                .map(|d| d.at)
+                .filter(|d| d.0 == mid)
+                .map(|d| SimTime(d.2))
                 .collect();
             flows.push(fl);
         }
 
-        let engine_now = driver.engine.now();
         t = (send_t + cfg.msg_interval).max(engine_now);
     }
 
@@ -887,7 +888,7 @@ pub fn run_recovery_experiment_observed(
     stats.links = world.stats.links();
     stats.probes = world.stats.probes();
     stats.lost = driver.world.lost;
-    stats.stateless_drops = driver.world.stateless_drops;
+    stats.stateless_drops = driver.world.events.stateless_drops;
     stats.fault_drops = driver.world.fault_drops;
     stats.crash_wipes = driver.world.crash_wipes;
     stats.segments_sent = segments_sent;

@@ -236,32 +236,34 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 
 /// Parse the 10-byte header. Returns the frame type tag and body length.
 fn decode_header(bytes: &[u8]) -> Result<(u8, usize), WireError> {
-    if bytes.len() < HEADER_LEN {
+    let Some(&[m0, m1, m2, m3, version, tag, l0, l1, l2, l3]) = bytes.first_chunk::<HEADER_LEN>()
+    else {
         return Err(WireError::Truncated {
             needed: HEADER_LEN,
             got: bytes.len(),
         });
-    }
-    let magic: [u8; 4] = bytes[..4].try_into().expect("length checked");
+    };
+    let magic = [m0, m1, m2, m3];
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
-    if bytes[4] != VERSION {
-        return Err(WireError::UnsupportedVersion(bytes[4]));
+    if version != VERSION {
+        return Err(WireError::UnsupportedVersion(version));
     }
-    let tag = bytes[5];
     if tag > TYPE_RELEASE {
         return Err(WireError::UnknownType(tag));
     }
-    let len = u32::from_be_bytes(bytes[6..10].try_into().expect("length checked")) as usize;
+    let len = u32::from_be_bytes([l0, l1, l2, l3]) as usize;
     if len > MAX_BODY_LEN {
         return Err(WireError::Oversized { len });
     }
     Ok((tag, len))
 }
 
-fn be_u64(body: &[u8], at: usize) -> u64 {
-    u64::from_be_bytes(body[at..at + 8].try_into().expect("caller checked length"))
+/// The big-endian `u64` that opens `body`, and the bytes after it.
+fn be_u64(body: &[u8]) -> Option<(u64, &[u8])> {
+    let (word, rest) = body.split_first_chunk::<8>()?;
+    Some((u64::from_be_bytes(*word), rest))
 }
 
 /// Decode the body of a frame whose header already validated.
@@ -272,43 +274,39 @@ fn decode_body(tag: u8, body: &[u8]) -> Result<Frame, WireError> {
     };
     match tag {
         TYPE_HELLO => {
-            if body.len() < 4 {
-                return Err(short());
-            }
-            let node = u32::from_be_bytes(body[..4].try_into().expect("length checked"));
-            Ok(Frame::Hello { node: NodeId(node) })
+            let (node, _) = body.split_first_chunk::<4>().ok_or_else(short)?;
+            Ok(Frame::Hello {
+                node: NodeId(u32::from_be_bytes(*node)),
+            })
         }
         TYPE_CONSTRUCT => {
-            if body.len() < 16 {
-                return Err(short());
-            }
+            let (sid, rest) = be_u64(body).ok_or_else(short)?;
+            let (initiator_sid, onion) = be_u64(rest).ok_or_else(short)?;
             Ok(Frame::Stream {
-                sid: StreamId(be_u64(body, 0)),
+                sid: StreamId(sid),
                 wire: Wire::Construct {
-                    initiator_sid: StreamId(be_u64(body, 8)),
-                    onion: body[16..].to_vec(),
+                    initiator_sid: StreamId(initiator_sid),
+                    onion: onion.to_vec(),
                 },
             })
         }
         TYPE_PAYLOAD | TYPE_REVERSE => {
-            if body.len() < 8 {
-                return Err(short());
-            }
-            let sid = StreamId(be_u64(body, 0));
-            let blob = body[8..].to_vec();
+            let (sid, blob) = be_u64(body).ok_or_else(short)?;
+            let blob = blob.to_vec();
             let wire = if tag == TYPE_PAYLOAD {
                 Wire::Payload { blob }
             } else {
                 Wire::Reverse { blob }
             };
-            Ok(Frame::Stream { sid, wire })
+            Ok(Frame::Stream {
+                sid: StreamId(sid),
+                wire,
+            })
         }
         TYPE_RELEASE => {
-            if body.len() < 8 {
-                return Err(short());
-            }
+            let (sid, _) = be_u64(body).ok_or_else(short)?;
             Ok(Frame::Stream {
-                sid: StreamId(be_u64(body, 0)),
+                sid: StreamId(sid),
                 wire: Wire::Release,
             })
         }
@@ -365,12 +363,11 @@ pub fn decode_frame_vec(mut buf: Vec<u8>) -> Result<Frame, WireError> {
             extra: buf.len() - total,
         });
     }
+    let short = || WireError::ShortBody { tag, len };
     match tag {
         TYPE_PAYLOAD | TYPE_REVERSE => {
-            if len < 8 {
-                return Err(WireError::ShortBody { tag, len });
-            }
-            let sid = StreamId(be_u64(&buf[HEADER_LEN..], 0));
+            let (sid, _) = be_u64(&buf[HEADER_LEN..]).ok_or_else(short)?;
+            let sid = StreamId(sid);
             buf.drain(..HEADER_LEN + 8);
             let wire = if tag == TYPE_PAYLOAD {
                 Wire::Payload { blob: buf }
@@ -380,17 +377,13 @@ pub fn decode_frame_vec(mut buf: Vec<u8>) -> Result<Frame, WireError> {
             Ok(Frame::Stream { sid, wire })
         }
         TYPE_CONSTRUCT => {
-            if len < 16 {
-                return Err(WireError::ShortBody { tag, len });
-            }
-            let body = &buf[HEADER_LEN..];
-            let sid = StreamId(be_u64(body, 0));
-            let initiator_sid = StreamId(be_u64(body, 8));
+            let (sid, rest) = be_u64(&buf[HEADER_LEN..]).ok_or_else(short)?;
+            let (initiator_sid, _) = be_u64(rest).ok_or_else(short)?;
             buf.drain(..HEADER_LEN + 16);
             Ok(Frame::Stream {
-                sid,
+                sid: StreamId(sid),
                 wire: Wire::Construct {
-                    initiator_sid,
+                    initiator_sid: StreamId(initiator_sid),
                     onion: buf,
                 },
             })

@@ -104,32 +104,37 @@ fn trajectory_level_matches_driver_ground_truth() {
 
         for (i, pred) in pred_cons.iter().enumerate() {
             cons_checked += 1;
+            // `pick_paths` returns relay-disjoint paths, so the last
+            // relay names the path at the responder.
+            let last_relay = paths[i].last().copied();
             let record = driver
                 .world
+                .events
                 .constructions
                 .iter()
-                .find(|c| c.initiator_sid == cons_msgs[i].sid);
+                .find(|c| Some(c.0) == last_relay);
             match (pred.success, record) {
                 (true, Some(rec)) => assert_eq!(
-                    rec.at, pred.completed_at,
+                    SimTime(rec.2),
+                    pred.completed_at,
                     "trial {trial} path {i}: construction timing must agree to the µs"
                 ),
                 (false, None) => {}
                 (p, r) => panic!(
                     "trial {trial} path {i}: trajectory predicted success={p}, \
                      driver recorded {:?}",
-                    r.map(|c| c.at)
+                    r.map(|c| SimTime(c.2))
                 ),
             }
         }
         for (i, pred) in pred_msgs.iter().enumerate() {
             // Segment index i rides path i (k segments, k paths).
-            let delivered = driver.world.deliveries.iter().find(|d| d.index == i);
+            let delivered = driver.world.events.deliveries.iter().find(|d| d.1 == i);
             if pred_cons[i].success {
                 msg_checked += 1;
                 match (pred.delivered, delivered) {
                     (true, Some(d)) => assert_eq!(
-                        Some(d.at),
+                        Some(SimTime(d.2)),
                         pred.arrival,
                         "trial {trial} segment {i}: arrival must agree to the µs"
                     ),
@@ -137,7 +142,7 @@ fn trajectory_level_matches_driver_ground_truth() {
                     (p, d) => panic!(
                         "trial {trial} segment {i}: trajectory predicted delivered={p}, \
                          driver recorded {:?}",
-                        d.map(|x| x.at)
+                        d.map(|x| SimTime(x.2))
                     ),
                 }
             } else {

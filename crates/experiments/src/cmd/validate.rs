@@ -122,14 +122,18 @@ pub fn run(args: &Args) -> ExitCode {
         // ---- Compare ------------------------------------------------------
         for (i, pred) in pred_cons.iter().enumerate() {
             cons_checked += 1;
+            // `pick_paths` returns relay-disjoint paths, so the last
+            // relay names the path at the responder.
+            let last_relay = paths[i].last().copied();
             let record = driver
                 .world
+                .events
                 .constructions
                 .iter()
-                .find(|c| c.initiator_sid == cons_msgs[i].sid);
+                .find(|c| Some(c.0) == last_relay);
             match (pred.success, record) {
                 (true, Some(rec)) => {
-                    if rec.at != pred.completed_at {
+                    if SimTime(rec.2) != pred.completed_at {
                         time_mismatch += 1;
                     }
                 }
@@ -139,12 +143,12 @@ pub fn run(args: &Args) -> ExitCode {
         }
         for (i, pred) in pred_msgs.iter().enumerate() {
             // Segment index i rides path i (k segments, k paths).
-            let delivered = driver.world.deliveries.iter().find(|d| d.index == i);
+            let delivered = driver.world.events.deliveries.iter().find(|d| d.1 == i);
             if pred_cons[i].success {
                 msg_checked += 1;
                 match (pred.delivered, delivered) {
                     (true, Some(d)) => {
-                        if Some(d.at) != pred.arrival {
+                        if Some(SimTime(d.2)) != pred.arrival {
                             time_mismatch += 1;
                         }
                     }

@@ -203,9 +203,13 @@ fn telemetry_on_and_off_produce_identical_runs() {
             "telemetry must mirror engine counters (seed {seed})"
         );
         assert!(
-            snap.counter_value("core_frames_total", &[("wire", "payload")]) > 0,
+            snap.counter_value("protocol_frame_bytes_total", &[("wire", "payload")]) > 0,
             "payload frames must have been recorded (seed {seed})"
         );
+        let events = |kind| snap.counter_value("protocol_events_total", &[("kind", kind)]);
+        assert_eq!(events("decoded"), on.delivered, "seed {seed}");
+        assert_eq!(events("retransmitted"), on.retransmits, "seed {seed}");
+        assert_eq!(events("acked"), stats_on.acks, "seed {seed}");
     }
 }
 

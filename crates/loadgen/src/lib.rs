@@ -37,7 +37,7 @@ use telemetry::{Histogram, HistogramSnapshot};
 use transport::{Runtime, Transport};
 
 /// Histogram grouping power: ~0.8 % relative error, matching the
-/// `node_ack_rtt_us` instrument.
+/// `protocol_ack_rtt_us` instrument.
 const GROUPING_POWER: u32 = 7;
 
 /// Hard ceiling on outstanding operations: an open-loop rate far beyond

@@ -27,6 +27,7 @@
 //!     --paths "1,2;3,4" --responder 5 --codec 1,2
 //! ```
 
+use anon_core::instrument::ProtocolTelemetry;
 use anon_core::MessageId;
 use erasure::ErasureCodec;
 use simnet::NodeId;
@@ -36,8 +37,8 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 use transport::{
-    ChaosConfig, ChaosPlan, ChaosTransport, EventedTransport, NodeTelemetry, ProtocolNode, Roster,
-    Runtime, StatsServer, TcpTelemetry, Transport,
+    ChaosConfig, ChaosPlan, ChaosTransport, EventedTransport, ProtocolNode, Roster, Runtime,
+    StatsServer, TcpTelemetry, Transport,
 };
 
 struct Args {
@@ -206,7 +207,7 @@ fn main() -> ExitCode {
         Some(addr) => {
             let registry = Arc::new(telemetry::Registry::new());
             transport.set_telemetry(TcpTelemetry::register(registry.clone()));
-            node = node.with_telemetry(NodeTelemetry::register(&registry, args.id));
+            node = node.with_telemetry(ProtocolTelemetry::register(&registry, Some(args.id)));
             match StatsServer::serve(addr, registry, Some(Duration::from_secs(10))) {
                 Ok(server) => {
                     say(format!("STATS addr={}", server.local_addr()));

@@ -1,9 +1,12 @@
 //! Telemetry wiring for the live transport stack.
 //!
 //! Same pattern as `anon_core::instrument`: this module owns the
-//! instrument names and registration; the transport and node code holds
+//! instrument names and registration; the transport code holds
 //! pre-resolved [`Arc`] handles inside `Option`s and records lock-free.
-//! `None` everywhere means zero cost — no atomics touched.
+//! `None` everywhere means zero cost — no atomics touched. The protocol
+//! node's instruments are not here: it records into
+//! `anon_core::events::Events`, which counts into
+//! `anon_core::instrument::ProtocolTelemetry`.
 //!
 //! Instrumentation here is strictly write-only: nothing in the protocol
 //! or transport reads these values back to make a decision, so attaching
@@ -13,11 +16,7 @@
 use crate::policy::Priority;
 use simnet::NodeId;
 use std::sync::Arc;
-use telemetry::{Counter, Gauge, Histogram, Registry};
-
-/// Log-linear grouping power for RTT histograms (~0.8 % relative error,
-/// matching `core_hop_latency_us`).
-const RTT_GROUPING_POWER: u32 = 7;
+use telemetry::{Counter, Gauge, Registry};
 
 /// Transport-wide instruments for one [`crate::EventedTransport`].
 #[derive(Clone)]
@@ -140,52 +139,6 @@ impl WriterTelemetry {
     }
 }
 
-/// Protocol-event instruments for one [`crate::ProtocolNode`], mirroring
-/// its [`crate::NodeEvents`] record sites one for one.
-#[derive(Clone)]
-pub struct NodeTelemetry {
-    /// `node_paths_established_total{node}` — construction acks back at
-    /// this initiator.
-    pub established: Arc<Counter>,
-    /// `node_constructions_total{node}` — terminal construction
-    /// completions at this responder.
-    pub constructions: Arc<Counter>,
-    /// `node_deliveries_total{node}` — segments delivered here.
-    pub deliveries: Arc<Counter>,
-    /// `node_acks_total{node}` — end-to-end segment acks back here.
-    pub acks: Arc<Counter>,
-    /// `node_ack_timeouts_total{node}` — ack deadlines that fired
-    /// unanswered.
-    pub ack_timeouts: Arc<Counter>,
-    /// `node_retransmits_total{node}` — segments retransmitted after a
-    /// timeout.
-    pub retransmits: Arc<Counter>,
-    /// `node_stateless_drops_total{node}` — frames dropped for missing
-    /// relay/initiator state.
-    pub stateless_drops: Arc<Counter>,
-    /// `node_ack_rtt_us{node}` — end-to-end segment ack round-trip
-    /// times.
-    pub ack_rtt_us: Arc<Histogram>,
-}
-
-impl NodeTelemetry {
-    /// Resolve this node's instruments, labeled `node="<id>"`.
-    pub fn register(registry: &Registry, node: NodeId) -> Self {
-        let n = node.0.to_string();
-        let labels: [(&str, &str); 1] = [("node", &n)];
-        NodeTelemetry {
-            established: registry.counter("node_paths_established_total", &labels),
-            constructions: registry.counter("node_constructions_total", &labels),
-            deliveries: registry.counter("node_deliveries_total", &labels),
-            acks: registry.counter("node_acks_total", &labels),
-            ack_timeouts: registry.counter("node_ack_timeouts_total", &labels),
-            retransmits: registry.counter("node_retransmits_total", &labels),
-            stateless_drops: registry.counter("node_stateless_drops_total", &labels),
-            ack_rtt_us: registry.histogram("node_ack_rtt_us", &labels, RTT_GROUPING_POWER),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,20 +159,6 @@ mod tests {
         assert_eq!(
             snap.counter_value("transport_frames_dropped_total", &[("peer", "2")]),
             3
-        );
-    }
-
-    #[test]
-    fn node_instruments_register_under_the_node_label() {
-        let registry = Registry::new();
-        let t = NodeTelemetry::register(&registry, NodeId(7));
-        t.acks.inc();
-        t.retransmits.add(2);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter_value("node_acks_total", &[("node", "7")]), 1);
-        assert_eq!(
-            snap.counter_value("node_retransmits_total", &[("node", "7")]),
-            2
         );
     }
 }

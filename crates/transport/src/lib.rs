@@ -43,8 +43,8 @@ pub mod stats;
 pub use chaos::{ChaosConfig, ChaosPlan, ChaosStats, ChaosTransport, Partition};
 pub use config::Roster;
 pub use evented::EventedTransport;
-pub use instrument::{NodeTelemetry, TcpTelemetry, WriterTelemetry};
-pub use node::{Input, NodeEvents, Output, ProtocolNode};
+pub use instrument::{TcpTelemetry, WriterTelemetry};
+pub use node::{Input, Output, ProtocolNode};
 pub use policy::{BackoffPolicy, BreakerState, CircuitBreaker, PolicyConfig, Priority};
 pub use runtime::Runtime;
 pub use sim::SimTransport;

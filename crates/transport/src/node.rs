@@ -12,9 +12,10 @@
 //! driver uses — same caches, same TTLs, same stream-id forwarding — so
 //! behavior proven in simulation carries over to the live node verbatim.
 
-use crate::instrument::NodeTelemetry;
 use crate::policy::PolicyConfig;
 use anon_core::endpoint::{Initiator, Outgoing, Reassembler, CONSTRUCT_ACK};
+use anon_core::events::{Event, Events};
+use anon_core::instrument::ProtocolTelemetry;
 use anon_core::relay::{Relay, Step};
 use anon_core::wire::{Frame, Wire};
 use anon_core::{AnonError, MessageId, StreamId};
@@ -72,47 +73,6 @@ pub enum Output {
     },
 }
 
-/// Observable protocol events, appended to as the node runs.
-///
-/// These are the node's outward face: the driver's outcome logs
-/// (`established`, `deliveries`, `acks`, …) reproduced per node so the
-/// equivalence test can compare the two layers record for record.
-#[derive(Debug, Default)]
-pub struct NodeEvents {
-    /// Construction acks that reached this initiator: `(path sid, at)`.
-    pub established: Vec<(StreamId, u64)>,
-    /// Terminal construction completions at this responder:
-    /// `(upstream hop, terminal sid, at)`.
-    pub constructions: Vec<(NodeId, StreamId, u64)>,
-    /// Segments delivered at this responder: `(mid, index, at)`.
-    pub deliveries: Vec<(MessageId, usize, u64)>,
-    /// End-to-end segment acks back at this initiator: `(mid, index, at)`.
-    pub acks: Vec<(MessageId, usize, u64)>,
-    /// Ack deadlines that fired unanswered: `(mid, index, at)`.
-    pub ack_timeouts: Vec<(MessageId, usize, u64)>,
-    /// Messages reassembled at this responder (in completion order).
-    pub completed: Vec<(MessageId, Vec<u8>)>,
-    /// Segments retransmitted after an ack timeout.
-    pub retransmits: u64,
-    /// Frames dropped for missing relay/initiator state.
-    pub stateless_drops: u64,
-}
-
-impl NodeEvents {
-    /// Empty every log, keeping the `retransmits` / `stateless_drops`
-    /// counters. A long-running process calls this once it has read what
-    /// it wants: each log grows by one entry per protocol event (and
-    /// `completed` by a whole message body) for as long as nobody does.
-    pub fn clear_logs(&mut self) {
-        self.established.clear();
-        self.constructions.clear();
-        self.deliveries.clear();
-        self.acks.clear();
-        self.ack_timeouts.clear();
-        self.completed.clear();
-    }
-}
-
 /// One peer's complete protocol state machine.
 pub struct ProtocolNode {
     id: NodeId,
@@ -138,11 +98,11 @@ pub struct ProtocolNode {
     /// The caller's clock as of the last `handle`/`set_now`, letting
     /// clock-less entry points (`send_message`) stamp send times.
     now_hint: u64,
-    /// Observable protocol events (drained/inspected by the embedder).
-    pub events: NodeEvents,
-    /// Live instruments mirroring the `events` record sites (optional;
-    /// write-only, so attaching them cannot change behavior).
-    telemetry: Option<NodeTelemetry>,
+    /// Observable protocol events (drained/inspected by the embedder),
+    /// in the record a simulated [`Driver`](anon_core::driver::Driver)
+    /// keeps, so the equivalence test compares the two layers record for
+    /// record.
+    pub events: Events,
 }
 
 impl ProtocolNode {
@@ -163,15 +123,14 @@ impl ProtocolNode {
             next_token: 1,
             policy: PolicyConfig::default(),
             now_hint: 0,
-            events: NodeEvents::default(),
-            telemetry: None,
+            events: Events::default(),
         }
     }
 
-    /// Attach live instruments (see [`NodeTelemetry`]); each protocol
-    /// event increments its counter alongside the `events` log entry.
-    pub fn with_telemetry(mut self, telemetry: NodeTelemetry) -> Self {
-        self.telemetry = Some(telemetry);
+    /// Attach live instruments (see [`ProtocolTelemetry`]; register them
+    /// with this node's id): every recorded event also counts into them.
+    pub fn with_telemetry(mut self, telemetry: ProtocolTelemetry) -> Self {
+        self.events.telemetry = Some(telemetry);
         self
     }
 
@@ -318,10 +277,7 @@ impl ProtocolNode {
     }
 
     fn note_stateless_drop(&mut self) {
-        self.events.stateless_drops += 1;
-        if let Some(t) = &self.telemetry {
-            t.stateless_drops.inc();
-        }
+        self.events.record(self.now_hint, Event::StatelessDrop);
     }
 
     /// Send segment `index` of `mid` as the payload onion `msg` and arm
@@ -385,23 +341,17 @@ impl ProtocolNode {
                 frame: Frame::Stream { sid, wire },
             }),
             (Ok(Step::Constructed), Wire::Construct { onion, .. }) => {
-                self.events.constructions.push((from, sid, now_us));
-                if let Some(t) = &self.telemetry {
-                    t.constructions.inc();
-                }
+                self.events.record(now_us, Event::Constructed { from, sid });
                 if self.auto_ack {
                     self.send_auto_ack(from, sid, CONSTRUCT_ACK, 0, onion, out);
                 }
             }
             (Ok(Step::Delivered { mid, index }), Wire::Payload { blob }) => {
-                self.events.deliveries.push((mid, index, now_us));
-                if let Some(t) = &self.telemetry {
-                    t.deliveries.inc();
-                }
+                self.events.record(now_us, Event::Delivered { mid, index });
                 if let Some(codec) = self.codec.as_ref() {
                     let seg = Segment::new(index, blob.clone());
-                    if let Ok(Some(msg)) = self.reassembler.push(mid, seg, codec.as_ref(), now) {
-                        self.events.completed.push((mid, msg));
+                    if let Ok(Some(body)) = self.reassembler.push(mid, seg, codec.as_ref(), now) {
+                        self.events.record(now_us, Event::Completed { mid, body });
                     }
                 }
                 if self.auto_ack {
@@ -425,28 +375,18 @@ impl ProtocolNode {
         out: &mut Vec<Output>,
     ) {
         let Some((mid, index, disarmed)) = acked else {
-            self.events.established.push((sid, now_us));
-            if let Some(t) = &self.telemetry {
-                t.established.inc();
-            }
-            return;
+            return self.events.record(now_us, Event::Established { sid });
         };
-        self.events.acks.push((mid, index, now_us));
-        if let Some(t) = &self.telemetry {
-            t.acks.inc();
-        }
+        // Only an ack that disarms a deadline times a round trip.
+        let sent_at = disarmed.and_then(|_| self.initiator.segment(mid, index));
+        let rtt_us = sent_at.map(|s| now_us.saturating_sub(s.sent_at.0));
+        self.events
+            .record(now_us, Event::Acked { mid, index, rtt_us });
         let Some(token) = disarmed else {
             return; // a duplicate, or later than its last deadline
         };
         self.timers.remove(&token);
         out.push(Output::CancelTimer { token });
-        if let Some(t) = &self.telemetry {
-            let sent_at = self
-                .initiator
-                .segment(mid, index)
-                .map_or(now_us, |s| s.sent_at.0);
-            t.ack_rtt_us.record(now_us.saturating_sub(sent_at));
-        }
     }
 
     /// Responder's ack for segment `index` of `mid`, written into `buf`
@@ -490,10 +430,7 @@ impl ProtocolNode {
             Some(seg) if !seg.acked => seg.retries,
             _ => return, // ack raced the timer through the transport
         };
-        self.events.ack_timeouts.push((mid, index, now_us));
-        if let Some(t) = &self.telemetry {
-            t.ack_timeouts.inc();
-        }
+        self.events.record(now_us, Event::TimedOut { mid, index });
         let slot = index + retries as usize + 1;
         let resent = match self.codec.as_deref() {
             Some(codec) if retries < self.policy.max_retries => self
@@ -506,10 +443,7 @@ impl ProtocolNode {
             self.initiator.disarm(mid, index);
             return;
         };
-        self.events.retransmits += 1;
-        if let Some(t) = &self.telemetry {
-            t.retransmits.inc();
-        }
+        self.events.record(now_us, Event::Retransmitted);
         self.launch(mid, index, msg, out);
     }
 }
@@ -517,26 +451,71 @@ impl ProtocolNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Runtime, SimTransport, Transport};
+    use crate::{Runtime, SimTransport, Transport, TransportError, TransportEvent};
+    use anon_core::events::KINDS;
     use erasure::ErasureCodec;
     use simnet::{ChurnSchedule, LatencyMatrix};
+    use std::fmt::Debug;
+    use telemetry::Registry;
 
     const INITIATOR: NodeId = NodeId(0);
     const RESPONDER: NodeId = NodeId(3);
     const MAX_RETRIES: u32 = 2;
 
+    /// A `SimTransport` that writes down every output the runtime applies
+    /// to it, in order, with the time it was applied.
+    struct Recorder {
+        sim: SimTransport,
+        outputs: Vec<String>,
+    }
+
+    impl Transport for Recorder {
+        fn now_us(&self) -> u64 {
+            self.sim.now_us()
+        }
+        fn send(&mut self, from: NodeId, to: NodeId, frame: Frame) -> Result<(), TransportError> {
+            let now = self.now_us();
+            self.outputs
+                .push(format!("{now} {from:?}: send {to:?} {frame:?}"));
+            self.sim.send(from, to, frame)
+        }
+        fn set_timer(&mut self, owner: NodeId, token: u64, after_us: u64) {
+            let now = self.now_us();
+            self.outputs
+                .push(format!("{now} {owner:?}: set {token} {after_us}"));
+            self.sim.set_timer(owner, token, after_us);
+        }
+        fn cancel_timer(&mut self, owner: NodeId, token: u64) {
+            let now = self.now_us();
+            self.outputs
+                .push(format!("{now} {owner:?}: cancel {token}"));
+            self.sim.cancel_timer(owner, token);
+        }
+        fn poll(&mut self, wait_us: u64) -> Option<TransportEvent> {
+            self.sim.poll(wait_us)
+        }
+    }
+
+    type Net = Runtime<Recorder>;
+
     /// Initiator 0, responder 3, one established single-relay path per
     /// entry of `relays`, one segment per path, any `needed` of which
-    /// rebuild the message.
-    fn world(needed: usize, relays: &[NodeId]) -> Runtime<SimTransport> {
+    /// rebuild the message. With a `registry`, every node counts into it.
+    fn world(needed: usize, relays: &[NodeId], registry: Option<&Registry>) -> Net {
         let codec = || Box::new(ErasureCodec::new(needed, relays.len()).unwrap());
-        let mut rt = Runtime::new(SimTransport::new(
-            ChurnSchedule::always_up(4, SimTime::from_secs(1 << 20)),
-            LatencyMatrix::uniform(4, SimDuration::from_millis(10)),
-        ));
+        let mut rt = Runtime::new(Recorder {
+            sim: SimTransport::new(
+                ChurnSchedule::always_up(4, SimTime::from_secs(1 << 20)),
+                LatencyMatrix::uniform(4, SimDuration::from_millis(10)),
+            ),
+            outputs: Vec::new(),
+        });
         let mut keyrng = StdRng::seed_from_u64(9);
         for i in 0..4 {
             let mut node = ProtocolNode::new(NodeId(i), KeyPair::generate(&mut keyrng), i.into());
+            if let Some(registry) = registry {
+                node = node.with_telemetry(ProtocolTelemetry::register(registry, Some(NodeId(i))));
+            }
             if node.id == INITIATOR {
                 node = node.with_codec(codec()).with_policy(&PolicyConfig {
                     max_retries: MAX_RETRIES,
@@ -560,7 +539,7 @@ mod tests {
 
     #[test]
     fn completed_messages_leave_the_outbox() {
-        let mut rt = world(1, &[NodeId(1), NodeId(2)]);
+        let mut rt = world(1, &[NodeId(1), NodeId(2)], None);
         for m in 1..=5 {
             let mid = MessageId(m);
             rt.drive(INITIATOR, |n, out| {
@@ -583,7 +562,7 @@ mod tests {
 
     #[test]
     fn a_message_on_a_dead_path_leaves_the_outbox_after_max_retries() {
-        let mut rt = world(1, &[NodeId(1)]);
+        let mut rt = world(1, &[NodeId(1)], None);
         rt.drive(NodeId(1), |n, _| n.crash_relay_state());
         let mid = MessageId(1);
         rt.drive(INITIATOR, |n, out| n.send_message(mid, b"lost", out))
@@ -605,8 +584,8 @@ mod tests {
 
     #[test]
     fn settled_messages_are_reclaimed_after_the_ttl() {
-        let mut rt = world(1, &[NodeId(1), NodeId(2)]);
-        let send = |rt: &mut Runtime<SimTransport>, m: u64| {
+        let mut rt = world(1, &[NodeId(1), NodeId(2)], None);
+        let send = |rt: &mut Net, m: u64| {
             rt.drive(INITIATOR, |n, out| {
                 n.send_message(MessageId(m), &[m as u8; 300], out)
             })
@@ -646,12 +625,12 @@ mod tests {
     #[test]
     fn expired_relay_state_is_reclaimed_when_the_next_construction_arrives() {
         // Two paths through relay 1, then silence for longer than the TTL.
-        let mut rt = world(1, &[NodeId(1), NodeId(1)]);
+        let mut rt = world(1, &[NodeId(1), NodeId(1)], None);
         let idle = anon_core::relay::DEFAULT_STATE_TTL.as_micros() + 1;
         // A token nobody armed: firing it only moves the clock.
         rt.transport.set_timer(INITIATOR, u64::MAX, idle);
         rt.run_until_idle(0);
-        let cached = |rt: &Runtime<SimTransport>, id| rt.node(id).relay.cached_paths();
+        let cached = |rt: &Net, id| rt.node(id).relay.cached_paths();
         assert_eq!((cached(&rt, NodeId(1)), cached(&rt, RESPONDER)), (2, 2));
 
         let hops: Vec<_> = [NodeId(1), RESPONDER]
@@ -667,8 +646,8 @@ mod tests {
 
     #[test]
     fn stale_reassembly_state_is_reclaimed_when_the_next_construction_arrives() {
-        let mut rt = world(2, &[NodeId(1), NodeId(2)]);
-        let send = |rt: &mut Runtime<SimTransport>, m: u64| {
+        let mut rt = world(2, &[NodeId(1), NodeId(2)], None);
+        let send = |rt: &mut Net, m: u64| {
             rt.drive(INITIATOR, |n, out| {
                 n.send_message(MessageId(m), &[m as u8; 300], out)
             })
@@ -681,7 +660,7 @@ mod tests {
         rt.drive(NodeId(2), |n, _| n.crash_relay_state());
         rt.drive(INITIATOR, |n, _| n.policy.max_retries = 0);
         send(&mut rt, 2);
-        let held = |rt: &Runtime<SimTransport>| {
+        let held = |rt: &Net| {
             let reassembler = &rt.node(RESPONDER).reassembler;
             (reassembler.pending(), reassembler.completed())
         };
@@ -701,27 +680,70 @@ mod tests {
         assert_eq!(held(&rt), (0, 0));
     }
 
+    /// Two paths, relay 2 crashed, three messages: each loses its second
+    /// segment at relay 2, times out and is retransmitted over path 1 —
+    /// every kind of event a node records.
+    fn recovery_run(registry: Option<&Registry>) -> Net {
+        let mut rt = world(1, &[NodeId(1), NodeId(2)], registry);
+        rt.drive(NodeId(2), |n, _| n.crash_relay_state());
+        for m in 1..=3 {
+            rt.drive(INITIATOR, |n, out| {
+                n.send_message(MessageId(m), &[m as u8; 300], out)
+            })
+            .unwrap();
+            rt.run_until_idle(0);
+        }
+        rt
+    }
+
+    /// Every log of `events`, and its two counters.
+    fn logs(events: &Events) -> impl PartialEq + Debug + '_ {
+        (
+            &events.established,
+            &events.constructions,
+            &events.deliveries,
+            &events.acks,
+            &events.ack_timeouts,
+            &events.completed,
+            events.retransmits,
+            events.stateless_drops,
+        )
+    }
+
     #[test]
-    fn clear_logs_empties_every_log_and_keeps_the_counters() {
-        let (mid, sid) = (MessageId(1), StreamId(7));
-        // No `..Default::default()`: a new field has to be placed here.
-        let mut events = NodeEvents {
-            established: vec![(sid, 1)],
-            constructions: vec![(NodeId(1), sid, 2)],
-            deliveries: vec![(mid, 0, 3)],
-            acks: vec![(mid, 0, 4)],
-            ack_timeouts: vec![(mid, 1, 5)],
-            completed: vec![(mid, b"body".to_vec())],
-            retransmits: 3,
-            stateless_drops: 2,
-        };
-        events.clear_logs();
-        assert!(events.established.is_empty());
-        assert!(events.constructions.is_empty());
-        assert!(events.deliveries.is_empty());
-        assert!(events.acks.is_empty());
-        assert!(events.ack_timeouts.is_empty());
-        assert!(events.completed.is_empty());
-        assert_eq!((events.retransmits, events.stateless_drops), (3, 2));
+    fn telemetry_changes_no_output_and_counts_every_log_entry() {
+        let registry = Registry::new();
+        let (off, on) = (recovery_run(None), recovery_run(Some(&registry)));
+        assert_eq!(off.transport.outputs, on.transport.outputs);
+        let snap = registry.snapshot();
+        let mut totals = [0u64; KINDS.len()];
+        for i in 0..4 {
+            let events = &on.node(NodeId(i)).events;
+            assert_eq!(logs(&off.node(NodeId(i)).events), logs(events), "node {i}");
+            // The logged kinds, in `KINDS` order; a node records no other.
+            let lens = [
+                events.constructions.len() as u64,
+                events.established.len() as u64,
+                events.deliveries.len() as u64,
+                events.completed.len() as u64,
+                events.acks.len() as u64,
+                events.ack_timeouts.len() as u64,
+                events.retransmits,
+                events.stateless_drops,
+            ];
+            let node = i.to_string();
+            for (k, kind) in KINDS.into_iter().enumerate() {
+                let labels = [("kind", kind), ("node", node.as_str())];
+                let count = snap.counter_value("protocol_events_total", &labels);
+                assert_eq!(count, lens.get(k).copied().unwrap_or(0), "node {i}, {kind}");
+                totals[k] += count;
+            }
+        }
+        // The scenario reaches every kind a node records.
+        let recorded: Vec<&str> = (0..KINDS.len())
+            .filter(|&k| totals[k] > 0)
+            .map(|k| KINDS[k])
+            .collect();
+        assert_eq!(recorded, KINDS[..8]);
     }
 }

@@ -34,12 +34,21 @@ impl<T: Transport> Runtime<T> {
     }
 
     /// Inspect a node.
+    ///
+    /// # Panics
+    ///
+    /// If no node with `id` was added: asking for a node the runtime does
+    /// not drive is a bug in the caller.
     pub fn node(&self, id: NodeId) -> &ProtocolNode {
         &self.nodes[&id]
     }
 
     /// Mutable access to a node, e.g. to trim its event logs during a
     /// long-running process (the logs otherwise grow without bound).
+    ///
+    /// # Panics
+    ///
+    /// If no node with `id` was added, as [`node`](Self::node).
     pub fn node_mut(&mut self, id: NodeId) -> &mut ProtocolNode {
         self.nodes.get_mut(&id).expect("known node")
     }

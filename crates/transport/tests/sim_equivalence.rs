@@ -9,15 +9,21 @@
 //! each at its exact microsecond offset from launch, plus the loss
 //! counters. Timing in both layers is a pure function of topology and
 //! the latency matrix, so any divergence (an extra hop, a missing ack,
-//! a reordered arrival) shows up as a changed offset or count.
+//! a reordered arrival) shows up as a changed offset or count. Both
+//! layers write the same `Events` record, so one projection reads both,
+//! and both count the same events into `protocol_events_total`.
 
 use anon_core::driver::Driver;
 use anon_core::endpoint::Initiator;
+use anon_core::events::Events;
+use anon_core::instrument::ProtocolTelemetry;
 use anon_core::MessageId;
 use erasure::ErasureCodec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simnet::{ChurnSchedule, LatencyMatrix, NodeId, SimDuration, SimTime};
+use std::collections::BTreeMap;
+use telemetry::{Registry, SnapshotValue};
 use transport::{ProtocolNode, Runtime, SimTransport, Transport};
 
 const OWD_MS: u64 = 20;
@@ -31,7 +37,7 @@ fn ground_truth(n: usize) -> (ChurnSchedule, LatencyMatrix) {
 }
 
 /// Observable outcome of one scenario, with times relative to launch.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct Outcome {
     /// Sorted Δt of construction completions at the responder.
     constructions: Vec<u64>,
@@ -45,7 +51,47 @@ struct Outcome {
     stateless_drops: u64,
 }
 
-/// Run the scenario through the event-driven driver.
+/// The outcome `records` hold, constructions launched at `t0` µs and the
+/// payload at `t1`: one record for a driver's whole world, one per node
+/// for a transport run.
+fn outcome<'a>(records: impl IntoIterator<Item = &'a Events>, t0: u64, t1: u64) -> Outcome {
+    let mut o = Outcome::default();
+    for e in records {
+        o.constructions
+            .extend(e.constructions.iter().map(|&(_, _, at)| at - t0));
+        o.established
+            .extend(e.established.iter().map(|&(_, at)| at - t0));
+        o.deliveries
+            .extend(e.deliveries.iter().map(|&(_, index, at)| (index, at - t1)));
+        o.acks
+            .extend(e.acks.iter().map(|&(_, index, at)| (index, at - t1)));
+        o.stateless_drops += e.stateless_drops;
+    }
+    o.constructions.sort_unstable();
+    o.established.sort_unstable();
+    o.deliveries.sort_unstable();
+    o.acks.sort_unstable();
+    o
+}
+
+/// `protocol_events_total` per `kind` label, summed over `node` labels.
+fn kind_totals(registry: &Registry) -> BTreeMap<String, u64> {
+    let mut totals = BTreeMap::new();
+    for (id, value) in registry.snapshot().entries() {
+        let (true, SnapshotValue::Counter(v)) = (id.name() == "protocol_events_total", value)
+        else {
+            continue;
+        };
+        let kind = id.labels().iter().find(|(k, _)| k == "kind");
+        *totals
+            .entry(kind.expect("kind label").1.clone())
+            .or_default() += v;
+    }
+    totals
+}
+
+/// Run the scenario through the event-driven driver, counting into
+/// `registry`.
 fn run_driver(
     n: usize,
     paths: &[Vec<NodeId>],
@@ -53,10 +99,12 @@ fn run_driver(
     m: usize,
     segs: usize,
     seed: u64,
+    registry: &Registry,
 ) -> Outcome {
     let (schedule, latency) = ground_truth(n);
     let t0 = SimTime::from_secs(1);
     let mut driver = Driver::new(n, schedule, latency, NodeId(0), seed).with_auto_ack();
+    driver.attach_telemetry(registry);
     let mut initiator = Initiator::new(NodeId(0));
     let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
     let hop_lists: Vec<Vec<_>> = paths
@@ -71,7 +119,10 @@ fn run_driver(
     }
     driver.run_until(SimTime::from_secs(5));
 
-    assert!(!driver.world.established.is_empty(), "paths established");
+    assert!(
+        !driver.world.events.established.is_empty(),
+        "paths established"
+    );
     // `run_until` advanced the clock to exactly 5 s; launch the payload
     // there. (The transport run launches at its own `now`; the deltas
     // below are relative to each run's launch instant, so the two are
@@ -85,43 +136,14 @@ fn run_driver(
         driver.launch_payload(msg, t1);
     }
     driver.run_until(SimTime::from_secs(20));
-
-    let w = &driver.world;
-    let mut constructions: Vec<u64> = w
-        .constructions
-        .iter()
-        .map(|c| c.at.as_micros() - t0.as_micros())
-        .collect();
-    let mut established: Vec<u64> = w
-        .established
-        .iter()
-        .map(|&(_, at)| at.as_micros() - t0.as_micros())
-        .collect();
-    let mut deliveries: Vec<(usize, u64)> = w
-        .deliveries
-        .iter()
-        .map(|d| (d.index, d.at.as_micros() - t1.as_micros()))
-        .collect();
-    let mut acks: Vec<(usize, u64)> = w
-        .acks
-        .iter()
-        .map(|a| (a.index, a.at.as_micros() - t1.as_micros()))
-        .collect();
-    constructions.sort_unstable();
-    established.sort_unstable();
-    deliveries.sort_unstable();
-    acks.sort_unstable();
     Outcome {
-        constructions,
-        established,
-        deliveries,
-        acks,
-        lost: w.lost,
-        stateless_drops: w.stateless_drops,
+        lost: driver.world.lost,
+        ..outcome([&driver.world.events], t0.as_micros(), t1.as_micros())
     }
 }
 
-/// Run the same scenario through `Runtime` + `SimTransport`.
+/// Run the same scenario through `Runtime` + `SimTransport`, every node
+/// counting into `registry` under its own `node` label.
 fn run_transport(
     n: usize,
     paths: &[Vec<NodeId>],
@@ -129,6 +151,7 @@ fn run_transport(
     m: usize,
     segs: usize,
     seed: u64,
+    registry: &Registry,
 ) -> Outcome {
     let (schedule, latency) = ground_truth(n);
     let mut rt = Runtime::new(SimTransport::new(schedule, latency));
@@ -136,7 +159,8 @@ fn run_transport(
     for i in 0..n {
         let id = NodeId::from(i);
         let keypair = sim_crypto::KeyPair::generate(&mut keyrng);
-        let mut node = ProtocolNode::new(id, keypair, seed ^ (i as u64) << 3);
+        let mut node = ProtocolNode::new(id, keypair, seed ^ (i as u64) << 3)
+            .with_telemetry(ProtocolTelemetry::register(registry, Some(id)));
         if id == responder {
             node = node.with_auto_ack();
         }
@@ -163,43 +187,18 @@ fn run_transport(
             .unwrap()
     });
     rt.run_until_idle(0);
-
-    let resp = &rt.node(responder).events;
-    let init = &rt.node(NodeId(0)).events;
-    let mut constructions: Vec<u64> = resp.constructions.iter().map(|&(_, _, at)| at).collect();
-    let mut established: Vec<u64> = init.established.iter().map(|&(_, at)| at).collect();
-    let mut deliveries: Vec<(usize, u64)> = resp
-        .deliveries
-        .iter()
-        .map(|&(_, index, at)| (index, at - t1))
-        .collect();
-    let mut acks: Vec<(usize, u64)> = init
-        .acks
-        .iter()
-        .map(|&(_, index, at)| (index, at - t1))
-        .collect();
-    constructions.sort_unstable();
-    established.sort_unstable();
-    deliveries.sort_unstable();
-    acks.sort_unstable();
-    let stateless_drops: u64 = (0..n)
-        .map(|i| rt.node(NodeId::from(i)).events.stateless_drops)
-        .sum();
+    let records = (0..n).map(|i| &rt.node(NodeId::from(i)).events);
     Outcome {
-        constructions,
-        established,
-        deliveries,
-        acks,
         lost: rt.transport.lost(),
-        stateless_drops,
+        ..outcome(records, 0, t1)
     }
 }
 
 #[test]
 fn single_path_round_trip_matches_driver_exactly() {
     let paths = [vec![NodeId(1), NodeId(2), NodeId(3)]];
-    let d = run_driver(8, &paths, NodeId(7), 1, 1, 11);
-    let t = run_transport(8, &paths, NodeId(7), 1, 1, 11);
+    let d = run_driver(8, &paths, NodeId(7), 1, 1, 11, &Registry::new());
+    let t = run_transport(8, &paths, NodeId(7), 1, 1, 11, &Registry::new());
     assert_eq!(d, t, "driver and transport outcomes diverge");
     // And both match the closed-form timing: 4 links out, 4 back.
     assert_eq!(d.constructions, vec![4 * OWD_MS * 1_000]);
@@ -217,13 +216,50 @@ fn simera_two_paths_match_driver_exactly() {
         vec![NodeId(1), NodeId(2), NodeId(3)],
         vec![NodeId(4), NodeId(5), NodeId(6)],
     ];
-    let d = run_driver(12, &paths, NodeId(11), 1, 2, 23);
-    let t = run_transport(12, &paths, NodeId(11), 1, 2, 23);
+    let d = run_driver(12, &paths, NodeId(11), 1, 2, 23, &Registry::new());
+    let t = run_transport(12, &paths, NodeId(11), 1, 2, 23, &Registry::new());
     assert_eq!(d, t, "driver and transport outcomes diverge");
     assert_eq!(d.constructions.len(), 2);
     assert_eq!(d.established.len(), 2);
     assert_eq!(d.deliveries.len(), 2);
     assert_eq!(d.acks.len(), 2);
+}
+
+#[test]
+fn both_executors_count_the_same_events() {
+    // Kinds only one executor records: the driver's link crossings and
+    // path registrations; the node's reassembly and retransmits; the
+    // runner's erasure outcomes.
+    const ONE_SIDED: [&str; 7] = [
+        "sent",
+        "arrived",
+        "path_registered",
+        "completed",
+        "retransmitted",
+        "decoded",
+        "undecodable",
+    ];
+    let paths = [
+        vec![NodeId(1), NodeId(2), NodeId(3)],
+        vec![NodeId(4), NodeId(5), NodeId(6)],
+    ];
+    let (sim, live) = (Registry::new(), Registry::new());
+    run_driver(12, &paths, NodeId(11), 1, 2, 23, &sim);
+    run_transport(12, &paths, NodeId(11), 1, 2, 23, &live);
+    let (d, t) = (kind_totals(&sim), kind_totals(&live));
+    assert_eq!(
+        d.keys().collect::<Vec<_>>(),
+        t.keys().collect::<Vec<_>>(),
+        "the same kind labels"
+    );
+    for (kind, total) in &d {
+        if !ONE_SIDED.contains(&kind.as_str()) {
+            assert_eq!(t[kind], *total, "{kind}");
+        }
+    }
+    for kind in ["constructed", "established", "delivered", "acked"] {
+        assert_eq!(d[kind], 2, "{kind}: one per path");
+    }
 }
 
 #[test]

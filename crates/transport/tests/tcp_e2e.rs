@@ -250,12 +250,12 @@ fn sixteen_plus_nodes_deliver_and_survive_a_relay_kill() {
         "4 construct + 4 payload frames at least: {scrape1:?}"
     );
     assert_eq!(
-        scrape1.get(r#"node_paths_established_total{node="0"}"#),
+        scrape1.get(r#"protocol_events_total{kind="established",node="0"}"#),
         Some(&4.0),
         "{scrape1:?}"
     );
     assert_eq!(
-        scrape1.get(r#"node_acks_total{node="0"}"#),
+        scrape1.get(r#"protocol_events_total{kind="acked",node="0"}"#),
         Some(&4.0),
         "all four segments of message 1 acked: {scrape1:?}"
     );
@@ -306,11 +306,17 @@ fn sixteen_plus_nodes_deliver_and_survive_a_relay_kill() {
         assert!(*v2 >= v1, "counter {key} went backwards: {v1} -> {v2}");
     }
     assert!(
-        scrape2.get(r#"node_ack_timeouts_total{node="0"}"#).copied() >= Some(1.0),
+        scrape2
+            .get(r#"protocol_events_total{kind="timed_out",node="0"}"#)
+            .copied()
+            >= Some(1.0),
         "the dead path's ack deadline fired: {scrape2:?}"
     );
     assert!(
-        scrape2.get(r#"node_retransmits_total{node="0"}"#).copied() >= Some(1.0),
+        scrape2
+            .get(r#"protocol_events_total{kind="retransmitted",node="0"}"#)
+            .copied()
+            >= Some(1.0),
         "the retransmit was recorded: {scrape2:?}"
     );
     assert!(
