@@ -236,15 +236,9 @@ impl Driver {
     /// Register an initiator-side path plan so reverse onions arriving on
     /// its stream id can be peeled (required for auto-ack traffic).
     pub fn register_path(&mut self, sid: StreamId, plan: PathPlan) {
-        let event = Event::PathRegistered {
-            initiator: self.world.initiator,
-            responder: plan.responder(),
-            relays: &plan.hops[..plan.hops.len() - 1],
-            sid,
-        };
-        self.world
-            .events
-            .record(self.engine.now().as_micros(), event);
+        let now = self.engine.now().as_micros();
+        let event = Event::PathRegistered(self.world.initiator, sid, &plan);
+        self.world.events.record(now, event);
         self.world.plans.insert(sid, plan);
     }
 
@@ -264,7 +258,7 @@ impl Driver {
             move |w: &mut DriverWorld, e: &mut Engine<DriverWorld>| {
                 w.pending_acks.remove(&(mid, index));
                 w.events
-                    .record(e.now().as_micros(), Event::TimedOut { mid, index });
+                    .record(e.now().as_micros(), Event::TimedOut(mid, index));
             },
         );
         if let Some(old) = self.world.pending_acks.insert((mid, index), handle) {
@@ -354,19 +348,11 @@ impl Driver {
                     bytes: bytes.len() as u64,
                     sid,
                 };
-                let owd_us = owd.as_micros();
                 w.events
-                    .record(now.as_micros(), Event::Sent { packet, owd_us });
+                    .record(now.as_micros(), Event::Sent(packet, owd.as_micros()));
                 e.schedule_at(now + owd, move |w, e| {
-                    let packet = PacketObservation {
-                        node: to,
-                        peer: from,
-                        at: e.now(),
-                        ingress: true,
-                        ..packet
-                    };
-                    w.events
-                        .record(e.now().as_micros(), Event::Arrived { packet });
+                    w.events.record(e.now().as_micros(), Event::Arrived(packet));
+                    let (from, to) = (packet.node, packet.peer);
                     match wire::decode_frame_vec(bytes) {
                         Ok(Frame::Stream { sid, wire }) => Self::receive(w, e, from, to, sid, wire),
                         // A node drops what it cannot decode; the driver
@@ -420,17 +406,12 @@ impl Driver {
         if to == w.initiator {
             if let Wire::Reverse { mut blob } = wire {
                 match w.plans.get(&sid).map(|plan| open_ack(plan, &mut blob)) {
-                    Some(Ok(None)) => w.events.record(now_us, Event::Established { sid }),
+                    Some(Ok(None)) => w.events.record(now_us, Event::Established(sid)),
                     Some(Ok(Some((mid, index)))) => {
                         if let Some(timer) = w.pending_acks.remove(&(mid, index)) {
                             timer.cancel();
                         }
-                        let acked = Event::Acked {
-                            mid,
-                            index,
-                            rtt_us: None,
-                        };
-                        w.events.record(now_us, acked);
+                        w.events.record(now_us, Event::Acked(mid, index, None));
                     }
                     Some(Err(_)) | None => w.stateless_drop(now),
                 }
@@ -455,11 +436,11 @@ impl Driver {
                 None
             }
             (Ok(Step::Constructed), Wire::Construct { .. }) => {
-                w.events.record(now_us, Event::Constructed { from, sid });
+                w.events.record(now_us, Event::Constructed(from, sid));
                 w.auto_ack.then(|| (CONSTRUCT_ACK, 0, w.pool.get()))
             }
             (Ok(Step::Delivered { mid, index }), Wire::Payload { blob }) => {
-                w.events.record(now_us, Event::Delivered { mid, index });
+                w.events.record(now_us, Event::Delivered(mid, index));
                 // Reuse the delivered onion's buffer for the reverse ack
                 // travelling back.
                 if w.auto_ack {

@@ -14,54 +14,28 @@
 use crate::ids::{MessageId, StreamId};
 use crate::instrument::ProtocolTelemetry;
 use crate::observe::{ConstructionObservation, ObservationLog, PacketObservation};
+use crate::onion::PathPlan;
 use simnet::{NodeId, SimTime};
 
 /// One protocol event, as the executor that saw it describes it.
 #[derive(Debug)]
 pub enum Event<'a> {
-    /// A construction onion reached its responder.
-    Constructed {
-        /// Upstream hop of the terminal link.
-        from: NodeId,
-        /// Terminal-link stream id.
-        sid: StreamId,
-    },
-    /// A construction ack reached the initiator.
-    Established {
-        /// The path's initiator-side stream id.
-        sid: StreamId,
-    },
-    /// A segment reached the responder.
-    Delivered {
-        /// Message the segment belongs to.
-        mid: MessageId,
-        /// Segment index.
-        index: usize,
-    },
-    /// The responder reassembled a message.
-    Completed {
-        /// The message.
-        mid: MessageId,
-        /// Its reassembled body.
-        body: Vec<u8>,
-    },
-    /// A segment's end-to-end ack reached the initiator.
-    Acked {
-        /// Message the segment belongs to.
-        mid: MessageId,
-        /// Segment index.
-        index: usize,
-        /// Round trip since the segment's last send, when the initiator
-        /// timed it.
-        rtt_us: Option<u64>,
-    },
-    /// A segment's ack deadline passed unanswered.
-    TimedOut {
-        /// Message the segment belongs to.
-        mid: MessageId,
-        /// Segment index.
-        index: usize,
-    },
+    /// A construction onion reached its responder over the terminal link
+    /// `(upstream hop, stream id)`.
+    Constructed(NodeId, StreamId),
+    /// The construction ack of the path with this initiator-side stream
+    /// id reached the initiator.
+    Established(StreamId),
+    /// Segment `(mid, index)` reached the responder.
+    Delivered(MessageId, usize),
+    /// The responder reassembled message `mid` into this body.
+    Completed(MessageId, Vec<u8>),
+    /// Segment `(mid, index)`'s end-to-end ack reached the initiator,
+    /// with the round trip in µs since the segment's last send when the
+    /// initiator timed it.
+    Acked(MessageId, usize, Option<u64>),
+    /// Segment `(mid, index)`'s ack deadline passed unanswered.
+    TimedOut(MessageId, usize),
     /// A segment went out again after an ack timeout.
     Retransmitted,
     /// A frame died for want of relay or initiator state.
@@ -70,29 +44,15 @@ pub enum Event<'a> {
     Decoded,
     /// A message ran out of retries short of `m` segments.
     Undecodable,
-    /// A frame left a node (simulator only).
-    Sent {
-        /// The frame as a wiretap at its sender sees it leave.
-        packet: PacketObservation,
-        /// The link's one-way delay.
-        owd_us: u64,
-    },
-    /// That frame arrived (simulator only).
-    Arrived {
-        /// The frame as a wiretap at its receiver sees it arrive.
-        packet: PacketObservation,
-    },
-    /// An initiator registered a path it built (simulator only).
-    PathRegistered {
-        /// The path's initiator.
-        initiator: NodeId,
-        /// The path's responder.
-        responder: NodeId,
-        /// Relays in path order, the responder excluded.
-        relays: &'a [NodeId],
-        /// The path's initiator-side stream id.
-        sid: StreamId,
-    },
+    /// A frame left a node, as a wiretap at its sender sees it, with the
+    /// link's one-way delay in µs (simulator only).
+    Sent(PacketObservation, u64),
+    /// The frame [`Sent`](Event::Sent) with this observation arrived; the
+    /// tap records it as its receiver sees it (simulator only).
+    Arrived(PacketObservation),
+    /// An initiator registered the path it built on this stream id
+    /// (simulator only).
+    PathRegistered(NodeId, StreamId, &'a PathPlan),
 }
 
 /// Exporter label of each event kind, indexed by [`Event::kind`].
@@ -116,19 +76,19 @@ impl Event<'_> {
     /// This event's index into [`KINDS`].
     pub fn kind(&self) -> usize {
         match self {
-            Event::Constructed { .. } => 0,
-            Event::Established { .. } => 1,
-            Event::Delivered { .. } => 2,
-            Event::Completed { .. } => 3,
-            Event::Acked { .. } => 4,
-            Event::TimedOut { .. } => 5,
+            Event::Constructed(..) => 0,
+            Event::Established(_) => 1,
+            Event::Delivered(..) => 2,
+            Event::Completed(..) => 3,
+            Event::Acked(..) => 4,
+            Event::TimedOut(..) => 5,
             Event::Retransmitted => 6,
             Event::StatelessDrop => 7,
             Event::Decoded => 8,
             Event::Undecodable => 9,
-            Event::Sent { .. } => 10,
-            Event::Arrived { .. } => 11,
-            Event::PathRegistered { .. } => 12,
+            Event::Sent(..) => 10,
+            Event::Arrived(_) => 11,
+            Event::PathRegistered(..) => 12,
         }
     }
 }
@@ -174,19 +134,19 @@ impl Events {
             self.report(at_us, &event);
         }
         match event {
-            Event::Constructed { from, sid } => self.constructions.push((from, sid, at_us)),
-            Event::Established { sid } => self.established.push((sid, at_us)),
-            Event::Delivered { mid, index } => self.deliveries.push((mid, index, at_us)),
-            Event::Completed { mid, body } => self.completed.push((mid, body)),
-            Event::Acked { mid, index, .. } => self.acks.push((mid, index, at_us)),
-            Event::TimedOut { mid, index } => self.ack_timeouts.push((mid, index, at_us)),
+            Event::Constructed(from, sid) => self.constructions.push((from, sid, at_us)),
+            Event::Established(sid) => self.established.push((sid, at_us)),
+            Event::Delivered(mid, index) => self.deliveries.push((mid, index, at_us)),
+            Event::Completed(mid, body) => self.completed.push((mid, body)),
+            Event::Acked(mid, index, _) => self.acks.push((mid, index, at_us)),
+            Event::TimedOut(mid, index) => self.ack_timeouts.push((mid, index, at_us)),
             Event::Retransmitted => self.retransmits += 1,
             Event::StatelessDrop => self.stateless_drops += 1,
             Event::Decoded
             | Event::Undecodable
-            | Event::Sent { .. }
-            | Event::Arrived { .. }
-            | Event::PathRegistered { .. } => {}
+            | Event::Sent(..)
+            | Event::Arrived(_)
+            | Event::PathRegistered(..) => {}
         }
     }
 
@@ -196,31 +156,34 @@ impl Events {
         if let Some(t) = &self.telemetry {
             t.events[event.kind()].inc();
             match *event {
-                Event::Sent { packet, owd_us } => {
+                Event::Sent(packet, owd_us) => {
                     t.frame_bytes[packet.tag].add(packet.bytes);
                     t.hop_latency_us.record(owd_us);
                 }
-                Event::Acked {
-                    rtt_us: Some(rtt), ..
-                } => t.ack_rtt_us.record(rtt),
+                Event::Acked(_, _, Some(rtt_us)) => t.ack_rtt_us.record(rtt_us),
                 _ => {}
             }
         }
         let Some(tap) = &mut self.tap else { return };
+        let at = SimTime(at_us);
         match *event {
-            Event::Sent { packet, .. } | Event::Arrived { packet } => tap.packets.push(packet),
-            Event::PathRegistered {
-                initiator,
-                responder,
-                relays,
-                sid,
-            } => tap.constructions.push(ConstructionObservation {
-                initiator,
-                responder,
-                relays: relays.to_vec(),
-                sid,
-                at: SimTime(at_us),
+            Event::Sent(packet, _) => tap.packets.push(packet),
+            Event::Arrived(sent) => tap.packets.push(PacketObservation {
+                node: sent.peer,
+                peer: sent.node,
+                at,
+                ingress: true,
+                ..sent
             }),
+            Event::PathRegistered(initiator, sid, plan) => {
+                tap.constructions.push(ConstructionObservation {
+                    initiator,
+                    responder: plan.responder(),
+                    relays: plan.hops[..plan.num_relays()].to_vec(),
+                    sid,
+                    at,
+                })
+            }
             _ => {}
         }
     }
@@ -242,10 +205,18 @@ impl Events {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use telemetry::Registry;
+    use telemetry::{Registry, Snapshot, SnapshotValue};
+
+    /// A two-relay path to node 5.
+    fn plan() -> PathPlan {
+        PathPlan {
+            hops: vec![NodeId(1), NodeId(2), NodeId(5)],
+            session_keys: Vec::new(),
+        }
+    }
 
     /// One event of every kind, in [`KINDS`] order.
-    fn one_of_each() -> Vec<Event<'static>> {
+    fn one_of_each(plan: &PathPlan) -> Vec<Event<'_>> {
         let (mid, sid, node) = (MessageId(1), StreamId(7), NodeId(2));
         let sent = PacketObservation {
             node: NodeId(0),
@@ -257,48 +228,33 @@ mod tests {
             sid,
         };
         vec![
-            Event::Constructed { from: node, sid },
-            Event::Established { sid },
-            Event::Delivered { mid, index: 0 },
-            Event::Completed {
-                mid,
-                body: b"body".to_vec(),
-            },
-            Event::Acked {
-                mid,
-                index: 0,
-                rtt_us: Some(40),
-            },
-            Event::TimedOut { mid, index: 1 },
+            Event::Constructed(node, sid),
+            Event::Established(sid),
+            Event::Delivered(mid, 0),
+            Event::Completed(mid, b"body".to_vec()),
+            Event::Acked(mid, 0, Some(40)),
+            Event::TimedOut(mid, 1),
             Event::Retransmitted,
             Event::StatelessDrop,
             Event::Decoded,
             Event::Undecodable,
-            Event::Sent {
-                packet: sent,
-                owd_us: 20,
-            },
-            Event::Arrived {
-                packet: PacketObservation {
-                    node,
-                    peer: NodeId(0),
-                    at: SimTime::from_secs(2),
-                    ingress: true,
-                    ..sent
-                },
-            },
-            Event::PathRegistered {
-                initiator: NodeId(0),
-                responder: NodeId(5),
-                relays: &[NodeId(1), NodeId(2)],
-                sid,
-            },
+            Event::Sent(sent, 20),
+            Event::Arrived(sent),
+            Event::PathRegistered(NodeId(0), sid, plan),
         ]
+    }
+
+    /// `(samples, sum)` of the unlabelled histogram `name`.
+    fn histogram(snap: &Snapshot, name: &str) -> (u64, u64) {
+        match snap.get(name, &[]) {
+            Some(SnapshotValue::Histogram(h)) => (h.count(), h.sum()),
+            other => panic!("{name} is not a histogram: {other:?}"),
+        }
     }
 
     #[test]
     fn kinds_cover_every_variant() {
-        let kinds: Vec<usize> = one_of_each().iter().map(Event::kind).collect();
+        let kinds: Vec<usize> = one_of_each(&plan()).iter().map(Event::kind).collect();
         assert_eq!(kinds, (0..KINDS.len()).collect::<Vec<_>>());
         let mut labels = KINDS.to_vec();
         labels.sort_unstable();
@@ -313,7 +269,7 @@ mod tests {
             telemetry: Some(ProtocolTelemetry::register(&registry, None)),
             ..Events::default()
         };
-        for (at, event) in one_of_each().into_iter().enumerate() {
+        for (at, event) in one_of_each(&plan()).into_iter().enumerate() {
             events.record(at as u64, event);
         }
         let snap = registry.snapshot();
@@ -328,6 +284,8 @@ mod tests {
             snap.counter_value("protocol_frame_bytes_total", &[("wire", "payload")]),
             128
         );
+        assert_eq!(histogram(&snap, "protocol_hop_latency_us"), (1, 20));
+        assert_eq!(histogram(&snap, "protocol_ack_rtt_us"), (1, 40));
         assert_eq!(events.constructions, [(NodeId(2), StreamId(7), 0)]);
         assert_eq!(events.established, [(StreamId(7), 1)]);
         assert_eq!(events.deliveries, [(MessageId(1), 0, 2)]);
@@ -335,6 +293,17 @@ mod tests {
         assert_eq!(events.acks, [(MessageId(1), 0, 4)]);
         assert_eq!(events.ack_timeouts, [(MessageId(1), 1, 5)]);
         assert_eq!((events.retransmits, events.stateless_drops), (1, 1));
+
+        // An ack the initiator did not time is counted and logged, and
+        // adds no round-trip sample.
+        events.record(13, Event::Acked(MessageId(1), 1, None));
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter_value("protocol_events_total", &[("kind", "acked")]),
+            2
+        );
+        assert_eq!(histogram(&snap, "protocol_ack_rtt_us"), (1, 40));
+        assert_eq!(events.acks, [(MessageId(1), 0, 4), (MessageId(1), 1, 13)]);
     }
 
     #[test]
@@ -343,21 +312,34 @@ mod tests {
             tap: Some(ObservationLog::new()),
             ..Events::default()
         };
-        for event in one_of_each() {
-            events.record(1_000_000, event);
+        for event in one_of_each(&plan()) {
+            events.record(3_000_000, event);
         }
         let log = events.tap.expect("tap attached");
-        let crossings: Vec<_> = log.packets.iter().map(|p| (p.node, p.ingress)).collect();
-        assert_eq!(crossings, [(NodeId(0), false), (NodeId(2), true)]);
+        let crossings: Vec<_> = log
+            .packets
+            .iter()
+            .map(|p| (p.node, p.peer, p.at.as_micros(), p.ingress))
+            .collect();
+        let (sender, receiver) = (NodeId(0), NodeId(2));
+        assert_eq!(
+            crossings,
+            [
+                (sender, receiver, 1_000_000, false),
+                (receiver, sender, 3_000_000, true)
+            ]
+        );
         assert_eq!(log.constructions.len(), 1);
-        assert_eq!(log.constructions[0].at, SimTime::from_secs(1));
-        assert_eq!(log.constructions[0].relays, [NodeId(1), NodeId(2)]);
+        let path = &log.constructions[0];
+        assert_eq!((path.initiator, path.responder), (NodeId(0), NodeId(5)));
+        assert_eq!(path.relays, [NodeId(1), NodeId(2)]);
+        assert_eq!((path.sid, path.at), (StreamId(7), SimTime::from_secs(3)));
     }
 
     #[test]
     fn clear_logs_empties_every_log_and_keeps_the_counters() {
         let mut events = Events::default();
-        for event in one_of_each() {
+        for event in one_of_each(&plan()) {
             events.record(0, event);
         }
         events.clear_logs();

@@ -54,6 +54,7 @@ impl TcpTelemetry {
     pub fn writer(&self, peer: NodeId) -> WriterTelemetry {
         let p = peer.0.to_string();
         let labels: [(&str, &str); 1] = [("peer", &p)];
+        let counter = |name: &str| self.registry.counter(name, &labels);
         let shed = |class: &str| {
             self.registry.counter(
                 "transport_frames_shed_total",
@@ -61,22 +62,12 @@ impl TcpTelemetry {
             )
         };
         WriterTelemetry {
-            connects: self.registry.counter("transport_connects_total", &labels),
-            connect_failures: self
-                .registry
-                .counter("transport_connect_failures_total", &labels),
-            frames_dropped: self
-                .registry
-                .counter("transport_frames_dropped_total", &labels),
-            frames_dropped_reconnect: self
-                .registry
-                .counter("transport_frames_dropped_reconnect_total", &labels),
-            breaker_trips: self
-                .registry
-                .counter("transport_breaker_trips_total", &labels),
-            breaker_recoveries: self
-                .registry
-                .counter("transport_breaker_recoveries_total", &labels),
+            connects: counter("transport_connects_total"),
+            connect_failures: counter("transport_connect_failures_total"),
+            frames_dropped: counter("transport_frames_dropped_total"),
+            frames_dropped_reconnect: counter("transport_frames_dropped_reconnect_total"),
+            breaker_trips: counter("transport_breaker_trips_total"),
+            breaker_recoveries: counter("transport_breaker_recoveries_total"),
             shed_cover: shed("cover"),
             shed_data: shed("data"),
             shed_control: shed("control"),

@@ -73,6 +73,16 @@ pub enum Output {
     },
 }
 
+impl Output {
+    /// Send `wire` to peer `to` on stream `sid`.
+    fn stream(to: NodeId, sid: StreamId, wire: Wire) -> Self {
+        Output::Send {
+            to,
+            frame: Frame::Stream { sid, wire },
+        }
+    }
+}
+
 /// One peer's complete protocol state machine.
 pub struct ProtocolNode {
     id: NodeId,
@@ -220,16 +230,11 @@ impl ProtocolNode {
         out: &mut Vec<Output>,
     ) {
         for msg in self.initiator.construct_paths(paths_hops, &mut self.rng) {
-            out.push(Output::Send {
-                to: msg.to,
-                frame: Frame::Stream {
-                    sid: msg.sid,
-                    wire: Wire::Construct {
-                        initiator_sid: msg.sid,
-                        onion: msg.blob,
-                    },
-                },
-            });
+            let wire = Wire::Construct {
+                initiator_sid: msg.sid,
+                onion: msg.blob,
+            };
+            out.push(Output::stream(msg.to, msg.sid, wire));
         }
     }
 
@@ -283,13 +288,8 @@ impl ProtocolNode {
     /// Send segment `index` of `mid` as the payload onion `msg` and arm
     /// its ack deadline.
     fn launch(&mut self, mid: MessageId, index: usize, msg: Outgoing, out: &mut Vec<Output>) {
-        out.push(Output::Send {
-            to: msg.to,
-            frame: Frame::Stream {
-                sid: msg.sid,
-                wire: Wire::Payload { blob: msg.blob },
-            },
-        });
+        let wire = Wire::Payload { blob: msg.blob };
+        out.push(Output::stream(msg.to, msg.sid, wire));
         let token = self.next_token;
         self.next_token += 1;
         self.timers.insert(token, (mid, index));
@@ -336,22 +336,19 @@ impl ProtocolNode {
             .relay
             .handle_wire(from, sid, &mut wire, now, &mut self.rng);
         match (step, wire) {
-            (Ok(Step::Forward { to, sid }), wire) => out.push(Output::Send {
-                to,
-                frame: Frame::Stream { sid, wire },
-            }),
+            (Ok(Step::Forward { to, sid }), wire) => out.push(Output::stream(to, sid, wire)),
             (Ok(Step::Constructed), Wire::Construct { onion, .. }) => {
-                self.events.record(now_us, Event::Constructed { from, sid });
+                self.events.record(now_us, Event::Constructed(from, sid));
                 if self.auto_ack {
                     self.send_auto_ack(from, sid, CONSTRUCT_ACK, 0, onion, out);
                 }
             }
             (Ok(Step::Delivered { mid, index }), Wire::Payload { blob }) => {
-                self.events.record(now_us, Event::Delivered { mid, index });
+                self.events.record(now_us, Event::Delivered(mid, index));
                 if let Some(codec) = self.codec.as_ref() {
                     let seg = Segment::new(index, blob.clone());
                     if let Ok(Some(body)) = self.reassembler.push(mid, seg, codec.as_ref(), now) {
-                        self.events.record(now_us, Event::Completed { mid, body });
+                        self.events.record(now_us, Event::Completed(mid, body));
                     }
                 }
                 if self.auto_ack {
@@ -375,13 +372,16 @@ impl ProtocolNode {
         out: &mut Vec<Output>,
     ) {
         let Some((mid, index, disarmed)) = acked else {
-            return self.events.record(now_us, Event::Established { sid });
+            return self.events.record(now_us, Event::Established(sid));
         };
-        // Only an ack that disarms a deadline times a round trip.
-        let sent_at = disarmed.and_then(|_| self.initiator.segment(mid, index));
-        let rtt_us = sent_at.map(|s| now_us.saturating_sub(s.sent_at.0));
-        self.events
-            .record(now_us, Event::Acked { mid, index, rtt_us });
+        // Only an ack that disarms a deadline times a round trip, and only
+        // attached telemetry reads it, so the ledger is asked only then.
+        let timed = disarmed.is_some() && self.events.telemetry.is_some();
+        let rtt_us = timed
+            .then(|| self.initiator.segment(mid, index))
+            .flatten()
+            .map(|s| now_us.saturating_sub(s.sent_at.0));
+        self.events.record(now_us, Event::Acked(mid, index, rtt_us));
         let Some(token) = disarmed else {
             return; // a duplicate, or later than its last deadline
         };
@@ -407,13 +407,7 @@ impl ProtocolNode {
             .relay
             .write_ack(from, sid, mid, index, &mut buf, &mut self.rng)
         {
-            Ok(()) => out.push(Output::Send {
-                to: from,
-                frame: Frame::Stream {
-                    sid,
-                    wire: Wire::Reverse { blob: buf },
-                },
-            }),
+            Ok(()) => out.push(Output::stream(from, sid, Wire::Reverse { blob: buf })),
             Err(_) => self.note_stateless_drop(),
         }
     }
@@ -430,7 +424,7 @@ impl ProtocolNode {
             Some(seg) if !seg.acked => seg.retries,
             _ => return, // ack raced the timer through the transport
         };
-        self.events.record(now_us, Event::TimedOut { mid, index });
+        self.events.record(now_us, Event::TimedOut(mid, index));
         let slot = index + retries as usize + 1;
         let resent = match self.codec.as_deref() {
             Some(codec) if retries < self.policy.max_retries => self
@@ -456,7 +450,7 @@ mod tests {
     use erasure::ErasureCodec;
     use simnet::{ChurnSchedule, LatencyMatrix};
     use std::fmt::Debug;
-    use telemetry::Registry;
+    use telemetry::{Registry, SnapshotValue};
 
     const INITIATOR: NodeId = NodeId(0);
     const RESPONDER: NodeId = NodeId(3);
@@ -745,5 +739,16 @@ mod tests {
             .map(|k| KINDS[k])
             .collect();
         assert_eq!(recorded, KINDS[..8]);
+        // The initiator times the acks that disarm a deadline, and only
+        // those: a late ack (its segment already retransmitted) is not.
+        let timed = match snap.get("protocol_ack_rtt_us", &[("node", "0")]) {
+            Some(SnapshotValue::Histogram(h)) => h.count(),
+            other => panic!("no ack round trips: {other:?}"),
+        };
+        assert!(
+            timed > 0 && timed <= totals[4],
+            "{timed} of {} acks timed",
+            totals[4]
+        );
     }
 }
