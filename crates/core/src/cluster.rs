@@ -115,9 +115,10 @@ impl Cluster {
         self.relays[&node].public_key()
     }
 
-    /// Borrow a relay (e.g. to sweep its cache).
-    pub fn relay_mut(&mut self, node: NodeId) -> &mut Relay {
-        self.relays.get_mut(&node).expect("unknown node")
+    /// Borrow a relay (e.g. to sweep its cache); `None` for an id outside
+    /// the cluster.
+    pub fn relay_mut(&mut self, node: NodeId) -> Option<&mut Relay> {
+        self.relays.get_mut(&node)
     }
 
     /// Hop list with public keys for building a construction onion:
@@ -236,9 +237,12 @@ impl Cluster {
                     (from, to, sid, wire) = (to, next, nsid, forwarded);
                 }
                 (Step::Constructed, _) => {
+                    // The relay cached the terminal entry as it answered
+                    // `Constructed`; a miss would be its bug, reported as
+                    // the stream it failed to keep.
                     let session_key = relay
                         .terminal_key(from, sid)
-                        .expect("terminal entry just cached");
+                        .ok_or(AnonError::UnknownStream)?;
                     return Ok(RouteOutcome::ConstructionDone {
                         at: to,
                         from,

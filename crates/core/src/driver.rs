@@ -24,6 +24,7 @@ use rand::{RngCore, SeedableRng};
 use sim_crypto::{KeyPair, PublicKey};
 use simnet::{ChurnSchedule, Engine, EventHandle, FaultPlan, LatencyMatrix, NodeId, SimTime};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Every node's relay, derived the first time the run needs it.
 ///
@@ -76,11 +77,11 @@ impl RelayTable {
 /// The event-driven world: relays plus ground truth plus the event record.
 pub struct DriverWorld {
     relays: RelayTable,
-    /// Ground-truth churn (shared with the trajectory level in the
-    /// validation experiment).
-    pub schedule: ChurnSchedule,
-    /// Pairwise one-way delays.
-    pub latency: LatencyMatrix,
+    /// Ground-truth churn, shared with the trajectory-level world the
+    /// driver runs beside.
+    pub schedule: Arc<ChurnSchedule>,
+    /// Pairwise one-way delays, shared the same way.
+    pub latency: Arc<LatencyMatrix>,
     /// Injected faults (drops, latency spikes, crash-restarts); the empty
     /// plan reproduces pre-fault behavior event for event.
     pub faults: FaultPlan,
@@ -158,14 +159,14 @@ pub struct Driver {
 
 impl Driver {
     /// Build a driver over `n` relay-capable nodes, sharing externally
-    /// built ground truth (pass clones of the same schedule/matrix to the
-    /// trajectory level to compare like for like). Every node's secret
+    /// built ground truth (hand it the trajectory-level world's own
+    /// `Arc`s to compare like for like, without a copy). Every node's secret
     /// key bytes are drawn now, in node order, from `seed`; its key pair is
     /// derived from them on first use (see [`DriverWorld::public_key`]).
     pub fn new(
         n: usize,
-        schedule: ChurnSchedule,
-        latency: LatencyMatrix,
+        schedule: Arc<ChurnSchedule>,
+        latency: Arc<LatencyMatrix>,
         initiator_id: NodeId,
         seed: u64,
     ) -> Self {
@@ -480,11 +481,11 @@ mod tests {
     use erasure::ErasureCodec;
     use simnet::{FaultConfig, LifetimeDistribution, SimDuration};
 
-    fn always_up(n: usize) -> (ChurnSchedule, LatencyMatrix) {
+    fn always_up(n: usize) -> (Arc<ChurnSchedule>, Arc<LatencyMatrix>) {
         let horizon = SimTime::from_secs(10_000);
         let schedule = ChurnSchedule::always_up(n, horizon);
         let latency = LatencyMatrix::uniform(n, SimDuration::from_millis(20));
-        (schedule, latency)
+        (Arc::new(schedule), Arc::new(latency))
     }
 
     #[test]
@@ -987,7 +988,7 @@ mod tests {
             .expect("node 2 is down somewhere");
         let latency = LatencyMatrix::uniform(n, SimDuration::from_millis(20));
 
-        let mut driver = Driver::new(n, schedule, latency, NodeId(0), 4);
+        let mut driver = Driver::new(n, Arc::new(schedule), Arc::new(latency), NodeId(0), 4);
         let mut initiator = Initiator::new(NodeId(0));
         let mut rng = StdRng::seed_from_u64(5);
         let hops = vec![driver

@@ -14,11 +14,13 @@
 use crate::metrics::ProtocolMetrics;
 use crate::mix::MixStrategy;
 use crate::protocols::ProtocolKind;
-use crate::sim::{World, WorldConfig};
+use crate::sim::{FailureDetection, World, WorldConfig};
 use crate::AnonError;
 use rand::Rng;
 use simnet::trace::EngineCounters;
 use simnet::{FaultConfig, NodeId, SimDuration, SimTime};
+use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Execution statistics for one experiment run, captured by the `_traced`
 /// drivers and surfaced in run traces.
@@ -411,6 +413,15 @@ pub struct RecoveryConfig {
     pub messages: usize,
 }
 
+impl RecoveryConfig {
+    /// The instant the run's membership views start at: the warm-up end,
+    /// lagged by the faults' view staleness. Sweeps order their calls by it
+    /// (per world), so one warmed checkpoint serves them all.
+    pub fn warm_at(&self) -> SimTime {
+        self.faults.stale_view_time(self.warmup)
+    }
+}
+
 /// Result of a recovery run.
 #[derive(Clone, Debug)]
 pub struct RecoveryResult {
@@ -460,6 +471,51 @@ const MAX_CONSTRUCT_ROUNDS: usize = 4;
 /// Relays an initiator remembers as recently blamed (explicit avoidance
 /// on top of the membership cache's death records).
 const BLAME_MEMORY: usize = 16;
+
+/// The pinned pair every recovery run sends between.
+const PINNED: [NodeId; 2] = [NodeId(0), NodeId(1)];
+
+thread_local! {
+    /// The last world this thread warmed for a recovery run: built from
+    /// its `cfg`, the pinned pair up, gossip advanced to its membership
+    /// layer's `now`.
+    static CHECKPOINT: RefCell<Option<World>> = const { RefCell::new(None) };
+}
+
+/// The world a recovery run starts from: `cfg.world` with the pinned pair
+/// up throughout and the §4.5 timed detection, its gossip advanced to
+/// `warm_at`.
+///
+/// Building and warming a world is about half of a run at n = 256, and a
+/// sweep makes many runs over each world. So each thread keeps the last
+/// world it warmed as a checkpoint. A run over the same `WorldConfig`
+/// advances the checkpoint's gossip from its instant to `warm_at` and gets
+/// a clone, RNG state included. Gossip advances incrementally, so that is
+/// the world a fresh build warmed to `warm_at` would be. A run asking for
+/// another world, or for an instant before the checkpoint's, builds afresh
+/// and that build becomes the checkpoint. The pinned pair is the runner's
+/// constant, and the detection model is set on the clone: the warm-up
+/// never reads it.
+fn warmed_world(cfg: &RecoveryConfig, warm_at: SimTime) -> World {
+    CHECKPOINT.with(|slot| {
+        let mut slot = slot.borrow_mut();
+        // A checkpoint that does not fit is dropped before the build, so at
+        // most two worlds are ever resident.
+        let fits = |w: &World| w.cfg == cfg.world && w.membership.now() <= warm_at;
+        let mut checkpoint = slot.take().filter(fits).unwrap_or_else(|| {
+            let mut world = World::new(cfg.world.clone());
+            world.pin_up(&PINNED);
+            world
+        });
+        checkpoint.advance_gossip(warm_at);
+        let mut world = checkpoint.clone();
+        *slot = Some(checkpoint);
+        world.detection = FailureDetection::Timed {
+            probe_timeout: cfg.recovery.probe_timeout,
+        };
+        world
+    })
+}
 
 /// Run the recovery experiment; returns its result plus per-run
 /// execution statistics.
@@ -523,13 +579,8 @@ pub fn run_recovery_experiment_observed(
     }
 
     let mut stats = RunStats::default();
-    let mut world = World::new(cfg.world.clone());
-    world.detection = crate::sim::FailureDetection::Timed {
-        probe_timeout: cfg.recovery.probe_timeout,
-    };
-    let initiator_id = NodeId(0);
-    let responder_id = NodeId(1);
-    world.pin_up(&[initiator_id, responder_id]);
+    let [initiator_id, responder_id] = PINNED;
+    let mut world = warmed_world(cfg, cfg.warm_at());
 
     let faults = FaultPlan::new(
         cfg.world.n,
@@ -539,12 +590,13 @@ pub fn run_recovery_experiment_observed(
     );
     let mut driver = Driver::new(
         cfg.world.n,
-        world.schedule.clone(),
-        world
-            .latency
-            .as_matrix()
-            .expect("message-level runs use matrix-backed topologies")
-            .clone(),
+        Arc::clone(&world.schedule),
+        Arc::clone(
+            world
+                .latency
+                .as_matrix()
+                .expect("message-level runs use matrix-backed topologies"),
+        ),
         initiator_id,
         cfg.world.seed ^ 0xD21F,
     )
@@ -1204,6 +1256,146 @@ mod tests {
             view_staleness: SimDuration::from_secs(60),
             ..FaultConfig::NONE
         }
+    }
+
+    fn heavy_faults() -> FaultConfig {
+        FaultConfig {
+            view_staleness: SimDuration::from_secs(300),
+            ..moderate_faults()
+        }
+    }
+
+    fn forget_checkpoint() {
+        CHECKPOINT.with(|slot| slot.borrow_mut().take());
+    }
+
+    /// The instant this thread's checkpoint is warmed to, and its schedule
+    /// (which tells one build from another).
+    fn checkpoint() -> Option<(SimTime, Arc<simnet::ChurnSchedule>)> {
+        CHECKPOINT.with(|slot| {
+            let slot = slot.borrow();
+            let world = slot.as_ref()?;
+            Some((world.membership.now(), Arc::clone(&world.schedule)))
+        })
+    }
+
+    /// The fingerprint of the world `cfg` starts from, built and warmed
+    /// without the checkpoint.
+    fn fresh_world_fingerprint(cfg: &RecoveryConfig) -> u64 {
+        let mut world = World::new(cfg.world.clone());
+        world.detection = FailureDetection::Timed {
+            probe_timeout: cfg.recovery.probe_timeout,
+        };
+        world.pin_up(&PINNED);
+        world.advance_gossip(cfg.warm_at());
+        world.fingerprint()
+    }
+
+    /// The fingerprint of the world this thread's checkpoint serves `cfg`.
+    fn served_fingerprint(cfg: &RecoveryConfig) -> u64 {
+        warmed_world(cfg, cfg.warm_at()).fingerprint()
+    }
+
+    /// Everything a call returns. The metrics hold floats that may be NaN,
+    /// so calls are compared through their `Debug` text, which prints every
+    /// float exactly.
+    fn observed_call(cfg: &RecoveryConfig) -> String {
+        let (result, stats, observed) = run_recovery_experiment_observed(cfg, None, true);
+        format!("{result:?}\n{stats:?}\n{observed:?}")
+    }
+
+    #[test]
+    fn checkpointed_calls_equal_fresh_builds() {
+        let protocols = [
+            ProtocolKind::CurMix,
+            ProtocolKind::SimRep { k: 2 },
+            ProtocolKind::SimEra { k: 4, r: 2 },
+        ];
+        for protocol in protocols {
+            for faults in [FaultConfig::NONE, moderate_faults(), heavy_faults()] {
+                let cfg = RecoveryConfig {
+                    messages: 8,
+                    ..recovery_cfg(protocol, faults, 31)
+                };
+                let label = format!("{} warmed to {:?}", protocol.label(), cfg.warm_at());
+                let reference = fresh_world_fingerprint(&cfg);
+                let earlier = SimTime(cfg.warm_at().as_micros() / 2);
+
+                // Miss: nothing to start from, so the call builds.
+                forget_checkpoint();
+                assert_eq!(served_fingerprint(&cfg), reference, "miss: {label}");
+                forget_checkpoint();
+                let fresh = observed_call(&cfg);
+                let (at, built) = checkpoint().expect("the call left a checkpoint");
+                assert_eq!(at, cfg.warm_at(), "{label}");
+
+                // Hit at the checkpoint's own instant: a clone, no build.
+                assert_eq!(served_fingerprint(&cfg), reference, "hit: {label}");
+                assert_eq!(observed_call(&cfg), fresh, "hit: {label}");
+                let (_, reused) = checkpoint().expect("still there");
+                assert!(Arc::ptr_eq(&built, &reused), "hit rebuilt: {label}");
+
+                // Hit from an earlier instant: the checkpoint advances.
+                forget_checkpoint();
+                warmed_world(&cfg, earlier);
+                assert_eq!(served_fingerprint(&cfg), reference, "advanced: {label}");
+                forget_checkpoint();
+                warmed_world(&cfg, earlier);
+                let (_, primed) = checkpoint().expect("primed");
+                assert_eq!(observed_call(&cfg), fresh, "advanced: {label}");
+                let (at, advanced) = checkpoint().expect("still there");
+                assert_eq!(at, cfg.warm_at(), "{label}");
+                assert!(Arc::ptr_eq(&primed, &advanced), "advance rebuilt: {label}");
+            }
+        }
+
+        // A later request for an earlier instant cannot go back: it builds
+        // and replaces the checkpoint, and equals its own fresh build.
+        let clean = recovery_cfg(ProtocolKind::CurMix, FaultConfig::NONE, 32);
+        let heavy = RecoveryConfig {
+            faults: heavy_faults(),
+            ..clean.clone()
+        };
+        assert!(heavy.warm_at() < clean.warm_at());
+        forget_checkpoint();
+        let heavy_fresh = observed_call(&heavy);
+        forget_checkpoint();
+        observed_call(&clean);
+        let (_, later) = checkpoint().expect("clean checkpoint");
+        assert_eq!(observed_call(&heavy), heavy_fresh);
+        let (at, rebuilt) = checkpoint().expect("heavy checkpoint");
+        assert_eq!(at, heavy.warm_at());
+        assert!(
+            !Arc::ptr_eq(&later, &rebuilt),
+            "an earlier instant rebuilds"
+        );
+
+        // Another world is a miss too.
+        let other = RecoveryConfig {
+            world: small_world(33, 1800.0),
+            ..heavy.clone()
+        };
+        observed_call(&other);
+        let (_, other_built) = checkpoint().expect("other checkpoint");
+        assert!(!Arc::ptr_eq(&rebuilt, &other_built));
+
+        // The same world under another probe timeout is a hit, and the
+        // served copy carries that run's detection model.
+        let patient = RecoveryConfig {
+            recovery: RecoveryParams {
+                probe_timeout: SimDuration::from_secs(5),
+                ..other.recovery
+            },
+            ..other.clone()
+        };
+        let world = warmed_world(&patient, patient.warm_at());
+        assert!(Arc::ptr_eq(&world.schedule, &other_built));
+        assert_eq!(
+            world.detection,
+            FailureDetection::Timed {
+                probe_timeout: SimDuration::from_secs(5)
+            }
+        );
     }
 
     #[test]

@@ -13,12 +13,13 @@ use crate::mix::{choose_disjoint_paths, choose_path, MixStrategy};
 use crate::AnonError;
 use membership::{MembershipConfig, MembershipLayer, NodeCache};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use simnet::{
     ChurnEvent, ChurnSchedule, Latency, LifetimeDistribution, NodeId, SimDuration, SimTime,
     TopologyKind,
 };
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// Cumulative evaluation counters for one world.
 ///
@@ -68,7 +69,7 @@ pub enum FailureDetection {
 }
 
 /// Parameters of a simulated network.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorldConfig {
     /// Number of nodes (paper: 1024).
     pub n: usize,
@@ -157,13 +158,22 @@ pub struct PathDelivery {
 }
 
 /// The simulated world shared by all protocol drivers.
+///
+/// A clone is a fork: it holds the same membership state and the same RNG
+/// state, so both copies advance through the same states on the same
+/// inputs ([`World::fingerprint`] tells). The churn schedule and a dense
+/// latency matrix are read-only once built (only [`World::pin_up`] edits
+/// the schedule, copying it first if it is shared), so the copies share
+/// them behind an [`Arc`] and a clone costs the membership layer alone.
+#[derive(Clone)]
 pub struct World {
     /// Configuration this world was built from.
     pub cfg: WorldConfig,
-    /// Ground-truth churn.
-    pub schedule: ChurnSchedule,
+    /// Ground-truth churn, shared with every clone and with the
+    /// message-level driver built over this world.
+    pub schedule: Arc<ChurnSchedule>,
     /// Pairwise one-way delays (dense matrix or O(1)-memory procedural,
-    /// depending on `cfg.topology`).
+    /// depending on `cfg.topology`; the matrix is shared like `schedule`).
     pub latency: Latency,
     /// Membership/liveness layer.
     pub membership: MembershipLayer,
@@ -200,7 +210,7 @@ impl World {
         }
         World {
             cfg,
-            schedule,
+            schedule: Arc::new(schedule),
             latency,
             membership,
             rng,
@@ -210,10 +220,47 @@ impl World {
     }
 
     /// Pin nodes up for the whole run (Table 2 pins initiator+responder).
+    /// A schedule shared with a clone or a driver is copied first, so the
+    /// others keep theirs.
     pub fn pin_up(&mut self, nodes: &[NodeId]) {
+        let schedule = Arc::make_mut(&mut self.schedule);
         for &n in nodes {
-            self.schedule.pin_up(n);
+            schedule.pin_up(n);
         }
+    }
+
+    /// A hash of the state the world evolves: every membership cache in
+    /// owner-id order (each in peer-id order), the layer's time and
+    /// counters, and the RNG's next word. FNV-1a over little-endian words,
+    /// as `membership`'s `state_identity` test hashes a layer.
+    ///
+    /// Two worlds built from one config that agree here advance
+    /// identically; a clone agrees with its original until one of them
+    /// moves.
+    pub fn fingerprint(&self) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut word = |w: u64| {
+            for b in w.to_le_bytes() {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for (owner, cache) in self.membership.caches() {
+            let mut entries: Vec<_> = cache.entries().collect();
+            entries.sort_unstable_by_key(|&(peer, _)| peer);
+            word(u64::from(owner.0));
+            word(entries.len() as u64);
+            for (peer, e) in entries {
+                word(u64::from(peer.0));
+                word(e.delta_alive.as_micros());
+                word(e.delta_since.as_micros());
+                word(e.t_last.as_micros());
+                word(u64::from(e.dead));
+            }
+        }
+        self.membership.counters().into_iter().for_each(&mut word);
+        word(self.membership.now().as_micros());
+        word(self.rng.clone().next_u64());
+        hash
     }
 
     /// Advance the membership layer to `t`.
@@ -489,7 +536,11 @@ mod tests {
     use super::*;
 
     fn tiny_world(seed: u64) -> World {
-        World::new(WorldConfig {
+        World::new(tiny_config(seed))
+    }
+
+    fn tiny_config(seed: u64) -> WorldConfig {
+        WorldConfig {
             n: 64,
             l: 3,
             avg_rtt_ms: 100.0,
@@ -501,7 +552,79 @@ mod tests {
             topology: TopologyKind::King,
             churn_events: Vec::new(),
             seed,
-        })
+        }
+    }
+
+    #[test]
+    fn a_cloned_world_forks() {
+        // Clone a warmed world, drive both copies with the same calls, and
+        // the fingerprints (caches, counters, RNG) and outputs stay equal,
+        // on every membership layer.
+        let (initiator, responder) = (NodeId(0), NodeId(1));
+        for membership in [
+            MembershipConfig::default(),
+            MembershipConfig::onehop_default(),
+            MembershipConfig::sampled_default(),
+        ] {
+            let mut world = World::new(WorldConfig {
+                membership,
+                ..tiny_config(12)
+            });
+            world.pin_up(&[initiator, responder]);
+            let warm = SimTime::from_secs(900);
+            world.advance_gossip(warm);
+            world.track_node(initiator, warm);
+            let mut fork = world.clone();
+            assert_eq!(world.fingerprint(), fork.fingerprint());
+            assert!(Arc::ptr_eq(&world.schedule, &fork.schedule), "shared");
+
+            let drive = |w: &mut World| {
+                let mut outputs = Vec::new();
+                for step in 1..=6u64 {
+                    let t = warm + SimDuration::from_secs(60 * step);
+                    w.advance_gossip(t);
+                    w.track_node(initiator, t);
+                    let path = w
+                        .pick_replacement_path(initiator, responder, &[], MixStrategy::Biased, t)
+                        .expect("a 64-node view yields a path");
+                    let out = w.construct_path(initiator, &path, responder, t);
+                    if let Some(hop) = out.failed_hop {
+                        w.report_failure(initiator, &path, responder, hop, t);
+                    }
+                    outputs.push((path, out));
+                }
+                outputs
+            };
+            let before = world.fingerprint();
+            let (a, b) = (drive(&mut world), drive(&mut fork));
+            assert_eq!(a, b, "{}", membership.label());
+            assert_eq!(world.fingerprint(), fork.fingerprint());
+            assert_ne!(world.fingerprint(), before, "the drive moved the state");
+            assert_eq!(world.stats.traversals(), fork.stats.traversals());
+
+            // Pinning a node in one copy copies the schedule first.
+            fork.pin_up(&[NodeId(5)]);
+            assert!(!Arc::ptr_eq(&world.schedule, &fork.schedule));
+        }
+    }
+
+    #[test]
+    fn fingerprint_sees_one_cache_entry_and_the_rng() {
+        let mut world = tiny_world(13);
+        world.advance_gossip(SimTime::from_secs(300));
+        let base = world.fingerprint();
+        let mut death = world.clone();
+        death.report_failure(
+            NodeId(0),
+            &[NodeId(2)],
+            NodeId(1),
+            0,
+            SimTime::from_secs(300),
+        );
+        assert_ne!(death.fingerprint(), base);
+        let mut drawn = world.clone();
+        drawn.rng.next_u64();
+        assert_ne!(drawn.fingerprint(), base);
     }
 
     #[test]

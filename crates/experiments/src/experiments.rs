@@ -4,7 +4,7 @@
 //! functions take explicit seeds/trial counts so runs are reproducible;
 //! "quick" variants shrink the workload for smoke tests.
 
-use crate::runner::{run_all, run_all_instrumented, RunSpec, Traced};
+use crate::runner::{checkpoint_order, run_all, run_all_ordered, RunSpec, Traced};
 use anon_core::allocation::{self, BandwidthModel};
 use anon_core::anonymity;
 use anon_core::metrics::ProtocolMetrics;
@@ -639,7 +639,8 @@ pub fn recovery_data(scale: Scale, threads: usize, telemetry: bool) -> Traced<Ve
         })
         .collect();
 
-    let (results, traces) = run_all_instrumented("recovery", jobs, threads, |spec| {
+    let claim = checkpoint_order(&jobs, |cfg| cfg);
+    let (results, traces) = run_all_ordered("recovery", jobs, claim, threads, |spec| {
         // Per-run registry (when enabled) so snapshots stay attributable to
         // one seed; the runner stores each on its RunTrace and TraceSet can
         // merge them. Telemetry is write-only, so results are unchanged.
@@ -856,7 +857,8 @@ pub fn trilemma_data(scale: Scale, threads: usize) -> Traced<Vec<TrilemmaRow>> {
     // simulation is never re-run).
     const INFILTRATION_DRAWS: u64 = 32;
 
-    let (results, traces) = run_all("trilemma", jobs, threads, |spec| {
+    let claim = checkpoint_order(&jobs, |cfg| cfg);
+    let (results, traces) = run_all_ordered("trilemma", jobs, claim, threads, |spec| {
         let (res, stats, obs) = run_recovery_experiment_observed(&spec.payload, None, true);
         let run = obs.expect("observation requested");
         let mut cells: Vec<Cell> = Vec::with_capacity(fracs.len() * covers.len());
@@ -912,6 +914,7 @@ pub fn trilemma_data(scale: Scale, threads: usize) -> Traced<Vec<TrilemmaRow>> {
             ),
             stats,
             values,
+            None,
         )
     });
 

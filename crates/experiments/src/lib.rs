@@ -20,4 +20,4 @@ pub mod runner;
 pub mod scenario_runner;
 
 pub use report::Table;
-pub use runner::{run_all, run_all_instrumented, RunSpec, RunTrace, TraceSet, Traced};
+pub use runner::{checkpoint_order, run_all, run_all_ordered, RunSpec, RunTrace, TraceSet, Traced};

@@ -10,6 +10,11 @@
 //! tables. With one thread the runner executes inline on the caller's
 //! thread (no pool, no channel): the exact sequential path.
 //!
+//! The order jobs are *claimed* in is a separate choice:
+//! [`run_all_ordered`] takes it explicitly, and [`checkpoint_order`] is the
+//! one recovery sweeps use, so that a worker's consecutive runs start from
+//! one warmed world.
+//!
 //! Each run additionally yields a [`RunTrace`]: wall-clock time, the
 //! engine/timeline counters from
 //! [`RunStats`], and named metric
@@ -17,7 +22,7 @@
 //! them (mean ± std across seeds) and persists JSON + CSV under
 //! `results/traces/`.
 
-use anon_core::protocols::runner::RunStats;
+use anon_core::protocols::runner::{RecoveryConfig, RunStats};
 use simnet::trace::Summary;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -104,20 +109,41 @@ where
     R: Send,
     F: Fn(&RunSpec<T>) -> (R, RunStats, Vec<(String, f64)>) + Sync,
 {
-    run_all_instrumented(experiment, jobs, threads, |spec| {
+    let claim = (0..jobs.len()).collect();
+    run_all_ordered(experiment, jobs, claim, threads, |spec| {
         let (r, stats, values) = f(spec);
         (r, stats, values, None)
     })
 }
 
-/// [`run_all`] for instrumented runs: `f` additionally returns an
-/// optional per-run [`telemetry::Snapshot`] (typically of a registry
-/// created inside the run), attached to the run's [`RunTrace`]. The
-/// scheduling, ordering and determinism guarantees are identical to
-/// [`run_all`] — snapshots ride along, they never steer.
-pub fn run_all_instrumented<T, R, F>(
+/// The claim order of a recovery sweep: runs over the same world (seed
+/// and all) together, in first-appearance order of the worlds, and each
+/// world's runs by ascending warm instant ([`RecoveryConfig::warm_at`]),
+/// ties in job order.
+///
+/// The recovery runner keeps the last world a thread warmed and serves a
+/// run over the same world at a later instant from it, so claimed in this
+/// order a worker builds each world once, not once per run.
+pub fn checkpoint_order<T>(jobs: &[RunSpec<T>], cfg: impl Fn(&T) -> &RecoveryConfig) -> Vec<usize> {
+    let world = |i: usize| &cfg(&jobs[i].payload).world;
+    let first_of_world: Vec<usize> = (0..jobs.len())
+        .map(|i| (0..i).find(|&j| world(j) == world(i)).unwrap_or(i))
+        .collect();
+    let mut claim: Vec<usize> = (0..jobs.len()).collect();
+    claim.sort_by_key(|&i| (first_of_world[i], cfg(&jobs[i].payload).warm_at()));
+    claim
+}
+
+/// [`run_all`], with workers claiming jobs in the order of `claim` (a
+/// permutation of the job indices), and with `f` additionally returning
+/// an optional per-run [`telemetry::Snapshot`] (typically of a registry
+/// created inside the run), attached to the run's [`RunTrace`]. Results
+/// and traces still come back in job order: the claim order moves
+/// wall-clock time only, and snapshots ride along, they never steer.
+pub fn run_all_ordered<T, R, F>(
     experiment: &str,
     jobs: Vec<RunSpec<T>>,
+    claim: Vec<usize>,
     threads: usize,
     f: F,
 ) -> (Vec<R>, TraceSet)
@@ -126,6 +152,14 @@ where
     R: Send,
     F: Fn(&RunSpec<T>) -> (R, RunStats, Vec<(String, f64)>, Option<telemetry::Snapshot>) + Sync,
 {
+    debug_assert!(
+        {
+            let mut sorted = claim.clone();
+            sorted.sort_unstable();
+            sorted.into_iter().eq(0..jobs.len())
+        },
+        "the claim order is a permutation of the jobs"
+    );
     let threads = threads.max(1).min(jobs.len().max(1));
     let run_one = |spec: &RunSpec<T>| -> (R, RunTrace) {
         let start = Instant::now();
@@ -146,9 +180,9 @@ where
     let mut traces: Vec<Option<RunTrace>> = (0..n).map(|_| None).collect();
 
     if threads == 1 {
-        // Exact sequential path: inline, in order, no pool.
-        for (i, spec) in jobs.iter().enumerate() {
-            let (r, t) = run_one(spec);
+        // Exact sequential path: inline, in claim order, no pool.
+        for &i in &claim {
+            let (r, t) = run_one(&jobs[i]);
             results[i] = Some(r);
             traces[i] = Some(t);
         }
@@ -161,11 +195,7 @@ where
                 s.spawn(|| {
                     // Move this worker's sender in; claim jobs until drained.
                     let tx = tx;
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n {
-                            break;
-                        }
+                    while let Some(&idx) = claim.get(next.fetch_add(1, Ordering::Relaxed)) {
                         let (r, t) = run_one(&jobs[idx]);
                         tx.send((idx, r, t)).expect("collector alive");
                     }
@@ -496,6 +526,62 @@ mod tests {
         let (seq, _) = run_all("t", jobs(32), 1, spin);
         let (par, _) = run_all("t", jobs(32), 4, spin);
         assert_eq!(seq, par, "thread count must not change results or order");
+    }
+
+    #[test]
+    fn claim_order_moves_no_result() {
+        let reversed: Vec<usize> = (0..32).rev().collect();
+        let with_none = |spec: &RunSpec<u64>| {
+            let (r, stats, values) = spin(spec);
+            (r, stats, values, None)
+        };
+        let (seq, _) = run_all("t", jobs(32), 1, spin);
+        for threads in [1, 4] {
+            let (got, set) = run_all_ordered("t", jobs(32), reversed.clone(), threads, with_none);
+            assert_eq!(got, seq, "threads {threads}");
+            assert!(set.traces.iter().map(|t| t.seed).eq(0..32));
+        }
+    }
+
+    #[test]
+    fn checkpoint_order_is_world_major_then_by_warm_instant() {
+        use anon_core::mix::MixStrategy;
+        use anon_core::protocols::runner::RecoveryParams;
+        use anon_core::protocols::ProtocolKind;
+        use anon_core::sim::WorldConfig;
+        use simnet::{FaultConfig, SimDuration, SimTime};
+
+        let stale = |secs| FaultConfig {
+            view_staleness: SimDuration::from_secs(secs),
+            ..FaultConfig::NONE
+        };
+        // Point-major, as the sweeps list them: (clean, moderate, heavy)
+        // × seeds (1, 2).
+        let mut jobs = Vec::new();
+        for faults in [stale(0), stale(60), stale(300)] {
+            for seed in [1, 2] {
+                let payload = RecoveryConfig {
+                    world: WorldConfig::small(seed),
+                    protocol: ProtocolKind::CurMix,
+                    strategy: MixStrategy::Biased,
+                    faults,
+                    recovery: RecoveryParams::default(),
+                    warmup: SimTime::from_secs(600),
+                    msg_interval: SimDuration::from_secs(20),
+                    msg_bytes: 1024,
+                    messages: 1,
+                };
+                let label = format!("{}", faults.view_staleness.as_micros());
+                jobs.push(RunSpec {
+                    label,
+                    seed,
+                    payload,
+                });
+            }
+        }
+        let claim = checkpoint_order(&jobs, |cfg| cfg);
+        // Seed 1's heavy, moderate, clean; then seed 2's.
+        assert_eq!(claim, [4, 2, 0, 5, 3, 1]);
     }
 
     #[test]

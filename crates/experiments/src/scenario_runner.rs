@@ -1,12 +1,13 @@
 //! Generic scenario runner: resolves a declarative [`Scenario`] into the
-//! seed-sharded [`run_all`] pool driving the message-level recovery
+//! seed-sharded [`run_all_ordered`] pool driving the message-level recovery
 //! machinery, and checks (or blesses) the scenario's golden snapshot.
 //!
 //! Every `(label, seed)` pair is one job, exactly like the hand-coded
 //! experiment commands, so matrix runs inherit the `--threads`
 //! sharding guarantee: results are byte-identical at any thread count.
+//! Jobs are claimed in [`checkpoint_order`], world by world.
 
-use crate::runner::{run_all, RunSpec, TraceSet};
+use crate::runner::{checkpoint_order, run_all_ordered, RunSpec, TraceSet};
 use adversary::colluding::{ColludingRelays, Fused};
 use adversary::timing::TimingEavesdropper;
 use adversary::{Adversary, Assessment};
@@ -61,7 +62,8 @@ pub fn run_scenario(sc: &Scenario, threads: usize) -> (Vec<JobResult>, TraceSet)
         })
         .collect();
     let experiment = format!("scenario-{}", sc.name);
-    run_all(&experiment, jobs, threads, |spec| {
+    let claim = checkpoint_order(&jobs, |job| &job.cfg);
+    run_all_ordered(&experiment, jobs, claim, threads, |spec| {
         let job = &spec.payload;
         // Only record observations when an adversary will consume them;
         // the tap is byte-inert either way (observe.rs inertness tests),
@@ -107,7 +109,7 @@ pub fn run_scenario(sc: &Scenario, threads: usize) -> (Vec<JobResult>, TraceSet)
             ("fault_drops".to_string(), result.fault_drops as f64),
             ("cover_overhead".to_string(), result.cover_overhead),
         ];
-        (result, stats, values)
+        (result, stats, values, None)
     })
 }
 

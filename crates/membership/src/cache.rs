@@ -115,12 +115,10 @@ impl Hasher for IdHasher {
 /// notice.
 #[derive(Clone, Debug)]
 enum Store {
-    /// Slot `i` holds node `i`'s entry; `len` counts the occupied slots.
-    /// A lookup is one bounds check and a view is 32 B per universe id.
-    Slots {
-        slots: Vec<Option<CacheEntry>>,
-        len: usize,
-    },
+    /// Slot `i` holds node `i`'s entry, packed; `len` counts the occupied
+    /// slots. A lookup is one bounds check and a view is 16 B per universe
+    /// id.
+    Slots { slots: Vec<Slot>, len: usize },
     /// `(id, entry)` pairs in insertion order, ids distinct, for views
     /// whose ids are sparse. A lookup is a linear scan: these views hold a
     /// few hundred entries and are read whole (mix choice ranks every
@@ -129,10 +127,92 @@ enum Store {
     List(Vec<(NodeId, CacheEntry)>),
 }
 
-// The slot layout's memory claim rests on `dead: bool` giving `Option` a
-// niche; a new `CacheEntry` field that breaks it should fail here, not in
-// `peak_rss_mb`.
-const _: () = assert!(std::mem::size_of::<Option<CacheEntry>>() == 32);
+/// One [`CacheEntry`] of the slot layout, losslessly packed into two
+/// words: Δt_alive, Δt_since and t_last as 42-bit microsecond fields, a
+/// dead bit and an occupied bit. All zeros is an empty slot.
+///
+/// ```text
+/// word 0:  t_last (42) | Δt_alive low 20 | dead | occupied   (bit 0)
+/// word 1:  Δt_since (42) | Δt_alive high 22
+/// ```
+///
+/// The two times the freshness test reads sit at the top of their words,
+/// so each is one shift: a gossip round makes that test once per digest
+/// entry and target, the warm-up's innermost loop.
+///
+/// 2^42 µs is about 50.9 days. An entry with a longer time does not fit,
+/// and the cache moves to the list layout ([`NodeCache::spill`]), as it
+/// does for an id beyond its universe.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Slot([u64; 2]);
+
+// The slot layout's memory claim: a full view at n = 256 is 1 MiB of slots
+// per layer, and a cloned world holds two layers. A change that widens the
+// slot should fail here, not in `peak_rss_mb`.
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
+
+impl Slot {
+    const EMPTY: Slot = Slot([0; 2]);
+    /// Largest microsecond value a field holds.
+    const MAX: u64 = (1 << 42) - 1;
+    /// Where the two times start in their words.
+    const TIME: u32 = 22;
+    /// Δt_alive's bits kept in word 0, above the two flags.
+    const ALIVE_LO: u32 = 20;
+    const DEAD: u64 = 1 << 1;
+    const OCCUPIED: u64 = 1;
+
+    /// `entry` packed, or `None` if one of its times needs more than 42
+    /// bits.
+    #[inline]
+    fn pack(entry: &CacheEntry) -> Option<Slot> {
+        let (alive, since, t_last) = (entry.delta_alive.0, entry.delta_since.0, entry.t_last.0);
+        if alive | since | t_last > Self::MAX {
+            return None;
+        }
+        let alive_lo = alive & ((1 << Self::ALIVE_LO) - 1);
+        let dead = if entry.dead { Self::DEAD } else { 0 };
+        Some(Slot([
+            t_last << Self::TIME | alive_lo << 2 | dead | Self::OCCUPIED,
+            since << Self::TIME | alive >> Self::ALIVE_LO,
+        ]))
+    }
+
+    #[inline]
+    fn occupied(self) -> bool {
+        self.0[0] & Self::OCCUPIED != 0
+    }
+
+    #[inline]
+    fn t_last(self) -> SimTime {
+        SimTime(self.0[0] >> Self::TIME)
+    }
+
+    #[inline]
+    fn delta_since(self) -> SimDuration {
+        SimDuration(self.0[1] >> Self::TIME)
+    }
+
+    /// The entry this slot holds, if it holds one.
+    #[inline]
+    fn unpack(self) -> Option<CacheEntry> {
+        let [w0, w1] = self.0;
+        let alive_lo = (w0 >> 2) & ((1 << Self::ALIVE_LO) - 1);
+        let alive_hi = w1 & ((1 << Self::TIME) - 1);
+        self.occupied().then(|| CacheEntry {
+            delta_alive: SimDuration(alive_hi << Self::ALIVE_LO | alive_lo),
+            delta_since: self.delta_since(),
+            t_last: self.t_last(),
+            dead: w0 & Self::DEAD != 0,
+        })
+    }
+
+    /// [`CacheEntry::effective_delta_since`] read off the packed words.
+    #[inline]
+    fn effective_delta_since(self, now: SimTime) -> SimDuration {
+        liveness::effective_delta_since(self.delta_since(), self.t_last(), now)
+    }
+}
 
 /// A node's membership cache.
 ///
@@ -174,19 +254,19 @@ impl Default for NodeCache {
 /// Iterator behind [`NodeCache::entries`]: one concrete type over both
 /// layouts, so callers stay statically dispatched.
 enum Entries<'a> {
-    Slots(std::iter::Enumerate<std::slice::Iter<'a, Option<CacheEntry>>>),
+    Slots(std::iter::Enumerate<std::slice::Iter<'a, Slot>>),
     List(std::slice::Iter<'a, (NodeId, CacheEntry)>),
 }
 
-impl<'a> Iterator for Entries<'a> {
-    type Item = (NodeId, &'a CacheEntry);
+impl Iterator for Entries<'_> {
+    type Item = (NodeId, CacheEntry);
 
     fn next(&mut self) -> Option<Self::Item> {
         match self {
             Entries::Slots(slots) => {
-                slots.find_map(|(i, slot)| slot.as_ref().map(|entry| (NodeId(i as u32), entry)))
+                slots.find_map(|(i, slot)| slot.unpack().map(|entry| (NodeId(i as u32), entry)))
             }
-            Entries::List(list) => list.next().map(|(node, entry)| (*node, entry)),
+            Entries::List(list) => list.next().copied(),
         }
     }
 }
@@ -230,7 +310,7 @@ impl NodeCache {
         let mut cache = if universe <= 2 * nodes.len() {
             NodeCache {
                 store: Store::Slots {
-                    slots: vec![None; universe],
+                    slots: vec![Slot::EMPTY; universe],
                     len: 0,
                 },
             }
@@ -262,22 +342,14 @@ impl NodeCache {
     }
 
     /// Look up an entry.
-    // `#[inline]` here and on `get_mut`/`insert`/`hear_indirect`: a gossip
-    // round is ~200 of these back to back; left to the inliner, `advance`
-    // measured 10 % slower at n = 256 and 30 % slower at n = 1024.
+    // `#[inline]` here and on `insert`/`hear_indirect`: a gossip round is
+    // ~200 of these back to back; left to the inliner, `advance` measured
+    // 10 % slower at n = 256 and 30 % slower at n = 1024.
     #[inline]
-    pub fn get(&self, node: NodeId) -> Option<&CacheEntry> {
+    pub fn get(&self, node: NodeId) -> Option<CacheEntry> {
         match &self.store {
-            Store::Slots { slots, .. } => slots.get(node.index())?.as_ref(),
-            Store::List(list) => list.iter().find(|(id, _)| *id == node).map(|(_, e)| e),
-        }
-    }
-
-    #[inline]
-    fn get_mut(&mut self, node: NodeId) -> Option<&mut CacheEntry> {
-        match &mut self.store {
-            Store::Slots { slots, .. } => slots.get_mut(node.index())?.as_mut(),
-            Store::List(list) => list.iter_mut().find(|(id, _)| *id == node).map(|(_, e)| e),
+            Store::Slots { slots, .. } => slots.get(node.index())?.unpack(),
+            Store::List(list) => list.iter().find(|(id, _)| *id == node).map(|&(_, e)| e),
         }
     }
 
@@ -285,16 +357,17 @@ impl NodeCache {
     #[inline]
     fn insert(&mut self, node: NodeId, entry: CacheEntry) {
         match &mut self.store {
-            Store::Slots { slots, len } => match slots.get_mut(node.index()) {
-                Some(slot) => {
-                    *len += usize::from(slot.is_none());
-                    *slot = Some(entry);
+            Store::Slots { slots, len } => {
+                if let (Some(slot), Some(packed)) =
+                    (slots.get_mut(node.index()), Slot::pack(&entry))
+                {
+                    *len += usize::from(!slot.occupied());
+                    *slot = packed;
+                    return;
                 }
-                None => {
-                    self.spill();
-                    self.insert(node, entry);
-                }
-            },
+                self.spill();
+                self.insert(node, entry);
+            }
             Store::List(list) => match list.iter_mut().find(|(id, _)| *id == node) {
                 Some((_, slot)) => *slot = entry,
                 None => list.push((node, entry)),
@@ -302,13 +375,15 @@ impl NodeCache {
         }
     }
 
-    /// An id beyond the bootstrap universe arrived: move to the list
-    /// layout rather than grow slots up to an arbitrary id. No simulated
-    /// overlay does this (its universe is fixed at construction); it keeps
-    /// the type total over `NodeId`.
+    /// An id beyond the bootstrap universe, or a time beyond a slot's 42
+    /// bits, arrived: move to the list layout rather than grow slots up to
+    /// an arbitrary id or widen every slot for one entry. No simulated
+    /// overlay does this (its universe is fixed at construction and its
+    /// runs last hours, not weeks); it keeps the type total over `NodeId`
+    /// and `SimTime`.
     #[cold]
     fn spill(&mut self) {
-        self.store = Store::List(self.entries().map(|(n, e)| (n, *e)).collect());
+        self.store = Store::List(self.entries().collect());
     }
 
     /// Direct update: we heard *from* `node` with its self-reported uptime
@@ -338,13 +413,31 @@ impl NodeCache {
             t_last: now,
             dead: info.dead,
         };
-        match self.get_mut(node) {
-            None => self.insert(node, heard),
-            Some(entry) => {
-                if info.delta_since < entry.effective_delta_since(now) {
-                    *entry = heard;
+        match &mut self.store {
+            // The freshness test reads the two fields it needs off the
+            // packed word; only news that wins is packed.
+            Store::Slots { slots, len } => {
+                if let Some(slot) = slots.get_mut(node.index()) {
+                    if slot.occupied() && info.delta_since >= slot.effective_delta_since(now) {
+                        return;
+                    }
+                    if let Some(packed) = Slot::pack(&heard) {
+                        *len += usize::from(!slot.occupied());
+                        *slot = packed;
+                        return;
+                    }
                 }
+                self.spill();
+                self.hear_indirect(node, info, now);
             }
+            Store::List(list) => match list.iter_mut().find(|(id, _)| *id == node) {
+                None => list.push((node, heard)),
+                Some((_, entry)) => {
+                    if info.delta_since < entry.effective_delta_since(now) {
+                        *entry = heard;
+                    }
+                }
+            },
         }
     }
 
@@ -370,7 +463,7 @@ impl NodeCache {
             Store::Slots { slots, len } => {
                 let removed = slots
                     .get_mut(node.index())
-                    .is_some_and(|slot| slot.take().is_some());
+                    .is_some_and(|slot| std::mem::replace(slot, Slot::EMPTY).occupied());
                 *len -= usize::from(removed);
                 removed
             }
@@ -388,17 +481,16 @@ impl NodeCache {
     /// Returns how many entries were evicted.
     pub fn evict_stale(&mut self, now: SimTime, timeout: SimDuration) -> usize {
         let before = self.len();
-        let fresh = |e: &CacheEntry| e.effective_delta_since(now) <= timeout;
         match &mut self.store {
             Store::Slots { slots, len } => {
                 for slot in slots.iter_mut() {
-                    if slot.as_ref().is_some_and(|e| !fresh(e)) {
-                        *slot = None;
+                    if slot.occupied() && slot.effective_delta_since(now) > timeout {
+                        *slot = Slot::EMPTY;
                         *len -= 1;
                     }
                 }
             }
-            Store::List(list) => list.retain(|(_, e)| fresh(e)),
+            Store::List(list) => list.retain(|(_, e)| e.effective_delta_since(now) <= timeout),
         }
         before - self.len()
     }
@@ -414,7 +506,7 @@ impl NodeCache {
     }
 
     /// Iterate over `(node, entry)` pairs.
-    pub fn entries(&self) -> impl Iterator<Item = (NodeId, &CacheEntry)> + '_ {
+    pub fn entries(&self) -> impl Iterator<Item = (NodeId, CacheEntry)> + '_ {
         match &self.store {
             Store::Slots { slots, .. } => Entries::Slots(slots.iter().enumerate()),
             Store::List(list) => Entries::List(list.iter()),
@@ -465,18 +557,23 @@ impl NodeCache {
         exclude: &[NodeId],
         score: impl Fn(&CacheEntry) -> f64,
     ) -> Vec<NodeId> {
-        let mut scored: Vec<(f64, NodeId)> = self
-            .entries()
-            .filter(|(n, _)| !exclude.contains(n))
-            .map(|(n, e)| {
+        let mut scored: Vec<(f64, NodeId)> = Vec::with_capacity(self.len());
+        let mut rank = |n: NodeId, e: &CacheEntry| {
+            if !exclude.contains(&n) {
                 let q = score(e);
                 debug_assert!(
                     !q.is_nan(),
                     "predictor is a ratio of non-negative durations"
                 );
-                (q, n)
-            })
-            .collect();
+                scored.push((q, n));
+            }
+        };
+        // The list is scored in place: a sampled view is ranked whole for
+        // every path, and `entries` would copy each entry out first.
+        match &self.store {
+            Store::Slots { .. } => self.entries().for_each(|(n, e)| rank(n, &e)),
+            Store::List(list) => list.iter().for_each(|(n, e)| rank(*n, e)),
+        }
         // `(score desc, id asc)` is a strict total order (ids are unique),
         // so partitioning at `count` and sorting only the kept prefix gives
         // exactly the first `count` of a full sort. `total_cmp` agrees with
@@ -723,6 +820,41 @@ mod tests {
         assert!(ids.iter().all(|&n| cache.contains(n)));
         assert!(cache.remove(NodeId(u32::MAX)));
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn slots_hold_times_below_2_pow_42_and_spill_beyond() {
+        let limit = SimTime(Slot::MAX);
+        let mut cache = NodeCache::bootstrap((0..4).map(NodeId));
+        cache.hear_direct(NodeId(1), SimDuration(Slot::MAX), limit);
+        // The bootstrap entry's staleness at `limit` is `limit` itself, so
+        // a death notice one µs fresher wins.
+        let age = SimDuration(Slot::MAX - 1);
+        cache.hear_indirect(NodeId(2), LivenessInfo::death(age), limit);
+        assert!(matches!(cache.store, Store::Slots { .. }), "2^42 - 1 fits");
+        let before: Vec<_> = cache.entries().collect();
+        assert_eq!(before[1].1.t_last, limit, "lossless at the top");
+        assert_eq!(before[2].1.delta_since, age);
+        assert!(before[2].1.dead);
+
+        // One µs later no longer fits: the cache moves to the list, whole.
+        let later = SimTime(Slot::MAX + 1);
+        cache.hear_direct(NodeId(3), secs(5), later);
+        assert!(matches!(cache.store, Store::List(_)));
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.get(NodeId(3)).unwrap().t_last, later);
+        for (node, entry) in &before[..3] {
+            assert_eq!(cache.get(*node), Some(*entry));
+        }
+
+        // A losing update with a huge time stores nothing, so it does not
+        // spill either.
+        let mut cache = NodeCache::bootstrap((0..4).map(NodeId));
+        cache.hear_direct(NodeId(1), secs(5), at(10));
+        let stale = LivenessInfo::alive(SimDuration(1 << 50), secs(20));
+        cache.hear_indirect(NodeId(1), stale, at(10));
+        assert!(matches!(cache.store, Store::Slots { .. }));
+        assert_eq!(cache.get(NodeId(1)).unwrap().delta_alive, secs(5));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Gossip protocol parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GossipConfig {
     /// Time between a node's gossip rounds.
     pub interval: SimDuration,
@@ -100,6 +100,11 @@ impl GossipSim {
     /// e.g. acks from relays).
     pub fn cache_mut(&mut self, node: NodeId) -> &mut NodeCache {
         &mut self.caches[node.index()]
+    }
+
+    /// Every node's cache, indexed by id.
+    pub(crate) fn caches(&self) -> &[NodeCache] {
+        &self.caches
     }
 
     /// Current gossip-layer time (the last processed round).

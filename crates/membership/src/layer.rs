@@ -10,7 +10,7 @@ use rand::Rng;
 use simnet::{ChurnSchedule, NodeId, SimTime};
 
 /// Which membership protocol to run, with its parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum MembershipConfig {
     /// Flat epidemic gossip (§4.8's baseline description).
     Gossip(GossipConfig),
@@ -124,6 +124,28 @@ impl MembershipLayer {
             MembershipLayer::Gossip(g) => g.now(),
             MembershipLayer::OneHop(o) => o.now(),
             MembershipLayer::Sampled(s) => s.now(),
+        }
+    }
+
+    /// Every cache the layer holds with its owner, in id order: all `n` on
+    /// the full layers, the materialized ones on the sampled layer.
+    pub fn caches(&self) -> Vec<(NodeId, &NodeCache)> {
+        let full = match self {
+            MembershipLayer::Gossip(g) => g.caches(),
+            MembershipLayer::OneHop(o) => o.caches(),
+            MembershipLayer::Sampled(s) => return s.caches(),
+        };
+        (0..full.len()).map(NodeId::from).zip(full).collect()
+    }
+
+    /// The layer's activity counters: gossip messages delivered and lost,
+    /// OneHop membership events disseminated (then zero), and zeros on the
+    /// sampled layer, which sends nothing.
+    pub fn counters(&self) -> [u64; 2] {
+        match self {
+            MembershipLayer::Gossip(g) => [g.messages_sent(), g.messages_lost()],
+            MembershipLayer::OneHop(o) => [o.events_disseminated(), 0],
+            MembershipLayer::Sampled(_) => [0, 0],
         }
     }
 }

@@ -32,7 +32,7 @@ use rand::Rng;
 use simnet::{ChurnSchedule, NodeId, SimDuration, SimTime};
 
 /// OneHop dissemination parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OneHopConfig {
     /// Number of slices the id space is divided into.
     pub slices: usize,
@@ -175,6 +175,11 @@ impl OneHopSim {
     /// Mutable cache access (used by §4.5 failure detection).
     pub fn cache_mut(&mut self, node: NodeId) -> &mut NodeCache {
         &mut self.caches[node.index()]
+    }
+
+    /// Every node's cache, indexed by id.
+    pub(crate) fn caches(&self) -> &[NodeCache] {
+        &self.caches
     }
 
     /// Current layer time.

@@ -53,7 +53,7 @@ use simnet::{ChurnSchedule, NodeId, Session, SimDuration, SimTime};
 const BLOCK: usize = 64;
 
 /// Parameters for the sampled-view layer.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SampledConfig {
     /// Peers per materialized view (clamped to `n - 1`).
     pub view_size: usize,
@@ -298,6 +298,13 @@ impl SampledView {
     /// Layer-local time (last processed activity).
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// Every materialized cache with its owner, in id order.
+    pub(crate) fn caches(&self) -> Vec<(NodeId, &NodeCache)> {
+        let mut caches: Vec<_> = self.tracked.iter().map(|(&n, t)| (n, &t.cache)).collect();
+        caches.sort_unstable_by_key(|&(node, _)| node);
+        caches
     }
 }
 

@@ -3,6 +3,10 @@
 //! `bootstrap`-built cache (id-indexed slots) and once on an empty-built one
 //! (flat `(id, entry)` list). Every observable must match the model — and
 //! therefore the other layout.
+//!
+//! A slot packs each time into 42 bits, so times are drawn on both sides
+//! of 2^42 µs: a slot-layout cache that meets a longer time spills to the
+//! list layout and must go on matching the model, entry for entry.
 
 use membership::{CacheEntry, LivenessInfo, NodeCache};
 use proptest::prelude::*;
@@ -17,6 +21,9 @@ use std::collections::BTreeMap;
 /// draw from `0..2 * UNIVERSE` and sooner or later hand the bootstrap-built
 /// cache an id beyond the slots it laid out.
 const UNIVERSE: u32 = 12;
+
+/// 2^42 µs (~50.9 days): the first time a slot cannot hold.
+const SLOT_LIMIT: u64 = 1 << 42;
 
 type Model = BTreeMap<NodeId, CacheEntry>;
 
@@ -67,7 +74,7 @@ fn check_observables(
 ) -> Result<(), String> {
     prop_assert_eq!(cache.len(), model.len());
     prop_assert_eq!(cache.is_empty(), model.is_empty());
-    let mut entries: Vec<(NodeId, CacheEntry)> = cache.entries().map(|(n, e)| (n, *e)).collect();
+    let mut entries: Vec<(NodeId, CacheEntry)> = cache.entries().collect();
     entries.sort_unstable_by_key(|&(n, _)| n);
     let expected: Vec<(NodeId, CacheEntry)> = model.iter().map(|(&n, &e)| (n, e)).collect();
     prop_assert_eq!(&entries, &expected);
@@ -76,7 +83,7 @@ fn check_observables(
     prop_assert_eq!(nodes, model.keys().copied().collect::<Vec<_>>());
     for id in 0..2 * UNIVERSE + 1 {
         let node = NodeId(id);
-        prop_assert_eq!(cache.get(node), model.get(&node));
+        prop_assert_eq!(cache.get(node), model.get(&node).copied());
         prop_assert_eq!(cache.contains(node), model.contains_key(&node));
         prop_assert_eq!(
             cache.predictor(node, now),
@@ -123,8 +130,11 @@ fn apply(
     id_span: u32,
 ) -> Result<(), String> {
     let node = NodeId((word >> 8) as u32 % id_span);
-    let alive = SimDuration::from_secs(word >> 16 & 0xfff);
-    let since = SimDuration::from_secs(word >> 28 & 0x3ff);
+    // Bits 38 and 39 lift Δt_alive and Δt_since to within ~35 minutes
+    // either side of 2^42 µs.
+    let near_limit = |bit: u64| SimDuration((word >> bit & 1) * (SLOT_LIMIT - 2_000_000_000));
+    let alive = SimDuration::from_secs(word >> 16 & 0xfff) + near_limit(38);
+    let since = SimDuration::from_secs(word >> 28 & 0x3ff) + near_limit(39);
     match word & 0x7 {
         0 => {
             caches
@@ -209,10 +219,18 @@ proptest! {
     #[test]
     fn both_layouts_match_the_btreemap_model(
         ops in prop::collection::vec(any::<u64>(), 1..80),
+        start in any::<u64>(),
     ) {
         let (mut caches, mut model) = bootstrapped();
         let id_span = if ops[0] & 0x8 == 0 { UNIVERSE } else { 2 * UNIVERSE };
-        let mut now = SimTime::ZERO;
+        // Half the cases start at time zero; the other half start within
+        // two hours before 2^42 µs, which ~5 000 s of ops usually cross.
+        let two_hours = 7_200_000_000;
+        let mut now = SimTime(if start & 1 == 0 {
+            0
+        } else {
+            SLOT_LIMIT - two_hours + (start >> 1) % two_hours
+        });
         for &word in &ops {
             now += SimDuration::from_secs(word >> 56);
             apply(&mut caches, &mut model, now, word, id_span)?;

@@ -93,7 +93,7 @@ fn mixed_schedule(n: usize, word: u64) -> ChurnSchedule {
 }
 
 fn sorted_entries(cache: &NodeCache) -> Vec<(NodeId, CacheEntry)> {
-    let mut entries: Vec<_> = cache.entries().map(|(n, e)| (n, *e)).collect();
+    let mut entries: Vec<_> = cache.entries().collect();
     entries.sort_unstable_by_key(|&(n, _)| n);
     entries
 }

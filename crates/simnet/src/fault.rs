@@ -70,6 +70,15 @@ impl FaultConfig {
             && self.view_staleness == SimDuration::ZERO
             && (self.resets_per_hour <= 0.0 || self.reset_window == SimDuration::ZERO)
     }
+
+    /// The instant membership views reflect when real time is `now`
+    /// (lagged by `view_staleness`, floored at zero).
+    pub fn stale_view_time(&self, now: SimTime) -> SimTime {
+        SimTime(
+            now.as_micros()
+                .saturating_sub(self.view_staleness.as_micros()),
+        )
+    }
 }
 
 impl Default for FaultConfig {
@@ -271,13 +280,10 @@ impl FaultPlan {
         self.crashes.iter().map(Vec::len).sum()
     }
 
-    /// The instant membership views reflect when real time is `now`
-    /// (lagged by `view_staleness`, floored at zero).
+    /// The instant membership views reflect when real time is `now`; see
+    /// [`FaultConfig::stale_view_time`].
     pub fn stale_view_time(&self, now: SimTime) -> SimTime {
-        SimTime(
-            now.as_micros()
-                .saturating_sub(self.cfg.view_staleness.as_micros()),
-        )
+        self.cfg.stale_view_time(now)
     }
 }
 

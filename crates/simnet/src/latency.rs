@@ -27,6 +27,7 @@
 use crate::node::NodeId;
 use crate::time::SimDuration;
 use rand::Rng;
+use std::sync::Arc;
 
 /// The paper's average round-trip time for the simulated network.
 pub const PAPER_AVG_RTT_MS: f64 = 152.0;
@@ -420,10 +421,13 @@ impl LatencyModel for ProceduralLatency {
 /// The latency backend a simulation world runs on: static dispatch over
 /// the dense matrix (≤ ~10k nodes, byte-identical to every committed
 /// result) or the O(1)-memory procedural model (100k–1M nodes).
+///
+/// The matrix sits behind an [`Arc`]: it never changes once built, so a
+/// cloned world and the message-level driver share one copy.
 #[derive(Clone)]
 pub enum Latency {
     /// Dense matrix backend ([`LatencyMatrix`]).
-    Matrix(LatencyMatrix),
+    Matrix(Arc<LatencyMatrix>),
     /// Procedural hash backend ([`ProceduralLatency`]).
     Procedural(ProceduralLatency),
 }
@@ -458,8 +462,8 @@ impl Latency {
 
     /// The dense matrix, if that is the backend. The engine-level driver
     /// and its equivalence tests run at paper scale where the matrix is
-    /// the (byte-identical) backend; they use this accessor.
-    pub fn as_matrix(&self) -> Option<&LatencyMatrix> {
+    /// the (byte-identical) backend; they share it through this accessor.
+    pub fn as_matrix(&self) -> Option<&Arc<LatencyMatrix>> {
         match self {
             Latency::Matrix(m) => Some(m),
             Latency::Procedural(_) => None,
@@ -591,7 +595,7 @@ mod tests {
     #[test]
     fn latency_enum_dispatches_to_backends() {
         let m = LatencyMatrix::uniform(8, SimDuration::from_millis(10));
-        let lm = Latency::Matrix(m.clone());
+        let lm = Latency::Matrix(Arc::new(m.clone()));
         assert_eq!(lm.owd(NodeId(0), NodeId(3)), m.owd(NodeId(0), NodeId(3)));
         assert_eq!(lm.label(), "matrix");
         assert!(lm.as_matrix().is_some());

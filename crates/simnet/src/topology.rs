@@ -14,6 +14,7 @@
 use crate::latency::{Latency, LatencyMatrix, ProceduralLatency};
 use rand::Rng;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Which network topology a scenario runs on.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -161,7 +162,7 @@ impl TopologyKind {
             TopologyKind::Procedural => {
                 Latency::Procedural(ProceduralLatency::new(n, avg_rtt_ms, rng.gen::<u64>()))
             }
-            _ => Latency::Matrix(self.latency_matrix(n, avg_rtt_ms, rng)),
+            _ => Latency::Matrix(Arc::new(self.latency_matrix(n, avg_rtt_ms, rng))),
         }
     }
 }

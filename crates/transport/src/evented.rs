@@ -321,11 +321,9 @@ impl EventedTransport {
             return;
         };
         while p.head_offset == 0 {
-            let Some(head) = p.queue.front() else { break };
-            if head.deadline_us > now {
+            let Some(entry) = pop_front_if(&mut p.queue, |head| head.deadline_us <= now) else {
                 break;
-            }
-            let entry = p.queue.pop_front().expect("head exists");
+            };
             self.pool.put(entry.bytes);
             if let Some(t) = &p.telemetry {
                 t.queue_depth.sub(1);
@@ -415,23 +413,22 @@ impl EventedTransport {
     /// An in-flight connect resolved (writability on a `Connecting`
     /// socket): read `SO_ERROR` for the outcome.
     fn connect_complete(&mut self, id: NodeId, now: u64) {
-        let ok = {
-            let Some(p) = self.peers.get(&id) else { return };
-            let OutState::Connecting { stream, .. } = &p.state else {
-                return;
-            };
-            matches!(net::take_socket_error(stream), Ok(None))
+        let Some(p) = self.peers.get_mut(&id) else {
+            return;
         };
-        if !ok {
+        let (stream, slot) = match std::mem::replace(&mut p.state, OutState::Idle) {
+            OutState::Connecting { stream, slot } => (stream, slot),
+            other => {
+                p.state = other;
+                return;
+            }
+        };
+        if !matches!(net::take_socket_error(&stream), Ok(None)) {
+            p.state = OutState::Connecting { stream, slot };
             self.teardown_conn(id);
             self.connect_failure(id, now);
             return;
         }
-        let p = self.peers.get_mut(&id).expect("peer exists");
-        let OutState::Connecting { stream, slot } = std::mem::replace(&mut p.state, OutState::Idle)
-        else {
-            unreachable!("matched Connecting above")
-        };
         p.state = OutState::Connected {
             stream,
             slot,
@@ -520,8 +517,7 @@ impl EventedTransport {
                 p.state = OutState::Idle;
             }
             self.expire_due(id, now);
-            let p = self.peers.get_mut(&id).expect("peer exists");
-            if !p.queue.is_empty() {
+            if self.peers.get(&id).is_some_and(|p| !p.queue.is_empty()) {
                 self.ensure_connecting(id, now);
             }
         }
@@ -602,24 +598,23 @@ impl EventedTransport {
                             }
                         }
                         while n > 0 {
-                            let head_len = match p.queue.front() {
-                                Some(e) => e.bytes.len(),
-                                None => break,
-                            };
-                            let rest = head_len - p.head_offset;
-                            if n >= rest {
-                                let e = p.queue.pop_front().expect("head exists");
-                                pool.put(e.bytes);
-                                if let Some(t) = &p.telemetry {
-                                    t.queue_depth.sub(1);
+                            let offset = p.head_offset;
+                            let Some(e) =
+                                pop_front_if(&mut p.queue, |e| n >= e.bytes.len() - offset)
+                            else {
+                                // The head is written only in part.
+                                if !p.queue.is_empty() {
+                                    p.head_offset += n;
                                 }
-                                p.head_offset = 0;
-                                p.write_failed = false;
-                                n -= rest;
-                            } else {
-                                p.head_offset += n;
                                 break;
+                            };
+                            n -= e.bytes.len() - offset;
+                            pool.put(e.bytes);
+                            if let Some(t) = &p.telemetry {
+                                t.queue_depth.sub(1);
                             }
+                            p.head_offset = 0;
+                            p.write_failed = false;
                         }
                         if p.queue.is_empty() && !p.hello_pending {
                             break;
@@ -736,7 +731,14 @@ impl EventedTransport {
 
     /// One epoll sweep: wait up to `timeout`, then dispatch readiness.
     fn poll_io(&mut self, timeout: Duration) {
-        let mut events = self.io_events.take().expect("events present");
+        // `io_events` is `None` only while this function runs (the
+        // handlers below need `&mut self`); should that ever not hold, a
+        // fresh buffer stands in rather than the loop dying.
+        debug_assert!(self.io_events.is_some(), "poll_io is never re-entered");
+        let mut events = self
+            .io_events
+            .take()
+            .unwrap_or_else(|| Events::with_capacity(EVENTS_CAPACITY));
         if self.poll.poll(&mut events, Some(timeout)).is_ok() {
             let now = self.now_us();
             for ev in events.iter() {
@@ -798,6 +800,15 @@ impl EventedTransport {
     }
 }
 
+/// The queue's head, if it satisfies `pred`, taken off the queue.
+fn pop_front_if<T>(queue: &mut VecDeque<T>, pred: impl FnOnce(&T) -> bool) -> Option<T> {
+    if queue.front().is_some_and(pred) {
+        queue.pop_front()
+    } else {
+        None
+    }
+}
+
 /// Accept errors that name a doomed in-flight connection rather than a
 /// broken listener; skipping that connection is the correct response.
 fn is_transient_accept_error(e: &io::Error) -> bool {
@@ -832,7 +843,11 @@ impl Transport for EventedTransport {
         let mut bytes = self.pool.get();
         encode_frame_into(&frame, &mut bytes);
         let capacity = self.policy.queue_capacity;
-        let p = self.peers.get_mut(&to).expect("peer ensured");
+        let Some(p) = self.peers.get_mut(&to) else {
+            // `ensure_peer` just added it; a typed error all the same.
+            self.pool.put(bytes);
+            return Err(TransportError::UnknownPeer(to));
+        };
         let entry = OutEntry {
             prio,
             bytes,
@@ -862,9 +877,8 @@ impl Transport for EventedTransport {
                         .map(|(i, _)| i)
                 })
                 .next();
-            match victim {
-                Some(pos) => {
-                    let shed = p.queue.remove(pos).expect("victim position valid");
+            match victim.and_then(|pos| p.queue.remove(pos)) {
+                Some(shed) => {
                     p.queue.push_back(entry);
                     Outcome::QueuedShed(shed.prio, shed.bytes)
                 }

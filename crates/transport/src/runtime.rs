@@ -48,7 +48,8 @@ impl<T: Transport> Runtime<T> {
     ///
     /// # Panics
     ///
-    /// If no node with `id` was added, as [`node`](Self::node).
+    /// If no node with `id` was added, as [`node`](Self::node). The id
+    /// comes from the program driving the runtime, never from the wire.
     pub fn node_mut(&mut self, id: NodeId) -> &mut ProtocolNode {
         self.nodes.get_mut(&id).expect("known node")
     }
@@ -56,6 +57,10 @@ impl<T: Transport> Runtime<T> {
     /// Drive a node directly (construct paths, send a message): `f`
     /// appends outputs which are applied to the transport as the node's
     /// own sends would be.
+    ///
+    /// # Panics
+    ///
+    /// If no node with `id` was added, as [`node_mut`](Self::node_mut).
     pub fn drive<R>(
         &mut self,
         id: NodeId,
@@ -63,7 +68,7 @@ impl<T: Transport> Runtime<T> {
     ) -> R {
         let mut out = Vec::new();
         let now = self.transport.now_us();
-        let node = self.nodes.get_mut(&id).expect("known node");
+        let node = self.node_mut(id);
         node.set_now(now);
         let r = f(node, &mut out);
         self.apply(id, out);

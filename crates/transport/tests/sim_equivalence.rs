@@ -23,6 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simnet::{ChurnSchedule, LatencyMatrix, NodeId, SimDuration, SimTime};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use telemetry::{Registry, SnapshotValue};
 use transport::{ProtocolNode, Runtime, SimTransport, Transport};
 
@@ -103,7 +104,8 @@ fn run_driver(
 ) -> Outcome {
     let (schedule, latency) = ground_truth(n);
     let t0 = SimTime::from_secs(1);
-    let mut driver = Driver::new(n, schedule, latency, NodeId(0), seed).with_auto_ack();
+    let mut driver =
+        Driver::new(n, Arc::new(schedule), Arc::new(latency), NodeId(0), seed).with_auto_ack();
     driver.attach_telemetry(registry);
     let mut initiator = Initiator::new(NodeId(0));
     let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);

@@ -185,7 +185,11 @@ fn relay_state_expires_without_refresh() {
     // Exceed the default TTL with no traffic, then sweep relay 1.
     s.net.advance(SimDuration::from_secs(600));
     let now = s.net.now();
-    let swept = s.net.relay_mut(NodeId(1)).sweep(now);
+    let swept = s
+        .net
+        .relay_mut(NodeId(1))
+        .expect("node 1 is in the cluster")
+        .sweep(now);
     assert_eq!(swept, 1, "the idle path entry must be reclaimed");
 
     // Sending now dies at the first relay with UnknownStream.
