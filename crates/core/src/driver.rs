@@ -10,12 +10,11 @@
 //! The `validate` experiment cross-checks the two layers on identical
 //! ground truth.
 
-use crate::endpoint::{open_ack, Outgoing, CONSTRUCT_ACK};
+use crate::endpoint::{Initiator, Outgoing, CONSTRUCT_ACK};
 use crate::events::{Event, Events};
 use crate::ids::{MessageId, StreamId};
 use crate::instrument::{wire_tag, ProtocolTelemetry};
 use crate::observe::{ObservationLog, PacketObservation};
-use crate::onion::PathPlan;
 use crate::pool::BufferPool;
 use crate::relay::{Relay, Step};
 use crate::wire::{self, Frame, Wire};
@@ -74,8 +73,13 @@ impl RelayTable {
     }
 }
 
-/// The event-driven world: relays plus ground truth plus the event record.
+/// The event-driven world: the initiator, relays, ground truth and the
+/// event record.
 pub struct DriverWorld {
+    /// The one initiator the driver serves: its paths open the reverse
+    /// onions that reach it, and its ledger books their acks, as a live
+    /// node's does.
+    pub initiator: Initiator,
     relays: RelayTable,
     /// Ground-truth churn, shared with the trajectory-level world the
     /// driver runs beside.
@@ -106,10 +110,6 @@ pub struct DriverWorld {
     /// `Vec<u8>` peeled/wrapped in place hop to hop, and terminated
     /// messages return their capacity here for the next launch.
     pub pool: BufferPool,
-    initiator: NodeId,
-    /// Initiator-side path plans keyed by initiator stream id, needed to
-    /// peel reverse onions arriving back at the initiator.
-    plans: HashMap<StreamId, PathPlan>,
     /// Armed ack-deadline timers, cancelled when the ack arrives first.
     pending_acks: HashMap<(MessageId, usize), EventHandle>,
     /// Per-node cursor into the fault plan's crash schedule.
@@ -172,6 +172,7 @@ impl Driver {
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let world = DriverWorld {
+            initiator: Initiator::new(initiator_id),
             relays: RelayTable::draw(n, &mut rng),
             schedule,
             latency,
@@ -183,8 +184,6 @@ impl Driver {
             crash_wipes: 0,
             auto_ack: false,
             pool: BufferPool::new(),
-            initiator: initiator_id,
-            plans: HashMap::new(),
             pending_acks: HashMap::new(),
             crash_cursor: vec![0; n],
         };
@@ -234,22 +233,6 @@ impl Driver {
         self.world.events.tap.take()
     }
 
-    /// Register an initiator-side path plan so reverse onions arriving on
-    /// its stream id can be peeled (required for auto-ack traffic).
-    pub fn register_path(&mut self, sid: StreamId, plan: PathPlan) {
-        let now = self.engine.now().as_micros();
-        let event = Event::PathRegistered(self.world.initiator, sid, &plan);
-        self.world.events.record(now, event);
-        self.world.plans.insert(sid, plan);
-    }
-
-    /// Forget a torn-down path's plan, and nothing else: a reverse onion
-    /// still in flight on it is counted as a stateless drop, and ack
-    /// deadlines armed for its segments stay armed and fire as timeouts.
-    pub fn unregister_path(&mut self, sid: StreamId) {
-        self.world.plans.remove(&sid);
-    }
-
     /// Arm an end-to-end ack deadline for `(mid, index)`: if no ack
     /// arrives by `deadline`, a timeout is recorded. An ack arriving
     /// first cancels the timer.
@@ -270,7 +253,8 @@ impl Driver {
     /// Schedule `wire` to leave the initiator for `to` on stream `sid` at
     /// `at`.
     fn launch(&mut self, to: NodeId, sid: StreamId, wire: Wire, at: SimTime) {
-        Self::send(&mut self.engine, self.world.initiator, to, sid, wire, at);
+        let from = self.world.initiator.id();
+        Self::send(&mut self.engine, from, to, sid, wire, at);
     }
 
     /// Schedule an explicit teardown to leave the initiator at `at`,
@@ -279,9 +263,15 @@ impl Driver {
         self.launch(first_hop, sid, Wire::Release, at);
     }
 
-    /// Schedule a construction onion (from [`crate::endpoint::Initiator::construct_paths`])
-    /// to leave the initiator at `at`.
+    /// Schedule a construction onion (from [`Initiator::construct_paths`]
+    /// on [`DriverWorld::initiator`]) to leave the initiator at `at`, and
+    /// register the path it builds with the observation tap.
     pub fn launch_construction(&mut self, msg: &Outgoing, at: SimTime) {
+        let w = &mut self.world;
+        if let Some(path) = w.initiator.path(msg.sid) {
+            let event = Event::PathRegistered(w.initiator.id(), msg.sid, &path.plan);
+            w.events.record(self.engine.now().as_micros(), event);
+        }
         let wire = Wire::Construct {
             initiator_sid: msg.sid,
             onion: msg.blob.clone(),
@@ -401,20 +391,20 @@ impl Driver {
                 }
             }
         }
-        // Reverse traffic terminating at the initiator: open it with the
-        // registered path plan — gone if the path was torn down — and log
-        // the ack.
-        if to == w.initiator {
+        // Reverse traffic terminating at the initiator: its own paths open
+        // it and its ledger books the ack. A stream it does not hold — a
+        // path torn down meanwhile — leaves nothing to open it with.
+        if to == w.initiator.id() {
             if let Wire::Reverse { mut blob } = wire {
-                match w.plans.get(&sid).map(|plan| open_ack(plan, &mut blob)) {
-                    Some(Ok(None)) => w.events.record(now_us, Event::Established(sid)),
-                    Some(Ok(Some((mid, index)))) => {
+                match w.initiator.open_ack(sid, &mut blob, now) {
+                    Ok(None) => w.events.record(now_us, Event::Established(sid)),
+                    Ok(Some((mid, index, _))) => {
                         if let Some(timer) = w.pending_acks.remove(&(mid, index)) {
                             timer.cancel();
                         }
                         w.events.record(now_us, Event::Acked(mid, index, None));
                     }
-                    Some(Err(_)) | None => w.stateless_drop(now),
+                    Err(_) => w.stateless_drop(now),
                 }
                 return w.pool.put(blob);
             }
@@ -477,7 +467,6 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::Initiator;
     use erasure::ErasureCodec;
     use simnet::{FaultConfig, LifetimeDistribution, SimDuration};
 
@@ -488,17 +477,37 @@ mod tests {
         (Arc::new(schedule), Arc::new(latency))
     }
 
+    /// Build the path 1 → 2 → 3 → 7 on the driver's initiator; returns its
+    /// construction onion.
+    fn build_path(driver: &mut Driver, rng: &mut StdRng) -> Outgoing {
+        let relays = [NodeId(1), NodeId(2), NodeId(3)];
+        let hops = [driver.world.hops(&relays, NodeId(7))];
+        driver.world.initiator.construct_paths(&hops, rng).remove(0)
+    }
+
+    /// Send `body` from the driver's initiator as message `mid`, coded
+    /// `(m, n)`: one payload onion per segment.
+    fn send(
+        driver: &mut Driver,
+        mid: MessageId,
+        body: &[u8],
+        (m, n): (usize, usize),
+        rng: &mut StdRng,
+    ) -> Vec<Outgoing> {
+        let codec = ErasureCodec::new(m, n).unwrap();
+        let initiator = &mut driver.world.initiator;
+        initiator
+            .send_message(mid, body, &codec, None, rng)
+            .unwrap()
+    }
+
     #[test]
     fn construction_completes_with_link_latency() {
         let (schedule, latency) = always_up(8);
         let mut driver = Driver::new(8, schedule, latency, NodeId(0), 1);
-        let mut initiator = Initiator::new(NodeId(0));
         let mut rng = StdRng::seed_from_u64(2);
-        let hops = vec![driver
-            .world
-            .hops(&[NodeId(1), NodeId(2), NodeId(3)], NodeId(7))];
-        let msgs = initiator.construct_paths(&hops, &mut rng);
-        driver.launch_construction(&msgs[0], SimTime::from_secs(1));
+        let msg = build_path(&mut driver, &mut rng);
+        driver.launch_construction(&msg, SimTime::from_secs(1));
         driver.run_until(SimTime::from_secs(10));
         assert_eq!(driver.world.events.constructions.len(), 1);
         // 4 links at 20 ms each.
@@ -555,15 +564,10 @@ mod tests {
             derived(&driver).is_empty(),
             "a fresh driver derives nothing"
         );
-        let mut initiator = Initiator::new(NodeId(0));
-        let mut rng = StdRng::seed_from_u64(2);
-        let hops = vec![driver
-            .world
-            .hops(&[NodeId(1), NodeId(2), NodeId(3)], NodeId(7))];
+        let msg = build_path(&mut driver, &mut StdRng::seed_from_u64(2));
         let four_hops = [NodeId(1), NodeId(2), NodeId(3), NodeId(7)];
-        assert_eq!(derived(&driver), four_hops);
-        let msgs = initiator.construct_paths(&hops, &mut rng);
-        driver.launch_construction(&msgs[0], SimTime::from_secs(1));
+        assert_eq!(derived(&driver), four_hops, "the hops' keys");
+        driver.launch_construction(&msg, SimTime::from_secs(1));
         driver.run_until(SimTime::from_secs(10));
         assert_eq!(driver.world.events.constructions.len(), 1);
         assert_eq!(derived(&driver), four_hops, "routing derived no one else");
@@ -597,15 +601,9 @@ mod tests {
         let mut driver = Driver::new(8, schedule, latency, NodeId(0), 1)
             .with_faults(faults)
             .with_auto_ack();
-        let mut initiator = Initiator::new(NodeId(0));
         let mut rng = StdRng::seed_from_u64(5);
-        let hops = vec![driver
-            .world
-            .hops(&[NodeId(1), NodeId(2), NodeId(3)], NodeId(7))];
-        let msgs = initiator.construct_paths(&hops, &mut rng);
-        let sid = initiator.paths()[0].sid;
-        driver.register_path(sid, initiator.paths()[0].plan.clone());
-        driver.launch_construction(&msgs[0], SimTime::from_secs(2_000));
+        let msg = build_path(&mut driver, &mut rng);
+        driver.launch_construction(&msg, SimTime::from_secs(2_000));
         driver.run_until(SimTime::from_secs(2_001));
         assert_eq!(
             driver.world.events.established.len(),
@@ -637,20 +635,16 @@ mod tests {
             vec![NodeId(1), NodeId(2), NodeId(3)],
             vec![NodeId(4), NodeId(5), NodeId(6)],
         ];
-        let codec = ErasureCodec::new(1, 2).unwrap();
         let mut driver = Driver::new(12, schedule, latency, NodeId(0), 3);
-        let mut initiator = Initiator::new(NodeId(0));
         let mut rng = StdRng::seed_from_u64(3 ^ 0x51ed);
         let hop_lists: Vec<_> = paths
             .iter()
             .map(|p| driver.world.hops(p, NodeId(11)))
             .collect();
-        for msg in initiator.construct_paths(&hop_lists, &mut rng) {
+        for msg in driver.world.initiator.construct_paths(&hop_lists, &mut rng) {
             driver.launch_construction(&msg, SimTime::from_secs(1));
         }
-        let out = initiator
-            .send_message(MessageId(5), &[0xEE; 1024], &codec, None, &mut rng)
-            .unwrap();
+        let out = send(&mut driver, MessageId(5), &[0xEE; 1024], (1, 2), &mut rng);
         for msg in &out {
             driver.launch_payload(msg, SimTime::from_secs(2));
         }
@@ -673,15 +667,10 @@ mod tests {
     fn auto_ack_round_trip_and_timer_cancellation() {
         let (schedule, latency) = always_up(8);
         let mut driver = Driver::new(8, schedule, latency, NodeId(0), 1).with_auto_ack();
-        let mut initiator = Initiator::new(NodeId(0));
         let mut rng = StdRng::seed_from_u64(2);
-        let hops = vec![driver
-            .world
-            .hops(&[NodeId(1), NodeId(2), NodeId(3)], NodeId(7))];
-        let msgs = initiator.construct_paths(&hops, &mut rng);
-        let sid = initiator.paths()[0].sid;
-        driver.register_path(sid, initiator.paths()[0].plan.clone());
-        driver.launch_construction(&msgs[0], SimTime::from_secs(1));
+        let msg = build_path(&mut driver, &mut rng);
+        let sid = msg.sid;
+        driver.launch_construction(&msg, SimTime::from_secs(1));
         driver.run_until(SimTime::from_secs(2));
 
         // Construct ack: 4 links out + 4 links back at 20 ms each.
@@ -693,10 +682,7 @@ mod tests {
         );
 
         // Payload ack beats its deadline: the timer is cancelled.
-        let codec = ErasureCodec::new(1, 1).unwrap();
-        let out = initiator
-            .send_message(MessageId(9), b"hi", &codec, None, &mut rng)
-            .unwrap();
+        let out = send(&mut driver, MessageId(9), b"hi", (1, 1), &mut rng);
         driver.launch_payload(&out[0], SimTime::from_secs(2));
         driver.arm_ack_timer(MessageId(9), 0, SimTime::from_secs(3));
         driver.run_until(SimTime::from_secs(5));
@@ -710,23 +696,93 @@ mod tests {
         assert_eq!(driver.engine.counters().cancelled, 1, "timer cancelled");
     }
 
+    /// A driver with auto-ack over `always_up(8)` whose initiator holds
+    /// the path 1 → 2 → 3 → 7, formed by `t = 1 s`, and has sent the
+    /// two-segment message 9 over it at 1 s (both acks home at 1.16 s).
+    fn one_path_one_message() -> (Driver, StreamId) {
+        let (schedule, latency) = always_up(8);
+        let mut driver = Driver::new(8, schedule, latency, NodeId(0), 1).with_auto_ack();
+        let mut rng = StdRng::seed_from_u64(8);
+        let msg = build_path(&mut driver, &mut rng);
+        driver.launch_construction(&msg, SimTime::ZERO);
+        driver.run_until(SimTime::from_secs(1));
+        assert_eq!(driver.world.initiator.established(), 1, "formed");
+        for segment in send(&mut driver, MessageId(9), b"booked", (1, 2), &mut rng) {
+            driver.launch_payload(&segment, SimTime::from_secs(1));
+        }
+        (driver, msg.sid)
+    }
+
+    #[test]
+    fn an_ack_is_booked_in_the_initiators_ledger_when_it_arrives() {
+        let (mut driver, _) = one_path_one_message();
+        let mid = MessageId(9);
+        assert_eq!(driver.world.initiator.missing(mid), [0, 1]);
+        driver.run_until(SimTime::from_secs(2));
+        assert!(driver.world.initiator.missing(mid).is_empty());
+        assert!(driver.world.initiator.is_complete(mid));
+    }
+
+    #[test]
+    fn an_ack_on_a_dropped_path_is_one_stateless_drop() {
+        let (mut driver, sid) = one_path_one_message();
+        let mid = MessageId(9);
+        // Both segments are delivered at 1.08 s; their acks are on the
+        // way back when the initiator gives the path up.
+        driver.run_until(SimTime::from_secs(1) + SimDuration::from_millis(100));
+        assert_eq!(driver.world.events.deliveries.len(), 2);
+        assert!(driver.world.initiator.drop_path(sid));
+        let drops = driver.world.events.stateless_drops;
+        driver.run_until(SimTime::from_secs(2));
+        assert_eq!(
+            driver.world.events.stateless_drops,
+            drops + 2,
+            "one per ack"
+        );
+        assert!(driver.world.events.acks.is_empty());
+        assert_eq!(
+            driver.world.initiator.missing(mid),
+            [0, 1],
+            "ledger untouched"
+        );
+    }
+
+    #[test]
+    fn each_launched_construction_registers_one_path() {
+        let (schedule, latency) = always_up(12);
+        let mut driver = Driver::new(12, schedule, latency, NodeId(0), 3).with_observation();
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut launched = Vec::new();
+        for (relays, at) in [([1u32, 2, 3], 0), ([4, 5, 6], 2)].map(|(r, s)| (r.map(NodeId), s)) {
+            driver.run_until(SimTime::from_secs(at));
+            let hops = [driver.world.hops(&relays, NodeId(11))];
+            let msg = driver
+                .world
+                .initiator
+                .construct_paths(&hops, &mut rng)
+                .remove(0);
+            driver.launch_construction(&msg, SimTime::from_secs(at + 1));
+            launched.push((msg.sid, relays.to_vec(), SimTime::from_secs(at)));
+        }
+        let log = driver.take_observations().expect("tap attached");
+        let registered: Vec<_> = log
+            .constructions
+            .iter()
+            .map(|c| (c.sid, c.relays.clone(), c.at))
+            .collect();
+        assert_eq!(registered, launched, "one each, stamped at launch");
+        assert!(log.constructions.iter().all(|c| c.initiator == NodeId(0)));
+    }
+
     #[test]
     fn ack_deadline_fires_when_the_path_never_formed() {
         let (schedule, latency) = always_up(8);
         let mut driver = Driver::new(8, schedule, latency, NodeId(0), 1).with_auto_ack();
-        let mut initiator = Initiator::new(NodeId(0));
         let mut rng = StdRng::seed_from_u64(3);
-        let hops = vec![driver
-            .world
-            .hops(&[NodeId(1), NodeId(2), NodeId(3)], NodeId(7))];
-        initiator.construct_paths(&hops, &mut rng);
-        driver.register_path(initiator.paths()[0].sid, initiator.paths()[0].plan.clone());
+        build_path(&mut driver, &mut rng);
         // Never launch the construction: the payload dies statelessly and
         // the deadline fires.
-        let codec = ErasureCodec::new(1, 1).unwrap();
-        let out = initiator
-            .send_message(MessageId(7), b"x", &codec, None, &mut rng)
-            .unwrap();
+        let out = send(&mut driver, MessageId(7), b"x", (1, 1), &mut rng);
         driver.launch_payload(&out[0], SimTime::from_secs(1));
         driver.arm_ack_timer(MessageId(7), 0, SimTime::from_secs(2));
         driver.run_until(SimTime::from_secs(5));
@@ -753,13 +809,9 @@ mod tests {
             7,
         );
         let mut driver = Driver::new(8, schedule, latency, NodeId(0), 1).with_faults(faults);
-        let mut initiator = Initiator::new(NodeId(0));
         let mut rng = StdRng::seed_from_u64(4);
-        let hops = vec![driver
-            .world
-            .hops(&[NodeId(1), NodeId(2), NodeId(3)], NodeId(7))];
-        let msgs = initiator.construct_paths(&hops, &mut rng);
-        driver.launch_construction(&msgs[0], SimTime::from_secs(1));
+        let msg = build_path(&mut driver, &mut rng);
+        driver.launch_construction(&msg, SimTime::from_secs(1));
         driver.run_until(SimTime::from_secs(5));
         assert_eq!(driver.world.events.constructions.len(), 0);
         assert_eq!(driver.world.fault_drops, 1, "died on the first link");
@@ -781,19 +833,12 @@ mod tests {
             11,
         );
         let mut driver = Driver::new(8, schedule, latency, NodeId(0), 1).with_faults(faults);
-        let mut initiator = Initiator::new(NodeId(0));
         let mut rng = StdRng::seed_from_u64(5);
-        let hops = vec![driver
-            .world
-            .hops(&[NodeId(1), NodeId(2), NodeId(3)], NodeId(7))];
-        let msgs = initiator.construct_paths(&hops, &mut rng);
-        driver.launch_construction(&msgs[0], SimTime::from_millis(1));
+        let msg = build_path(&mut driver, &mut rng);
+        driver.launch_construction(&msg, SimTime::from_millis(1));
         driver.run_until(SimTime::from_secs(1));
 
-        let codec = ErasureCodec::new(1, 1).unwrap();
-        let out = initiator
-            .send_message(MessageId(1), b"x", &codec, None, &mut rng)
-            .unwrap();
+        let out = send(&mut driver, MessageId(1), b"x", (1, 1), &mut rng);
         driver.launch_payload(&out[0], SimTime::from_secs(500));
         driver.run_until(SimTime::from_secs(600));
         assert!(driver.world.crash_wipes > 0, "crashes were applied");
@@ -811,7 +856,6 @@ mod tests {
             vec![NodeId(1), NodeId(2), NodeId(3)],
             vec![NodeId(4), NodeId(5), NodeId(6)],
         ];
-        let codec = ErasureCodec::new(1, 2).unwrap();
         let times = [(MessageId(5), SimTime::from_secs(2))];
         let run = |faulted: bool| {
             let (schedule, latency) = (schedule.clone(), latency.clone());
@@ -819,20 +863,17 @@ mod tests {
             if faulted {
                 driver = driver.with_faults(FaultPlan::none());
             }
-            let mut initiator = Initiator::new(NodeId(0));
             let mut rng = StdRng::seed_from_u64(0x51ed ^ 3);
             let hop_lists: Vec<Vec<(NodeId, PublicKey)>> = paths
                 .iter()
                 .map(|p| driver.world.hops(p, NodeId(11)))
                 .collect();
-            for msg in initiator.construct_paths(&hop_lists, &mut rng) {
+            for msg in driver.world.initiator.construct_paths(&hop_lists, &mut rng) {
                 driver.launch_construction(&msg, SimTime::from_secs(1));
             }
             let payload = vec![0xEEu8; 1024];
             for &(mid, at) in &times {
-                let out = initiator
-                    .send_message(mid, &payload, &codec, None, &mut rng)
-                    .unwrap();
+                let out = send(&mut driver, mid, &payload, (1, 2), &mut rng);
                 for msg in &out {
                     driver.launch_payload(msg, at);
                 }
@@ -863,7 +904,6 @@ mod tests {
             vec![NodeId(1), NodeId(2), NodeId(3)],
             vec![NodeId(4), NodeId(5), NodeId(6)],
         ];
-        let codec = ErasureCodec::new(1, 2).unwrap();
         let times = [(MessageId(5), SimTime::from_secs(2))];
         let run = |observed: bool| {
             let (schedule, latency) = (schedule.clone(), latency.clone());
@@ -871,24 +911,18 @@ mod tests {
             if observed {
                 driver = driver.with_observation();
             }
-            let mut initiator = Initiator::new(NodeId(0));
             let mut rng = StdRng::seed_from_u64(0x51ed ^ 3);
             let hop_lists: Vec<Vec<(NodeId, PublicKey)>> = paths
                 .iter()
                 .map(|p| driver.world.hops(p, NodeId(11)))
                 .collect();
-            let msgs = initiator.construct_paths(&hop_lists, &mut rng);
-            for p in initiator.paths() {
-                driver.register_path(p.sid, p.plan.clone());
-            }
+            let msgs = driver.world.initiator.construct_paths(&hop_lists, &mut rng);
             for msg in &msgs {
                 driver.launch_construction(msg, SimTime::from_secs(1));
             }
             let payload = vec![0xEEu8; 1024];
             for &(mid, at) in &times {
-                let out = initiator
-                    .send_message(mid, &payload, &codec, None, &mut rng)
-                    .unwrap();
+                let out = send(&mut driver, mid, &payload, (1, 2), &mut rng);
                 for msg in &out {
                     driver.launch_payload(msg, at);
                 }
@@ -925,14 +959,10 @@ mod tests {
     fn release_tears_down_relay_state_hop_by_hop() {
         let (schedule, latency) = always_up(8);
         let mut driver = Driver::new(8, schedule, latency, NodeId(0), 1);
-        let mut initiator = Initiator::new(NodeId(0));
         let mut rng = StdRng::seed_from_u64(6);
-        let hops = vec![driver
-            .world
-            .hops(&[NodeId(1), NodeId(2), NodeId(3)], NodeId(7))];
-        let msgs = initiator.construct_paths(&hops, &mut rng);
-        let sid = initiator.paths()[0].sid;
-        driver.launch_construction(&msgs[0], SimTime::from_secs(1));
+        let msg = build_path(&mut driver, &mut rng);
+        let sid = msg.sid;
+        driver.launch_construction(&msg, SimTime::from_secs(1));
         driver.run_until(SimTime::from_secs(2));
         assert_eq!(driver.world.events.constructions.len(), 1);
 
@@ -947,10 +977,7 @@ mod tests {
         }
 
         // A payload after teardown dies with a stateless drop.
-        let codec = ErasureCodec::new(1, 1).unwrap();
-        let out = initiator
-            .send_message(MessageId(2), b"late", &codec, None, &mut rng)
-            .unwrap();
+        let out = send(&mut driver, MessageId(2), b"late", (1, 1), &mut rng);
         driver.launch_payload(&out[0], SimTime::from_secs(5));
         driver.run_until(SimTime::from_secs(6));
         assert_eq!(driver.world.events.deliveries.len(), 0);
@@ -989,18 +1016,11 @@ mod tests {
         let latency = LatencyMatrix::uniform(n, SimDuration::from_millis(20));
 
         let mut driver = Driver::new(n, Arc::new(schedule), Arc::new(latency), NodeId(0), 4);
-        let mut initiator = Initiator::new(NodeId(0));
         let mut rng = StdRng::seed_from_u64(5);
-        let hops = vec![driver
-            .world
-            .hops(&[NodeId(1), NodeId(2), NodeId(3)], NodeId(7))];
-        let msgs = initiator.construct_paths(&hops, &mut rng);
-        driver.launch_construction(&msgs[0], t_down);
+        let msg = build_path(&mut driver, &mut rng);
+        driver.launch_construction(&msg, t_down);
 
-        let codec = ErasureCodec::new(1, 1).unwrap();
-        let out = initiator
-            .send_message(MessageId(1), b"x", &codec, None, &mut rng)
-            .unwrap();
+        let out = send(&mut driver, MessageId(1), b"x", (1, 1), &mut rng);
         // Send long after node 2 recovered.
         driver.launch_payload(&out[0], t_down + SimDuration::from_secs(600));
         driver.run_until(t_down + SimDuration::from_secs(700));

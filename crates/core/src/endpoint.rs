@@ -26,17 +26,6 @@ use std::collections::HashMap;
 /// responder sends when a path finishes forming under auto-ack).
 pub const CONSTRUCT_ACK: MessageId = MessageId(u64::MAX);
 
-/// Strip every layer of the reverse onion in `blob` with the `plan` of the
-/// path it rode: the segment it acks, or `None` for the path's own
-/// [`CONSTRUCT_ACK`]. The one termination the driver and the node share.
-pub fn open_ack(
-    plan: &PathPlan,
-    blob: &mut Vec<u8>,
-) -> Result<Option<(MessageId, usize)>, AnonError> {
-    let acked = peel_reverse_payload_in_place(plan, blob, None)?;
-    Ok((acked.0 != CONSTRUCT_ACK).then_some(acked))
-}
-
 /// One outgoing wire message: destination plus opaque bytes, paired with
 /// the stream id expected on that link.
 #[derive(Debug)]
@@ -383,10 +372,12 @@ impl Initiator {
     }
 
     /// Terminate the reverse onion `blob` that arrived on stream `sid` at
-    /// `now` ([`open_ack`]) and book it: `None` and the path established,
-    /// or the segment acked with what [`note_ack`](Self::note_ack)
-    /// returned for it. On [`AnonError::UnknownStream`] — `sid` is no path
-    /// of this initiator — `blob` is untouched; no error changes the ledger.
+    /// `now`, stripping every layer with that path's plan, and book it:
+    /// `None` and the path established for its [`CONSTRUCT_ACK`], or the
+    /// segment acked with what [`note_ack`](Self::note_ack) returned for
+    /// it. The one termination the simulator's driver and the live node
+    /// share. On [`AnonError::UnknownStream`] — `sid` is no path of this
+    /// initiator — `blob` is untouched; no error changes the ledger.
     pub fn open_ack(
         &mut self,
         sid: StreamId,
@@ -394,10 +385,11 @@ impl Initiator {
         now: SimTime,
     ) -> Result<Option<(MessageId, usize, Option<u64>)>, AnonError> {
         let path = self.path(sid).ok_or(AnonError::UnknownStream)?;
-        let Some((mid, index)) = open_ack(&path.plan, blob)? else {
+        let (mid, index) = peel_reverse_payload_in_place(&path.plan, blob, None)?;
+        if mid == CONSTRUCT_ACK {
             self.mark_established(sid);
             return Ok(None);
-        };
+        }
         Ok(Some((mid, index, self.note_ack(mid, index, now))))
     }
 

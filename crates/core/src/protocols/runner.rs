@@ -608,7 +608,6 @@ pub fn run_recovery_experiment_observed(
     if let Some(reg) = registry {
         driver.attach_telemetry(reg);
     }
-    let mut initiator = Initiator::new(initiator_id);
     let mut proto_rng = StdRng::seed_from_u64(cfg.world.seed ^ 0x9E37);
 
     let codec = cfg.protocol.codec().expect("valid protocol parameters");
@@ -622,11 +621,8 @@ pub fn run_recovery_experiment_observed(
     let mut delivered_msgs = 0u64;
     let mut partial_msgs = 0u64;
     let mut segments_sent = 0u64;
-    let mut retransmits = 0u64;
     let mut paths_rebuilt = 0u64;
     let mut construction_rounds = 0u64;
-    let mut acks_total = 0u64;
-    let mut timeouts_total = 0u64;
     let mut blamed: Vec<NodeId> = Vec::new();
     let mut timeout_streak: HashMap<StreamId, u32> = HashMap::new();
     let mut flows: Vec<FlowTruth> = Vec::new();
@@ -636,7 +632,6 @@ pub fn run_recovery_experiment_observed(
     // deadline, keep what the responder acked. Returns (formed, new now).
     let construct_round = |world: &mut World,
                            driver: &mut Driver,
-                           initiator: &mut Initiator,
                            proto_rng: &mut StdRng,
                            blamed: &[NodeId],
                            want: usize,
@@ -645,7 +640,7 @@ pub fn run_recovery_experiment_observed(
         let mut picked: Vec<Vec<NodeId>> = Vec::new();
         for _ in 0..want {
             let mut exclude: Vec<NodeId> = blamed.to_vec();
-            for p in initiator.paths() {
+            for p in driver.world.initiator.paths() {
                 exclude.extend_from_slice(&p.plan.hops[..p.plan.hops.len() - 1]);
             }
             for p in &picked {
@@ -664,23 +659,23 @@ pub fn run_recovery_experiment_observed(
             .iter()
             .map(|p| driver.world.hops(p, responder_id))
             .collect();
-        let before = initiator.paths().len();
-        let msgs = initiator.construct_paths(&hop_lists, proto_rng);
-        for (j, m) in msgs.iter().enumerate() {
-            driver.register_path(m.sid, initiator.paths()[before + j].plan.clone());
+        let msgs = driver
+            .world
+            .initiator
+            .construct_paths(&hop_lists, proto_rng);
+        for m in &msgs {
             driver.launch_construction(m, t);
         }
         let deadline = t + cfg.recovery.ack_timeout;
         driver.run_until(deadline);
+        // The initiator marked each path established as its ack came in;
+        // a path torn down never logs one.
         let drained = std::mem::take(&mut driver.world.events.established);
-        let mut formed = 0usize;
-        let mut latest = t;
-        for (sid, at) in drained {
-            if initiator.mark_established(sid) {
-                formed += 1;
-                latest = latest.max(SimTime(at));
-            }
-        }
+        let formed = drained.len();
+        let latest = drained
+            .iter()
+            .fold(t, |latest, &(_, at)| latest.max(SimTime(at)));
+        let initiator = &mut driver.world.initiator;
         let dead: Vec<StreamId> = initiator
             .paths()
             .iter()
@@ -689,7 +684,6 @@ pub fn run_recovery_experiment_observed(
             .collect();
         for sid in dead {
             initiator.drop_path(sid);
-            driver.unregister_path(sid);
         }
         let now = if formed == picked.len() {
             latest
@@ -706,23 +700,16 @@ pub fn run_recovery_experiment_observed(
 
         // ---- Ensure k established paths (initial or repaired set). ----
         let mut rounds = 0usize;
-        while initiator.paths().len() < k && rounds < MAX_CONSTRUCT_ROUNDS {
+        while driver.world.initiator.paths().len() < k && rounds < MAX_CONSTRUCT_ROUNDS {
             rounds += 1;
             construction_rounds += 1;
-            let want = k - initiator.paths().len();
-            let (_, now) = construct_round(
-                &mut world,
-                &mut driver,
-                &mut initiator,
-                &mut proto_rng,
-                &blamed,
-                want,
-                t,
-            );
+            let want = k - driver.world.initiator.paths().len();
+            let (_, now) =
+                construct_round(&mut world, &mut driver, &mut proto_rng, &blamed, want, t);
             t = now;
             world.advance_gossip(faults.stale_view_time(t));
         }
-        if initiator.paths().is_empty() {
+        if driver.world.initiator.paths().is_empty() {
             metrics.record_message(false, None, 0.0);
             t += cfg.msg_interval;
             continue;
@@ -731,7 +718,9 @@ pub fn run_recovery_experiment_observed(
         // ---- First transmission: one onion per segment, each with an
         // armed end-to-end ack deadline. ----
         let send_t = t;
-        let out = initiator
+        let out = driver
+            .world
+            .initiator
             .send_message(mid, &payload, codec.as_ref(), None, &mut proto_rng)
             .expect("paths exist");
         let n_seg = out.len();
@@ -747,7 +736,7 @@ pub fn run_recovery_experiment_observed(
         });
         if let Some(fl) = &mut flow {
             for o in &out {
-                record_flow_segment(fl, send_t, o.sid, &initiator);
+                record_flow_segment(fl, send_t, o.sid, &driver.world.initiator);
             }
         }
         let mut msg_wire_segments = n_seg as u64;
@@ -760,13 +749,7 @@ pub fn run_recovery_experiment_observed(
         let mut attempt = 0u32;
         loop {
             driver.run_until(deadline);
-            for (mid, index, at) in driver.world.events.acks.drain(..) {
-                acks_total += 1;
-                initiator.note_ack(mid, index, SimTime(at));
-            }
-            timeouts_total += driver.world.events.ack_timeouts.len() as u64;
-            driver.world.events.ack_timeouts.clear();
-            let missing = initiator.missing(mid);
+            let missing = driver.world.initiator.missing(mid);
             if n_seg - missing.len() >= needed || attempt >= cfg.recovery.retry_budget {
                 break;
             }
@@ -778,6 +761,7 @@ pub fn run_recovery_experiment_observed(
             let mut t_now = deadline;
             // Segment-index order, each path once: the order decides the
             // order of `blamed` and so which relays BLAME_MEMORY forgets.
+            let initiator = &driver.world.initiator;
             let mut suspects: Vec<StreamId> = Vec::new();
             for seg in missing.iter().filter_map(|&i| initiator.segment(mid, i)) {
                 if !suspects.contains(&seg.path) {
@@ -824,11 +808,10 @@ pub fn run_recovery_experiment_observed(
             }
             for sid in &to_drop {
                 timeout_streak.remove(sid);
-                if let Some(p) = initiator.path(*sid) {
+                if let Some(p) = driver.world.initiator.path(*sid) {
                     driver.launch_release(p.plan.first_hop(), *sid, recovery_done);
                 }
-                initiator.drop_path(*sid);
-                driver.unregister_path(*sid);
+                driver.world.initiator.drop_path(*sid);
             }
             t_now = recovery_done;
             world.advance_gossip(faults.stale_view_time(t_now));
@@ -836,11 +819,10 @@ pub fn run_recovery_experiment_observed(
             // ---- Repair: rebuild what was torn down. ----
             if !to_drop.is_empty() {
                 construction_rounds += 1;
-                let want = k - initiator.paths().len();
+                let want = k - driver.world.initiator.paths().len();
                 let (formed, now) = construct_round(
                     &mut world,
                     &mut driver,
-                    &mut initiator,
                     &mut proto_rng,
                     &blamed,
                     want,
@@ -850,18 +832,15 @@ pub fn run_recovery_experiment_observed(
                 t_now = now;
                 world.advance_gossip(faults.stale_view_time(t_now));
             }
+            let initiator = &mut driver.world.initiator;
             if initiator.paths().is_empty() {
                 break;
             }
 
             // ---- Erasure-aware retransmission: only the segments still
-            // needed, with an exponentially backed-off deadline. ----
-            for (mid, index, at) in driver.world.events.acks.drain(..) {
-                acks_total += 1;
-                initiator.note_ack(mid, index, SimTime(at));
-            }
-            // The round's slot rule: its `j`-th missing segment rides path
-            // `j mod k` of the repaired set.
+            // needed, with an exponentially backed-off deadline. The round's
+            // slot rule: its `j`-th missing segment rides path `j mod k` of
+            // the repaired set. ----
             let still_missing: Vec<(usize, usize)> =
                 initiator.missing(mid).into_iter().zip(0..).collect();
             if still_missing.is_empty() {
@@ -870,7 +849,6 @@ pub fn run_recovery_experiment_observed(
             let retx = initiator
                 .resend(mid, codec.as_ref(), &still_missing, &mut proto_rng)
                 .expect("paths exist");
-            retransmits += retx.len() as u64;
             for _ in &retx {
                 driver
                     .world
@@ -880,7 +858,7 @@ pub fn run_recovery_experiment_observed(
             msg_wire_segments += retx.len() as u64;
             if let Some(fl) = &mut flow {
                 for o in &retx {
-                    record_flow_segment(fl, t_now, o.sid, &initiator);
+                    record_flow_segment(fl, t_now, o.sid, &driver.world.initiator);
                 }
             }
             let wait = SimDuration::from_secs_f64(
@@ -944,9 +922,9 @@ pub fn run_recovery_experiment_observed(
     stats.fault_drops = driver.world.fault_drops;
     stats.crash_wipes = driver.world.crash_wipes;
     stats.segments_sent = segments_sent;
-    stats.retransmits = retransmits;
-    stats.acks = acks_total;
-    stats.ack_timeouts = timeouts_total;
+    stats.retransmits = driver.world.events.retransmits;
+    stats.acks = driver.world.events.acks.len() as u64;
+    stats.ack_timeouts = driver.world.events.ack_timeouts.len() as u64;
     stats.paths_rebuilt = paths_rebuilt;
     let observed = observe.then(|| ObservedRun {
         log: driver.take_observations().unwrap_or_default(),
@@ -961,7 +939,7 @@ pub fn run_recovery_experiment_observed(
             delivered: delivered_msgs,
             partial: partial_msgs,
             segments_sent,
-            retransmits,
+            retransmits: stats.retransmits,
             paths_rebuilt,
             construction_rounds,
         },

@@ -7,6 +7,7 @@
 use crate::runner::{checkpoint_order, run_all, run_all_ordered, RunSpec, Traced};
 use anon_core::allocation::{self, BandwidthModel};
 use anon_core::anonymity;
+use anon_core::driver::Driver;
 use anon_core::metrics::ProtocolMetrics;
 use anon_core::mix::MixStrategy;
 use anon_core::protocols::runner::{
@@ -14,11 +15,13 @@ use anon_core::protocols::runner::{
     run_setup_experiment_traced, PerfConfig, RecoveryConfig, RecoveryParams, SetupConfig,
 };
 use anon_core::protocols::ProtocolKind;
-use anon_core::sim::WorldConfig;
+use anon_core::sim::{World, WorldConfig};
+use anon_core::MessageId;
+use erasure::ErasureCodec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simnet::trace::Samples;
-use simnet::{FaultConfig, LifetimeDistribution, SimDuration, SimTime};
+use simnet::trace::{EngineCounters, Samples};
+use simnet::{FaultConfig, LifetimeDistribution, NodeId, SimDuration, SimTime};
 
 /// Scale of an experiment run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -959,9 +962,183 @@ pub fn trilemma_data(scale: Scale, threads: usize) -> Traced<Vec<TrilemmaRow>> {
     Traced { data: rows, traces }
 }
 
+// --------------------------------------------------------------- Validation
+
+/// Nodes in the world [`validate_data`] runs its trials over.
+pub const VALIDATION_NODES: usize = 96;
+
+/// What [`validate_data`] compared, and where the two levels disagreed.
+#[derive(Clone, Debug, Default)]
+pub struct Validation {
+    /// Path constructions compared: outcome, and completion time when
+    /// both levels succeed.
+    pub constructions: u64,
+    /// Constructions whose outcome the trajectory level got wrong.
+    pub construction_mismatches: u64,
+    /// Segments sent over formed paths, compared the same way.
+    pub deliveries: u64,
+    /// Of those, the ones whose outcome the trajectory level got wrong.
+    pub delivery_mismatches: u64,
+    /// Agreeing successes whose instants differ.
+    pub timing_mismatches: u64,
+    /// Segments sent over paths that never formed.
+    pub unformed: u64,
+    /// Of those, the ones the trajectory level predicted lost too; it does
+    /// not model relay state, so the rest are a known gap, not mismatches.
+    pub unformed_agree: u64,
+    /// Of those, the ones the message level delivered, which it never may.
+    pub unformed_delivered: u64,
+    /// The first disagreement, naming its trial and path.
+    pub first_mismatch: Option<String>,
+    /// Engine counters summed over the trials' drivers.
+    pub engine: EngineCounters,
+}
+
+impl Validation {
+    /// Every disagreement counted.
+    pub fn mismatches(&self) -> u64 {
+        self.construction_mismatches
+            + self.delivery_mismatches
+            + self.timing_mismatches
+            + self.unformed_delivered
+    }
+
+    /// Compare a predicted outcome and instant with the instant the driver
+    /// recorded, if any: a wrong outcome counts as `check`'s mismatch, a
+    /// wrong instant as a timing one, and the first of either is kept.
+    fn compare(
+        &mut self,
+        check: Check,
+        predicted: (bool, Option<SimTime>),
+        recorded: Option<SimTime>,
+        (trial, path): (u64, usize),
+    ) {
+        let counter = match (predicted.0, recorded) {
+            (true, Some(at)) if Some(at) == predicted.1 => return,
+            (false, None) => return,
+            (true, Some(_)) => &mut self.timing_mismatches,
+            _ => match check {
+                Check::Construction => &mut self.construction_mismatches,
+                Check::Delivery => &mut self.delivery_mismatches,
+                Check::Unformed => &mut self.unformed_delivered,
+            },
+        };
+        *counter += 1;
+        self.first_mismatch.get_or_insert_with(|| {
+            format!(
+                "trial {trial} path {path} {check:?}: predicted {predicted:?}, got {recorded:?}"
+            )
+        });
+    }
+}
+
+/// What [`Validation::compare`] compares.
+#[derive(Clone, Copy, Debug)]
+enum Check {
+    Construction,
+    Delivery,
+    /// A segment over a path that never formed, which must not arrive.
+    Unformed,
+}
+
+/// The trajectory-level [`World`] against the message-level [`Driver`] on
+/// identical ground truth, over `trials` rounds. Each round picks four
+/// random paths between a pinned pair, predicts their constructions and a
+/// SimEra(k = 4, r = 4) message 30 s later on the world, then carries both
+/// as real onions over a driver sharing the world's churn schedule and
+/// latency matrix, and compares outcomes and µs-exact instants.
+pub fn validate_data(trials: u64) -> Validation {
+    let (initiator_id, responder_id) = (NodeId(0), NodeId(1));
+    let mut world = World::new(WorldConfig {
+        n: VALIDATION_NODES,
+        lifetime: LifetimeDistribution::pareto_with_median(900.0),
+        downtime: LifetimeDistribution::pareto_with_median(900.0),
+        ..WorldConfig::paper_default(424242)
+    });
+    world.pin_up(&[initiator_id, responder_id]);
+    let latency = world.latency.as_matrix().expect("a King topology").clone();
+    let codec = ErasureCodec::new(1, 4).expect("valid SimEra(4, 4)");
+    let mut v = Validation::default();
+    for trial in 0..trials {
+        let t0 = SimTime::from_secs(600 + trial * 97);
+        world.advance_gossip(t0);
+        let Ok(paths) = world.pick_paths(initiator_id, responder_id, 4, MixStrategy::Random, t0)
+        else {
+            continue;
+        };
+        let t_msg = t0 + SimDuration::from_secs(30);
+        let built: Vec<_> = paths
+            .iter()
+            .map(|relays| world.construct_path(initiator_id, relays, responder_id, t0))
+            .collect();
+        let sent: Vec<_> = paths
+            .iter()
+            .map(|relays| world.send_over_path(initiator_id, relays, responder_id, t_msg))
+            .collect();
+
+        let mut driver = Driver::new(
+            VALIDATION_NODES,
+            world.schedule.clone(),
+            latency.clone(),
+            initiator_id,
+            5000 + trial,
+        );
+        let mut proto_rng = StdRng::seed_from_u64(9000 + trial);
+        let hop_lists: Vec<_> = paths
+            .iter()
+            .map(|p| driver.world.hops(p, responder_id))
+            .collect();
+        let initiator = &mut driver.world.initiator;
+        let constructions = initiator.construct_paths(&hop_lists, &mut proto_rng);
+        let payload = initiator
+            .send_message(MessageId(trial), &[0; 1024], &codec, None, &mut proto_rng)
+            .expect("paths exist");
+        for msg in &constructions {
+            driver.launch_construction(msg, t0);
+        }
+        for msg in &payload {
+            driver.launch_payload(msg, t_msg);
+        }
+        driver.run_until(t_msg + SimDuration::from_secs(120));
+        v.engine.absorb(&driver.engine.counters());
+
+        let e = &driver.world.events;
+        for (i, (built, sent)) in built.iter().zip(&sent).enumerate() {
+            // `pick_paths` returns relay-disjoint paths, so the last relay
+            // names the path at the responder; segment i rides path i.
+            let last_relay = paths[i].last().copied();
+            let formed = e.constructions.iter().find(|c| Some(c.0) == last_relay);
+            let formed = formed.map(|c| SimTime(c.2));
+            let delivered = e.deliveries.iter().find(|d| d.1 == i);
+            let delivered = delivered.map(|d| SimTime(d.2));
+            let predicted = (built.success, Some(built.completed_at));
+            v.constructions += 1;
+            v.compare(Check::Construction, predicted, formed, (trial, i));
+            let predicted = (sent.delivered, sent.arrival);
+            if built.success {
+                v.deliveries += 1;
+                v.compare(Check::Delivery, predicted, delivered, (trial, i));
+            } else {
+                v.unformed += 1;
+                v.unformed_agree += u64::from(delivered.is_none() && !sent.delivered);
+                v.compare(Check::Unformed, (false, None), delivered, (trial, i));
+            }
+        }
+    }
+    v
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn trajectory_level_matches_driver_ground_truth() {
+        let v = validate_data(25);
+        assert_eq!(v.mismatches(), 0, "first: {:?}", v.first_mismatch);
+        assert!(v.constructions >= 60, "constructions compared: {v:?}");
+        assert!(v.deliveries >= 15, "formed-path sends compared: {v:?}");
+    }
 
     #[test]
     fn fig1_measured_tracks_pareto() {

@@ -27,6 +27,7 @@
 //!     --paths "1,2;3,4" --responder 5 --codec 1,2
 //! ```
 
+use anon_core::events::Events;
 use anon_core::instrument::ProtocolTelemetry;
 use anon_core::MessageId;
 use erasure::ErasureCodec;
@@ -345,8 +346,10 @@ fn run_initiator<T: Transport>(mut rt: Runtime<T>, args: &Args, roster: &Roster)
                     return ExitCode::SUCCESS;
                 }
                 Ok(line) => break line,
+                // Nothing narrates what arrives between messages.
                 Err(mpsc::TryRecvError::Empty) => {
                     rt.poll_once(20_000);
+                    rt.node_mut(id).events.clear_logs();
                 }
                 Err(mpsc::TryRecvError::Disconnected) => {
                     say("DONE".to_string());
@@ -363,38 +366,91 @@ fn run_initiator<T: Transport>(mut rt: Runtime<T>, args: &Args, roster: &Roster)
         say(format!("SENT mid={}", mid.0));
 
         // Pump until every segment is acked (retransmitting on timeout),
-        // narrating progress for the driving test. Counters snapshot the
-        // running event logs so earlier messages are not re-printed.
+        // narrating progress for the driving test from what was logged
+        // since the send.
         let deadline = rt.transport.now_us() + 60_000_000;
-        let ev = &rt.node(id).events;
-        let mut seen = (
-            ev.acks.len(),
-            ev.ack_timeouts.len(),
-            ev.retransmits as usize,
-        );
+        let mut retransmits = rt.node(id).events.retransmits;
+        rt.node_mut(id).events.clear_logs();
         while rt.transport.now_us() < deadline && !rt.node(id).message_complete(mid) {
             rt.poll_once(20_000);
-            let ev = &rt.node(id).events;
-            while seen.0 < ev.acks.len() {
-                let (mid, index, _) = ev.acks[seen.0];
-                say(format!("ACKED mid={} index={index}", mid.0));
-                seen.0 += 1;
-            }
-            while seen.1 < ev.ack_timeouts.len() {
-                let (mid, index, _) = ev.ack_timeouts[seen.1];
-                say(format!("TIMEOUT mid={} index={index}", mid.0));
-                seen.1 += 1;
-            }
-            let retransmits = rt.node(id).events.retransmits as usize;
-            while seen.2 < retransmits {
-                say(format!("RETRANSMIT mid={}", mid.0));
-                seen.2 += 1;
-            }
+            narrate(&mut rt.node_mut(id).events, mid, &mut retransmits)
+                .into_iter()
+                .for_each(say);
         }
         if rt.node(id).message_complete(mid) {
             say(format!("COMPLETE mid={}", mid.0));
         } else {
             say(format!("INCOMPLETE mid={}", mid.0));
         }
+    }
+}
+
+/// The progress lines for message `mid` out of what `ev` logged since the
+/// last call: `ACKED` per ack, `TIMEOUT` per ack deadline passed, then
+/// `RETRANSMIT` per retransmit past `*retransmits`, which moves up to the
+/// counter. Every log is left empty, so a node that sends for as long as
+/// it runs stays flat in memory.
+fn narrate(ev: &mut Events, mid: MessageId, retransmits: &mut u64) -> Vec<String> {
+    let acked = ev.acks.iter().map(|&(mid, index, _)| ("ACKED", mid, index));
+    let timed_out = ev
+        .ack_timeouts
+        .iter()
+        .map(|&(mid, index, _)| ("TIMEOUT", mid, index));
+    let mut lines: Vec<String> = acked
+        .chain(timed_out)
+        .map(|(what, mid, index)| format!("{what} mid={} index={index}", mid.0))
+        .collect();
+    lines.extend((*retransmits..ev.retransmits).map(|_| format!("RETRANSMIT mid={}", mid.0)));
+    *retransmits = ev.retransmits;
+    ev.clear_logs();
+    lines
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use anon_core::events::Event;
+
+    #[test]
+    fn narration_reports_each_event_once_and_empties_the_logs() {
+        let mut ev = Events::default();
+        let mut retransmits = 0;
+        let (first, second) = (MessageId(1), MessageId(2));
+        ev.record(10, Event::Acked(first, 0, Some(10)));
+        ev.record(20, Event::TimedOut(first, 1));
+        ev.record(20, Event::Retransmitted);
+        ev.record(30, Event::Acked(first, 1, None));
+        assert_eq!(
+            narrate(&mut ev, first, &mut retransmits),
+            [
+                "ACKED mid=1 index=0",
+                "ACKED mid=1 index=1",
+                "TIMEOUT mid=1 index=1",
+                "RETRANSMIT mid=1",
+            ]
+        );
+        // The second message: a late ack of the first, then its own.
+        ev.record(40, Event::Acked(first, 1, None));
+        ev.record(50, Event::TimedOut(second, 0));
+        ev.record(50, Event::Retransmitted);
+        ev.record(50, Event::Retransmitted);
+        ev.record(60, Event::Acked(second, 0, None));
+        ev.record(60, Event::Delivered(second, 0));
+        ev.record(60, Event::Established(anon_core::StreamId(3)));
+        assert_eq!(
+            narrate(&mut ev, second, &mut retransmits),
+            [
+                "ACKED mid=1 index=1",
+                "ACKED mid=2 index=0",
+                "TIMEOUT mid=2 index=0",
+                "RETRANSMIT mid=2",
+                "RETRANSMIT mid=2",
+            ]
+        );
+        assert!(narrate(&mut ev, second, &mut retransmits).is_empty());
+        assert_eq!((retransmits, ev.retransmits), (3, 3));
+        assert!(ev.acks.is_empty() && ev.ack_timeouts.is_empty());
+        assert!(ev.deliveries.is_empty() && ev.established.is_empty());
+        assert!(ev.constructions.is_empty() && ev.completed.is_empty());
     }
 }

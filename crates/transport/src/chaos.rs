@@ -21,19 +21,11 @@
 //!   connection;
 //! * **connection resets** — per-link reset windows (mean
 //!   `resets_per_hour`, each `reset_window_us` long) during which every
-//!   frame on the link is dropped;
-//! * **asymmetric partitions** — explicit [`Partition`] windows cutting
-//!   `from`-side nodes off the `to`-side (one direction only: replies
-//!   still flow, the nastiest real-world failure shape);
-//! * **slow peers** — frames *to* a listed peer are serialized through a
-//!   `slow_bytes_per_sec` bottleneck, modeling a relay on a saturated
-//!   uplink.
+//!   frame on the link is dropped.
 //!
 //! Every verdict is a pure function of `(seed, link, send instant)` via
 //! [`simnet::fault::hash_unit`] — no internal RNG state — so a soak run
-//! is bit-replayable from its seed. The one stateful ingredient (the
-//! slow-peer bottleneck clock) is deterministic in send order, which the
-//! surrounding engine already fixes.
+//! is bit-replayable from its seed.
 //!
 //! An empty plan ([`ChaosPlan::none`]) is **inert by construction**:
 //! `send` delegates without encoding or hashing anything, matching the
@@ -60,30 +52,6 @@ const TAG_DELAY: u64 = 0xC1A0_DE1A;
 const TAG_DELAY_MAG: u64 = 0xC1A0_3A67;
 const TAG_RESET: u64 = 0xC1A0_2E5E;
 
-/// One asymmetric partition window: frames from any node in `from` to
-/// any node in `to` are dropped while `start_us <= now < end_us`.
-/// Traffic in the opposite direction is untouched.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Partition {
-    /// Sender-side node ids (raw `NodeId` words).
-    pub from: Vec<u32>,
-    /// Receiver-side node ids.
-    pub to: Vec<u32>,
-    /// Window start, transport-clock microseconds.
-    pub start_us: u64,
-    /// Window end (exclusive).
-    pub end_us: u64,
-}
-
-impl Partition {
-    fn cuts(&self, from: NodeId, to: NodeId, now_us: u64) -> bool {
-        now_us >= self.start_us
-            && now_us < self.end_us
-            && self.from.contains(&from.0)
-            && self.to.contains(&to.0)
-    }
-}
-
 /// Chaos intensities; [`ChaosConfig::NONE`] disables every ingredient.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChaosConfig {
@@ -99,12 +67,6 @@ pub struct ChaosConfig {
     pub resets_per_hour: f64,
     /// Length of each reset window, microseconds.
     pub reset_window_us: u64,
-    /// Asymmetric partition windows.
-    pub partitions: Vec<Partition>,
-    /// Peers whose inbound links are bandwidth-throttled.
-    pub slow_peers: Vec<u32>,
-    /// The throttled peers' drain rate, bytes per second.
-    pub slow_bytes_per_sec: u64,
 }
 
 impl ChaosConfig {
@@ -116,9 +78,6 @@ impl ChaosConfig {
         corrupt_prob: 0.0,
         resets_per_hour: 0.0,
         reset_window_us: 0,
-        partitions: Vec::new(),
-        slow_peers: Vec::new(),
-        slow_bytes_per_sec: 0,
     };
 
     /// Whether every ingredient is disabled.
@@ -127,14 +86,11 @@ impl ChaosConfig {
             && (self.delay_prob <= 0.0 || self.delay_max_us == 0)
             && self.corrupt_prob <= 0.0
             && (self.resets_per_hour <= 0.0 || self.reset_window_us == 0)
-            && self.partitions.is_empty()
-            && (self.slow_peers.is_empty() || self.slow_bytes_per_sec == 0)
     }
 
     /// Parse a compact `key=value,key=value` spec (the `--chaos` CLI
     /// surface): `drop`, `delay` (probability), `delay_max_ms`,
-    /// `corrupt`, `resets_per_hour`, `reset_window_ms`, `slow` (peer id,
-    /// repeatable), `slow_bps`.
+    /// `corrupt`, `resets_per_hour`, `reset_window_ms`.
     ///
     /// ```
     /// let c = transport::ChaosConfig::from_spec("drop=0.05,delay=0.2,delay_max_ms=150").unwrap();
@@ -160,8 +116,6 @@ impl ChaosConfig {
                 "reset_window_ms" => {
                     cfg.reset_window_us = value.parse::<u64>().map_err(|_| bad())? * 1_000;
                 }
-                "slow" => cfg.slow_peers.push(value.parse().map_err(|_| bad())?),
-                "slow_bps" => cfg.slow_bytes_per_sec = value.parse().map_err(|_| bad())?,
                 other => return Err(format!("chaos spec: unknown key `{other}`")),
             }
         }
@@ -239,10 +193,6 @@ impl ChaosPlan {
             self.cfg.reset_window_us,
         )
     }
-
-    fn partitioned(&self, from: NodeId, to: NodeId, now_us: u64) -> bool {
-        self.cfg.partitions.iter().any(|p| p.cuts(from, to, now_us))
-    }
 }
 
 /// Injection counters; every ingredient's hits are observable so soak
@@ -253,8 +203,6 @@ pub struct ChaosStats {
     pub passed: u64,
     /// Frames dropped by the i.i.d. drop coin.
     pub dropped: u64,
-    /// Frames dropped inside a partition window.
-    pub partition_drops: u64,
     /// Frames dropped inside a link-reset window.
     pub reset_drops: u64,
     /// Frames delivered with a flipped bit.
@@ -264,19 +212,12 @@ pub struct ChaosStats {
     pub corrupt_dropped: u64,
     /// Frames held for an injected delay.
     pub delayed: u64,
-    /// Frames additionally queued behind a slow peer's bottleneck.
-    pub throttled: u64,
 }
 
 impl ChaosStats {
     /// Total frames the plan interfered with.
     pub fn total_injected(&self) -> u64 {
-        self.dropped
-            + self.partition_drops
-            + self.reset_drops
-            + self.corrupted
-            + self.corrupt_dropped
-            + self.delayed
+        self.dropped + self.reset_drops + self.corrupted + self.corrupt_dropped + self.delayed
     }
 }
 
@@ -301,8 +242,6 @@ pub struct ChaosTransport<T: Transport> {
     plan: ChaosPlan,
     held: HashMap<u64, Held>,
     next_hold: u64,
-    /// Earliest instant each slow peer's bottleneck frees up.
-    slow_next_free_us: HashMap<u32, u64>,
     stats: ChaosStats,
 }
 
@@ -314,7 +253,6 @@ impl<T: Transport> ChaosTransport<T> {
             plan,
             held: HashMap::new(),
             next_hold: 0,
-            slow_next_free_us: HashMap::new(),
             stats: ChaosStats::default(),
         }
     }
@@ -360,10 +298,6 @@ impl<T: Transport> ChaosTransport<T> {
     ) -> Result<(), TransportError> {
         let now = self.inner.now_us();
         let link = link_word(from, to);
-        if self.plan.partitioned(from, to, now) {
-            self.stats.partition_drops += 1;
-            return Ok(());
-        }
         if self.plan.link_reset(link, now) {
             self.stats.reset_drops += 1;
             return Ok(());
@@ -373,12 +307,10 @@ impl<T: Transport> ChaosTransport<T> {
             return Ok(());
         }
         let mut frame = frame;
-        let mut bytes_len = None;
         if self.plan.corrupts(link, now) {
             let mut bytes = encode_frame(&frame);
             let bit = self.plan.corrupt_bit(link, now, bytes.len());
             bytes[bit / 8] ^= 1 << (bit % 8);
-            bytes_len = Some(bytes.len());
             match decode_frame_vec(bytes) {
                 Ok(mangled) => {
                     self.stats.corrupted += 1;
@@ -390,21 +322,7 @@ impl<T: Transport> ChaosTransport<T> {
                 }
             }
         }
-        // Release instant: injected delay, then the slow-peer bottleneck
-        // (service time proportional to the encoded size).
-        let mut release = now + self.plan.delay_us(link, now);
-        let cfg = self.plan.config();
-        if cfg.slow_bytes_per_sec > 0 && cfg.slow_peers.contains(&to.0) {
-            let len = bytes_len.unwrap_or_else(|| encode_frame(&frame).len());
-            let service_us = (len as u64).saturating_mul(1_000_000) / cfg.slow_bytes_per_sec;
-            let free = self.slow_next_free_us.entry(to.0).or_insert(now);
-            let start = (*free).max(release);
-            *free = start + service_us;
-            if *free > release {
-                self.stats.throttled += 1;
-            }
-            release = *free;
-        }
+        let release = now + self.plan.delay_us(link, now);
         if release <= now {
             self.stats.passed += 1;
             return self.inner.send_prioritized(from, to, frame, prio);
@@ -587,57 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn partitions_cut_one_direction_only() {
-        let cfg = ChaosConfig {
-            partitions: vec![Partition {
-                from: vec![0],
-                to: vec![1],
-                start_us: 0,
-                end_us: u64::MAX,
-            }],
-            ..ChaosConfig::NONE
-        };
-        let mut t = ChaosTransport::new(sim(4), ChaosPlan::new(cfg, 1));
-        t.send(NodeId(0), NodeId(1), payload(1)).unwrap();
-        t.send(NodeId(1), NodeId(0), payload(2)).unwrap();
-        while t.poll(0).is_some() {}
-        assert_eq!(t.stats().partition_drops, 1, "0→1 cut");
-        assert_eq!(t.inner().delivered(), 1, "1→0 flows");
-    }
-
-    #[test]
-    fn slow_peer_serializes_through_the_bottleneck() {
-        let cfg = ChaosConfig {
-            slow_peers: vec![1],
-            slow_bytes_per_sec: 1_000, // ~115 ms per ~115-byte frame
-            ..ChaosConfig::NONE
-        };
-        let mut t = ChaosTransport::new(sim(4), ChaosPlan::new(cfg, 2));
-        for i in 0..5u8 {
-            t.send(NodeId(0), NodeId(1), payload(i)).unwrap();
-        }
-        t.send(NodeId(0), NodeId(2), payload(9)).unwrap();
-        let mut times = Vec::new();
-        let mut fast_at = None;
-        while let Some(ev) = t.poll(0) {
-            if let TransportEvent::Frame { to, .. } = ev {
-                if to == NodeId(1) {
-                    times.push(t.now_us());
-                } else {
-                    fast_at = Some(t.now_us());
-                }
-            }
-        }
-        assert_eq!(times.len(), 5);
-        assert!(t.stats().throttled >= 4, "queueing behind the bottleneck");
-        for w in times.windows(2) {
-            assert!(w[1] >= w[0] + 90_000, "spacing ≥ service time: {times:?}");
-        }
-        let fast = fast_at.expect("unthrottled peer delivered");
-        assert!(fast < times[1], "other peers are not slowed");
-    }
-
-    #[test]
     fn corruption_flips_bits_or_kills_frames() {
         let cfg = ChaosConfig {
             corrupt_prob: 1.0,
@@ -667,16 +534,15 @@ mod tests {
     fn spec_parser_round_trips_the_knobs() {
         let c = ChaosConfig::from_spec(
             "drop=0.1, delay=0.25, delay_max_ms=200, corrupt=0.02, \
-             resets_per_hour=6, reset_window_ms=5000, slow=3, slow=4, slow_bps=65536",
+             resets_per_hour=6, reset_window_ms=5000",
         )
         .unwrap();
         assert_eq!(c.drop_prob, 0.1);
         assert_eq!(c.delay_max_us, 200_000);
         assert_eq!(c.reset_window_us, 5_000_000);
-        assert_eq!(c.slow_peers, vec![3, 4]);
-        assert_eq!(c.slow_bytes_per_sec, 65536);
         assert!(ChaosConfig::from_spec("").unwrap().is_none());
         assert!(ChaosConfig::from_spec("bogus=1").is_err());
+        assert!(ChaosConfig::from_spec("slow=3").is_err());
         assert!(ChaosConfig::from_spec("drop").is_err());
     }
 }

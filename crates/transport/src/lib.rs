@@ -40,7 +40,7 @@ pub mod runtime;
 pub mod sim;
 pub mod stats;
 
-pub use chaos::{ChaosConfig, ChaosPlan, ChaosStats, ChaosTransport, Partition};
+pub use chaos::{ChaosConfig, ChaosPlan, ChaosStats, ChaosTransport};
 pub use config::Roster;
 pub use evented::EventedTransport;
 pub use instrument::{TcpTelemetry, WriterTelemetry};

@@ -14,7 +14,6 @@
 //! and both count the same events into `protocol_events_total`.
 
 use anon_core::driver::Driver;
-use anon_core::endpoint::Initiator;
 use anon_core::events::Events;
 use anon_core::instrument::ProtocolTelemetry;
 use anon_core::MessageId;
@@ -107,17 +106,13 @@ fn run_driver(
     let mut driver =
         Driver::new(n, Arc::new(schedule), Arc::new(latency), NodeId(0), seed).with_auto_ack();
     driver.attach_telemetry(registry);
-    let mut initiator = Initiator::new(NodeId(0));
     let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
     let hop_lists: Vec<Vec<_>> = paths
         .iter()
         .map(|p| driver.world.hops(p, responder))
         .collect();
-    for msg in initiator.construct_paths(&hop_lists, &mut rng) {
+    for msg in driver.world.initiator.construct_paths(&hop_lists, &mut rng) {
         driver.launch_construction(&msg, t0);
-    }
-    for p in initiator.paths() {
-        driver.register_path(p.sid, p.plan.clone());
     }
     driver.run_until(SimTime::from_secs(5));
 
@@ -131,7 +126,9 @@ fn run_driver(
     // comparable.)
     let t1 = SimTime::from_secs(5);
     let codec = ErasureCodec::new(m, segs).unwrap();
-    let out = initiator
+    let out = driver
+        .world
+        .initiator
         .send_message(MessageId(9), &vec![0xEE; 512], &codec, None, &mut rng)
         .unwrap();
     for msg in &out {
