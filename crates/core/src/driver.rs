@@ -30,9 +30,10 @@ use std::sync::Arc;
 /// The secret bytes are drawn up front, in node order, exactly as
 /// [`KeyPair::generate`] draws them, so the driver's RNG stream — and every
 /// stream id and ciphertext drawn from it later — is the one an eager build
-/// leaves. The X25519 ladder that turns the bytes into a key pair runs when
-/// a frame is first routed to the node or its public key is first asked
-/// for; most relays of a large world are never on a path and never pay it.
+/// leaves. The base-point multiplication that turns the bytes into a key
+/// pair runs when a frame is first routed to the node or its public key is
+/// first asked for; most relays of a large world are never on a path and
+/// never pay it.
 struct RelayTable {
     secrets: Vec<[u8; 32]>,
     relays: Vec<Option<Relay>>,

@@ -157,13 +157,12 @@ pub fn wrap_for_hidden_responder<R: Rng + CryptoRng>(
 /// Rendezvous-side helper: split a delivered segment into `(cookie,
 /// sealed payload segment)`.
 pub fn unwrap_at_rendezvous(segment: &Segment) -> Result<(u64, Segment), AnonError> {
-    if segment.data.len() < 8 {
+    let Some((cookie, sealed)) = segment.data.split_first_chunk::<8>() else {
         return Err(AnonError::Malformed("short rendezvous envelope"));
-    }
-    let cookie = u64::from_be_bytes(segment.data[..8].try_into().unwrap());
+    };
     Ok((
-        cookie,
-        Segment::new(segment.index, segment.data[8..].to_vec()),
+        u64::from_be_bytes(*cookie),
+        Segment::new(segment.index, sealed.to_vec()),
     ))
 }
 

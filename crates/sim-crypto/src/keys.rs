@@ -82,9 +82,10 @@ impl KeyPair {
         KeyPair { public, secret }
     }
 
-    /// The key pair 32 drawn secret bytes determine: clamp, then one ladder
-    /// for the public half. [`KeyPair::generate`] is this after 32 bytes
-    /// from its RNG, so a caller may draw the bytes now and derive later.
+    /// The key pair 32 drawn secret bytes determine: clamp, then one
+    /// fixed-base comb ([`x25519::public_key`]) for the public half.
+    /// [`KeyPair::generate`] is this after 32 bytes from its RNG, so a
+    /// caller may draw the bytes now and derive later.
     pub fn from_secret_bytes(bytes: [u8; 32]) -> Self {
         let scalar = x25519::clamp_scalar(bytes);
         let public = PublicKey(x25519::public_key(&scalar));

@@ -11,7 +11,8 @@
 //! * [`hmac`] — RFC 2104 HMAC-SHA-256 and RFC 5869 HKDF.
 //! * [`chacha20`] — RFC 8439 ChaCha20 stream cipher.
 //! * [`poly1305`] — RFC 8439 Poly1305 one-time authenticator.
-//! * [`x25519`] — RFC 7748 X25519 Diffie–Hellman over Curve25519.
+//! * [`x25519`] — RFC 7748 X25519 Diffie–Hellman over Curve25519, and a
+//!   fixed-base comb for public keys.
 //! * [`keys`] — key pairs, node identities, and the per-hop session key
 //!   that carries its derived cipher key.
 //! * [`sealed`] — hybrid public-key encryption ("sealed boxes"):

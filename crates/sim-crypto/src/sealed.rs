@@ -4,8 +4,10 @@
 //! `<P_{i+1}, R_i, Path_{i+1}>_{PubKey_{P_i}}` must be decryptable only by
 //! relay `P_i`, without revealing the sender. Construction:
 //!
-//! 1. generate an ephemeral X25519 key pair,
-//! 2. `shared = X25519(eph_secret, recipient_public)`,
+//! 1. draw a fresh ephemeral secret, as [`SecretKey::generate`] does,
+//! 2. compute its public key `eph_public = eph_secret · 9` (the
+//!    fixed-base comb) and `shared = X25519(eph_secret, recipient_public)`
+//!    (the ladder), both finished by one field inversion,
 //! 3. derive encryption and MAC keys with
 //!    `HKDF(salt = eph_public || recipient_public, ikm = shared)`,
 //! 4. ChaCha20-encrypt, HMAC-tag (encrypt-then-MAC, 16-byte tag).
@@ -15,6 +17,7 @@
 use crate::chacha20;
 use crate::hmac::{ct_eq, hkdf, hmac_sha256};
 use crate::keys::{PublicKey, SecretKey};
+use crate::x25519;
 use crate::CryptoError;
 use rand::{CryptoRng, Rng};
 
@@ -52,13 +55,13 @@ fn derive_box_keys(
 /// assert_eq!(unseal(&kp.secret, &boxed).unwrap(), b"onion layer");
 /// ```
 pub fn seal<R: Rng + CryptoRng>(recipient: &PublicKey, plaintext: &[u8], rng: &mut R) -> Vec<u8> {
-    let eph = SecretKey::generate(rng);
-    let eph_pub = eph.public_key();
-    let shared = eph.diffie_hellman(recipient);
-    let (enc_key, mac_key) = derive_box_keys(&eph_pub.0, recipient, &shared);
+    let mut eph = [0u8; 32];
+    rng.fill_bytes(&mut eph);
+    let (eph_pub, shared) = x25519::public_key_and_x25519(&eph, &recipient.0);
+    let (enc_key, mac_key) = derive_box_keys(&eph_pub, recipient, &shared);
 
     let mut out = Vec::with_capacity(plaintext.len() + OVERHEAD);
-    out.extend_from_slice(&eph_pub.0);
+    out.extend_from_slice(&eph_pub);
     out.extend_from_slice(plaintext);
     // Nonce is all-zero: the key is unique per box (fresh ephemeral secret).
     chacha20::xor_stream(&enc_key, 0, &[0u8; 12], &mut out[32..]);
@@ -93,7 +96,7 @@ mod tests {
     use super::*;
     use crate::keys::KeyPair;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn seal_unseal_roundtrip() {
@@ -142,6 +145,53 @@ mod tests {
         let b = seal(&kp.public, b"same plaintext", &mut rng);
         assert_ne!(a[..32], b[..32], "ephemeral keys must differ");
         assert_ne!(a[32..], b[32..], "ciphertexts must differ");
+    }
+
+    /// The reference `seal` must equal, with an inversion each for the
+    /// ephemeral public key and the Diffie–Hellman: a `KeyPair` from the
+    /// same 32 drawn bytes, then `diffie_hellman`.
+    fn seal_two_inversions(recipient: &PublicKey, plaintext: &[u8], rng: &mut StdRng) -> Vec<u8> {
+        let mut drawn = [0u8; 32];
+        rng.fill_bytes(&mut drawn);
+        let eph = KeyPair::from_secret_bytes(drawn);
+        let shared = eph.secret.diffie_hellman(recipient);
+        let (enc_key, mac_key) = derive_box_keys(&eph.public.0, recipient, &shared);
+        let mut out = eph.public.0.to_vec();
+        out.extend_from_slice(plaintext);
+        chacha20::xor_stream(&enc_key, 0, &[0u8; 12], &mut out[32..]);
+        let tag = hmac_sha256(&mac_key, &out);
+        out.extend_from_slice(&tag[..TAG_LEN]);
+        out
+    }
+
+    #[test]
+    fn one_inversion_seals_the_same_bytes() {
+        // Random recipients, and u = 0, 1 and a point of order 8, whose
+        // Diffie–Hellman is all zeros.
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        let order_8 = [
+            0xe0, 0xeb, 0x7a, 0x7c, 0x3b, 0x41, 0xb8, 0xae, 0x16, 0x56, 0xe3, 0xfa, 0xf1, 0x9f,
+            0xc4, 0x6a, 0xda, 0x09, 0x8d, 0xeb, 0x9c, 0x32, 0xb1, 0xfd, 0x86, 0x62, 0x05, 0x16,
+            0x5f, 0x49, 0xb8, 0x00,
+        ];
+        let mut rng = StdRng::seed_from_u64(30);
+        let mut recipients: Vec<PublicKey> = (0..16)
+            .map(|_| KeyPair::generate(&mut rng).public)
+            .collect();
+        recipients.extend([[0u8; 32], one, order_8].map(PublicKey));
+        for (i, recipient) in recipients.iter().enumerate() {
+            let mut a = StdRng::seed_from_u64(i as u64);
+            let mut b = StdRng::seed_from_u64(i as u64);
+            let plaintext = vec![i as u8; 33];
+            assert_eq!(
+                seal(recipient, &plaintext, &mut a),
+                seal_two_inversions(recipient, &plaintext, &mut b),
+                "recipient {i}"
+            );
+            // Both drew the same bytes and nothing else.
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
     }
 
     #[test]

@@ -121,7 +121,9 @@ pub(crate) fn block_midstate(block: &[u8; BLOCK_LEN]) -> [u32; 8] {
 fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     let mut w = [0u32; 16];
     for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
-        *word = u32::from_be_bytes(bytes.try_into().expect("chunks_exact(4)"));
+        if let &[b0, b1, b2, b3] = bytes {
+            *word = u32::from_be_bytes([b0, b1, b2, b3]);
+        }
     }
     let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
     macro_rules! round {

@@ -1,8 +1,19 @@
 //! X25519 Diffie–Hellman per RFC 7748.
 //!
 //! Field arithmetic over GF(2^255 - 19) uses the classic five 51-bit-limb
-//! representation (as in curve25519-donna / ref10); scalar multiplication is
-//! the Montgomery ladder with constant-time conditional swaps.
+//! representation (as in curve25519-donna / ref10). Two scalar
+//! multiplications run on it:
+//!
+//! * [`x25519`], by any u-coordinate, is the Montgomery ladder with
+//!   constant-time conditional swaps: 255 steps.
+//! * [`public_key`], by the base point u = 9, is ref10's fixed-base comb
+//!   (`ge_scalarmult_base`) on the birationally equivalent twisted Edwards
+//!   curve: 64 mixed additions and 4 doublings over a 30-KB table of
+//!   multiples of the base point, which the compiler builds.
+//!
+//! Each ends in one field inversion. A sealed box needs both products of
+//! one ephemeral scalar, and `public_key_and_x25519` shares that
+//! inversion between them.
 
 /// Size of scalars, u-coordinates and shared secrets.
 pub const POINT_LEN: usize = 32;
@@ -18,6 +29,9 @@ const MASK51: u64 = (1 << 51) - 1;
 
 /// Field element: value = Σ limb[i] * 2^(51 i), limbs kept below ~2^52
 /// between multiplications.
+///
+/// The arithmetic is `const fn` so that the comb's table can be built by
+/// the compiler with the same code that runs.
 #[derive(Clone, Copy, Debug)]
 struct Fe([u64; 5]);
 
@@ -90,7 +104,7 @@ impl Fe {
     }
 
     #[inline]
-    fn add(self, rhs: Fe) -> Fe {
+    const fn add(self, rhs: Fe) -> Fe {
         let a = self.0;
         let b = rhs.0;
         Fe([
@@ -105,7 +119,7 @@ impl Fe {
     /// `self - rhs`, adding 2p first so limbs never underflow (inputs must
     /// be reduced, i.e. limbs < 2^52).
     #[inline]
-    fn sub(self, rhs: Fe) -> Fe {
+    const fn sub(self, rhs: Fe) -> Fe {
         const TWO_P: [u64; 5] = [
             0xfffffffffffda, // 2*(2^51 - 19)
             0xffffffffffffe, // 2*(2^51 - 1)
@@ -127,10 +141,12 @@ impl Fe {
     /// Carry five wide column sums back to limbs below 2^51 (plus a small
     /// excess in limb 1), folding the top carry in through 2^255 = 19.
     #[inline]
-    fn carry(mut r: [u128; 5]) -> Fe {
-        for i in 0..4 {
+    const fn carry(mut r: [u128; 5]) -> Fe {
+        let mut i = 0;
+        while i < 4 {
             r[i + 1] += r[i] >> 51;
             r[i] &= MASK51 as u128;
+            i += 1;
         }
         let c = (r[4] >> 51) as u64;
         r[4] &= MASK51 as u128;
@@ -144,12 +160,27 @@ impl Fe {
         ])
     }
 
+    /// Whether every limb is below 2^54, the input bound of `mul` and
+    /// `square`.
+    const fn below_2_54(self) -> bool {
+        let mut i = 0;
+        while i < 5 {
+            if self.0[i] >= 1 << 54 {
+                return false;
+            }
+            i += 1;
+        }
+        true
+    }
+
     #[inline]
-    fn mul(self, rhs: Fe) -> Fe {
+    const fn mul(self, rhs: Fe) -> Fe {
         let a = self.0;
         let b = rhs.0;
-        debug_assert!(a.iter().chain(b.iter()).all(|&l| l < 1 << 54));
-        let m = |x: u64, y: u64| (x as u128) * (y as u128);
+        debug_assert!(self.below_2_54() && rhs.below_2_54());
+        const fn m(x: u64, y: u64) -> u128 {
+            (x as u128) * (y as u128)
+        }
         let b1_19 = b[1] * 19;
         let b2_19 = b[2] * 19;
         let b3_19 = b[3] * 19;
@@ -167,10 +198,12 @@ impl Fe {
     /// appears twice, so it is computed once against a doubled (and, where
     /// it wraps past 2^255, x19) limb. The column sums are `mul`'s exactly.
     #[inline]
-    fn square(self) -> Fe {
+    const fn square(self) -> Fe {
         let a = self.0;
-        debug_assert!(a.iter().all(|&l| l < 1 << 54));
-        let m = |x: u64, y: u64| (x as u128) * (y as u128);
+        debug_assert!(self.below_2_54());
+        const fn m(x: u64, y: u64) -> u128 {
+            (x as u128) * (y as u128)
+        }
         let a0_2 = a[0] * 2;
         let a1_2 = a[1] * 2;
         let a1_38 = a[1] * 38;
@@ -188,9 +221,11 @@ impl Fe {
     }
 
     /// `self^(2^n)`.
-    fn square_n(mut self, n: u32) -> Fe {
-        for _ in 0..n {
+    const fn square_n(mut self, n: u32) -> Fe {
+        let mut i = 0;
+        while i < n {
             self = self.square();
+            i += 1;
         }
         self
     }
@@ -207,7 +242,7 @@ impl Fe {
     /// The exponent 2^255 - 21 is reached by the standard addition chain
     /// (254 squarings, 11 multiplications); `zA_B` below is
     /// self^(2^A - 2^B).
-    fn invert(self) -> Fe {
+    const fn invert(self) -> Fe {
         let z2 = self.square();
         let z9 = z2.square_n(2).mul(self);
         let z11 = z9.mul(z2);
@@ -234,6 +269,15 @@ fn cswap(swap: u64, a: &mut Fe, b: &mut Fe) {
     }
 }
 
+/// Constant-time conditional move: `*dst = src` where `mask` is all ones,
+/// unchanged where it is zero.
+#[inline]
+fn cmov(mask: u64, dst: &mut Fe, src: &Fe) {
+    for i in 0..5 {
+        dst.0[i] ^= mask & (dst.0[i] ^ src.0[i]);
+    }
+}
+
 /// Clamp a 32-byte scalar per RFC 7748.
 pub fn clamp_scalar(mut scalar: [u8; 32]) -> [u8; 32] {
     scalar[0] &= 248;
@@ -242,11 +286,9 @@ pub fn clamp_scalar(mut scalar: [u8; 32]) -> [u8; 32] {
     scalar
 }
 
-/// X25519 scalar multiplication: `scalar * point` on the Montgomery curve.
-///
-/// The scalar is clamped internally; the point is a raw u-coordinate.
-pub fn x25519(scalar: &[u8; 32], point: &[u8; 32]) -> [u8; 32] {
-    let k = clamp_scalar(*scalar);
+/// The Montgomery ladder: `k * u` as a projective `(X, Z)`.
+#[inline]
+fn ladder(k: &[u8; 32], point: &[u8; 32]) -> (Fe, Fe) {
     let x1 = Fe::from_bytes(point);
     let mut x2 = Fe::ONE;
     let mut z2 = Fe::ZERO;
@@ -277,13 +319,271 @@ pub fn x25519(scalar: &[u8; 32], point: &[u8; 32]) -> [u8; 32] {
     }
     cswap(swap, &mut x2, &mut x3);
     cswap(swap, &mut z2, &mut z3);
-
-    x2.mul(z2.invert()).to_bytes()
+    (x2, z2)
 }
 
-/// Derive the public key for a secret scalar: `scalar * 9`.
+/// X25519 scalar multiplication: `scalar * point` on the Montgomery curve.
+///
+/// The scalar is clamped internally; the point is a raw u-coordinate.
+pub fn x25519(scalar: &[u8; 32], point: &[u8; 32]) -> [u8; 32] {
+    let (x, z) = ladder(&clamp_scalar(*scalar), point);
+    x.mul(z.invert()).to_bytes()
+}
+
+/// Derive the public key for a secret scalar: `scalar * 9`, the same bytes
+/// as `x25519(scalar, &BASE_POINT)`, by the fixed-base comb.
 pub fn public_key(scalar: &[u8; 32]) -> [u8; 32] {
-    x25519(scalar, &BASE_POINT)
+    let (num, den) = base_mul(&clamp_scalar(*scalar));
+    num.mul(den.invert()).to_bytes()
+}
+
+/// `(public_key(scalar), x25519(scalar, point))` under one inversion: the
+/// comb's `u = num/den` and the ladder's `X/Z` are both read off
+/// `1/(den·Z)`.
+///
+/// `den·Z` is zero only when `Z` is, that is when `scalar * point` is the
+/// point at infinity. A clamped scalar is a multiple of 8 and never of the
+/// large prime order, so that happens exactly when `point` has order
+/// dividing 8: a property of the public input alone. That case takes its
+/// own two inversions, and `x25519`'s all-zero output.
+pub(crate) fn public_key_and_x25519(scalar: &[u8; 32], point: &[u8; 32]) -> ([u8; 32], [u8; 32]) {
+    let k = clamp_scalar(*scalar);
+    let (num, den) = base_mul(&k);
+    let (x, z) = ladder(&k, point);
+    let den_z = den.mul(z);
+    if den_z.to_bytes() == [0; 32] {
+        return (
+            num.mul(den.invert()).to_bytes(),
+            x.mul(z.invert()).to_bytes(),
+        );
+    }
+    let inv = den_z.invert();
+    (
+        num.mul(z).mul(inv).to_bytes(),
+        x.mul(den).mul(inv).to_bytes(),
+    )
+}
+
+/// `2d` for the twisted Edwards curve `−x² + y² = 1 + d·x²·y²` that
+/// Curve25519 maps to (RFC 7748 §4.1), where `d = −121665/121666` and a
+/// point's u-coordinate is `(1 + y)/(1 − y)`.
+const D2: Fe = {
+    let d = Fe::ZERO
+        .sub(Fe([121665, 0, 0, 0, 0]))
+        .mul(Fe([121666, 0, 0, 0, 0]).invert());
+    d.add(d)
+};
+
+/// A point of that curve in extended coordinates: `x = X/Z`, `y = Y/Z`,
+/// `x·y = T/Z`.
+#[derive(Clone, Copy)]
+struct EdPoint {
+    x: Fe,
+    y: Fe,
+    z: Fe,
+    t: Fe,
+}
+
+/// An affine point as the comb adds it, `(y + x, y − x, 2d·x·y)` (ref10's
+/// `ge_precomp`).
+#[derive(Clone, Copy)]
+struct Precomp {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    xy2d: Fe,
+}
+
+impl Precomp {
+    const IDENTITY: Precomp = Precomp {
+        y_plus_x: Fe::ONE,
+        y_minus_x: Fe::ONE,
+        xy2d: Fe::ZERO,
+    };
+}
+
+impl EdPoint {
+    const IDENTITY: EdPoint = EdPoint {
+        x: Fe::ZERO,
+        y: Fe::ONE,
+        z: Fe::ONE,
+        t: Fe::ZERO,
+    };
+
+    /// The base point u = 9: `y = (u − 1)/(u + 1) = 4/5`, and `x` the even
+    /// root, 0x216936d3cd6e53fec0a4e231fdd6dc5c692cc7609525a7b2c9562d608f25d51a.
+    const BASE: EdPoint = {
+        let x = Fe([
+            1738742601995546,
+            1146398526822698,
+            2070867633025821,
+            562264141797630,
+            587772402128613,
+        ]);
+        let y = Fe([4, 0, 0, 0, 0]).mul(Fe([5, 0, 0, 0, 0]).invert());
+        EdPoint {
+            x,
+            y,
+            z: Fe::ONE,
+            t: x.mul(y),
+        }
+    };
+
+    /// `self + q`, given `q` as `(Y + X, Y − X, 2d·T)` and `zz2 = 2·Z·Z_q`
+    /// (Hisil–Wong–Carter–Dawson's "add-2008-hwcd-3").
+    #[inline]
+    const fn add_parts(self, y_plus_x: Fe, y_minus_x: Fe, t2d: Fe, zz2: Fe) -> EdPoint {
+        let a = self.y.sub(self.x).mul(y_minus_x);
+        let b = self.y.add(self.x).mul(y_plus_x);
+        let c = self.t.mul(t2d);
+        let e = b.sub(a);
+        let f = zz2.sub(c);
+        let g = zz2.add(c);
+        let h = b.add(a);
+        EdPoint {
+            x: e.mul(f),
+            y: g.mul(h),
+            z: f.mul(g),
+            t: e.mul(h),
+        }
+    }
+
+    /// `self + q` for an affine `q` (ref10's `ge_madd`).
+    #[inline]
+    const fn add_precomp(self, q: &Precomp) -> EdPoint {
+        self.add_parts(q.y_plus_x, q.y_minus_x, q.xy2d, self.z.add(self.z))
+    }
+
+    /// `self + q`. The formula is complete on the prime-order subgroup, so
+    /// this also doubles.
+    const fn add(self, q: EdPoint) -> EdPoint {
+        let zz = self.z.mul(q.z);
+        self.add_parts(q.y.add(q.x), q.y.sub(q.x), q.t.mul(D2), zz.add(zz))
+    }
+}
+
+/// `BASE_TABLE[i][j] = (j + 1)·256^i·B` for the base point B: the comb's
+/// 32 rows of 8 multiples, 30 KB of read-only data.
+///
+/// The compiler builds it from `EdPoint::BASE` with the field arithmetic
+/// above, so nothing is computed when a process starts. A row is seven
+/// additions and five doublings; the 256 affine conversions share one
+/// inversion (Montgomery's trick), which keeps the build to ~0.7 s of
+/// compile time where one inversion each took ~5.5 s. The deny-by-default
+/// lint on long constant evaluation is allowed here so that a slower
+/// evaluator cannot turn the table into a build error.
+#[allow(long_running_const_eval)]
+static BASE_TABLE: [[Precomp; 8]; 32] = {
+    let mut points = [[EdPoint::IDENTITY; 8]; 32];
+    let mut row_base = EdPoint::BASE;
+    let mut i = 0;
+    while i < 32 {
+        let mut acc = row_base;
+        let mut j = 0;
+        while j < 8 {
+            points[i][j] = acc;
+            acc = acc.add(row_base);
+            j += 1;
+        }
+        // 8·256^i·B doubled five times.
+        row_base = points[i][7];
+        let mut n = 0;
+        while n < 5 {
+            row_base = row_base.add(row_base);
+            n += 1;
+        }
+        i += 1;
+    }
+
+    // prefix[n] is the product of the first n + 1 Z's, in row-major order.
+    let mut prefix = [Fe::ONE; 256];
+    let mut product = Fe::ONE;
+    let mut n = 0;
+    while n < 256 {
+        product = product.mul(points[n / 8][n % 8].z);
+        prefix[n] = product;
+        n += 1;
+    }
+    // Walk back: `inv` is the inverse of prefix[n] on entry to step n.
+    let mut inv = product.invert();
+    let mut table = [[Precomp::IDENTITY; 8]; 32];
+    let mut n = 256;
+    while n > 0 {
+        n -= 1;
+        let p = points[n / 8][n % 8];
+        let z_inv = if n > 0 { inv.mul(prefix[n - 1]) } else { inv };
+        inv = inv.mul(p.z);
+        let x = p.x.mul(z_inv);
+        let y = p.y.mul(z_inv);
+        table[n / 8][n % 8] = Precomp {
+            y_plus_x: y.add(x),
+            y_minus_x: y.sub(x),
+            xy2d: x.mul(y).mul(D2),
+        };
+    }
+    table
+};
+
+/// `|digit|·256^row·B` from `row`, negated when `digit` is negative, for
+/// `digit` ∈ [−8, 8] (0 gives the identity).
+#[inline]
+fn select(row: &[Precomp; 8], digit: i8) -> Precomp {
+    let sign = digit >> 7; // 0 or −1
+    let abs = ((digit ^ sign) - sign) as u64;
+    let mut t = Precomp::IDENTITY;
+    for (j, entry) in (1u64..).zip(row) {
+        // All ones exactly when abs == j.
+        let mask = ((abs ^ j).wrapping_sub(1) >> 63).wrapping_neg();
+        cmov(mask, &mut t.y_plus_x, &entry.y_plus_x);
+        cmov(mask, &mut t.y_minus_x, &entry.y_minus_x);
+        cmov(mask, &mut t.xy2d, &entry.xy2d);
+    }
+    // −(x, y) = (−x, y): swap y + x with y − x, negate 2d·x·y.
+    let negative = (sign as u64) & 1;
+    cswap(negative, &mut t.y_plus_x, &mut t.y_minus_x);
+    let minus_xy2d = Fe::ZERO.sub(t.xy2d);
+    cmov(negative.wrapping_neg(), &mut t.xy2d, &minus_xy2d);
+    t
+}
+
+/// `k·B` for a clamped scalar `k`, as the u-coordinate's numerator and
+/// denominator `(Z + Y, Z − Y)`: ref10's `ge_scalarmult_base`.
+///
+/// `k` is recoded into 64 signed radix-16 digits `e[i]` ∈ [−8, 8], so
+/// `k = Σ e[i]·16^i` and `k·B = Σ_i e[2i]·256^i·B + 16·Σ_i e[2i+1]·256^i·B`:
+/// 32 table additions for the odd digits, four doublings, 32 for the even.
+///
+/// Constant time: the recoding is arithmetic on every digit, with no branch;
+/// which row is read is the loop index, never a digit; `select` reads all
+/// eight entries of its row and keeps one under a mask, and applies a
+/// negative digit by a masked swap and a masked move. The same field
+/// operations touch the same addresses whatever the scalar.
+fn base_mul(k: &[u8; 32]) -> (Fe, Fe) {
+    let mut e = [0i8; 64];
+    for (i, byte) in k.iter().enumerate() {
+        e[2 * i] = (byte & 15) as i8;
+        e[2 * i + 1] = (byte >> 4) as i8;
+    }
+    // Digits to [−8, 8): push 8..=15 up into the next digit. A clamped
+    // scalar is below 2^255, so the top digit ends at most 8.
+    let mut carry = 0i8;
+    for digit in &mut e[..63] {
+        *digit += carry;
+        carry = (*digit + 8) >> 4;
+        *digit -= carry << 4;
+    }
+    e[63] += carry;
+
+    let mut h = EdPoint::IDENTITY;
+    for (row, pair) in BASE_TABLE.iter().zip(e.chunks_exact(2)) {
+        h = h.add_precomp(&select(row, pair[1]));
+    }
+    for _ in 0..4 {
+        h = h.add(h);
+    }
+    for (row, pair) in BASE_TABLE.iter().zip(e.chunks_exact(2)) {
+        h = h.add_precomp(&select(row, pair[0]));
+    }
+    (h.z.add(h.y), h.z.sub(h.y))
 }
 
 #[cfg(test)]
@@ -386,12 +686,97 @@ mod tests {
         }
     }
 
+    /// The scalars where the comb's recoding can go wrong: all-zero and
+    /// all-ones before clamping, and each single bit.
+    fn edge_scalars() -> Vec<[u8; 32]> {
+        let mut scalars = vec![[0u8; 32], [0xff; 32]];
+        for bit in 0..256 {
+            let mut scalar = [0u8; 32];
+            scalar[bit / 8] = 1 << (bit % 8);
+            scalars.push(scalar);
+        }
+        scalars
+    }
+
+    /// The comb against the ladder on 9, which `public_key` ran before it.
+    fn assert_comb_is_ladder(scalars: impl IntoIterator<Item = [u8; 32]>) {
+        for scalar in scalars {
+            assert_eq!(
+                public_key(&scalar),
+                x25519(&scalar, &BASE_POINT),
+                "scalar {}",
+                hex(&scalar)
+            );
+        }
+    }
+
     #[test]
-    fn public_key_is_ladder_on_base_point() {
+    fn comb_equals_ladder_on_base_point() {
+        assert_comb_is_ladder(edge_scalars());
         let mut state = 9;
-        for _ in 0..64 {
-            let scalar = random_bytes32(&mut state);
-            assert_eq!(public_key(&scalar), x25519(&scalar, &BASE_POINT));
+        assert_comb_is_ladder((0..2_000).map(|_| random_bytes32(&mut state)));
+    }
+
+    #[test]
+    #[ignore = "10^5 ladders; CI runs it in release"]
+    fn comb_equals_ladder_on_base_point_100000() {
+        let mut state = 0x5eed;
+        assert_comb_is_ladder((0..100_000).map(|_| random_bytes32(&mut state)));
+    }
+
+    #[test]
+    fn edwards_base_point_maps_to_9() {
+        let EdPoint { x, y, z, t } = EdPoint::BASE;
+        assert_eq!(z.to_bytes(), Fe::ONE.to_bytes());
+        assert_eq!(t.to_bytes(), x.mul(y).to_bytes());
+        // On −x² + y² = 1 + d·x²·y², doubled: 2·(y² − x² − 1) = 2d·x²·y².
+        let (xx, yy) = (x.square(), y.square());
+        let lhs = yy.sub(xx).sub(Fe::ONE);
+        assert_eq!(lhs.add(lhs).to_bytes(), D2.mul(xx).mul(yy).to_bytes());
+        // d = −121665/121666.
+        let d = Fe::ZERO.sub(Fe([121665, 0, 0, 0, 0]));
+        assert_eq!(
+            D2.mul(Fe([121666, 0, 0, 0, 0])).to_bytes(),
+            d.add(d).to_bytes()
+        );
+        // The even root, and u = (1 + y)/(1 − y) = 9.
+        assert_eq!(x.to_bytes()[0] & 1, 0);
+        let u = Fe::ONE.add(y).mul(Fe::ONE.sub(y).invert());
+        assert_eq!(u.to_bytes(), BASE_POINT);
+        // The table's first entry is B itself.
+        let entry = BASE_TABLE[0][0];
+        assert_eq!(entry.y_plus_x.to_bytes(), y.add(x).to_bytes());
+        assert_eq!(entry.y_minus_x.to_bytes(), y.sub(x).to_bytes());
+        assert_eq!(entry.xy2d.to_bytes(), x.mul(y).mul(D2).to_bytes());
+    }
+
+    #[test]
+    fn one_inversion_equals_two() {
+        // u = 0 (order 2), u = 1 (order 4) and a point of order 8: every
+        // clamped scalar sends them to the point at infinity.
+        let order_8 = unhex32("e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800");
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        let low_order = [[0u8; 32], one, order_8];
+
+        let mut state = 30;
+        let mut cases: Vec<([u8; 32], [u8; 32])> = Vec::new();
+        for peer in low_order.into_iter().chain([BASE_POINT]) {
+            cases.extend(edge_scalars().into_iter().map(|scalar| (scalar, peer)));
+        }
+        for _ in 0..256 {
+            cases.push((random_bytes32(&mut state), random_bytes32(&mut state)));
+        }
+        for (scalar, peer) in cases {
+            let shared = x25519(&scalar, &peer);
+            assert_eq!(
+                public_key_and_x25519(&scalar, &peer),
+                (public_key(&scalar), shared),
+                "scalar {} peer {}",
+                hex(&scalar),
+                hex(&peer)
+            );
+            assert_eq!(shared == [0; 32], low_order.contains(&peer));
         }
     }
 
