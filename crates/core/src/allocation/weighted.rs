@@ -83,7 +83,9 @@ pub fn allocate_weighted(n: usize, probs: &[f64], gamma: f64) -> Vec<usize> {
     order.sort_by(|&a, &b| {
         let ra = ideal[a] - ideal[a].floor();
         let rb = ideal[b] - ideal[b].floor();
-        rb.partial_cmp(&ra).unwrap().then(a.cmp(&b))
+        // `total_cmp`: a NaN probability (which `clamp` passes through)
+        // orders instead of panicking.
+        rb.total_cmp(&ra).then(a.cmp(&b))
     });
     let mut idx = 0;
     while assigned < n {
@@ -160,6 +162,15 @@ mod tests {
         }
         // gamma = 0 is even.
         assert_eq!(allocate_weighted(12, &probs, 0.0), allocate_even(12, 4));
+    }
+
+    #[test]
+    fn a_nan_probability_does_not_panic() {
+        let probs = [0.9, f64::NAN, 0.5];
+        for gamma in [0.0, 1.0, 8.0] {
+            assert_eq!(allocate_weighted(8, &probs, gamma).iter().sum::<usize>(), 8);
+        }
+        assert_eq!(allocate_best(6, 3, &probs).0.iter().sum::<usize>(), 6);
     }
 
     #[test]

@@ -58,12 +58,11 @@ impl ProtocolKind {
     /// The message codec: how `|M|` bytes become per-path payloads.
     pub fn codec(&self) -> Result<Box<dyn Codec>, AnonError> {
         match *self {
-            ProtocolKind::CurMix => Ok(Box::new(
-                ReplicationCodec::new(1).expect("1 copy is always valid"),
-            )),
-            ProtocolKind::SimRep { k } => ReplicationCodec::new(k)
-                .map(|c| Box::new(c) as Box<dyn Codec>)
-                .map_err(Into::into),
+            ProtocolKind::CurMix | ProtocolKind::SimRep { .. } => {
+                ReplicationCodec::new(self.paths())
+                    .map(|c| Box::new(c) as Box<dyn Codec>)
+                    .map_err(Into::into)
+            }
             ProtocolKind::SimEra { k, r } => {
                 if r == 0 || k == 0 || k % r != 0 {
                     return Err(AnonError::InvalidParameters(format!(

@@ -124,13 +124,11 @@ impl Codec for ErasureCodec {
         framed.extend_from_slice(message);
         framed.resize(shard_len * m, 0);
 
+        // `m` chunks of `shard_len` bytes: uniform by construction.
         let data: Vec<Vec<u8>> = framed.chunks(shard_len).map(|c| c.to_vec()).collect();
         debug_assert_eq!(data.len(), m);
-        let coded = self
-            .rs
-            .encode(&data)
-            .expect("shard lengths are uniform by construction");
-        coded
+        self.rs
+            .encode_uniform(&data)
             .into_iter()
             .enumerate()
             .map(|(i, d)| Segment::new(i, d))
@@ -144,10 +142,10 @@ impl Codec for ErasureCodec {
             .collect();
         let data = self.rs.reconstruct(&pairs)?;
         let framed: Vec<u8> = data.into_iter().flatten().collect();
-        if framed.len() < FRAME_LEN {
+        let Some(&prefix) = framed.first_chunk::<FRAME_LEN>() else {
             return Err(ErasureError::BadFrame);
-        }
-        let len = u32::from_be_bytes(framed[..FRAME_LEN].try_into().unwrap()) as usize;
+        };
+        let len = u32::from_be_bytes(prefix) as usize;
         if FRAME_LEN + len > framed.len() {
             return Err(ErasureError::BadFrame);
         }

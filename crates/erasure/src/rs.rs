@@ -46,8 +46,9 @@ impl ReedSolomon {
         let vand = Matrix::vandermonde(n, m);
         let top = vand.select_rows(&(0..m).collect::<Vec<_>>());
         // The top m x m Vandermonde over points 0..m is invertible because
-        // the points are distinct.
-        let top_inv = top.inverse().expect("square Vandermonde is invertible");
+        // the points are distinct; `SingularMatrix` here would be a bug in
+        // `Matrix`, reported rather than panicked on.
+        let top_inv = top.inverse()?;
         let generator = vand.mul(&top_inv);
         Ok(ReedSolomon { m, n, generator })
     }
@@ -87,6 +88,13 @@ impl ReedSolomon {
         if data.iter().any(|d| d.len() != len) {
             return Err(ErasureError::LengthMismatch);
         }
+        Ok(self.encode_uniform(data))
+    }
+
+    /// [`ReedSolomon::encode`] of `m` shards the caller has already made
+    /// equal-length.
+    pub(crate) fn encode_uniform(&self, data: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let len = data.first().map_or(0, Vec::len);
         let mut out = Vec::with_capacity(self.n);
         out.extend(data.iter().cloned());
         for row in self.m..self.n {
@@ -96,7 +104,7 @@ impl ReedSolomon {
             }
             out.push(shard);
         }
-        Ok(out)
+        out
     }
 
     /// Reconstruct the `m` data shards from any `m` coded shards.

@@ -193,17 +193,27 @@ impl Slot {
         SimDuration(self.0[1] >> Self::TIME)
     }
 
-    /// The entry this slot holds, if it holds one.
     #[inline]
-    fn unpack(self) -> Option<CacheEntry> {
+    fn delta_alive(self) -> SimDuration {
         let [w0, w1] = self.0;
         let alive_lo = (w0 >> 2) & ((1 << Self::ALIVE_LO) - 1);
         let alive_hi = w1 & ((1 << Self::TIME) - 1);
+        SimDuration(alive_hi << Self::ALIVE_LO | alive_lo)
+    }
+
+    #[inline]
+    fn dead(self) -> bool {
+        self.0[0] & Self::DEAD != 0
+    }
+
+    /// The entry this slot holds, if it holds one.
+    #[inline]
+    fn unpack(self) -> Option<CacheEntry> {
         self.occupied().then(|| CacheEntry {
-            delta_alive: SimDuration(alive_hi << Self::ALIVE_LO | alive_lo),
+            delta_alive: self.delta_alive(),
             delta_since: self.delta_since(),
             t_last: self.t_last(),
-            dead: w0 & Self::DEAD != 0,
+            dead: self.dead(),
         })
     }
 
@@ -211,6 +221,120 @@ impl Slot {
     #[inline]
     fn effective_delta_since(self, now: SimTime) -> SimDuration {
         liveness::effective_delta_since(self.delta_since(), self.t_last(), now)
+    }
+
+    /// What a winning indirect update of `info` writes, with its t_last
+    /// field left zero for the receiver to fill; `None` if a time needs
+    /// more than 42 bits.
+    #[inline]
+    fn heard(info: &LivenessInfo) -> Option<Slot> {
+        Slot::pack(&CacheEntry {
+            delta_alive: info.delta_alive,
+            delta_since: info.delta_since,
+            t_last: SimTime::ZERO,
+            dead: info.dead,
+        })
+    }
+
+    /// [`CacheEntry::piggyback`] of this occupied slot, packed as
+    /// [`Slot::heard`] packs it; `None` if the piggybacked Δt_since needs
+    /// more than 42 bits.
+    #[inline]
+    fn piggyback(self, now: SimTime) -> Option<Slot> {
+        const LOW: u64 = (1 << Slot::TIME) - 1;
+        let since = self.effective_delta_since(now).0;
+        (since <= Self::MAX).then_some(Slot([
+            self.0[0] & LOW,
+            since << Self::TIME | self.0[1] & LOW,
+        ]))
+    }
+
+    /// 1 if an indirect update packed as `heard` ([`Slot::heard`]) wins
+    /// against this slot at `now`, else 0: the slot is empty, or the news
+    /// is fresher (`Δt_since < stored Δt_since + (now − t_last)`).
+    #[inline]
+    fn taken_by(self, heard: Slot, now: SimTime) -> u64 {
+        let [s0, s1] = self.0;
+        let empty = !s0 & Self::OCCUPIED;
+        let since = (s1 >> Self::TIME) + now.0.saturating_sub(s0 >> Self::TIME);
+        u64::from(heard.0[1] >> Self::TIME < since) | empty
+    }
+
+    /// The liveness info a [`Slot::heard`] slot carries.
+    #[inline]
+    fn info(self) -> LivenessInfo {
+        LivenessInfo {
+            delta_alive: self.delta_alive(),
+            delta_since: self.delta_since(),
+            dead: self.dead(),
+        }
+    }
+}
+
+/// One gossip round's digest: `(id, liveness info)` entries in the order
+/// they were pushed, packed once so that every target of the round merges
+/// the same words ([`NodeCache::hear_digest`]).
+///
+/// An entry is kept as the slot a winning indirect update writes, t_last
+/// left for the receiver to stamp. An entry with a time of 2^42 µs or more
+/// does not pack; from then on the digest keeps every entry unpacked and
+/// receivers take them one at a time, as a list-layout receiver does.
+#[derive(Clone, Debug, Default)]
+pub struct Digest {
+    packed: Vec<(NodeId, Slot)>,
+    /// One more than the largest id in `packed`: a receiver with fewer
+    /// slots takes the entries one at a time.
+    universe: usize,
+    /// Every entry, unpacked, once one did not pack (`packed` is empty
+    /// then).
+    wide: Vec<(NodeId, LivenessInfo)>,
+}
+
+impl Digest {
+    /// Drop every entry, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.packed.clear();
+        self.wide.clear();
+        self.universe = 0;
+    }
+
+    /// Append `node`'s liveness info.
+    pub fn push(&mut self, node: NodeId, info: LivenessInfo) {
+        match Slot::heard(&info) {
+            Some(heard) => self.push_packed(node, heard),
+            None => {
+                self.widen();
+                self.wide.push((node, info));
+            }
+        }
+    }
+
+    #[inline]
+    fn push_packed(&mut self, node: NodeId, heard: Slot) {
+        if self.wide.is_empty() {
+            self.universe = self.universe.max(node.index() + 1);
+            self.packed.push((node, heard));
+        } else {
+            self.wide.push((node, heard.info()));
+        }
+    }
+
+    #[cold]
+    fn widen(&mut self) {
+        let packed = self
+            .packed
+            .drain(..)
+            .map(|(node, heard)| (node, heard.info()));
+        self.wide.extend(packed);
+    }
+
+    /// The entries, in the order they were pushed.
+    pub fn entries(&self) -> impl Iterator<Item = (NodeId, LivenessInfo)> + '_ {
+        let packed = self
+            .packed
+            .iter()
+            .map(|&(node, heard)| (node, heard.info()));
+        packed.chain(self.wide.iter().copied())
     }
 }
 
@@ -439,6 +563,74 @@ impl NodeCache {
                 }
             },
         }
+    }
+
+    /// [`NodeCache::hear_indirect`] of every entry of `digest` whose id is
+    /// not `skip`, in digest order.
+    ///
+    /// On the slot layout, when every entry packed and has a slot here and
+    /// `now` fits 42 bits, no entry branches on its data. A first pass
+    /// runs the freshness test on the packed words and lists the entries
+    /// that can win; a second applies them in order, selecting the winning
+    /// 16 bytes by mask, so only the slots that change are written.
+    /// Anything else goes entry by entry.
+    pub fn hear_digest(&mut self, digest: &Digest, skip: NodeId, now: SimTime) {
+        if let Store::Slots { slots, len } = &mut self.store {
+            if digest.wide.is_empty() && digest.universe <= slots.len() && now.0 <= Slot::MAX {
+                let stamp = now.0 << Slot::TIME;
+                let mut added = 0;
+                let mut picked = [0u8; 64];
+                for chunk in digest.packed.chunks(picked.len()) {
+                    // Loads only. An entry that loses to a slot as it
+                    // stands loses to every later state of it as well: a
+                    // win only lowers the slot's effective Δt_since.
+                    let mut k = 0;
+                    for (i, &(node, heard)) in chunk.iter().enumerate() {
+                        let win =
+                            slots[node.index()].taken_by(heard, now) & u64::from(node != skip);
+                        picked[k] = i as u8;
+                        k += win as usize;
+                    }
+                    // The test again, against the slot as the entries
+                    // before left it (which differs only for a repeated id).
+                    for &i in &picked[..k] {
+                        let (node, Slot([h0, h1])) = chunk[usize::from(i)];
+                        let slot = &mut slots[node.index()];
+                        let [s0, s1] = slot.0;
+                        let win = slot.taken_by(Slot([h0, h1]), now);
+                        added += win & !s0 & Slot::OCCUPIED;
+                        let mask = win.wrapping_neg();
+                        slot.0 = [s0 ^ ((s0 ^ (h0 | stamp)) & mask), s1 ^ ((s1 ^ h1) & mask)];
+                    }
+                }
+                *len += added as usize;
+                return;
+            }
+        }
+        for (node, info) in digest.entries() {
+            if node != skip {
+                self.hear_indirect(node, info, now);
+            }
+        }
+    }
+
+    /// Append `node`'s entry, piggybacked at `now`
+    /// ([`CacheEntry::piggyback`]), to `digest`. Returns whether `node` is
+    /// cached; if not, `digest` is left as it was.
+    #[inline]
+    pub fn piggyback_into(&self, node: NodeId, now: SimTime, digest: &mut Digest) -> bool {
+        if let Store::Slots { slots, .. } = &self.store {
+            let Some(&slot) = slots.get(node.index()).filter(|slot| slot.occupied()) else {
+                return false;
+            };
+            if let Some(heard) = slot.piggyback(now) {
+                digest.push_packed(node, heard);
+                return true;
+            }
+        }
+        self.get(node)
+            .map(|entry| digest.push(node, entry.piggyback(now)))
+            .is_some()
     }
 
     /// First-hand death observation (§4.5: the initiator detects the point
@@ -855,6 +1047,46 @@ mod tests {
         cache.hear_indirect(NodeId(1), stale, at(10));
         assert!(matches!(cache.store, Store::Slots { .. }));
         assert_eq!(cache.get(NodeId(1)).unwrap().delta_alive, secs(5));
+    }
+
+    #[test]
+    fn digests_a_slot_cannot_take_go_entry_by_entry() {
+        let merge = |entries: &[(u32, LivenessInfo)], now: SimTime| {
+            let mut digest = Digest::default();
+            let mut by_entry = NodeCache::bootstrap((0..4).map(NodeId));
+            let mut by_digest = by_entry.clone();
+            for &(id, info) in entries {
+                digest.push(NodeId(id), info);
+                by_entry.hear_indirect(NodeId(id), info, now);
+            }
+            by_digest.hear_digest(&digest, NodeId(3), now);
+            assert!(
+                matches!(by_digest.store, Store::List(_)),
+                "{entries:?} at {now:?}"
+            );
+            let sorted = |cache: &NodeCache| {
+                let mut entries: Vec<_> = cache.entries().collect();
+                entries.sort_unstable_by_key(|&(id, _)| id);
+                entries
+            };
+            assert_eq!(sorted(&by_digest), sorted(&by_entry));
+        };
+        let fits = [
+            (1, LivenessInfo::alive(secs(5), secs(1))),
+            (2, LivenessInfo::death(secs(2))),
+        ];
+        // Entries that pack, stamped one µs past what a slot holds.
+        merge(&fits, SimTime(Slot::MAX + 1));
+        // An id beyond the four slots.
+        merge(&[fits[0], (9, LivenessInfo::death(secs(3)))], at(10));
+        // A Δt_alive a slot cannot hold: the digest keeps it unpacked.
+        merge(
+            &[
+                fits[0],
+                (2, LivenessInfo::alive(SimDuration(1 << 42), secs(1))),
+            ],
+            at(10),
+        );
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //! applied at the round timestamp; what the experiments measure is
 //! information *staleness*, which is dominated by round timing, not by
 //! link latency (see DESIGN.md, substitutions).
+//!
+//! A round packs its digest once ([`Digest`]) and each target merges it in
+//! one call ([`NodeCache::hear_digest`]); DESIGN.md §14.3 has the layout.
 
-use crate::cache::NodeCache;
-use crate::liveness::LivenessInfo;
+use crate::cache::{Digest, NodeCache};
 use rand::Rng;
 use simnet::{ChurnSchedule, NodeId, SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Gossip protocol parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -52,7 +52,15 @@ impl Default for GossipConfig {
 #[derive(Clone)]
 pub struct GossipSim {
     caches: Vec<NodeCache>,
-    rounds: BinaryHeap<Reverse<(SimTime, u32)>>,
+    /// Every node's `(phase, id)`, sorted. Node `id` gossips at
+    /// `phase + k · interval` for every cycle `k` and each phase is below
+    /// one interval, so walking this list cycle after cycle visits rounds
+    /// in `(time, id)` order: the order a min-heap of rounds would pop.
+    phases: Vec<(SimDuration, u32)>,
+    /// Index into `phases` of the next round.
+    next: usize,
+    /// Start of the cycle the next round is in.
+    cycle: SimTime,
     cfg: GossipConfig,
     now: SimTime,
     messages_sent: u64,
@@ -61,7 +69,7 @@ pub struct GossipSim {
     /// by the current sampling pass, the digest built from them, and the
     /// pass's dedupe bitset (one bit per node id, all zero between passes).
     picked: Vec<NodeId>,
-    digest: Vec<(NodeId, LivenessInfo)>,
+    digest: Digest,
     seen: Vec<u64>,
 }
 
@@ -73,20 +81,26 @@ impl GossipSim {
         let caches = (0..n)
             .map(|i| NodeCache::bootstrap((0..n).filter(|&j| j != i).map(NodeId::from)))
             .collect();
-        let mut rounds = BinaryHeap::with_capacity(n);
-        for i in 0..n {
-            let phase = SimDuration(rng.gen_range(0..cfg.interval.as_micros().max(1)));
-            rounds.push(Reverse((SimTime::ZERO + phase, i as u32)));
-        }
+        let mut phases: Vec<(SimDuration, u32)> = (0..n as u32)
+            .map(|i| {
+                (
+                    SimDuration(rng.gen_range(0..cfg.interval.as_micros().max(1))),
+                    i,
+                )
+            })
+            .collect();
+        phases.sort_unstable();
         GossipSim {
             caches,
-            rounds,
+            phases,
+            next: 0,
+            cycle: SimTime::ZERO,
             cfg,
             now: SimTime::ZERO,
             messages_sent: 0,
             messages_lost: 0,
             picked: Vec::with_capacity(cfg.digest_size.max(cfg.fanout)),
-            digest: Vec::with_capacity(cfg.digest_size),
+            digest: Digest::default(),
             seen: vec![0; n.div_ceil(64)],
         }
     }
@@ -125,12 +139,16 @@ impl GossipSim {
     /// Process all gossip rounds with timestamps `<= until` against the
     /// ground-truth churn schedule.
     pub fn advance<R: Rng>(&mut self, schedule: &ChurnSchedule, until: SimTime, rng: &mut R) {
-        while let Some(&Reverse((t, node_idx))) = self.rounds.peek() {
+        while let Some(&(phase, node_idx)) = self.phases.get(self.next) {
+            let t = self.cycle + phase;
             if t > until {
                 break;
             }
-            self.rounds.pop();
-            self.rounds.push(Reverse((t + self.cfg.interval, node_idx)));
+            self.next += 1;
+            if self.next == self.phases.len() {
+                self.next = 0;
+                self.cycle += self.cfg.interval;
+            }
             self.now = t;
             let sender = NodeId(node_idx);
 
@@ -143,7 +161,7 @@ impl GossipSim {
                 self.caches[sender.index()].evict_stale(t, timeout);
             }
 
-            // Build the digest once per round from the sender's cache, then
+            // Pack the digest once per round from the sender's cache, then
             // pick the targets — in that order, it is the RNG draw order.
             let GossipSim {
                 caches,
@@ -157,10 +175,7 @@ impl GossipSim {
             digest.clear();
             let digest_size = self.cfg.digest_size.min(caches.len() - 1);
             sample_universe(n, sender, digest_size, rng, picked, seen, |cand| {
-                cache
-                    .get(cand)
-                    .map(|entry| digest.push((cand, entry.piggyback(t))))
-                    .is_some()
+                cache.piggyback_into(cand, t, digest)
             });
             sample_universe(n, sender, self.cfg.fanout, rng, picked, seen, |cand| {
                 cache.contains(cand)
@@ -178,11 +193,7 @@ impl GossipSim {
                 self.messages_sent += 1;
                 let cache = &mut caches[target.index()];
                 cache.hear_direct(sender, sender_uptime, t);
-                for &(node, info) in digest.iter() {
-                    if node != target {
-                        cache.hear_indirect(node, info, t);
-                    }
-                }
+                cache.hear_digest(digest, target, t);
             }
         }
         if self.now < until {
@@ -205,6 +216,12 @@ impl GossipSim {
 /// bits are cleared by walking `out`. A candidate `accept` turns down stays
 /// unmarked and may be drawn and asked again, so the draws, the accepts and
 /// the output order are those of a scan of `out` per draw.
+///
+/// A draw is `rng.gen_range(0..n)`, word for word and value for value,
+/// with its divisions done once per call rather than once per draw. Draws
+/// are taken in batches of those the loop makes whatever they turn out to
+/// be (each adds at most one id), so the dedupe and `accept`'s cache reads
+/// do not wait on the generator one draw at a time.
 pub fn sample_universe<R: Rng>(
     n: u32,
     sender: NodeId,
@@ -215,18 +232,75 @@ pub fn sample_universe<R: Rng>(
     mut accept: impl FnMut(NodeId) -> bool,
 ) {
     out.clear();
-    let mut tries = 0usize;
-    while out.len() < count && tries < count * 8 + 16 {
-        tries += 1;
-        let cand = NodeId(rng.gen_range(0..n));
-        let (word, bit) = (cand.index() / 64, 1u64 << (cand.0 % 64));
-        if cand != sender && seen[word] & bit == 0 && accept(cand) {
-            seen[word] |= bit;
-            out.push(cand);
+    if count == 0 {
+        return;
+    }
+    let below = Below::new(n);
+    let tries = count * 8 + 16;
+    let (mut drawn, mut batch) = (0, [NodeId(0); 64]);
+    while out.len() < count && drawn < tries {
+        let batch = &mut batch[..(count - out.len()).min(tries - drawn).min(64)];
+        batch.fill_with(|| NodeId(below.draw(rng)));
+        drawn += batch.len();
+        for &cand in batch.iter() {
+            let (word, bit) = (cand.index() / 64, 1u64 << (cand.0 % 64));
+            if cand != sender && seen[word] & bit == 0 && accept(cand) {
+                seen[word] |= bit;
+                out.push(cand);
+            }
         }
     }
     for &id in out.iter() {
         seen[id.index() / 64] = 0;
+    }
+}
+
+/// `rng.gen_range(0..n)` for one `n`: the same words drawn and the same
+/// values returned, with the two divisions each draw makes done here once.
+/// One is the rejection zone. The other is `⌊(2^64 − 1) / n⌋`, which turns
+/// `v % n` into a multiply-high, a multiply and a conditional subtract.
+#[derive(Clone, Copy, Debug)]
+struct Below {
+    n: u64,
+    zone: u64,
+    recip: u64,
+}
+
+impl Below {
+    fn new(n: u32) -> Self {
+        assert!(n > 0, "cannot sample empty range");
+        let n = u64::from(n);
+        Below {
+            n,
+            zone: u64::MAX - u64::MAX % n,
+            recip: u64::MAX / n,
+        }
+    }
+
+    /// `v % n`. The quotient estimate `⌊v · recip / 2^64⌋` is the quotient
+    /// or one less, so the first remainder is below `2n` and one subtract
+    /// corrects it.
+    #[inline]
+    fn rem(self, v: u64) -> u64 {
+        let q = ((u128::from(v) * u128::from(self.recip)) >> 64) as u64;
+        let r = v - q * self.n;
+        if r >= self.n {
+            r - self.n
+        } else {
+            r
+        }
+    }
+
+    /// One draw, rejecting the words at or above the zone as `gen_range`
+    /// does (the zone is never zero for a `u32` range).
+    #[inline]
+    fn draw<R: Rng>(self, rng: &mut R) -> u32 {
+        loop {
+            let v = rng.next_u64();
+            if v < self.zone {
+                return self.rem(v) as u32;
+            }
+        }
     }
 }
 
@@ -243,6 +317,27 @@ mod tests {
             fanout: 3,
             digest_size: 32,
             stale_timeout: None,
+        }
+    }
+
+    #[test]
+    fn below_draws_what_gen_range_draws() {
+        let ns = [1, 2, 3, 7, 64, 255, 256, 257, 300, 1023, 1024, 65_537];
+        for n in ns.into_iter().chain([u32::MAX - 1, u32::MAX]) {
+            let below = Below::new(n);
+            let n64 = u64::from(n);
+            // Both ends of the first, a middle and the last whole quotient.
+            for q in [0, 1, u64::MAX / n64 / 2, u64::MAX / n64 - 1] {
+                for v in [q * n64, q * n64 + n64 - 1] {
+                    assert_eq!(below.rem(v), v % n64, "{v} % {n}");
+                }
+            }
+            assert_eq!(below.rem(u64::MAX), u64::MAX % n64, "2^64 - 1 % {n}");
+            let (mut rng, mut twin) = (StdRng::seed_from_u64(n64), StdRng::seed_from_u64(n64));
+            for _ in 0..2_000 {
+                assert_eq!(below.draw(&mut rng), twin.gen_range(0..n));
+            }
+            assert_eq!(rng.gen::<u64>(), twin.gen::<u64>(), "same words drawn");
         }
     }
 

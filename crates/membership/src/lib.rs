@@ -35,7 +35,7 @@ pub mod liveness;
 pub mod onehop;
 pub mod sampled;
 
-pub use cache::{CacheEntry, NodeCache};
+pub use cache::{CacheEntry, Digest, NodeCache};
 pub use gossip::{GossipConfig, GossipSim};
 pub use layer::{MembershipConfig, MembershipLayer};
 pub use liveness::{predictor, survival_probability, LivenessInfo};

@@ -7,8 +7,14 @@
 //! A slot packs each time into 42 bits, so times are drawn on both sides
 //! of 2^42 µs: a slot-layout cache that meets a longer time spills to the
 //! list layout and must go on matching the model, entry for entry.
+//!
+//! A gossip digest is merged as one `hear_indirect` per entry but the
+//! skipped id. Digests are drawn with repeated ids, ids beyond the
+//! bootstrapped universe, times past 2^42 µs and more than 64 entries, and
+//! are built both by `Digest::push` and by `NodeCache::piggyback_into` off
+//! either layout.
 
-use membership::{CacheEntry, LivenessInfo, NodeCache};
+use membership::{CacheEntry, Digest, LivenessInfo, NodeCache};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -129,12 +135,7 @@ fn apply(
     word: u64,
     id_span: u32,
 ) -> Result<(), String> {
-    let node = NodeId((word >> 8) as u32 % id_span);
-    // Bits 38 and 39 lift Δt_alive and Δt_since to within ~35 minutes
-    // either side of 2^42 µs.
-    let near_limit = |bit: u64| SimDuration((word >> bit & 1) * (SLOT_LIMIT - 2_000_000_000));
-    let alive = SimDuration::from_secs(word >> 16 & 0xfff) + near_limit(38);
-    let since = SimDuration::from_secs(word >> 28 & 0x3ff) + near_limit(39);
+    let (node, alive, since) = fields(word, id_span);
     match word & 0x7 {
         0 => {
             caches
@@ -189,7 +190,79 @@ fn apply(
                 prop_assert_eq!(cache.evict_stale(now, since), before - model.len());
             }
         }
-        _ => {}
+        _ => hear_digest(caches, model, now, word, id_span)?,
+    }
+    Ok(())
+}
+
+/// The id, Δt_alive and Δt_since an op word carries. Bits 38 and 39 lift
+/// Δt_alive and Δt_since to within ~35 minutes either side of 2^42 µs.
+fn fields(word: u64, id_span: u32) -> (NodeId, SimDuration, SimDuration) {
+    let node = NodeId((word >> 8) as u32 % id_span);
+    let near_limit = |bit: u64| SimDuration((word >> bit & 1) * (SLOT_LIMIT - 2_000_000_000));
+    let alive = SimDuration::from_secs(word >> 16 & 0xfff) + near_limit(38);
+    let since = SimDuration::from_secs(word >> 28 & 0x3ff) + near_limit(39);
+    (node, alive, since)
+}
+
+fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A digest of 1–4 drawn entries (60–187 when bit 5 is set), and when bit
+/// 7 is set two more piggybacked off the caches, merged into both caches
+/// with one id skipped; the model takes the entries one by one.
+fn hear_digest(
+    caches: &mut [NodeCache; 2],
+    model: &mut Model,
+    now: SimTime,
+    word: u64,
+    id_span: u32,
+) -> Result<(), String> {
+    let count = if word >> 5 & 1 == 1 {
+        60 + (word >> 6 & 0x7f)
+    } else {
+        1 + (word >> 3 & 3)
+    };
+    let (mut digest, mut heard) = (Digest::default(), Vec::new());
+    for i in 0..count {
+        let w = mix64(word ^ i);
+        let (node, alive, since) = fields(w, id_span);
+        let info = if w & 1 == 0 {
+            LivenessInfo::alive(alive, since)
+        } else {
+            LivenessInfo::death(since)
+        };
+        digest.push(node, info);
+        heard.push((node, info));
+    }
+    for i in 0..(word >> 7 & 1) * 2 {
+        let peer = fields(mix64(!word ^ i), id_span).0;
+        let want: Vec<_> = model
+            .get(&peer)
+            .map(|e| (peer, e.piggyback(now)))
+            .into_iter()
+            .collect();
+        for cache in caches.iter() {
+            let mut own = Digest::default();
+            prop_assert_eq!(cache.piggyback_into(peer, now, &mut own), !want.is_empty());
+            prop_assert_eq!(own.entries().collect::<Vec<_>>(), want.clone());
+        }
+        caches[0].piggyback_into(peer, now, &mut digest);
+        heard.extend(want);
+    }
+    prop_assert_eq!(digest.entries().collect::<Vec<_>>(), heard.clone());
+    let skip = fields(mix64(word.rotate_left(32)), id_span).0;
+    for cache in caches.iter_mut() {
+        cache.hear_digest(&digest, skip, now);
+    }
+    for (node, info) in heard {
+        if node != skip {
+            model_hear_indirect(model, node, info, now);
+        }
     }
     Ok(())
 }

@@ -7,9 +7,9 @@
 //! reordered RNG draw, a changed peer sample or a lost update fails here,
 //! by name, before it surfaces as a golden diff three crates away.
 //!
-//! The fork tests are the property ROADMAP item 1(a) stands on: a cloned
-//! warmed layer, advanced with a cloned RNG, is indistinguishable from the
-//! original.
+//! The fork tests are the property the warmed-world checkpoint stands on:
+//! a cloned warmed layer, advanced with a cloned RNG, is indistinguishable
+//! from the original.
 
 use membership::{
     GossipConfig, GossipSim, MembershipConfig, MembershipLayer, NodeCache, SampledConfig,
