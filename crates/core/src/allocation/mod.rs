@@ -108,11 +108,6 @@ pub fn p_simrep(k: usize, p: f64) -> f64 {
     1.0 - (1.0 - p).powi(k as i32)
 }
 
-/// CurMix's delivery probability: the single path succeeds.
-pub fn p_curmix(p: f64) -> f64 {
-    p
-}
-
 /// The smallest admissible `k` (multiple of `r`, within `k_max`) that
 /// maximizes `P(k)`; ties go to the smaller `k` (cheaper construction).
 pub fn optimal_k(r: usize, p: f64, k_max: usize) -> usize {

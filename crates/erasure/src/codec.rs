@@ -99,11 +99,6 @@ impl ErasureCodec {
     pub fn from_replication_factor(m: usize, r: usize) -> Result<Self, ErasureError> {
         Self::new(m, m * r)
     }
-
-    /// Access the underlying shard-level code.
-    pub fn reed_solomon(&self) -> &ReedSolomon {
-        &self.rs
-    }
 }
 
 impl Codec for ErasureCodec {

@@ -63,11 +63,6 @@ impl ReedSolomon {
         self.n
     }
 
-    /// Parity shards produced (`n - m`).
-    pub fn parity_shards(&self) -> usize {
-        self.n - self.m
-    }
-
     /// Borrow the systematic generator matrix (top `m` rows are identity).
     pub fn generator(&self) -> &Matrix {
         &self.generator

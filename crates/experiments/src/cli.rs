@@ -30,7 +30,6 @@ pub struct Args {
     pub seed: Option<u64>,
     pub out: Option<String>,
     pub trials: Option<usize>,
-    pub rounds: Option<u64>,
     pub flows: Option<usize>,
     /// `--n A,B,...`: explicit scale grid.
     pub n: Option<Vec<usize>>,
@@ -92,7 +91,6 @@ fn apply(args: &mut Args, flag: &str, value: Option<&str>) -> Option<()> {
         "--seed" => args.seed = Some(num(value)?),
         "--out" => args.out = Some(value?.to_string()),
         "--trials" => args.trials = Some(num(value)?),
-        "--rounds" => args.rounds = Some(num(value)?),
         "--flows" => args.flows = Some(num(value)?),
         "--n" => {
             let grid: Option<Vec<usize>> =
@@ -161,8 +159,7 @@ mod tests {
     }
 
     /// `Some(edit)` = parses to `Args::new()` with `edit` applied; `None`
-    /// = usage error. At the parent commit every `None` row ran with
-    /// defaults.
+    /// = usage error, which `main` turns into exit code 2.
     #[test]
     fn argv_table() {
         let reexec = crate::cmd::scale::single_argv(50_000, 500, 42, Some(256)).join(" ");
@@ -181,10 +178,7 @@ mod tests {
                 "attack --seed=7 --trials 10",
                 Some(|a| (a.seed, a.trials) = (Some(7), Some(10))),
             ),
-            (
-                "chaos_soak --rounds 50 --out x",
-                Some(|a| (a.rounds, a.out) = (Some(50), Some("x".into()))),
-            ),
+            ("trilemma --out x", Some(|a| a.out = Some("x".into()))),
             (
                 "scale --n 1000,50000",
                 Some(|a| a.n = Some(vec![1000, 50000])),
@@ -220,6 +214,11 @@ mod tests {
             ("tab1 scenarios/", None),
             ("scenario --bless", None),
             ("tab9", None),
+            // Retired: the soak is the transport crate's `chaos_soak`
+            // test, and `--rounds` was its round count.
+            ("chaos_soak --quick --seed 42", None),
+            ("chaos_soak --rounds 50", None),
+            ("scale --rounds 50", None),
             ("", None),
             // Only `experiments --help` is help.
             ("tab1 --help", None),
@@ -247,13 +246,18 @@ mod tests {
     /// Every command rejects a mistyped flag and is in the listing.
     #[test]
     fn every_command_rejects_a_typo_and_is_listed() {
-        assert_eq!(cmd::COMMANDS.len(), 20);
+        assert_eq!(cmd::COMMANDS.len(), 19);
         for c in cmd::COMMANDS {
             assert!(parse(&argv(&format!("{} --sead 1", c.name))).is_err());
             assert!(help().contains(&format!("\n  {} ", c.name)), "{}", c.name);
         }
-        // Retired with the Criterion harness; `main` exits 2 on any `Err`.
-        let retired = parse(&argv("perf")).unwrap_err();
-        assert!(retired.starts_with("experiments: unknown command perf\n"));
+        // Retired: `perf` with the Criterion harness, `chaos_soak` (and
+        // its `--rounds`) into the transport crate's soak test. `main`
+        // exits 2 on any `Err`.
+        for name in ["perf", "chaos_soak"] {
+            let retired = parse(&argv(name)).unwrap_err();
+            assert!(retired.starts_with(&format!("experiments: unknown command {name}\n")));
+        }
+        assert!(cmd::COMMANDS.iter().all(|c| !c.accepts("--rounds")));
     }
 }

@@ -11,7 +11,6 @@ use std::process::ExitCode;
 
 mod all;
 mod attack;
-mod chaos_soak;
 mod eq4;
 mod extensions;
 mod fig1;
@@ -71,7 +70,6 @@ pub const COMMANDS: &[Command] = &[
     Command { name: "attack", run: attack::run, usage: "[--quick] [--threads N] [--seed S] [--trials N]" },
     Command { name: "trilemma", run: trilemma::run, usage: "[--quick] [--threads N] [--out FILE]" },
     Command { name: "scenario", run: scenario::run, usage: "[--bless] [--threads N] <file|dir>..." },
-    Command { name: "chaos_soak", run: chaos_soak::run, usage: "[--quick] [--rounds N] [--seed S] [--out FILE]" },
     Command { name: "scale", run: scale::run, usage: "[--quick] [--n A,B,...] [--flows K] [--seed S] [--single N] [--max-rss-mb M] [--out FILE]" },
     Command { name: "all", run: all::run, usage: "[--quick] [--threads N] [--telemetry]" },
 ];
@@ -167,6 +165,6 @@ mod tests {
     #[test]
     fn the_suite_stops_before_the_harnesses() {
         let rest: Vec<&str> = COMMANDS[SUITE..].iter().map(|c| c.name).collect();
-        assert_eq!(rest, ["trilemma", "scenario", "chaos_soak", "scale", "all"]);
+        assert_eq!(rest, ["trilemma", "scenario", "scale", "all"]);
     }
 }

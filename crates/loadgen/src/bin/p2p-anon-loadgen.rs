@@ -50,7 +50,7 @@ struct Args {
     warmup_secs: f64,
     measure_secs: f64,
     drain_secs: f64,
-    ack_timeout_ms: u64,
+    ack_timeout_us: u64,
     seed: u64,
     out: Option<String>,
 }
@@ -85,7 +85,7 @@ fn parse_args() -> Args {
         warmup_secs: 2.0,
         measure_secs: 10.0,
         drain_secs: 2.0,
-        ack_timeout_ms: 2_000,
+        ack_timeout_us: 2_000_000,
         seed: 0,
         out: None,
     };
@@ -114,7 +114,10 @@ fn parse_args() -> Args {
             "--warmup-secs" => args.warmup_secs = value().parse().unwrap_or_else(|_| usage()),
             "--measure-secs" => args.measure_secs = value().parse().unwrap_or_else(|_| usage()),
             "--drain-secs" => args.drain_secs = value().parse().unwrap_or_else(|_| usage()),
-            "--ack-timeout-ms" => args.ack_timeout_ms = value().parse().unwrap_or_else(|_| usage()),
+            "--ack-timeout-ms" => {
+                let ms = value().parse::<u64>().unwrap_or_else(|_| usage());
+                args.ack_timeout_us = ms.checked_mul(1_000).unwrap_or_else(|| usage());
+            }
             "--seed" => args.seed = value().parse().unwrap_or_else(|_| usage()),
             "--out" => args.out = Some(value()),
             _ => usage(),
@@ -299,7 +302,7 @@ fn run_workload(args: &Args, roster: &Roster, relays: usize) -> Result<Summary, 
     // loadgen only overrides the protocol-level ack deadline so heavy
     // closed-loop backlogs do not masquerade as losses.
     let mut policy = roster.policy;
-    policy.ack_timeout_us = args.ack_timeout_ms * 1_000;
+    policy.ack_timeout_us = args.ack_timeout_us;
     let transport = EventedTransport::bind(args.id, roster.clone()).map_err(|e| e.to_string())?;
     let node = ProtocolNode::new(args.id, roster.keypair(args.id), args.seed ^ 0x6e6e)
         .with_policy(&policy)

@@ -9,7 +9,7 @@
 //! properties the experiments depend on — heterogeneous, roughly
 //! triangle-inequality-respecting delays of realistic magnitude.
 //!
-//! Two backends implement the [`LatencyModel`] trait:
+//! Two backends:
 //!
 //! * [`LatencyMatrix`] — the historical dense `n x n` matrix. O(N²)
 //!   memory, one `Vec` index per query. Every committed experiment result
@@ -43,60 +43,6 @@ const LOOPBACK_US: u32 = 50;
 /// square: `(2 + √2 + 5·asinh(1)) / 15`. Lets the procedural backend
 /// calibrate its mean RTT analytically instead of summing N² pairs.
 const MEAN_UNIT_DIST: f64 = 0.521_405_433_164_720_7;
-
-/// A pluggable pairwise one-way-delay model.
-///
-/// Everything the trajectory-level world needs from "the network" is the
-/// one-way delay between two nodes; implementations are free to store a
-/// dense matrix, recompute procedurally, or anything in between. All
-/// implementations must be deterministic: the same instance always
-/// returns the same delay for the same pair.
-pub trait LatencyModel {
-    /// Number of nodes the model covers.
-    fn len(&self) -> usize;
-
-    /// Whether the model covers zero nodes.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// One-way delay from `a` to `b`.
-    fn owd(&self, a: NodeId, b: NodeId) -> SimDuration;
-
-    /// Round-trip time between `a` and `b`.
-    fn rtt(&self, a: NodeId, b: NodeId) -> SimDuration {
-        self.owd(a, b) + self.owd(b, a)
-    }
-
-    /// Estimate the mean RTT in milliseconds from a deterministic sample
-    /// of at most `max_pairs` ordered pairs (distinct-node pairs only).
-    ///
-    /// For a dense matrix this can be exact; the default implementation
-    /// walks a fixed low-discrepancy pair sequence so the estimate is
-    /// reproducible and O(`max_pairs`) regardless of N.
-    fn mean_rtt_ms_sampled(&self, max_pairs: usize) -> f64 {
-        let n = self.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mut sum = 0u64;
-        let mut count = 0u64;
-        let mut state = 0x2545F4914F6CDD1Du64;
-        while (count as usize) < max_pairs {
-            state = hash2(state, count, 0);
-            let a = (state % n as u64) as u32;
-            let b = ((state >> 32) % n as u64) as u32;
-            if a == b {
-                state = state.wrapping_add(1);
-                continue;
-            }
-            sum += self.owd(NodeId(a), NodeId(b)).0;
-            count += 1;
-        }
-        // Mean RTT = 2 * mean OWD over ordered pairs.
-        2.0 * (sum as f64 / count as f64) / 1000.0
-    }
-}
 
 /// Dense `n x n` one-way-delay matrix (microseconds).
 #[derive(Clone)]
@@ -265,22 +211,6 @@ impl LatencyMatrix {
     }
 }
 
-impl LatencyModel for LatencyMatrix {
-    fn len(&self) -> usize {
-        LatencyMatrix::len(self)
-    }
-
-    fn owd(&self, a: NodeId, b: NodeId) -> SimDuration {
-        LatencyMatrix::owd(self, a, b)
-    }
-
-    fn mean_rtt_ms_sampled(&self, _max_pairs: usize) -> f64 {
-        // The matrix is already resident: the exact mean is as cheap as a
-        // sample and has no estimator noise.
-        self.mean_rtt_ms()
-    }
-}
-
 /// One source node's row of a [`LatencyMatrix`]: see [`LatencyMatrix::row`].
 #[derive(Clone, Copy)]
 pub struct LatencyRow<'a> {
@@ -331,7 +261,7 @@ fn unit_f64(h: u64) -> f64 {
 /// N = 1000) rather than hitting it exactly per-instance.
 ///
 /// ```
-/// use simnet::{LatencyModel, NodeId, ProceduralLatency};
+/// use simnet::{NodeId, ProceduralLatency};
 ///
 /// let m = ProceduralLatency::new(1_000_000, 152.0, 42);
 /// let d = m.owd(NodeId(3), NodeId(999_999));
@@ -406,15 +336,32 @@ impl ProceduralLatency {
     pub fn rtt(&self, a: NodeId, b: NodeId) -> SimDuration {
         self.owd(a, b) + self.owd(b, a)
     }
-}
 
-impl LatencyModel for ProceduralLatency {
-    fn len(&self) -> usize {
-        ProceduralLatency::len(self)
-    }
-
-    fn owd(&self, a: NodeId, b: NodeId) -> SimDuration {
-        ProceduralLatency::owd(self, a, b)
+    /// Estimate the mean RTT in milliseconds from a deterministic sample
+    /// of at most `max_pairs` ordered pairs of distinct nodes: a fixed
+    /// hash-driven pair sequence, so the estimate is reproducible and
+    /// O(`max_pairs`) regardless of N.
+    pub fn mean_rtt_ms_sampled(&self, max_pairs: usize) -> f64 {
+        let n = self.n;
+        if n < 2 {
+            return 0.0;
+        }
+        let mut sum = 0u64;
+        let mut count = 0u64;
+        let mut state = 0x2545F4914F6CDD1Du64;
+        while (count as usize) < max_pairs {
+            state = hash2(state, count, 0);
+            let a = (state % n as u64) as u32;
+            let b = ((state >> 32) % n as u64) as u32;
+            if a == b {
+                state = state.wrapping_add(1);
+                continue;
+            }
+            sum += self.owd(NodeId(a), NodeId(b)).0;
+            count += 1;
+        }
+        // Mean RTT = 2 * mean OWD over ordered pairs.
+        2.0 * (sum as f64 / count as f64) / 1000.0
     }
 }
 
@@ -460,6 +407,15 @@ impl Latency {
         self.owd(a, b) + self.owd(b, a)
     }
 
+    /// Mean RTT in milliseconds: exact on the resident matrix, sampled
+    /// over at most `max_pairs` pairs on the procedural backend.
+    pub fn mean_rtt_ms_sampled(&self, max_pairs: usize) -> f64 {
+        match self {
+            Latency::Matrix(m) => m.mean_rtt_ms(),
+            Latency::Procedural(p) => p.mean_rtt_ms_sampled(max_pairs),
+        }
+    }
+
     /// The dense matrix, if that is the backend. The engine-level driver
     /// and its equivalence tests run at paper scale where the matrix is
     /// the (byte-identical) backend; they share it through this accessor.
@@ -475,23 +431,6 @@ impl Latency {
         match self {
             Latency::Matrix(_) => "matrix",
             Latency::Procedural(_) => "procedural",
-        }
-    }
-}
-
-impl LatencyModel for Latency {
-    fn len(&self) -> usize {
-        Latency::len(self)
-    }
-
-    fn owd(&self, a: NodeId, b: NodeId) -> SimDuration {
-        Latency::owd(self, a, b)
-    }
-
-    fn mean_rtt_ms_sampled(&self, max_pairs: usize) -> f64 {
-        match self {
-            Latency::Matrix(m) => m.mean_rtt_ms(),
-            Latency::Procedural(p) => p.mean_rtt_ms_sampled(max_pairs),
         }
     }
 }
@@ -610,18 +549,10 @@ mod tests {
     }
 
     #[test]
-    fn trait_defaults_match_inherent_methods() {
-        fn generic_rtt<M: LatencyModel>(m: &M, a: NodeId, b: NodeId) -> SimDuration {
-            m.rtt(a, b)
-        }
-        let p = ProceduralLatency::new(64, 100.0, 9);
-        assert_eq!(
-            generic_rtt(&p, NodeId(3), NodeId(4)),
-            p.rtt(NodeId(3), NodeId(4))
-        );
+    fn sampled_mean_is_exact_on_the_matrix() {
         let m = LatencyMatrix::uniform(4, SimDuration::from_millis(5));
         assert_eq!(
-            LatencyModel::mean_rtt_ms_sampled(&m, 10),
+            Latency::Matrix(Arc::new(m.clone())).mean_rtt_ms_sampled(10),
             m.mean_rtt_ms(),
             "matrix reports its exact mean"
         );

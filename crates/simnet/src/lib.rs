@@ -15,8 +15,8 @@
 //!   times, with cancellation handles.
 //! * [`sched`] — the engine's event queue: a calendar queue popping in
 //!   total `(time, seq)` order.
-//! * [`latency`] — pluggable pairwise one-way-delay models behind the
-//!   [`LatencyModel`] trait, calibrated to a target average RTT (the
+//! * [`latency`] — pairwise one-way-delay models behind the [`Latency`]
+//!   enum, calibrated to a target average RTT (the
 //!   paper's network averages 152 ms RTT): the dense synthetic matrix
 //!   (≤ ~10k nodes, byte-identical to every committed result) and the
 //!   O(1)-memory procedural backend that scales to 1M nodes.
@@ -50,7 +50,7 @@ pub use churn::{ChurnEvent, ChurnSchedule, LifetimeDistribution, Session};
 pub use engine::{Engine, EventHandle};
 pub use fault::{FaultConfig, FaultPlan};
 pub use instrument::EngineTelemetry;
-pub use latency::{Latency, LatencyMatrix, LatencyModel, LatencyRow, ProceduralLatency};
+pub use latency::{Latency, LatencyMatrix, LatencyRow, ProceduralLatency};
 pub use node::NodeId;
 pub use sched::CalendarQueue;
 pub use time::{SimDuration, SimTime};

@@ -210,11 +210,6 @@ impl TopologyGraph {
         self.adj.is_empty()
     }
 
-    /// Neighbors of node `i`.
-    pub fn neighbors(&self, i: usize) -> &[u32] {
-        &self.adj[i]
-    }
-
     /// Degree of node `i`.
     pub fn degree(&self, i: usize) -> usize {
         self.adj[i].len()

@@ -345,7 +345,7 @@ proptest! {
     /// jitter tolerance.
     #[test]
     fn procedural_mean_matches_matrix_calibration(seed in any::<u64>(), n in 64usize..512) {
-        use simnet::{Latency, LatencyModel, ProceduralLatency};
+        use simnet::{Latency, ProceduralLatency};
         let target = 152.0;
         let mut rng = StdRng::seed_from_u64(seed);
         let dense = LatencyMatrix::synthetic(n, target, &mut rng);

@@ -49,11 +49,11 @@ struct Args {
     paths: Vec<Vec<NodeId>>,
     responder: Option<NodeId>,
     codec: (usize, usize),
-    ack_timeout_ms: Option<u64>,
+    ack_timeout_us: Option<u64>,
     max_retries: Option<u32>,
     chaos: Option<String>,
     chaos_seed: u64,
-    run_secs: Option<u64>,
+    run_us: Option<u64>,
     seed: u64,
     stats_addr: Option<String>,
     quiet: bool,
@@ -75,6 +75,13 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// `value` parsed as a whole count of some unit, times `per_unit`
+/// microseconds; a value that does not parse or would overflow exits 2.
+fn scaled(value: &str, per_unit: u64) -> u64 {
+    let n = value.parse::<u64>().unwrap_or_else(|_| usage());
+    n.checked_mul(per_unit).unwrap_or_else(|| usage())
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         config: String::new(),
@@ -83,11 +90,11 @@ fn parse_args() -> Args {
         paths: Vec::new(),
         responder: None,
         codec: (2, 4),
-        ack_timeout_ms: None,
+        ack_timeout_us: None,
         max_retries: None,
         chaos: None,
         chaos_seed: 0,
-        run_secs: None,
+        run_us: None,
         seed: 0,
         stats_addr: None,
         quiet: false,
@@ -125,13 +132,11 @@ fn parse_args() -> Args {
                     n.trim().parse().unwrap_or_else(|_| usage()),
                 );
             }
-            "--ack-timeout-ms" => {
-                args.ack_timeout_ms = Some(value().parse().unwrap_or_else(|_| usage()))
-            }
+            "--ack-timeout-ms" => args.ack_timeout_us = Some(scaled(&value(), 1_000)),
             "--max-retries" => args.max_retries = Some(value().parse().unwrap_or_else(|_| usage())),
             "--chaos" => args.chaos = Some(value()),
             "--chaos-seed" => args.chaos_seed = value().parse().unwrap_or_else(|_| usage()),
-            "--run-secs" => args.run_secs = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--run-secs" => args.run_us = Some(scaled(&value(), 1_000_000)),
             "--seed" => args.seed = value().parse().unwrap_or_else(|_| usage()),
             "--stats-addr" => args.stats_addr = Some(value()),
             "--quiet" => args.quiet = true,
@@ -172,8 +177,8 @@ fn main() -> ExitCode {
     };
     // The roster's [policy] section is the baseline; CLI flags override.
     let mut policy = roster.policy;
-    if let Some(ms) = args.ack_timeout_ms {
-        policy.ack_timeout_us = ms * 1_000;
+    if let Some(us) = args.ack_timeout_us {
+        policy.ack_timeout_us = us;
     }
     if let Some(retries) = args.max_retries {
         policy.max_retries = retries;
@@ -264,7 +269,7 @@ fn run_role<T: Transport>(
 /// time formatting stdout); `READY` still prints.
 fn run_passive<T: Transport>(mut rt: Runtime<T>, args: &Args) -> ExitCode {
     let id = args.id;
-    let deadline = args.run_secs.map(|s| s * 1_000_000).unwrap_or(u64::MAX);
+    let deadline = args.run_us.unwrap_or(u64::MAX);
     while rt.transport.now_us() < deadline {
         rt.poll_once(100_000);
         // Narrate, then drop every log: nothing else reads them, and a

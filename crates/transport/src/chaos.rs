@@ -90,7 +90,10 @@ impl ChaosConfig {
 
     /// Parse a compact `key=value,key=value` spec (the `--chaos` CLI
     /// surface): `drop`, `delay` (probability), `delay_max_ms`,
-    /// `corrupt`, `resets_per_hour`, `reset_window_ms`.
+    /// `corrupt`, `resets_per_hour`, `reset_window_ms`. Probabilities lie
+    /// in `[0, 1]`, the reset rate is finite and non-negative, and a
+    /// millisecond value must fit in microseconds; anything else is an
+    /// error, never a panic or a wrapped value.
     ///
     /// ```
     /// let c = transport::ChaosConfig::from_spec("drop=0.05,delay=0.2,delay_max_ms=150").unwrap();
@@ -105,17 +108,20 @@ impl ChaosConfig {
                 .ok_or_else(|| format!("chaos spec `{part}`: expected key=value"))?;
             let (key, value) = (key.trim(), value.trim());
             let bad = || format!("chaos spec `{key}`: bad value `{value}`");
+            let rate =
+                |ok: fn(f64) -> bool| value.parse::<f64>().ok().filter(|&v| ok(v)).ok_or_else(bad);
+            let prob = || rate(|p| (0.0..=1.0).contains(&p));
+            let micros = || {
+                let ms = value.parse::<u64>().ok();
+                ms.and_then(|ms| ms.checked_mul(1_000)).ok_or_else(bad)
+            };
             match key {
-                "drop" => cfg.drop_prob = value.parse().map_err(|_| bad())?,
-                "delay" => cfg.delay_prob = value.parse().map_err(|_| bad())?,
-                "delay_max_ms" => {
-                    cfg.delay_max_us = value.parse::<u64>().map_err(|_| bad())? * 1_000;
-                }
-                "corrupt" => cfg.corrupt_prob = value.parse().map_err(|_| bad())?,
-                "resets_per_hour" => cfg.resets_per_hour = value.parse().map_err(|_| bad())?,
-                "reset_window_ms" => {
-                    cfg.reset_window_us = value.parse::<u64>().map_err(|_| bad())? * 1_000;
-                }
+                "drop" => cfg.drop_prob = prob()?,
+                "delay" => cfg.delay_prob = prob()?,
+                "delay_max_ms" => cfg.delay_max_us = micros()?,
+                "corrupt" => cfg.corrupt_prob = prob()?,
+                "resets_per_hour" => cfg.resets_per_hour = rate(|r| r.is_finite() && r >= 0.0)?,
+                "reset_window_ms" => cfg.reset_window_us = micros()?,
                 other => return Err(format!("chaos spec: unknown key `{other}`")),
             }
         }
@@ -544,5 +550,31 @@ mod tests {
         assert!(ChaosConfig::from_spec("bogus=1").is_err());
         assert!(ChaosConfig::from_spec("slow=3").is_err());
         assert!(ChaosConfig::from_spec("drop").is_err());
+    }
+
+    #[test]
+    fn spec_parser_rejects_out_of_range_values() {
+        // The largest millisecond count that still fits in microseconds.
+        let max_ms = u64::MAX / 1_000;
+        let c = ChaosConfig::from_spec(&format!("delay_max_ms={max_ms}")).unwrap();
+        assert_eq!(c.delay_max_us, max_ms * 1_000);
+        for spec in [
+            // One past it would overflow the conversion.
+            format!("delay_max_ms={}", max_ms + 1),
+            format!("reset_window_ms={}", max_ms + 1),
+            "drop=nan".into(),
+            "delay=inf".into(),
+            "corrupt=-0.1".into(),
+            "drop=1.5".into(),
+            // A NaN rate would put every frame inside a reset window.
+            "resets_per_hour=nan".into(),
+            "resets_per_hour=inf".into(),
+            "resets_per_hour=-1".into(),
+        ] {
+            let err = ChaosConfig::from_spec(&spec).unwrap_err();
+            assert!(err.contains("bad value"), "{spec}: {err}");
+        }
+        let edges = ChaosConfig::from_spec("drop=0,corrupt=1,resets_per_hour=0").unwrap();
+        assert_eq!((edges.drop_prob, edges.corrupt_prob), (0.0, 1.0));
     }
 }
