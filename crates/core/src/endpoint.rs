@@ -11,13 +11,13 @@
 
 use crate::ids::{MessageId, StreamId};
 use crate::onion::{
-    build_construction_onion, build_payload_onion, build_reverse_payload,
+    build_construction_onion_sealing, build_payload_onion, build_reverse_payload,
     peel_reverse_payload_in_place, PathPlan,
 };
 use crate::AnonError;
 use erasure::{Codec, Segment};
 use rand::{CryptoRng, Rng};
-use sim_crypto::{PublicKey, SymmetricKey};
+use sim_crypto::{seal, seal_to_table, PublicKey, RecipientTable, SymmetricKey};
 use simnet::{NodeId, SimDuration, SimTime};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -103,6 +103,84 @@ impl SentMessage {
     }
 }
 
+/// How many recipients an initiator remembers for [`RecipientTables`]: 64
+/// holds every key a `chain_construct` run seals to (13) and the most used
+/// of a heavy `sim_recovery` call's (32 of its 84 keys take 1 300 of its
+/// 1 728 seals), and bounds the tables at 64 × 7.7 KB ≈ 0.5 MB per
+/// initiator.
+const MAX_RECIPIENTS: usize = 64;
+
+/// What the initiator knows of one recipient's comb table.
+enum Comb {
+    /// Sealed to once, by the ladder; the next seal builds the table.
+    /// Building on first use would cost a set-up that seals each key once
+    /// (a chain's relays, the live node's) ~1.6 ladders per key for a
+    /// table it never uses.
+    NotYet,
+    /// The table: later seals run its comb, about half a ladder.
+    Built(Box<RecipientTable>),
+    /// The key has no table (u = −1, or a u on the twist): the ladder.
+    Ladder,
+}
+
+/// One remembered recipient.
+struct Recipient {
+    key: PublicKey,
+    /// The `clock` of its last seal.
+    last_use: u64,
+    comb: Comb,
+}
+
+/// The recipients this initiator seals construction layers to, least
+/// recently used evicted past [`MAX_RECIPIENTS`]: biased choice keeps
+/// drawing the same long-lived relays, so a key's second seal builds its
+/// comb table and every later one runs the comb instead of the ladder.
+/// The boxes are the bytes [`seal`] gives from the same RNG draws. Which
+/// of the two runs depends on public facts only: whether this key was
+/// sealed to before, and whether it has a table.
+#[derive(Default)]
+struct RecipientTables {
+    recipients: Vec<Recipient>,
+    clock: u64,
+}
+
+impl RecipientTables {
+    /// Seal `plaintext` to `key`, as [`seal`] would.
+    fn seal<R: Rng + CryptoRng>(
+        &mut self,
+        key: &PublicKey,
+        plaintext: &[u8],
+        rng: &mut R,
+    ) -> Vec<u8> {
+        self.clock += 1;
+        let Some(recipient) = self.recipients.iter_mut().find(|r| r.key == *key) else {
+            if self.recipients.len() == MAX_RECIPIENTS {
+                let lru = (0..self.recipients.len()).min_by_key(|&i| self.recipients[i].last_use);
+                if let Some(lru) = lru {
+                    self.recipients.swap_remove(lru);
+                }
+            }
+            self.recipients.push(Recipient {
+                key: *key,
+                last_use: self.clock,
+                comb: Comb::NotYet,
+            });
+            return seal(key, plaintext, rng);
+        };
+        recipient.last_use = self.clock;
+        if let Comb::NotYet = recipient.comb {
+            recipient.comb = match RecipientTable::new(&key.0) {
+                Some(table) => Comb::Built(Box::new(table)),
+                None => Comb::Ladder,
+            };
+        }
+        match &recipient.comb {
+            Comb::Built(table) => seal_to_table(table, plaintext, rng),
+            Comb::NotYet | Comb::Ladder => seal(key, plaintext, rng),
+        }
+    }
+}
+
 /// The initiator: builds paths, codes messages, sends segments, books
 /// their acks, decodes replies. It owns all sender-side state; its callers
 /// own time — when to [`resend`](Self::resend), and over which paths.
@@ -116,6 +194,8 @@ pub struct Initiator {
     /// The ledger: one record per message sent and not yet swept.
     sent: HashMap<MessageId, SentMessage>,
     reassembler: Reassembler,
+    /// Comb tables of the relays it keeps sealing construction layers to.
+    tables: RecipientTables,
 }
 
 impl Initiator {
@@ -128,6 +208,7 @@ impl Initiator {
             established: 0,
             sent: HashMap::new(),
             reassembler: Reassembler::new(),
+            tables: RecipientTables::default(),
         }
     }
 
@@ -161,7 +242,9 @@ impl Initiator {
     ) -> Vec<Outgoing> {
         let mut out = Vec::with_capacity(paths_hops.len());
         for hops in paths_hops {
-            let (plan, blob) = build_construction_onion(hops, rng);
+            let (plan, blob) = build_construction_onion_sealing(hops, rng, |key, layer, rng| {
+                self.tables.seal(key, layer, rng)
+            });
             let sid = StreamId::generate(rng);
             out.push(Outgoing {
                 to: plan.first_hop(),
@@ -636,8 +719,80 @@ mod tests {
     use erasure::{ErasureCodec, ReplicationCodec};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use std::collections::{BTreeMap, BTreeSet};
+
+    /// Whether the initiator remembers `key`, and then whether it has
+    /// built its table.
+    fn table_built(initiator: &Initiator, key: &PublicKey) -> Option<bool> {
+        let recipients = &initiator.tables.recipients;
+        let recipient = recipients.iter().find(|r| r.key == *key)?;
+        Some(matches!(recipient.comb, Comb::Built(_)))
+    }
+
+    #[test]
+    fn a_keys_second_seal_builds_its_table_and_the_least_recent_is_evicted() {
+        let mut rng = StdRng::seed_from_u64(40);
+        let keys: Vec<(NodeId, PublicKey)> = (0..100)
+            .map(|n| (NodeId(n), sim_crypto::KeyPair::generate(&mut rng).public))
+            .collect();
+        let mut initiator = Initiator::new(NodeId(1_000));
+        // A one-hop path seals one layer, to its responder.
+        let mut seal_to = |initiator: &mut Initiator, at: usize| {
+            initiator.construct_paths(&[vec![keys[at]]], &mut rng);
+            assert!(initiator.tables.recipients.len() <= MAX_RECIPIENTS);
+        };
+
+        seal_to(&mut initiator, 0);
+        assert_eq!(table_built(&initiator, &keys[0].1), Some(false));
+        seal_to(&mut initiator, 0);
+        assert_eq!(table_built(&initiator, &keys[0].1), Some(true));
+
+        for at in 1..MAX_RECIPIENTS {
+            seal_to(&mut initiator, at);
+        }
+        assert_eq!(initiator.tables.recipients.len(), MAX_RECIPIENTS);
+        // Key 0 is used again, so key 1 is now the least recent: the 65th
+        // key evicts it and keeps key 0 with its table.
+        seal_to(&mut initiator, 0);
+        seal_to(&mut initiator, MAX_RECIPIENTS);
+        assert_eq!(table_built(&initiator, &keys[1].1), None);
+        assert_eq!(table_built(&initiator, &keys[0].1), Some(true));
+        assert_eq!(table_built(&initiator, &keys[2].1), Some(false));
+
+        for at in MAX_RECIPIENTS + 1..100 {
+            seal_to(&mut initiator, at);
+        }
+        assert_eq!(initiator.tables.recipients.len(), MAX_RECIPIENTS);
+        assert_eq!(table_built(&initiator, &keys[99].1), Some(false));
+    }
+
+    #[test]
+    fn constructions_through_tables_are_the_plain_onions() {
+        // Four rounds over the same relays: the first seals by the ladder,
+        // the second builds tables, the rest run combs. Every blob, session
+        // key and stream id is what the table-free builder gives from the
+        // same RNG state, and both drew the same bytes.
+        let paths = hop_lists(&[&[1, 2, 3, 9], &[4, 5, 6, 9], &[7, 8, 2, 9]]);
+        let mut a = StdRng::seed_from_u64(41);
+        let mut b = a.clone();
+        let mut initiator = Initiator::new(NodeId(0));
+        for round in 0..4 {
+            let sent = initiator.construct_paths(&paths, &mut a);
+            for (hops, out) in paths.iter().zip(&sent) {
+                let (plan, blob) = crate::onion::build_construction_onion(hops, &mut b);
+                let sid = StreamId::generate(&mut b);
+                assert_eq!((out.sid, &out.blob), (sid, &blob), "round {round}");
+                let ours = &initiator.path(sid).expect("just built").plan;
+                assert_eq!(ours.session_keys, plan.session_keys, "round {round}");
+            }
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+        assert!(paths
+            .iter()
+            .flatten()
+            .all(|(_, key)| table_built(&initiator, key) == Some(true)));
+    }
 
     /// One hop list per entry of `paths` (node ids, responder last), keyed
     /// from a fixed stream of its own.

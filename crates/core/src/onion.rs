@@ -112,6 +112,17 @@ pub fn build_construction_onion<R: Rng + CryptoRng>(
     hop_keys: &[(NodeId, PublicKey)],
     rng: &mut R,
 ) -> (PathPlan, Vec<u8>) {
+    build_construction_onion_sealing(hop_keys, rng, seal)
+}
+
+/// [`build_construction_onion`], with each layer sealed by `seal_layer`:
+/// [`seal`] itself, or a sender's own way to the same bytes from the same
+/// RNG draws (the initiator's comb tables).
+pub(crate) fn build_construction_onion_sealing<R: Rng + CryptoRng>(
+    hop_keys: &[(NodeId, PublicKey)],
+    rng: &mut R,
+    mut seal_layer: impl FnMut(&PublicKey, &[u8], &mut R) -> Vec<u8>,
+) -> (PathPlan, Vec<u8>) {
     assert!(
         !hop_keys.is_empty(),
         "a path needs at least the responder hop"
@@ -126,7 +137,7 @@ pub fn build_construction_onion<R: Rng + CryptoRng>(
     let mut plaintext = Vec::with_capacity(33);
     plaintext.push(TAG_TERMINAL);
     plaintext.extend_from_slice(&session_keys[last].to_bytes());
-    let mut blob = seal(&hop_keys[last].1, &plaintext, rng);
+    let mut blob = seal_layer(&hop_keys[last].1, &plaintext, rng);
 
     // Wrap outwards: hop i learns hop i+1.
     for i in (0..last).rev() {
@@ -136,7 +147,7 @@ pub fn build_construction_onion<R: Rng + CryptoRng>(
         layer.extend_from_slice(&session_keys[i].to_bytes());
         layer.extend_from_slice(&(blob.len() as u32).to_be_bytes());
         layer.extend_from_slice(&blob);
-        blob = seal(&hop_keys[i].1, &layer, rng);
+        blob = seal_layer(&hop_keys[i].1, &layer, rng);
     }
 
     // Non-empty, by the assertion above: `PathPlan::responder` relies on it.

@@ -12,7 +12,8 @@
 //! * [`chacha20`] — RFC 8439 ChaCha20 stream cipher.
 //! * [`poly1305`] — RFC 8439 Poly1305 one-time authenticator.
 //! * [`x25519`] — RFC 7748 X25519 Diffie–Hellman over Curve25519, and a
-//!   fixed-base comb for public keys.
+//!   fixed-base comb for public keys and for the recipients a sender keeps
+//!   a [`RecipientTable`] of.
 //! * [`keys`] — key pairs, node identities, and the per-hop session key
 //!   that carries its derived cipher key.
 //! * [`sealed`] — hybrid public-key encryption ("sealed boxes"):
@@ -44,5 +45,6 @@ mod error;
 
 pub use error::CryptoError;
 pub use keys::{KeyPair, PublicKey, SecretKey, SymmetricKey};
-pub use sealed::{seal, unseal};
+pub use sealed::{seal, seal_to_table, unseal};
 pub use symmetric::{sym_decrypt_in_place, sym_encrypt_in_place};
+pub use x25519::RecipientTable;

@@ -7,7 +7,8 @@
 //! 1. draw a fresh ephemeral secret, as [`SecretKey::generate`] does,
 //! 2. compute its public key `eph_public = eph_secret · 9` (the
 //!    fixed-base comb) and `shared = X25519(eph_secret, recipient_public)`
-//!    (the ladder), both finished by one field inversion,
+//!    (the ladder, or the comb over the recipient's [`RecipientTable`]
+//!    when the sender keeps one), both finished by one field inversion,
 //! 3. derive encryption and MAC keys with
 //!    `HKDF(salt = eph_public || recipient_public, ikm = shared)`,
 //! 4. ChaCha20-encrypt, HMAC-tag (encrypt-then-MAC, 16-byte tag).
@@ -17,7 +18,7 @@
 use crate::chacha20;
 use crate::hmac::{ct_eq, hkdf, hmac_sha256};
 use crate::keys::{PublicKey, SecretKey};
-use crate::x25519;
+use crate::x25519::{self, RecipientTable};
 use crate::CryptoError;
 use rand::{CryptoRng, Rng};
 
@@ -55,9 +56,31 @@ fn derive_box_keys(
 /// assert_eq!(unseal(&kp.secret, &boxed).unwrap(), b"onion layer");
 /// ```
 pub fn seal<R: Rng + CryptoRng>(recipient: &PublicKey, plaintext: &[u8], rng: &mut R) -> Vec<u8> {
+    seal_by(recipient, None, plaintext, rng)
+}
+
+/// [`seal`] to the key `table` was built for, with its comb in place of
+/// the ladder: the same bytes from the same RNG draws, in about 0.6 of the
+/// time.
+pub fn seal_to_table<R: Rng + CryptoRng>(
+    table: &RecipientTable,
+    plaintext: &[u8],
+    rng: &mut R,
+) -> Vec<u8> {
+    seal_by(&PublicKey(*table.point()), Some(table), plaintext, rng)
+}
+
+/// The one body of [`seal`] and [`seal_to_table`]; `table`, when given,
+/// is `recipient`'s.
+fn seal_by<R: Rng + CryptoRng>(
+    recipient: &PublicKey,
+    table: Option<&RecipientTable>,
+    plaintext: &[u8],
+    rng: &mut R,
+) -> Vec<u8> {
     let mut eph = [0u8; 32];
     rng.fill_bytes(&mut eph);
-    let (eph_pub, shared) = x25519::public_key_and_x25519(&eph, &recipient.0);
+    let (eph_pub, shared) = x25519::public_key_and_x25519(&eph, &recipient.0, table);
     let (enc_key, mac_key) = derive_box_keys(&eph_pub, recipient, &shared);
 
     let mut out = Vec::with_capacity(plaintext.len() + OVERHEAD);
@@ -190,6 +213,36 @@ mod tests {
                 "recipient {i}"
             );
             // Both drew the same bytes and nothing else.
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn sealing_to_a_table_seals_the_same_bytes() {
+        // 256 random recipients and the low-order ones, each sealed to with
+        // and without its table from the same RNG state.
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        let order_8 = [
+            0xe0, 0xeb, 0x7a, 0x7c, 0x3b, 0x41, 0xb8, 0xae, 0x16, 0x56, 0xe3, 0xfa, 0xf1, 0x9f,
+            0xc4, 0x6a, 0xda, 0x09, 0x8d, 0xeb, 0x9c, 0x32, 0xb1, 0xfd, 0x86, 0x62, 0x05, 0x16,
+            0x5f, 0x49, 0xb8, 0x00,
+        ];
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut recipients: Vec<PublicKey> = (0..256)
+            .map(|_| KeyPair::generate(&mut rng).public)
+            .collect();
+        recipients.extend([[0u8; 32], one, order_8].map(PublicKey));
+        for (i, recipient) in recipients.iter().enumerate() {
+            let table = RecipientTable::new(&recipient.0).expect("on the curve");
+            let mut a = StdRng::seed_from_u64(i as u64);
+            let mut b = a.clone();
+            let plaintext = vec![i as u8; 41];
+            assert_eq!(
+                seal_to_table(&table, &plaintext, &mut a),
+                seal(recipient, &plaintext, &mut b),
+                "recipient {i}"
+            );
             assert_eq!(a.next_u64(), b.next_u64());
         }
     }

@@ -6,10 +6,12 @@
 //!
 //! * [`x25519`], by any u-coordinate, is the Montgomery ladder with
 //!   constant-time conditional swaps: 255 steps.
-//! * [`public_key`], by the base point u = 9, is ref10's fixed-base comb
-//!   (`ge_scalarmult_base`) on the birationally equivalent twisted Edwards
-//!   curve: 64 mixed additions and 4 doublings over a 30-KB table of
-//!   multiples of the base point, which the compiler builds.
+//! * `comb`, by a point with a table of its multiples, is ref10's
+//!   fixed-base comb (`ge_scalarmult_base`) on the birationally equivalent
+//!   twisted Edwards curve: 64 mixed additions and a few doublings.
+//!   [`public_key`] runs it on the base point u = 9, whose 32-row, 30-KB
+//!   table the compiler builds; a [`RecipientTable`] is an 8-row table of
+//!   another public key, built at run time by the same builder.
 //!
 //! Each ends in one field inversion. A sealed box needs both products of
 //! one ephemeral scalar, and `public_key_and_x25519` shares that
@@ -237,12 +239,10 @@ impl Fe {
         Fe::carry(self.0.map(|l| l as u128 * k))
     }
 
-    /// Inversion by Fermat's little theorem: self^(p-2).
-    ///
-    /// The exponent 2^255 - 21 is reached by the standard addition chain
-    /// (254 squarings, 11 multiplications); `zA_B` below is
-    /// self^(2^A - 2^B).
-    const fn invert(self) -> Fe {
+    /// `(self^(2^250 − 1), self^11)`: the common head of the inversion and
+    /// square-root exponents, by the standard addition chain; `zA_B` below
+    /// is self^(2^A − 2^B).
+    const fn pow_2_250_minus_1(self) -> (Fe, Fe) {
         let z2 = self.square();
         let z9 = z2.square_n(2).mul(self);
         let z11 = z9.mul(z2);
@@ -254,7 +254,54 @@ impl Fe {
         let z100_0 = z50_0.square_n(50).mul(z50_0);
         let z200_0 = z100_0.square_n(100).mul(z100_0);
         let z250_0 = z200_0.square_n(50).mul(z50_0);
+        (z250_0, z11)
+    }
+
+    /// Inversion by Fermat's little theorem: self^(p-2) = self^(2^255 - 21),
+    /// 254 squarings and 11 multiplications.
+    const fn invert(self) -> Fe {
+        let (z250_0, z11) = self.pow_2_250_minus_1();
         z250_0.square_n(5).mul(z11)
+    }
+
+    /// `self^((p − 5)/8) = self^(2^252 − 3)`, the exponent of a square root
+    /// when p ≡ 5 (mod 8).
+    const fn pow_p58(self) -> Fe {
+        self.pow_2_250_minus_1().0.square_n(2).mul(self)
+    }
+
+    /// Whether the element is 0 mod p.
+    fn is_zero(self) -> bool {
+        self.to_bytes() == [0; 32]
+    }
+
+    /// Whether the two elements are equal mod p.
+    fn equals(self, rhs: Fe) -> bool {
+        self.to_bytes() == rhs.to_bytes()
+    }
+}
+
+/// `√−1 = 2^((p − 1)/4)`: 2 is not a square mod p, so its `(p − 1)/2`
+/// power is −1, and `(p − 1)/4 = 2·(2^252 − 3) + 1`.
+const SQRT_M1: Fe = {
+    let two = Fe([2, 0, 0, 0, 0]);
+    two.pow_p58().square().mul(two)
+};
+
+/// A square root of `num/den` for `den ≠ 0`, or `None` when `num/den` is
+/// not a square: `r = num·den³·(num·den⁷)^((p − 5)/8)` has `den·r² = ±num`,
+/// and a −1 is fixed by `√−1`. Variable time: it runs on public keys only.
+fn sqrt_ratio(num: Fe, den: Fe) -> Option<Fe> {
+    let den3 = den.square().mul(den);
+    let den7 = den3.square().mul(den);
+    let r = num.mul(den3).mul(num.mul(den7).pow_p58());
+    let check = den.mul(r.square());
+    if check.equals(num) {
+        Some(r)
+    } else if check.add(num).is_zero() {
+        Some(r.mul(SQRT_M1))
+    } else {
+        None
     }
 }
 
@@ -333,25 +380,33 @@ pub fn x25519(scalar: &[u8; 32], point: &[u8; 32]) -> [u8; 32] {
 /// Derive the public key for a secret scalar: `scalar * 9`, the same bytes
 /// as `x25519(scalar, &BASE_POINT)`, by the fixed-base comb.
 pub fn public_key(scalar: &[u8; 32]) -> [u8; 32] {
-    let (num, den) = base_mul(&clamp_scalar(*scalar));
+    let (num, den) = comb(&BASE_TABLE, &clamp_scalar(*scalar));
     num.mul(den.invert()).to_bytes()
 }
 
 /// `(public_key(scalar), x25519(scalar, point))` under one inversion: the
-/// comb's `u = num/den` and the ladder's `X/Z` are both read off
-/// `1/(den·Z)`.
+/// base comb's `u = num/den` and the second product's `X/Z` are both read
+/// off `1/(den·Z)`. The second product is the ladder on `point`, or the
+/// comb over `table` when the caller has one; `table` must be `point`'s.
 ///
 /// `den·Z` is zero only when `Z` is, that is when `scalar * point` is the
 /// point at infinity. A clamped scalar is a multiple of 8 and never of the
 /// large prime order, so that happens exactly when `point` has order
 /// dividing 8: a property of the public input alone. That case takes its
 /// own two inversions, and `x25519`'s all-zero output.
-pub(crate) fn public_key_and_x25519(scalar: &[u8; 32], point: &[u8; 32]) -> ([u8; 32], [u8; 32]) {
+pub(crate) fn public_key_and_x25519(
+    scalar: &[u8; 32],
+    point: &[u8; 32],
+    table: Option<&RecipientTable>,
+) -> ([u8; 32], [u8; 32]) {
     let k = clamp_scalar(*scalar);
-    let (num, den) = base_mul(&k);
-    let (x, z) = ladder(&k, point);
+    let (num, den) = comb(&BASE_TABLE, &k);
+    let (x, z) = match table {
+        Some(table) => comb(&table.rows, &k),
+        None => ladder(&k, point),
+    };
     let den_z = den.mul(z);
-    if den_z.to_bytes() == [0; 32] {
+    if den_z.is_zero() {
         return (
             num.mul(den.invert()).to_bytes(),
             x.mul(z.invert()).to_bytes(),
@@ -364,15 +419,15 @@ pub(crate) fn public_key_and_x25519(scalar: &[u8; 32], point: &[u8; 32]) -> ([u8
     )
 }
 
-/// `2d` for the twisted Edwards curve `−x² + y² = 1 + d·x²·y²` that
-/// Curve25519 maps to (RFC 7748 §4.1), where `d = −121665/121666` and a
-/// point's u-coordinate is `(1 + y)/(1 − y)`.
-const D2: Fe = {
-    let d = Fe::ZERO
-        .sub(Fe([121665, 0, 0, 0, 0]))
-        .mul(Fe([121666, 0, 0, 0, 0]).invert());
-    d.add(d)
-};
+/// `d` of the twisted Edwards curve `−x² + y² = 1 + d·x²·y²` that
+/// Curve25519 maps to (RFC 7748 §4.1), `d = −121665/121666`; a point's
+/// u-coordinate is `(1 + y)/(1 − y)`.
+const D: Fe = Fe::ZERO
+    .sub(Fe([121665, 0, 0, 0, 0]))
+    .mul(Fe([121666, 0, 0, 0, 0]).invert());
+
+/// `2d`, as the addition formulas take it.
+const D2: Fe = D.add(D);
 
 /// A point of that curve in extended coordinates: `x = X/Z`, `y = Y/Z`,
 /// `x·y = T/Z`.
@@ -428,6 +483,30 @@ impl EdPoint {
         }
     };
 
+    /// A point with u-coordinate `u`: `y = (u − 1)/(u + 1)`, and `x` a root
+    /// of `x² = (y² − 1)/(d·y² + 1)`, whose denominator never vanishes
+    /// because `d` is not a square. `None` for `u = −1`, which has no
+    /// affine image, and for a `u` on the quadratic twist, where that ratio
+    /// is not a square. Either root will do: `u(−Q) = u(Q)`, so the comb
+    /// gives the ladder's u-coordinate from both. Variable time: `u` is
+    /// public.
+    fn from_u(point: &[u8; 32]) -> Option<EdPoint> {
+        let u = Fe::from_bytes(point);
+        let u_plus_1 = u.add(Fe::ONE);
+        if u_plus_1.is_zero() {
+            return None;
+        }
+        let y = u.sub(Fe::ONE).mul(u_plus_1.invert());
+        let yy = y.square();
+        let x = sqrt_ratio(yy.sub(Fe::ONE), D.mul(yy).add(Fe::ONE))?;
+        Some(EdPoint {
+            x,
+            y,
+            z: Fe::ONE,
+            t: x.mul(y),
+        })
+    }
+
     /// `self + q`, given `q` as `(Y + X, Y − X, 2d·T)` and `zz2 = 2·Z·Z_q`
     /// (Hisil–Wong–Carter–Dawson's "add-2008-hwcd-3").
     #[inline]
@@ -453,30 +532,30 @@ impl EdPoint {
         self.add_parts(q.y_plus_x, q.y_minus_x, q.xy2d, self.z.add(self.z))
     }
 
-    /// `self + q`. The formula is complete on the prime-order subgroup, so
-    /// this also doubles.
+    /// `self + q`. With `a = −1` a square and `d` not, the formula is
+    /// complete on the whole curve, so this also doubles, and it adds a
+    /// recipient's points of small order too.
     const fn add(self, q: EdPoint) -> EdPoint {
         let zz = self.z.mul(q.z);
         self.add_parts(q.y.add(q.x), q.y.sub(q.x), q.t.mul(D2), zz.add(zz))
     }
 }
 
-/// `BASE_TABLE[i][j] = (j + 1)·256^i·B` for the base point B: the comb's
-/// 32 rows of 8 multiples, 30 KB of read-only data.
+/// The comb table of `base` with `ROWS` rows: entry `[i][j]` is
+/// `(j + 1)·16^(n·i)·base`, where `n = 64/ROWS` is the number of scalar
+/// digits each row serves.
 ///
-/// The compiler builds it from `EdPoint::BASE` with the field arithmetic
-/// above, so nothing is computed when a process starts. A row is seven
-/// additions and five doublings; the 256 affine conversions share one
-/// inversion (Montgomery's trick), which keeps the build to ~0.7 s of
-/// compile time where one inversion each took ~5.5 s. The deny-by-default
-/// lint on long constant evaluation is allowed here so that a slower
-/// evaluator cannot turn the table into a build error.
-#[allow(long_running_const_eval)]
-static BASE_TABLE: [[Precomp; 8]; 32] = {
-    let mut points = [[EdPoint::IDENTITY; 8]; 32];
-    let mut row_base = EdPoint::BASE;
+/// A row is seven additions, then (but for the last row) `4n − 3`
+/// doublings of its eighth entry to reach the next row's `16^n·base`. The
+/// `8·ROWS` affine conversions share one inversion (Montgomery's trick);
+/// with one inversion each, the base table took ~5.5 s of compile time
+/// where it now takes ~0.7 s.
+const fn comb_table<const ROWS: usize>(base: EdPoint) -> [[Precomp; 8]; ROWS] {
+    let doublings = 4 * (64 / ROWS) - 3;
+    let mut points = [[EdPoint::IDENTITY; 8]; ROWS];
+    let mut row_base = base;
     let mut i = 0;
-    while i < 32 {
+    while i < ROWS {
         let mut acc = row_base;
         let mut j = 0;
         while j < 8 {
@@ -484,33 +563,39 @@ static BASE_TABLE: [[Precomp; 8]; 32] = {
             acc = acc.add(row_base);
             j += 1;
         }
-        // 8·256^i·B doubled five times.
-        row_base = points[i][7];
-        let mut n = 0;
-        while n < 5 {
-            row_base = row_base.add(row_base);
-            n += 1;
+        if i + 1 < ROWS {
+            row_base = points[i][7];
+            let mut n = 0;
+            while n < doublings {
+                row_base = row_base.add(row_base);
+                n += 1;
+            }
         }
         i += 1;
     }
 
-    // prefix[n] is the product of the first n + 1 Z's, in row-major order.
-    let mut prefix = [Fe::ONE; 256];
+    // prefix[i][j] is the product of the Z's up to and including
+    // points[i][j], in row-major order.
+    let mut prefix = [[Fe::ONE; 8]; ROWS];
     let mut product = Fe::ONE;
     let mut n = 0;
-    while n < 256 {
+    while n < 8 * ROWS {
         product = product.mul(points[n / 8][n % 8].z);
-        prefix[n] = product;
+        prefix[n / 8][n % 8] = product;
         n += 1;
     }
-    // Walk back: `inv` is the inverse of prefix[n] on entry to step n.
+    // Walk back: `inv` is the inverse of prefix at n on entry to step n.
     let mut inv = product.invert();
-    let mut table = [[Precomp::IDENTITY; 8]; 32];
-    let mut n = 256;
+    let mut table = [[Precomp::IDENTITY; 8]; ROWS];
+    let mut n = 8 * ROWS;
     while n > 0 {
         n -= 1;
         let p = points[n / 8][n % 8];
-        let z_inv = if n > 0 { inv.mul(prefix[n - 1]) } else { inv };
+        let z_inv = if n > 0 {
+            inv.mul(prefix[(n - 1) / 8][(n - 1) % 8])
+        } else {
+            inv
+        };
         inv = inv.mul(p.z);
         let x = p.x.mul(z_inv);
         let y = p.y.mul(z_inv);
@@ -521,10 +606,54 @@ static BASE_TABLE: [[Precomp; 8]; 32] = {
         };
     }
     table
-};
+}
 
-/// `|digit|·256^row·B` from `row`, negated when `digit` is negative, for
-/// `digit` ∈ [−8, 8] (0 gives the identity).
+/// The base point's comb table: 32 rows of 8 multiples, 30 KB of
+/// read-only data, rows 256 apart.
+///
+/// The compiler builds it from `EdPoint::BASE` with the field arithmetic
+/// above, so nothing is computed when a process starts. The deny-by-default
+/// lint on long constant evaluation is allowed here so that a slower
+/// evaluator cannot turn the table into a build error.
+#[allow(long_running_const_eval)]
+static BASE_TABLE: [[Precomp; 8]; 32] = comb_table(EdPoint::BASE);
+
+/// Rows of a [`RecipientTable`]. Eight rows are 7.7 KB and a comb of 64
+/// additions and 28 doublings, about half a ladder, for a build of about
+/// 1.6 ladders. Sixteen or 32 rows would save 3–4 µs more per use but cost
+/// 2 or 4 times the memory and 35–70 % more to build (PERFORMANCE.md §1).
+const RECIPIENT_ROWS: usize = 8;
+
+/// A public key's own comb table, so that a Diffie–Hellman with it runs
+/// the comb instead of the ladder. Worth building for a key sealed to
+/// more than once: the build costs about 1.6 ladders, a use about half of
+/// one.
+pub struct RecipientTable {
+    /// The u-coordinate the table was built from, as given.
+    point: [u8; 32],
+    rows: [[Precomp; 8]; RECIPIENT_ROWS],
+}
+
+impl RecipientTable {
+    /// The table of `point`, or `None` when `point` has no twisted Edwards
+    /// image (u = −1, or a u on the quadratic twist): Diffie–Hellman with
+    /// such a key stays on the ladder.
+    pub fn new(point: &[u8; 32]) -> Option<RecipientTable> {
+        Some(RecipientTable {
+            point: *point,
+            rows: comb_table(EdPoint::from_u(point)?),
+        })
+    }
+
+    /// The u-coordinate the table belongs to.
+    pub(crate) fn point(&self) -> &[u8; 32] {
+        &self.point
+    }
+}
+
+/// `|digit|·P` from the comb row `row` of multiples `P, 2P, …, 8P`,
+/// negated when `digit` is negative, for `digit` ∈ [−8, 8] (0 gives the
+/// identity).
 #[inline]
 fn select(row: &[Precomp; 8], digit: i8) -> Precomp {
     let sign = digit >> 7; // 0 or −1
@@ -533,31 +662,40 @@ fn select(row: &[Precomp; 8], digit: i8) -> Precomp {
     for (j, entry) in (1u64..).zip(row) {
         // All ones exactly when abs == j.
         let mask = ((abs ^ j).wrapping_sub(1) >> 63).wrapping_neg();
+        #[cfg(test)]
+        tests::record(tests::Access::Move(entry as *const Precomp as usize));
         cmov(mask, &mut t.y_plus_x, &entry.y_plus_x);
         cmov(mask, &mut t.y_minus_x, &entry.y_minus_x);
         cmov(mask, &mut t.xy2d, &entry.xy2d);
     }
     // −(x, y) = (−x, y): swap y + x with y − x, negate 2d·x·y.
     let negative = (sign as u64) & 1;
+    #[cfg(test)]
+    tests::record(tests::Access::Negate(row.as_ptr() as usize));
     cswap(negative, &mut t.y_plus_x, &mut t.y_minus_x);
     let minus_xy2d = Fe::ZERO.sub(t.xy2d);
     cmov(negative.wrapping_neg(), &mut t.xy2d, &minus_xy2d);
     t
 }
 
-/// `k·B` for a clamped scalar `k`, as the u-coordinate's numerator and
-/// denominator `(Z + Y, Z − Y)`: ref10's `ge_scalarmult_base`.
+/// `k·P` for a clamped scalar `k` and the comb table of `P`, as the
+/// u-coordinate's numerator and denominator `(Z + Y, Z − Y)`: ref10's
+/// `ge_scalarmult_base`, generalised to `ROWS` rows.
 ///
 /// `k` is recoded into 64 signed radix-16 digits `e[i]` ∈ [−8, 8], so
-/// `k = Σ e[i]·16^i` and `k·B = Σ_i e[2i]·256^i·B + 16·Σ_i e[2i+1]·256^i·B`:
-/// 32 table additions for the odd digits, four doublings, 32 for the even.
+/// `k = Σ e[i]·16^i`. Row `r` holds the multiples of `16^(n·r)·P` for
+/// `n = 64/ROWS` and serves digits `n·r .. n·r + n`, so
+/// `k·P = Σ_s 16^s·Σ_r e[n·r + s]·16^(n·r)·P`: `n` passes of `ROWS` table
+/// additions, Horner's rule over `s` with four doublings between passes.
+/// The base table's 32 rows make that 2 passes and 4 doublings, a
+/// recipient's 8 rows 8 passes and 28.
 ///
 /// Constant time: the recoding is arithmetic on every digit, with no branch;
 /// which row is read is the loop index, never a digit; `select` reads all
 /// eight entries of its row and keeps one under a mask, and applies a
 /// negative digit by a masked swap and a masked move. The same field
 /// operations touch the same addresses whatever the scalar.
-fn base_mul(k: &[u8; 32]) -> (Fe, Fe) {
+fn comb<const ROWS: usize>(table: &[[Precomp; 8]; ROWS], k: &[u8; 32]) -> (Fe, Fe) {
     let mut e = [0i8; 64];
     for (i, byte) in k.iter().enumerate() {
         e[2 * i] = (byte & 15) as i8;
@@ -573,15 +711,17 @@ fn base_mul(k: &[u8; 32]) -> (Fe, Fe) {
     }
     e[63] += carry;
 
+    let per_row = 64 / ROWS;
     let mut h = EdPoint::IDENTITY;
-    for (row, pair) in BASE_TABLE.iter().zip(e.chunks_exact(2)) {
-        h = h.add_precomp(&select(row, pair[1]));
-    }
-    for _ in 0..4 {
-        h = h.add(h);
-    }
-    for (row, pair) in BASE_TABLE.iter().zip(e.chunks_exact(2)) {
-        h = h.add_precomp(&select(row, pair[0]));
+    for s in (0..per_row).rev() {
+        if s + 1 < per_row {
+            for _ in 0..4 {
+                h = h.add(h);
+            }
+        }
+        for (row, digits) in table.iter().zip(e.chunks_exact(per_row)) {
+            h = h.add_precomp(&select(row, digits[s]));
+        }
     }
     (h.z.add(h.y), h.z.sub(h.y))
 }
@@ -589,6 +729,37 @@ fn base_mul(k: &[u8; 32]) -> (Fe, Fe) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+
+    /// What `select` touched, in order: each entry it read under a mask
+    /// (its address), and each row whose selection it negated under a mask.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(super) enum Access {
+        Move(usize),
+        Negate(usize),
+    }
+
+    thread_local! {
+        static ACCESSES: RefCell<Option<Vec<Access>>> = const { RefCell::new(None) };
+    }
+
+    /// Log `access` while `accesses` is recording on this thread.
+    pub(super) fn record(access: Access) {
+        ACCESSES.with(|log| {
+            if let Some(log) = log.borrow_mut().as_mut() {
+                log.push(access);
+            }
+        });
+    }
+
+    /// What `select` touched while `run` ran.
+    fn accesses(run: impl FnOnce()) -> Vec<Access> {
+        ACCESSES.with(|log| *log.borrow_mut() = Some(Vec::new()));
+        run();
+        ACCESSES
+            .with(|log| log.borrow_mut().take())
+            .unwrap_or_default()
+    }
 
     fn unhex32(s: &str) -> [u8; 32] {
         let mut out = [0u8; 32];
@@ -743,6 +914,9 @@ mod tests {
         assert_eq!(x.to_bytes()[0] & 1, 0);
         let u = Fe::ONE.add(y).mul(Fe::ONE.sub(y).invert());
         assert_eq!(u.to_bytes(), BASE_POINT);
+        // Decoding u = 9 gives B or −B.
+        let decoded = EdPoint::from_u(&BASE_POINT).unwrap();
+        assert!(decoded.y.equals(y) && decoded.x.square().equals(x.square()));
         // The table's first entry is B itself.
         let entry = BASE_TABLE[0][0];
         assert_eq!(entry.y_plus_x.to_bytes(), y.add(x).to_bytes());
@@ -750,15 +924,18 @@ mod tests {
         assert_eq!(entry.xy2d.to_bytes(), x.mul(y).mul(D2).to_bytes());
     }
 
-    #[test]
-    fn one_inversion_equals_two() {
-        // u = 0 (order 2), u = 1 (order 4) and a point of order 8: every
-        // clamped scalar sends them to the point at infinity.
+    /// u = 0 (order 2), u = 1 (order 4) and a point of order 8: every
+    /// clamped scalar sends them to the point at infinity.
+    fn low_order_points() -> [[u8; 32]; 3] {
         let order_8 = unhex32("e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800");
         let mut one = [0u8; 32];
         one[0] = 1;
-        let low_order = [[0u8; 32], one, order_8];
+        [[0u8; 32], one, order_8]
+    }
 
+    #[test]
+    fn one_inversion_equals_two() {
+        let low_order = low_order_points();
         let mut state = 30;
         let mut cases: Vec<([u8; 32], [u8; 32])> = Vec::new();
         for peer in low_order.into_iter().chain([BASE_POINT]) {
@@ -770,13 +947,166 @@ mod tests {
         for (scalar, peer) in cases {
             let shared = x25519(&scalar, &peer);
             assert_eq!(
-                public_key_and_x25519(&scalar, &peer),
+                public_key_and_x25519(&scalar, &peer, None),
                 (public_key(&scalar), shared),
                 "scalar {} peer {}",
                 hex(&scalar),
                 hex(&peer)
             );
             assert_eq!(shared == [0; 32], low_order.contains(&peer));
+        }
+    }
+
+    /// Whether `u` is the u-coordinate of a point on Curve25519 rather than
+    /// on its twist: `u³ + 486662·u² + u` is 0 or a square (Euler's
+    /// criterion, its `(p − 1)/2 = 4·(2^252 − 3) + 2` power is not −1).
+    fn on_curve(u: &[u8; 32]) -> bool {
+        let u = Fe::from_bytes(u);
+        let f = u.square().mul(u).add(u.square().mul_small(486662)).add(u);
+        let legendre = f.pow_p58().square_n(2).mul(f.square());
+        !legendre.equals(Fe::ZERO.sub(Fe::ONE))
+    }
+
+    /// `public_key_and_x25519` over `point`'s table equals the public key
+    /// and the ladder, for each scalar.
+    fn assert_recipient_comb_is_ladder(
+        point: &[u8; 32],
+        table: &RecipientTable,
+        scalars: impl IntoIterator<Item = [u8; 32]>,
+    ) {
+        assert_eq!(table.point(), point);
+        for scalar in scalars {
+            assert_eq!(
+                public_key_and_x25519(&scalar, point, Some(table)),
+                (public_key(&scalar), x25519(&scalar, point)),
+                "scalar {} point {}",
+                hex(&scalar),
+                hex(point)
+            );
+        }
+    }
+
+    #[test]
+    fn sqrt_m1_squares_to_minus_one() {
+        assert!(SQRT_M1.square().equals(Fe::ZERO.sub(Fe::ONE)));
+        // And a root of 4/9 is ±2/3.
+        let r = sqrt_ratio(Fe([4, 0, 0, 0, 0]), Fe([9, 0, 0, 0, 0])).unwrap();
+        assert!(r
+            .mul(Fe([3, 0, 0, 0, 0]))
+            .square()
+            .equals(Fe([4, 0, 0, 0, 0])));
+        // 2 is not a square mod p.
+        assert!(sqrt_ratio(Fe([2, 0, 0, 0, 0]), Fe::ONE).is_none());
+    }
+
+    #[test]
+    fn recipient_comb_equals_ladder_at_edge_points() {
+        let [zero, one, order_8] = low_order_points();
+        let p_plus = |n: u8| {
+            let mut u = [0xffu8; 32];
+            u[0] = 0xed + n; // p = 2^255 - 19 => low byte 0xed
+            u[31] = 0x7f;
+            u
+        };
+        let mut minus_one = p_plus(0);
+        minus_one[0] = 0xec;
+        let mut state = 0x0e;
+        let mut top_bit = public_key(&random_bytes32(&mut state));
+        top_bit[31] |= 0x80;
+        let twist = (2u8..)
+            .map(|n| {
+                let mut u = [0u8; 32];
+                u[0] = n;
+                u
+            })
+            .find(|u| !on_curve(u))
+            .unwrap();
+
+        let mut scalars = edge_scalars();
+        scalars.extend((0..32).map(|_| random_bytes32(&mut state)));
+        for point in [zero, one, order_8, p_plus(0), p_plus(1), top_bit] {
+            let table = RecipientTable::new(&point).expect("on the curve, not u = -1");
+            assert_recipient_comb_is_ladder(&point, &table, scalars.iter().copied());
+        }
+        // u = −1 and the twist point take the ladder.
+        assert!(RecipientTable::new(&minus_one).is_none());
+        assert!(!on_curve(&twist) && RecipientTable::new(&twist).is_none());
+        // The low-order points' products are all zero through the table.
+        for point in [zero, one, order_8] {
+            let table = RecipientTable::new(&point).unwrap();
+            let (_, shared) = public_key_and_x25519(&scalars[40], &point, Some(&table));
+            assert_eq!(shared, [0; 32]);
+        }
+    }
+
+    /// `keys` random public keys, each against `per_key` random scalars.
+    fn assert_recipient_comb_is_ladder_on_random_keys(seed: u64, keys: usize, per_key: usize) {
+        let mut state = seed;
+        for _ in 0..keys {
+            let point = public_key(&random_bytes32(&mut state));
+            let table = RecipientTable::new(&point).expect("a public key is on the curve");
+            let scalars: Vec<[u8; 32]> = (0..per_key).map(|_| random_bytes32(&mut state)).collect();
+            assert_recipient_comb_is_ladder(&point, &table, scalars);
+        }
+    }
+
+    #[test]
+    fn recipient_comb_equals_ladder_on_random_keys() {
+        assert_recipient_comb_is_ladder_on_random_keys(0x7ab1e, 100, 20);
+    }
+
+    #[test]
+    #[ignore = "10^5 ladders; CI runs it in release"]
+    fn recipient_comb_equals_ladder_on_random_keys_100000() {
+        assert_recipient_comb_is_ladder_on_random_keys(0x5eed7ab1e, 1_000, 100);
+    }
+
+    #[test]
+    fn a_random_u_decodes_exactly_when_it_is_on_the_curve() {
+        let mut state = 200;
+        let mut decoded = 0;
+        for _ in 0..200 {
+            let point = random_bytes32(&mut state);
+            let table = RecipientTable::new(&point);
+            assert_eq!(table.is_some(), on_curve(&point), "u {}", hex(&point));
+            if let Some(table) = table {
+                decoded += 1;
+                assert_recipient_comb_is_ladder(&point, &table, [random_bytes32(&mut state)]);
+            }
+        }
+        // About half of all u are on the twist.
+        assert!((60..140).contains(&decoded), "{decoded} of 200 decoded");
+    }
+
+    #[test]
+    fn comb_accesses_do_not_depend_on_the_scalar() {
+        let mut state = 0xc7;
+        let mut scalars = edge_scalars();
+        scalars.extend((0..256).map(|_| random_bytes32(&mut state)));
+        let recipient = RecipientTable::new(&public_key(&random_bytes32(&mut state))).unwrap();
+
+        /// Every pass reads every entry of every row, in order, and
+        /// applies each row's negation.
+        fn expected<const ROWS: usize>(table: &[[Precomp; 8]; ROWS]) -> Vec<Access> {
+            let pass = table.iter().flat_map(|row| {
+                row.iter()
+                    .map(|entry| Access::Move(entry as *const Precomp as usize))
+                    .chain([Access::Negate(row.as_ptr() as usize)])
+            });
+            pass.cycle().take(64 * 9).collect()
+        }
+        let base = expected(&BASE_TABLE);
+        let own = expected(&recipient.rows);
+        for scalar in scalars {
+            let k = clamp_scalar(scalar);
+            let base_run = accesses(|| {
+                let _ = comb(&BASE_TABLE, &k);
+            });
+            assert_eq!(base_run, base, "{}", hex(&k));
+            let own_run = accesses(|| {
+                let _ = comb(&recipient.rows, &k);
+            });
+            assert_eq!(own_run, own, "{}", hex(&k));
         }
     }
 

@@ -257,6 +257,23 @@ mod tests {
     use super::*;
 
     #[test]
+    fn an_event_at_the_end_of_time_fires_last() {
+        let mut engine: Engine<Vec<u64>> = Engine::new();
+        let mut world = Vec::new();
+        engine.schedule_at(SimTime::from_secs(1), |w: &mut Vec<u64>, e| {
+            w.push(e.now().as_micros());
+            e.schedule_in(SimDuration(u64::MAX), |w: &mut Vec<u64>, e| {
+                w.push(e.now().as_micros())
+            });
+            e.schedule_in(SimDuration(5), |w: &mut Vec<u64>, e| {
+                w.push(e.now().as_micros())
+            });
+        });
+        engine.run(&mut world);
+        assert_eq!(world, vec![1_000_000, 1_000_005, u64::MAX]);
+    }
+
+    #[test]
     fn events_fire_in_time_order() {
         let mut engine: Engine<Vec<u32>> = Engine::new();
         let mut world = Vec::new();

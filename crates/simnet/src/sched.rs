@@ -141,7 +141,9 @@ impl<W> CalendarQueue<W> {
     /// Point the cursor at the window containing `at_us`.
     fn position_at(&mut self, at_us: u64) {
         self.cur = self.bucket_of(at_us);
-        self.bucket_top = (at_us / self.width + 1) * self.width;
+        self.bucket_top = (at_us / self.width)
+            .saturating_add(1)
+            .saturating_mul(self.width);
     }
 
     /// Insert into the (descending-sorted) home bucket of `ev`.
@@ -235,7 +237,7 @@ impl<W> CalendarQueue<W> {
                 }
             }
             self.cur = (self.cur + 1) & self.mask;
-            self.bucket_top += self.width;
+            self.bucket_top = self.bucket_top.saturating_add(self.width);
         }
         // Swept a whole year without a hit: the next event is more than a
         // year ahead of the cursor. Find it directly.

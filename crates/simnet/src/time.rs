@@ -92,16 +92,18 @@ impl SimDuration {
     }
 }
 
+/// Saturates at the end of time: a deadline past `u64::MAX` µs is one
+/// that never comes, not an overflow.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -160,6 +162,15 @@ mod tests {
         assert_eq!(SimTime::from_millis(1500).as_secs_f64(), 1.5);
         assert_eq!(SimDuration::from_secs_f64(0.000001).as_micros(), 1);
         assert_eq!(SimDuration::from_secs_f64(-3.0), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn deadlines_saturate_at_the_end_of_time() {
+        let end = SimTime(u64::MAX);
+        assert_eq!(SimTime::from_secs(1) + SimDuration(u64::MAX), end);
+        let mut t = SimTime(u64::MAX - 1);
+        t += SimDuration::from_secs(1);
+        assert_eq!(t, end);
     }
 
     #[test]

@@ -328,7 +328,7 @@ impl<T: Transport> ChaosTransport<T> {
                 }
             }
         }
-        let release = now + self.plan.delay_us(link, now);
+        let release = now.saturating_add(self.plan.delay_us(link, now));
         if release <= now {
             self.stats.passed += 1;
             return self.inner.send_prioritized(from, to, frame, prio);
@@ -436,6 +436,26 @@ mod tests {
         assert_eq!(t.stats(), ChaosStats::default());
         assert_eq!(t.held_frames(), 0);
         assert_eq!(t.inner().delivered(), 50);
+    }
+
+    #[test]
+    fn a_huge_delay_saturates_the_release_instant() {
+        let cfg = ChaosConfig {
+            delay_prob: 1.0,
+            delay_max_us: u64::MAX,
+            ..ChaosConfig::NONE
+        };
+        let mut t = ChaosTransport::new(sim(2), ChaosPlan::new(cfg, 3));
+        // Near the end of time, where any delay but the tiniest overflows.
+        t.inner_mut().set_timer(NodeId(1), 0, u64::MAX - 1_000);
+        while t.poll(0).is_some() {}
+        t.send(NodeId(0), NodeId(1), payload(1)).unwrap();
+        assert_eq!((t.stats().delayed, t.held_frames()), (1, 1));
+        // Held until the end of time, then released (to a node whose
+        // schedule ended long before).
+        while t.poll(0).is_some() {}
+        assert_eq!((t.inner().delivered(), t.inner().lost()), (0, 1));
+        assert_eq!(t.now_us(), u64::MAX);
     }
 
     #[test]

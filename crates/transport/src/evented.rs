@@ -378,7 +378,8 @@ impl EventedTransport {
             if let Some(p) = self.peers.get_mut(&id) {
                 p.state = OutState::Backoff;
             }
-            self.reconnect_timers.arm(id.0, now + cooldown);
+            self.reconnect_timers
+                .arm(id.0, now.saturating_add(cooldown));
             return;
         }
         match net::connect_nonblocking(addr) {
@@ -486,7 +487,7 @@ impl EventedTransport {
         }
         let delay = backoff.delay_us(p.attempt, id.0 as u64).max(1);
         p.state = OutState::Backoff;
-        self.reconnect_timers.arm(id.0, now + delay);
+        self.reconnect_timers.arm(id.0, now.saturating_add(delay));
     }
 
     /// A live connection died (write error): mark the in-flight frame
@@ -919,7 +920,7 @@ impl Transport for EventedTransport {
     }
 
     fn set_timer(&mut self, owner: NodeId, token: u64, after_us: u64) {
-        let deadline = self.now_us() + after_us;
+        let deadline = self.now_us().saturating_add(after_us);
         self.protocol_timers.arm((owner.0, token), deadline);
     }
 
@@ -974,5 +975,86 @@ impl Transport for EventedTransport {
             };
             self.poll_io(timeout);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use anon_core::wire::Wire;
+    use anon_core::StreamId;
+
+    /// Node 0 bound on loopback; node 1 at a port nobody listens on.
+    fn bound_next_to_a_closed_port(policy: PolicyConfig) -> EventedTransport {
+        let listeners: Vec<TcpListener> = (0..2)
+            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let mut roster = Roster::new(1);
+        for (id, l) in listeners.iter().enumerate() {
+            roster.insert(NodeId(id as u32), l.local_addr().unwrap().to_string());
+        }
+        drop(listeners);
+        let mut t = EventedTransport::bind(NodeId(0), roster).unwrap();
+        t.set_policy(policy);
+        // Let the transport clock leave zero, so a sum with u64::MAX overflows.
+        while t.now_us() == 0 {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        t
+    }
+
+    /// Send to node 1 and poll until `done` holds of its peer record.
+    fn send_until(t: &mut EventedTransport, done: impl Fn(&OutboundPeer) -> bool) {
+        let frame = Frame::Stream {
+            sid: StreamId(7),
+            wire: Wire::Payload { blob: vec![1; 16] },
+        };
+        t.send(NodeId(0), NodeId(1), frame).unwrap();
+        let give_up = t.now_us() + 5_000_000;
+        while !t.peers.get(&NodeId(1)).is_some_and(&done) {
+            assert!(t.now_us() < give_up, "the connect never failed");
+            t.poll(1_000);
+        }
+    }
+
+    #[test]
+    fn a_huge_protocol_timer_saturates() {
+        let mut t = bound_next_to_a_closed_port(PolicyConfig::default());
+        t.set_timer(NodeId(0), 1, u64::MAX);
+        assert_eq!(t.protocol_timers.next_deadline(), Some(u64::MAX));
+        assert!(t.poll(1_000).is_none());
+    }
+
+    #[test]
+    fn a_huge_reconnect_backoff_saturates() {
+        let policy = PolicyConfig {
+            reconnect_base_us: u64::MAX,
+            reconnect_max_us: u64::MAX,
+            reconnect_jitter: 0.0,
+            breaker_threshold: 0,
+            ..PolicyConfig::default()
+        };
+        let mut t = bound_next_to_a_closed_port(policy);
+        send_until(&mut t, |p| p.attempt >= 1);
+        assert_eq!(t.reconnect_timers.next_deadline(), Some(u64::MAX));
+    }
+
+    #[test]
+    fn a_huge_breaker_cooldown_saturates() {
+        // The first failure trips the breaker and retries 1 µs later;
+        // the retry finds it open and waits out the cooldown.
+        let policy = PolicyConfig {
+            reconnect_base_us: 1,
+            reconnect_max_us: 1,
+            reconnect_jitter: 0.0,
+            breaker_threshold: 1,
+            breaker_cooldown_us: u64::MAX,
+            ..PolicyConfig::default()
+        };
+        let mut t = bound_next_to_a_closed_port(policy);
+        send_until(&mut t, |p| p.attempt >= 1 && p.queue.is_empty());
+        let peer = &t.peers[&NodeId(1)];
+        assert_eq!(peer.breaker.state(), crate::policy::BreakerState::Open);
+        assert_eq!(t.reconnect_timers.next_deadline(), Some(u64::MAX));
     }
 }

@@ -131,3 +131,29 @@ impl Transport for SimTransport {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::SimTime;
+
+    #[test]
+    fn a_huge_timer_saturates_at_the_end_of_time() {
+        let mut t = SimTransport::new(
+            ChurnSchedule::always_up(2, SimTime::from_secs(1 << 20)),
+            LatencyMatrix::uniform(2, SimDuration::from_millis(10)),
+        );
+        t.set_timer(NodeId(0), 1, 1_000);
+        assert!(t.poll(0).is_some());
+        t.set_timer(NodeId(0), 2, u64::MAX);
+        t.set_timer(NodeId(1), 3, 5);
+        let owner_token = |ev| match ev {
+            Some(TransportEvent::Timer { owner, token }) => (owner, token),
+            other => panic!("expected a timer, got {other:?}"),
+        };
+        assert_eq!(owner_token(t.poll(0)), (NodeId(1), 3));
+        assert_eq!(t.now_us(), 1_005);
+        assert_eq!(owner_token(t.poll(0)), (NodeId(0), 2));
+        assert_eq!(t.now_us(), u64::MAX);
+    }
+}
