@@ -11,15 +11,16 @@
 
 use crate::ids::{MessageId, StreamId};
 use crate::onion::{
-    build_construction_onion_sealing, build_payload_onion, build_reverse_payload,
-    peel_reverse_payload_in_place, PathPlan,
+    build_construction_onion_sealing, build_payload_onion, build_payload_onion_into,
+    build_reverse_payload, payload_onion_len, peel_reverse_payload_in_place, PathPlan,
 };
+use crate::pool::BufferPool;
+use crate::wire::MAX_BLOB_LEN;
 use crate::AnonError;
 use erasure::{Codec, Segment};
 use rand::{CryptoRng, Rng};
 use sim_crypto::{seal, seal_to_table, PublicKey, RecipientTable, SymmetricKey};
 use simnet::{NodeId, SimDuration, SimTime};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Sentinel message id carried by construction acks (reverse onions the
@@ -196,6 +197,9 @@ pub struct Initiator {
     reassembler: Reassembler,
     /// Comb tables of the relays it keeps sealing construction layers to.
     tables: RecipientTables,
+    /// Buffers for payload onions: the acks it opened hand theirs back
+    /// through [`recycle`](Self::recycle).
+    pool: BufferPool,
 }
 
 impl Initiator {
@@ -209,7 +213,15 @@ impl Initiator {
             sent: HashMap::new(),
             reassembler: Reassembler::new(),
             tables: RecipientTables::default(),
+            pool: BufferPool::new(),
         }
+    }
+
+    /// Take back a buffer this initiator is done with — an ack's, once
+    /// [`open_ack`](Self::open_ack) has booked it — for a later payload
+    /// onion.
+    pub fn recycle(&mut self, buf: Vec<u8>) {
+        self.pool.put(buf);
     }
 
     /// This node's id.
@@ -332,6 +344,10 @@ impl Initiator {
     /// With `reuse_for` set, paths are *reused* for a different responder
     /// (§4.4): the last relay redirects and the new responder's key rides
     /// along sealed to `reuse_for.1`.
+    ///
+    /// A message whose segment onion would not fit in a frame
+    /// ([`MAX_BLOB_LEN`]) is refused with [`AnonError::Oversized`] before
+    /// any RNG draw or ledger write.
     pub fn send_message<R: Rng + CryptoRng>(
         &mut self,
         mid: MessageId,
@@ -367,7 +383,8 @@ impl Initiator {
     /// allocation if failed paths were torn down and replaced. The slot
     /// rule is the caller's retransmit policy: a round passes `(idx, j)`
     /// for its `j`-th missing segment, a per-segment timer
-    /// `(idx, idx + retry)`.
+    /// `(idx, idx + retry)`. An onion that would not fit in a frame is
+    /// refused as in [`send_message`](Self::send_message).
     pub fn resend<R: Rng + CryptoRng>(
         &mut self,
         mid: MessageId,
@@ -394,12 +411,13 @@ impl Initiator {
 
     /// The one segment-onion builder: for each `(segment index, path
     /// slot)` pair, in order, the onion carrying that segment of `mid`
-    /// over `paths[slot mod k]`.
+    /// over `paths[slot mod k]`. Every onion is checked to fit in a frame
+    /// before the first is built.
     fn segment_onions<R: Rng + CryptoRng>(
         &mut self,
         mid: MessageId,
         segments: &[Segment],
-        pairs: impl Iterator<Item = (usize, usize)>,
+        pairs: impl Iterator<Item = (usize, usize)> + Clone,
         reuse_for: Option<(NodeId, PublicKey)>,
         rng: &mut R,
     ) -> Result<Vec<Outgoing>, AnonError> {
@@ -407,16 +425,31 @@ impl Initiator {
             return Err(AnonError::InvalidParameters("no paths constructed".into()));
         }
         let k = self.paths.len();
+        for (index, slot) in pairs.clone() {
+            let seg_len = segments.get(index).map_or(0, Segment::len);
+            let len = payload_onion_len(&self.paths[slot % k].plan, seg_len, reuse_for.is_some());
+            if len > MAX_BLOB_LEN {
+                let max = MAX_BLOB_LEN;
+                return Err(AnonError::Oversized { len, max });
+            }
+        }
         let mut out = Vec::with_capacity(pairs.size_hint().0);
         for (index, slot) in pairs {
-            let seg = segments.get(index).ok_or(AnonError::InvalidParameters(
-                "segment index out of range".into(),
-            ))?;
+            let out_of_range = || AnonError::InvalidParameters("segment index out of range".into());
+            let seg = segments.get(index).ok_or_else(out_of_range)?;
             let path = &mut self.paths[slot % k];
-            let (blob, fresh) = build_payload_onion(&path.plan, mid, seg, reuse_for, rng);
-            if let Some(key) = fresh {
-                path.reuse_keys.insert(mid, key);
-            }
+            let blob = match reuse_for {
+                None => {
+                    let mut blob = self.pool.get();
+                    build_payload_onion_into(&path.plan, mid, seg, &mut blob, rng);
+                    blob
+                }
+                Some(_) => {
+                    let (blob, fresh) = build_payload_onion(&path.plan, mid, seg, reuse_for, rng);
+                    path.reuse_keys.extend(fresh.map(|key| (mid, key)));
+                    blob
+                }
+            };
             out.push(Outgoing {
                 to: path.plan.first_hop(),
                 sid: path.sid,
@@ -545,11 +578,10 @@ impl Initiator {
             peeled = peel(Some(key));
         }
         let (mid, index) = peeled?;
-        let segment = Segment::new(index, buf);
         // This endpoint has no clock and never sweeps: the stamp goes unread.
         Ok(self
             .reassembler
-            .push(mid, segment, codec, SimTime::ZERO)?
+            .push(mid, index, &mut buf, codec, SimTime::ZERO)?
             .map(|msg| (mid, msg)))
     }
 }
@@ -588,39 +620,58 @@ impl Reassembler {
         self.completed.len()
     }
 
-    /// Add one segment, arriving at `now`. Returns the reconstructed
-    /// message when `m` distinct segments have arrived (exactly once per
-    /// message id — duplicates and late segments after completion are
-    /// ignored).
+    /// Add segment `index` of `mid`, arriving at `now` with its bytes in
+    /// `bytes`. Returns the reconstructed message when `m` distinct
+    /// segments have arrived (exactly once per message id — duplicates and
+    /// late segments after completion are ignored).
+    ///
+    /// `bytes` is left as it was. It is copied only to wait for the rest
+    /// of its message; the `m`-th segment is decoded where it lies. A
+    /// segment the codec refuses changes nothing.
     pub fn push(
         &mut self,
         mid: MessageId,
-        segment: Segment,
+        index: usize,
+        bytes: &mut Vec<u8>,
         codec: &dyn Codec,
         now: SimTime,
     ) -> Result<Option<Vec<u8>>, AnonError> {
         if self.completed.contains_key(&mid) {
             return Ok(None);
         }
-        let mut entry = match self.pending.entry(mid) {
-            Entry::Occupied(e) => e,
-            Entry::Vacant(e) => e.insert_entry(Partial {
-                last_arrival: now,
-                segments: Vec::new(),
-            }),
-        };
-        let partial = entry.get_mut();
-        if partial.segments.iter().any(|s| s.index == segment.index) {
+        let held = self.pending.get(&mid).map_or(&[][..], |p| &p.segments);
+        if held.iter().any(|s| s.index == index) {
             return Ok(None); // duplicate
         }
-        partial.last_arrival = now;
-        partial.segments.push(segment);
-        if partial.segments.len() >= codec.required() {
-            let msg = codec.decode(&entry.remove().segments)?;
-            self.completed.insert(mid, now);
-            return Ok(Some(msg));
+        if held.len() + 1 < codec.required() {
+            let partial = self.pending.entry(mid).or_insert_with(|| Partial {
+                last_arrival: now,
+                segments: Vec::new(),
+            });
+            partial.last_arrival = now;
+            partial.segments.push(Segment::new(index, bytes.clone()));
+            return Ok(None);
         }
-        Ok(None)
+        // The `m`-th segment: lent to the decoder, then handed back. A
+        // refused one leaves the segments before it where they were.
+        let lent = Segment::new(index, std::mem::take(bytes));
+        let (decoded, lent) = match self.pending.remove(&mid) {
+            None => (codec.decode(std::slice::from_ref(&lent)), lent),
+            Some(mut partial) => {
+                partial.segments.push(lent);
+                let decoded = codec.decode(&partial.segments);
+                let last = partial.segments.len() - 1;
+                let lent = partial.segments.swap_remove(last);
+                if decoded.is_err() {
+                    self.pending.insert(mid, partial);
+                }
+                (decoded, lent)
+            }
+        };
+        *bytes = lent.data;
+        let msg = decoded?;
+        self.completed.insert(mid, now);
+        Ok(Some(msg))
     }
 
     /// Drop every entry whose last arrival is more than `ttl` before
@@ -674,12 +725,14 @@ impl Responder {
         sid: StreamId,
         key: SymmetricKey,
         mid: MessageId,
-        segment: Segment,
+        mut segment: Segment,
         codec: &dyn Codec,
     ) -> Result<Option<Vec<u8>>, AnonError> {
         self.arrivals.entry(mid).or_default().push((from, sid, key));
         // This endpoint has no clock and never sweeps: the stamp goes unread.
-        self.reassembler.push(mid, segment, codec, SimTime::ZERO)
+        let index = segment.index;
+        self.reassembler
+            .push(mid, index, &mut segment.data, codec, SimTime::ZERO)
     }
 
     /// Build reply wire messages: the response is coded with `codec` and
@@ -716,7 +769,7 @@ impl Responder {
 mod tests {
     use super::*;
     use crate::onion::wrap_reverse_layer_in_place;
-    use erasure::{ErasureCodec, ReplicationCodec};
+    use erasure::{ErasureCodec, ErasureError, ReplicationCodec};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
@@ -824,14 +877,18 @@ mod tests {
         let mut r = Reassembler::new();
         let mid = MessageId(1);
         assert_eq!(
-            r.push(mid, segs[5].clone(), &codec, SimTime::ZERO).unwrap(),
+            r.push(mid, 5, &mut segs[5].data.clone(), &codec, SimTime::ZERO)
+                .unwrap(),
             None
         );
         assert_eq!(
-            r.push(mid, segs[1].clone(), &codec, SimTime::ZERO).unwrap(),
+            r.push(mid, 1, &mut segs[1].data.clone(), &codec, SimTime::ZERO)
+                .unwrap(),
             None
         );
-        let got = r.push(mid, segs[3].clone(), &codec, SimTime::ZERO).unwrap();
+        let got = r
+            .push(mid, 3, &mut segs[3].data.clone(), &codec, SimTime::ZERO)
+            .unwrap();
         assert_eq!(got, Some(msg));
         assert_eq!(r.pending(), 0);
     }
@@ -845,16 +902,19 @@ mod tests {
         let mid = MessageId(2);
         // Replication completes on the first segment.
         assert_eq!(
-            r.push(mid, segs[0].clone(), &codec, SimTime::ZERO).unwrap(),
+            r.push(mid, 0, &mut segs[0].data.clone(), &codec, SimTime::ZERO)
+                .unwrap(),
             Some(msg)
         );
         // Later segments of a completed message are swallowed.
         assert_eq!(
-            r.push(mid, segs[1].clone(), &codec, SimTime::ZERO).unwrap(),
+            r.push(mid, 1, &mut segs[1].data.clone(), &codec, SimTime::ZERO)
+                .unwrap(),
             None
         );
         assert_eq!(
-            r.push(mid, segs[2].clone(), &codec, SimTime::ZERO).unwrap(),
+            r.push(mid, 2, &mut segs[2].data.clone(), &codec, SimTime::ZERO)
+                .unwrap(),
             None
         );
     }
@@ -867,18 +927,58 @@ mod tests {
         let mut r = Reassembler::new();
         let mid = MessageId(3);
         assert_eq!(
-            r.push(mid, segs[0].clone(), &codec, SimTime::ZERO).unwrap(),
+            r.push(mid, 0, &mut segs[0].data.clone(), &codec, SimTime::ZERO)
+                .unwrap(),
             None
         );
         assert_eq!(
-            r.push(mid, segs[0].clone(), &codec, SimTime::ZERO).unwrap(),
+            r.push(mid, 0, &mut segs[0].data.clone(), &codec, SimTime::ZERO)
+                .unwrap(),
             None,
             "same index again"
         );
         assert_eq!(
-            r.push(mid, segs[2].clone(), &codec, SimTime::ZERO).unwrap(),
+            r.push(mid, 2, &mut segs[2].data.clone(), &codec, SimTime::ZERO)
+                .unwrap(),
             Some(msg)
         );
+    }
+
+    /// The segment that would complete a message, refused by the codec
+    /// (an out-of-range index, a ragged length), changes nothing: the
+    /// held segment stays, its bytes come back, and a good segment still
+    /// completes the message. A 1-of-n refusal holds nothing either.
+    #[test]
+    fn a_refused_completing_segment_leaves_the_held_ones() {
+        let codec = ErasureCodec::new(2, 4).unwrap();
+        let msg = b"two needed".to_vec();
+        let segs = codec.encode(&msg);
+        let mut r = Reassembler::new();
+        let mid = MessageId(4);
+        let at = SimTime::ZERO;
+        assert_eq!(
+            r.push(mid, 1, &mut segs[1].data.clone(), &codec, at),
+            Ok(None)
+        );
+        let mut bad_index = segs[3].data.clone();
+        let refused = r.push(mid, 9, &mut bad_index, &codec, at);
+        assert_eq!(refused, Err(AnonError::Erasure(ErasureError::BadIndex(9))));
+        assert_eq!(bad_index, segs[3].data, "the bytes come back");
+        let mut ragged = segs[3].data[1..].to_vec();
+        let refused = r.push(mid, 3, &mut ragged, &codec, at);
+        assert_eq!(
+            refused,
+            Err(AnonError::Erasure(ErasureError::LengthMismatch))
+        );
+        assert_eq!((r.pending(), r.completed()), (1, 0));
+        let done = r.push(mid, 3, &mut segs[3].data.clone(), &codec, at);
+        assert_eq!(done, Ok(Some(msg)));
+        assert_eq!((r.pending(), r.completed()), (0, 1));
+
+        let single = ErasureCodec::new(1, 2).unwrap();
+        let refused = r.push(MessageId(5), 7, &mut vec![0; 8], &single, at);
+        assert_eq!(refused, Err(AnonError::Erasure(ErasureError::BadIndex(7))));
+        assert_eq!((r.pending(), r.completed()), (0, 1));
     }
 
     #[test]
@@ -890,24 +990,48 @@ mod tests {
         let s2 = codec.encode(&m2);
         let mut r = Reassembler::new();
         assert_eq!(
-            r.push(MessageId(1), s1[0].clone(), &codec, SimTime::ZERO)
-                .unwrap(),
+            r.push(
+                MessageId(1),
+                0,
+                &mut s1[0].data.clone(),
+                &codec,
+                SimTime::ZERO
+            )
+            .unwrap(),
             None
         );
         assert_eq!(
-            r.push(MessageId(2), s2[1].clone(), &codec, SimTime::ZERO)
-                .unwrap(),
+            r.push(
+                MessageId(2),
+                1,
+                &mut s2[1].data.clone(),
+                &codec,
+                SimTime::ZERO
+            )
+            .unwrap(),
             None
         );
         assert_eq!(r.pending(), 2);
         assert_eq!(
-            r.push(MessageId(2), s2[0].clone(), &codec, SimTime::ZERO)
-                .unwrap(),
+            r.push(
+                MessageId(2),
+                0,
+                &mut s2[0].data.clone(),
+                &codec,
+                SimTime::ZERO
+            )
+            .unwrap(),
             Some(m2)
         );
         assert_eq!(
-            r.push(MessageId(1), s1[1].clone(), &codec, SimTime::ZERO)
-                .unwrap(),
+            r.push(
+                MessageId(1),
+                1,
+                &mut s1[1].data.clone(),
+                &codec,
+                SimTime::ZERO
+            )
+            .unwrap(),
             Some(m1)
         );
     }
@@ -920,15 +1044,17 @@ mod tests {
         let mut r = Reassembler::new();
         // Message 1 completes at 1 s; 2 and 3 stay one segment short, 3
         // (which needs all three) with a last arrival at 8 s.
-        r.push(MessageId(1), segs[0].clone(), &codec, at(0))
+        r.push(MessageId(1), 0, &mut segs[0].data.clone(), &codec, at(0))
             .unwrap();
-        r.push(MessageId(1), segs[1].clone(), &codec, at(1))
+        r.push(MessageId(1), 1, &mut segs[1].data.clone(), &codec, at(1))
             .unwrap();
-        r.push(MessageId(2), segs[0].clone(), &codec, at(1))
+        r.push(MessageId(2), 0, &mut segs[0].data.clone(), &codec, at(1))
             .unwrap();
         let all = ErasureCodec::new(3, 3).unwrap();
-        r.push(MessageId(3), segs[0].clone(), &all, at(1)).unwrap();
-        r.push(MessageId(3), segs[2].clone(), &all, at(8)).unwrap();
+        r.push(MessageId(3), 0, &mut segs[0].data.clone(), &all, at(1))
+            .unwrap();
+        r.push(MessageId(3), 2, &mut segs[2].data.clone(), &all, at(8))
+            .unwrap();
         assert_eq!(r.sweep(at(11), ttl), 0, "exactly `ttl` old is kept");
         assert_eq!(r.sweep(at(12), ttl), 2);
         assert_eq!((r.pending(), r.completed()), (1, 0));

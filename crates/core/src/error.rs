@@ -20,6 +20,14 @@ pub enum AnonError {
     Erasure(erasure::ErasureError),
     /// Invalid protocol parameters (e.g. `k` not a multiple of `r`).
     InvalidParameters(String),
+    /// An onion would not fit in a frame: `len` bytes against the
+    /// wire's `max` ([`crate::wire::MAX_BLOB_LEN`]).
+    Oversized {
+        /// Length of the onion that would be built.
+        len: usize,
+        /// The longest a frame carries.
+        max: usize,
+    },
 }
 
 impl fmt::Display for AnonError {
@@ -33,6 +41,9 @@ impl fmt::Display for AnonError {
             }
             AnonError::Erasure(e) => write!(f, "erasure decode failure: {e}"),
             AnonError::InvalidParameters(msg) => write!(f, "invalid parameters: {msg}"),
+            AnonError::Oversized { len, max } => {
+                write!(f, "a {len}-byte onion exceeds the {max}-byte frame limit")
+            }
         }
     }
 }

@@ -41,8 +41,10 @@ use crate::ids::MessageId;
 use crate::AnonError;
 use erasure::Segment;
 use rand::{CryptoRng, Rng};
+use sim_crypto::symmetric as sym;
 use sim_crypto::{
-    seal, sym_decrypt_in_place, sym_encrypt_in_place, unseal, PublicKey, SecretKey, SymmetricKey,
+    seal, sealed, sym_decrypt_in_place, sym_encrypt_in_place, unseal, PublicKey, SecretKey,
+    SymmetricKey,
 };
 use simnet::NodeId;
 
@@ -250,6 +252,27 @@ fn prepend_in_place(buf: &mut Vec<u8>, header: &[u8]) {
     buf[..header.len()].copy_from_slice(header);
 }
 
+/// Length of a `Deliver` layer's header: tag, MID, segment index.
+const DELIVER_HEADER_LEN: usize = 13;
+
+/// Length of the payload onion [`build_payload_onion`] builds along
+/// `plan` for a segment of `segment_len` bytes, with or without a
+/// redirect: the buffer size that holds all of its layers.
+pub fn payload_onion_len(plan: &PathPlan, segment_len: usize, redirect: bool) -> usize {
+    let relays = plan.num_relays();
+    // The deliver layer and every relay's layer, each encrypted once;
+    // a forward tag on every relay's but the last, whose layer is a
+    // redirect header when the path is reused and a forward tag if not.
+    let layers = DELIVER_HEADER_LEN + segment_len + (relays + 1) * sym::OVERHEAD + relays;
+    if redirect {
+        // The new responder's sealed key, its length, and the tags and
+        // destination around it, in place of the last forward tag.
+        layers + sealed::OVERHEAD + 32 + 9
+    } else {
+        layers
+    }
+}
+
 /// Write a `Deliver` plaintext into `buf` (cleared first).
 fn deliver_plaintext_into(buf: &mut Vec<u8>, mid: MessageId, segment: &Segment) {
     buf.clear();
@@ -287,7 +310,7 @@ pub fn build_payload_onion<R: Rng + CryptoRng>(
     redirect: Option<(NodeId, PublicKey)>,
     rng: &mut R,
 ) -> (Vec<u8>, Option<SymmetricKey>) {
-    let mut buf = Vec::new();
+    let mut buf = Vec::with_capacity(payload_onion_len(plan, segment.len(), redirect.is_some()));
     let Some((new_dest, new_dest_pub)) = redirect else {
         build_payload_onion_into(plan, mid, segment, &mut buf, rng);
         return (buf, None);
@@ -309,12 +332,14 @@ pub fn build_payload_onion<R: Rng + CryptoRng>(
     let last = plan.num_relays() - 1;
     sym_encrypt_in_place(&plan.session_keys[last], &mut buf, rng);
     wrap_forward_layers(&plan.session_keys[..last], &mut buf, rng);
+    debug_assert_eq!(buf.len(), payload_onion_len(plan, segment.len(), true));
     (buf, Some(fresh))
 }
 
 /// [`build_payload_onion`] without a redirect, *into* `buf` (cleared
-/// first), reusing its capacity: the deliver plaintext is written once and
-/// every layer is encrypted in place on top of it.
+/// first), reusing its capacity: grown once to hold every layer, the
+/// deliver plaintext is written once and every layer is encrypted in
+/// place on top of it.
 pub fn build_payload_onion_into<R: Rng + CryptoRng>(
     plan: &PathPlan,
     mid: MessageId,
@@ -323,9 +348,12 @@ pub fn build_payload_onion_into<R: Rng + CryptoRng>(
     rng: &mut R,
 ) {
     let num_relays = plan.num_relays();
+    buf.clear();
+    buf.reserve(payload_onion_len(plan, segment.len(), false));
     deliver_plaintext_into(buf, mid, segment);
     sym_encrypt_in_place(&plan.session_keys[num_relays], buf, rng);
     wrap_forward_layers(&plan.session_keys[..num_relays], buf, rng);
+    debug_assert_eq!(buf.len(), payload_onion_len(plan, segment.len(), false));
 }
 
 /// The one parser of the payload-layer format: read the header at the

@@ -1,11 +1,13 @@
-//! Reusable byte-buffer pool for the driver's message hot path.
+//! Reusable byte-buffer pool for the message hot paths.
 //!
-//! Every in-flight onion in the event-driven [`crate::driver`] is one owned
-//! `Vec<u8>` that travels hop to hop through the in-place peel/wrap APIs
-//! ([`crate::onion`], [`crate::relay`]). The pool closes the loop: buffers
-//! whose message terminated (delivered, acked, dropped) donate their
-//! capacity to the next message launched, so steady-state traffic runs
-//! without heap allocation regardless of how many messages are simulated.
+//! Every in-flight onion is one owned `Vec<u8>` that travels hop to hop
+//! through the in-place peel/wrap APIs ([`crate::onion`],
+//! [`crate::relay`]). The pool closes the loop: buffers whose message
+//! terminated (delivered, acked, dropped) donate their capacity to the
+//! next message launched, so steady-state traffic runs without heap
+//! allocation regardless of how many messages are sent. The event-driven
+//! [`crate::driver`], the [`Initiator`](crate::endpoint::Initiator) (its
+//! payload onions) and the transports (their frame buffers) each keep one.
 
 /// A bounded free-list of `Vec<u8>` buffers.
 ///

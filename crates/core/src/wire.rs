@@ -51,6 +51,10 @@ pub const HEADER_LEN: usize = 10;
 /// before allocating anything.
 pub const MAX_BODY_LEN: usize = 1 << 20;
 
+/// The longest onion or blob a stream frame carries: the body less its
+/// 8-byte stream id.
+pub const MAX_BLOB_LEN: usize = MAX_BODY_LEN - 8;
+
 const TYPE_HELLO: u8 = 0x00;
 const TYPE_CONSTRUCT: u8 = 0x01;
 const TYPE_PAYLOAD: u8 = 0x02;

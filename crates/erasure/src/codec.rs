@@ -66,6 +66,62 @@ pub trait Codec {
 
 const FRAME_LEN: usize = 4;
 
+/// The part of `[offset, offset + part_len)` inside the shard that spans
+/// `[start, start + shard_len)` of the framed message, as `a..b`; `None`
+/// when they do not meet.
+fn overlap(
+    start: usize,
+    shard_len: usize,
+    offset: usize,
+    part_len: usize,
+) -> Option<(usize, usize)> {
+    let (a, b) = (
+        start.max(offset),
+        (start + shard_len).min(offset + part_len),
+    );
+    (a < b).then_some((a, b))
+}
+
+/// Copy bytes `start..start + out.len()` of the framed message out of
+/// its data shards, given as `(index, bytes)` pairs of `len` bytes each,
+/// in any order.
+fn gather<'a>(
+    shards: impl Iterator<Item = (usize, &'a [u8])>,
+    len: usize,
+    start: usize,
+    out: &mut [u8],
+) {
+    for (index, shard) in shards {
+        let from = index * len;
+        if let Some((a, b)) = overlap(from, len, start, out.len()) {
+            out[a - start..b - start].copy_from_slice(&shard[a - from..b - from]);
+        }
+    }
+}
+
+/// The message framed across all `m` data shards (`(index, bytes)`
+/// pairs of `len` bytes each): its length prefix read, its padding
+/// dropped.
+fn unframe<'a>(
+    shards: impl Iterator<Item = (usize, &'a [u8])> + Clone,
+    m: usize,
+    len: usize,
+) -> Result<Vec<u8>, ErasureError> {
+    let framed_len = m * len;
+    if framed_len < FRAME_LEN {
+        return Err(ErasureError::BadFrame);
+    }
+    let mut prefix = [0u8; FRAME_LEN];
+    gather(shards.clone(), len, 0, &mut prefix);
+    let msg_len = u32::from_be_bytes(prefix) as usize;
+    if FRAME_LEN + msg_len > framed_len {
+        return Err(ErasureError::BadFrame);
+    }
+    let mut message = vec![0u8; msg_len];
+    gather(shards, len, FRAME_LEN, &mut message);
+    Ok(message)
+}
+
 /// Erasure-coding message codec: the paper's SimEra substrate.
 ///
 /// ```
@@ -113,38 +169,67 @@ impl Codec for ErasureCodec {
     fn encode(&self, message: &[u8]) -> Vec<Segment> {
         let m = self.required();
         let shard_len = self.segment_len(message.len());
-        // Frame: 4-byte BE length, then the message, zero-padded.
-        let mut framed = Vec::with_capacity(shard_len * m);
-        framed.extend_from_slice(&(message.len() as u32).to_be_bytes());
-        framed.extend_from_slice(message);
-        framed.resize(shard_len * m, 0);
-
-        // `m` chunks of `shard_len` bytes: uniform by construction.
-        let data: Vec<Vec<u8>> = framed.chunks(shard_len).map(|c| c.to_vec()).collect();
-        debug_assert_eq!(data.len(), m);
-        self.rs
-            .encode_uniform(&data)
-            .into_iter()
-            .enumerate()
-            .map(|(i, d)| Segment::new(i, d))
-            .collect()
+        // The framed message — 4-byte BE length, the message, zero
+        // padding — written straight into the `m` data shards; every
+        // segment buffer is allocated once, at the shard length.
+        let prefix = (message.len() as u32).to_be_bytes();
+        let mut segments: Vec<Segment> = (0..self.total())
+            .map(|i| Segment::new(i, Vec::with_capacity(shard_len)))
+            .collect();
+        for seg in &mut segments[..m] {
+            let start = seg.index * shard_len;
+            for (offset, part) in [(0, &prefix[..]), (FRAME_LEN, message)] {
+                if let Some((a, b)) = overlap(start, shard_len, offset, part.len()) {
+                    seg.data.extend_from_slice(&part[a - offset..b - offset]);
+                }
+            }
+            seg.data.resize(shard_len, 0);
+        }
+        let (data, parity) = segments.split_at_mut(m);
+        for seg in parity {
+            let shards = data.iter().map(|s| s.data.as_slice());
+            self.rs.parity_into(seg.index, shards, &mut seg.data);
+        }
+        segments
     }
 
     fn decode(&self, segments: &[Segment]) -> Result<Vec<u8>, ErasureError> {
-        let pairs: Vec<(usize, &[u8])> = segments
+        let m = self.required();
+        // `ReedSolomon::reconstruct`'s checks, in its order: every index
+        // in range and distinct, at least `m`, the first `m` (the ones it
+        // uses) of one length.
+        let mut seen = [0u64; 4];
+        for seg in segments {
+            if seg.index >= self.total() {
+                return Err(ErasureError::BadIndex(seg.index));
+            }
+            let (word, bit) = (seg.index / 64, 1u64 << (seg.index % 64));
+            if seen[word] & bit != 0 {
+                return Err(ErasureError::DuplicateIndex(seg.index));
+            }
+            seen[word] |= bit;
+        }
+        let Some(chosen) = segments.get(..m) else {
+            return Err(ErasureError::NotEnoughSegments {
+                have: segments.len(),
+                need: m,
+            });
+        };
+        let len = chosen[0].len();
+        if chosen.iter().any(|s| s.len() != len) {
+            return Err(ErasureError::LengthMismatch);
+        }
+        if chosen.iter().all(|s| s.index < m) {
+            // Every data shard is here: the message is a copy out of them.
+            let shards = chosen.iter().map(|s| (s.index, s.data.as_slice()));
+            return unframe(shards, m, len);
+        }
+        let pairs: Vec<(usize, &[u8])> = chosen
             .iter()
             .map(|s| (s.index, s.data.as_slice()))
             .collect();
         let data = self.rs.reconstruct(&pairs)?;
-        let framed: Vec<u8> = data.into_iter().flatten().collect();
-        let Some(&prefix) = framed.first_chunk::<FRAME_LEN>() else {
-            return Err(ErasureError::BadFrame);
-        };
-        let len = u32::from_be_bytes(prefix) as usize;
-        if FRAME_LEN + len > framed.len() {
-            return Err(ErasureError::BadFrame);
-        }
-        Ok(framed[FRAME_LEN..FRAME_LEN + len].to_vec())
+        unframe(data.iter().map(Vec::as_slice).enumerate(), m, len)
     }
 
     fn segment_len(&self, msg_len: usize) -> usize {

@@ -83,31 +83,39 @@ impl ReedSolomon {
         if data.iter().any(|d| d.len() != len) {
             return Err(ErasureError::LengthMismatch);
         }
-        Ok(self.encode_uniform(data))
-    }
-
-    /// [`ReedSolomon::encode`] of `m` shards the caller has already made
-    /// equal-length.
-    pub(crate) fn encode_uniform(&self, data: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        let len = data.first().map_or(0, Vec::len);
-        let mut out = Vec::with_capacity(self.n);
-        out.extend(data.iter().cloned());
+        let mut out = data.to_vec();
         for row in self.m..self.n {
-            let mut shard = vec![0u8; len];
-            for (col, src) in data.iter().enumerate() {
-                gf256::mul_acc_slice(&mut shard, src, self.generator.get(row, col));
-            }
+            let mut shard = Vec::new();
+            self.parity_into(row, data.iter().map(Vec::as_slice), &mut shard);
             out.push(shard);
         }
-        out
+        Ok(out)
+    }
+
+    /// Parity shard `row` (`m <= row < n`) of the `m` equal-length data
+    /// shards `data`, written into `out` (cleared first).
+    pub(crate) fn parity_into<'a>(
+        &self,
+        row: usize,
+        data: impl Iterator<Item = &'a [u8]>,
+        out: &mut Vec<u8>,
+    ) {
+        out.clear();
+        for (col, src) in data.enumerate() {
+            if col == 0 {
+                out.resize(src.len(), 0);
+            }
+            gf256::mul_acc_slice(out, src, self.generator.get(row, col));
+        }
     }
 
     /// Reconstruct the `m` data shards from any `m` coded shards.
     ///
     /// `shards` pairs each shard with its index in the encoded output. More
     /// than `m` shards may be supplied; the first `m` distinct indices are
-    /// used (a fast path skips matrix inversion entirely if all data shards
-    /// happen to be present).
+    /// used. (`ErasureCodec::decode` copies the message straight out of
+    /// the data shards when those are the ones it has, and calls this only
+    /// when one is missing.)
     pub fn reconstruct(&self, shards: &[(usize, &[u8])]) -> Result<Vec<Vec<u8>>, ErasureError> {
         // Deduplicate and validate indices, keeping first occurrence.
         let mut chosen: Vec<(usize, &[u8])> = Vec::with_capacity(self.m);
@@ -135,20 +143,8 @@ impl ReedSolomon {
             return Err(ErasureError::LengthMismatch);
         }
 
-        // Fast path: all chosen shards are data shards.
-        if chosen.iter().all(|&(idx, _)| idx < self.m) {
-            let mut out = vec![Vec::new(); self.m];
-            for &(idx, data) in &chosen {
-                out[idx] = data.to_vec();
-            }
-            if out.iter().all(|s| !s.is_empty() || len == 0) && chosen.len() == self.m {
-                // With m distinct indices all < m, every slot is filled.
-                return Ok(out);
-            }
-        }
-
-        // General path: invert the m x m submatrix of the generator formed
-        // by the surviving rows, then multiply by the survivors.
+        // Invert the m x m submatrix of the generator formed by the
+        // surviving rows, then multiply by the survivors.
         let rows: Vec<usize> = chosen.iter().map(|&(idx, _)| idx).collect();
         let sub = self.generator.select_rows(&rows);
         let dec = sub.inverse()?;

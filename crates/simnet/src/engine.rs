@@ -7,14 +7,24 @@
 //! runs deterministic.
 //!
 //! The queue is the amortised-`O(1)` [`CalendarQueue`] (see
-//! [`crate::sched`]), owned by value so the hot loop dispatches
-//! statically.
+//! [`crate::sched`]) carrying boxed handlers, owned by value so the hot
+//! loop dispatches statically.
 
 use crate::instrument::EngineTelemetry;
 use crate::sched::{CalendarQueue, Scheduled};
 use crate::time::{SimDuration, SimTime};
 use std::cell::Cell;
 use std::rc::Rc;
+
+/// Boxed event handler: consumes the world and the engine that fired it.
+pub type Handler<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
+
+/// What an engine event carries: an optional cancellation flag and the
+/// handler to run.
+struct Pending<W> {
+    cancelled: Option<Rc<Cell<bool>>>,
+    handler: Handler<W>,
+}
 
 /// Handle for cancelling a scheduled event.
 #[derive(Clone)]
@@ -50,7 +60,7 @@ impl EventHandle {
 pub struct Engine<W> {
     now: SimTime,
     seq: u64,
-    queue: CalendarQueue<W>,
+    queue: CalendarQueue<Pending<W>>,
     processed: u64,
     cancelled: u64,
     max_pending: usize,
@@ -137,11 +147,7 @@ impl<W> Engine<W> {
         at: SimTime,
         handler: impl FnOnce(&mut W, &mut Engine<W>) + 'static,
     ) {
-        let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Scheduled::new(at, seq, handler));
-        self.max_pending = self.max_pending.max(self.queue.len());
+        self.push(at, None, Box::new(handler));
     }
 
     /// Schedule `handler` after a relative delay.
@@ -159,15 +165,19 @@ impl<W> Engine<W> {
         at: SimTime,
         handler: impl FnOnce(&mut W, &mut Engine<W>) + 'static,
     ) -> EventHandle {
-        let at = at.max(self.now);
         let flag = Rc::new(Cell::new(false));
+        self.push(at, Some(flag.clone()), Box::new(handler));
+        EventHandle { cancelled: flag }
+    }
+
+    /// Queue `handler` at `at` (clamped to `now`) under the next `seq`.
+    fn push(&mut self, at: SimTime, cancelled: Option<Rc<Cell<bool>>>, handler: Handler<W>) {
         let seq = self.seq;
         self.seq += 1;
-        let mut ev = Scheduled::new(at, seq, handler);
-        ev.cancelled = Some(flag.clone());
-        self.queue.push(ev);
+        let pending = Pending { cancelled, handler };
+        self.queue
+            .push(Scheduled::new(at.max(self.now), seq, pending));
         self.max_pending = self.max_pending.max(self.queue.len());
-        EventHandle { cancelled: flag }
     }
 
     /// Run events until the queue empties.
@@ -211,15 +221,17 @@ impl<W> Engine<W> {
     }
 
     /// Fire one popped event; returns false if it had been cancelled.
-    fn dispatch(&mut self, world: &mut W, ev: Scheduled<W>) -> bool {
-        if ev.cancelled.as_ref().is_some_and(|c| c.get()) {
+    fn dispatch(&mut self, world: &mut W, ev: Scheduled<Pending<W>>) -> bool {
+        let at = ev.at();
+        let Pending { cancelled, handler } = ev.into_item();
+        if cancelled.is_some_and(|c| c.get()) {
             self.cancelled += 1;
             return false;
         }
-        debug_assert!(ev.at >= self.now, "event queue went backwards");
-        self.now = ev.at;
+        debug_assert!(at >= self.now, "event queue went backwards");
+        self.now = at;
         self.processed += 1;
-        (ev.handler)(world, self);
+        handler(world, self);
         true
     }
 

@@ -1,64 +1,50 @@
-//! The [`Engine`]'s event queue.
+//! The pending-event queue behind the [`Engine`](crate::Engine) and
+//! the simulated transport.
 //!
-//! The engine's hot loop is "pop the earliest event, run its handler,
-//! repeat". [`CalendarQueue`] is the one queue behind it: a calendar
-//! queue (Brown 1988), i.e. a bucketed timing wheel with amortised `O(1)`
-//! push/pop under the uniformly-spread event distributions a
-//! discrete-event network simulation produces.
+//! A discrete-event loop is "pop the earliest event, act on it, repeat".
+//! [`CalendarQueue`] is the one queue behind every such loop here: a
+//! calendar queue (Brown 1988), i.e. a bucketed timing wheel with
+//! amortised `O(1)` push/pop under the uniformly-spread event
+//! distributions a discrete-event network simulation produces. It is
+//! generic over what an event carries: the engine queues boxed handlers,
+//! `transport::SimTransport` a two-variant event enum.
 //!
-//! It pops in ascending `(time, seq)` order, where `seq` is the engine's
+//! It pops in ascending `(time, seq)` order, where `seq` is the owner's
 //! monotone scheduling counter — a total order, so a run is a pure
 //! function of what was scheduled. A `std::collections::BinaryHeap` over
 //! the same keys is the obviously-correct oracle the proptest
-//! `calendar_pops_like_a_binary_heap` below compares it against; the
-//! engine-level trajectory is pinned by known-answer hashes in
-//! `engine.rs`.
+//! `calendar_pops_like_a_binary_heap` below compares both the queue and
+//! the engine against; the engine-level trajectory is also pinned by
+//! known-answer hashes in `engine.rs`.
 //!
 //! ```
 //! use simnet::sched::{CalendarQueue, Scheduled};
 //! use simnet::SimTime;
 //!
-//! let mut queue: CalendarQueue<()> = CalendarQueue::default();
-//! for (seq, t) in [5u64, 1, 5, 3].into_iter().enumerate() {
-//!     queue.push(Scheduled::new(SimTime::from_secs(t), seq as u64, |_, _| {}));
+//! let mut queue = CalendarQueue::default();
+//! for (seq, (t, what)) in [(5u64, "c"), (1, "a"), (5, "d"), (3, "b")].into_iter().enumerate() {
+//!     queue.push(Scheduled::new(SimTime::from_secs(t), seq as u64, what));
 //! }
 //! let order: Vec<_> = std::iter::from_fn(|| queue.pop())
-//!     .map(|ev| (ev.at().as_micros() / 1_000_000, ev.seq()))
+//!     .map(|ev| (ev.at().as_micros() / 1_000_000, ev.seq(), ev.into_item()))
 //!     .collect();
-//! assert_eq!(order, [(1, 1), (3, 3), (5, 0), (5, 2)]);
+//! assert_eq!(order, [(1, 1, "a"), (3, 3, "b"), (5, 0, "c"), (5, 2, "d")]);
 //! ```
 
-use crate::engine::Engine;
 use crate::time::SimTime;
-use std::cell::Cell;
-use std::rc::Rc;
 
-/// Boxed event handler: consumes the world and the engine that fired it.
-pub type Handler<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
-
-/// One queued event: an absolute firing time, the engine's monotone
-/// scheduling sequence number (FIFO tie-break), an optional cancellation
-/// flag and the handler to run.
-pub struct Scheduled<W> {
+/// One queued event: an absolute firing time, the owner's monotone
+/// scheduling sequence number (FIFO tie-break) and what it carries.
+pub struct Scheduled<T> {
     pub(crate) at: SimTime,
     pub(crate) seq: u64,
-    pub(crate) cancelled: Option<Rc<Cell<bool>>>,
-    pub(crate) handler: Handler<W>,
+    item: T,
 }
 
-impl<W> Scheduled<W> {
-    /// Build an event; used by the engine and by the queue tests.
-    pub fn new(
-        at: SimTime,
-        seq: u64,
-        handler: impl FnOnce(&mut W, &mut Engine<W>) + 'static,
-    ) -> Self {
-        Scheduled {
-            at,
-            seq,
-            cancelled: None,
-            handler: Box::new(handler),
-        }
+impl<T> Scheduled<T> {
+    /// An event carrying `item`, due at `at`, scheduled `seq`-th.
+    pub fn new(at: SimTime, seq: u64, item: T) -> Self {
+        Scheduled { at, seq, item }
     }
 
     /// Absolute firing time.
@@ -66,9 +52,14 @@ impl<W> Scheduled<W> {
         self.at
     }
 
-    /// Engine scheduling sequence number (the FIFO tie-breaker).
+    /// Scheduling sequence number (the FIFO tie-breaker).
     pub fn seq(&self) -> u64 {
         self.seq
+    }
+
+    /// What the event carries.
+    pub fn into_item(self) -> T {
+        self.item
     }
 }
 
@@ -77,10 +68,10 @@ const MIN_BUCKETS: usize = 16;
 /// Largest bucket count the calendar grows to (power of two).
 const MAX_BUCKETS: usize = 1 << 16;
 
-/// Calendar queue (Brown 1988): the engine's pending-event queue.
+/// Calendar queue (Brown 1988): a discrete-event loop's pending events.
 ///
 /// Pops in ascending `(at, seq)` order — a *total* order, since `seq` is
-/// unique. The engine guarantees pushes are monotone in time relative to
+/// unique. Its owner guarantees pushes are monotone in time relative to
 /// pops: an event is never pushed with a firing time earlier than the
 /// last popped event's time (scheduling in the past clamps to `now`).
 ///
@@ -102,9 +93,9 @@ const MAX_BUCKETS: usize = 1 << 16;
 ///
 /// All sizing decisions are functions of queue content only (no RNG, no
 /// wall clock), so runs stay deterministic.
-pub struct CalendarQueue<W> {
+pub struct CalendarQueue<T> {
     /// Each bucket sorted descending by `(at, seq)`; minimum at the end.
-    buckets: Vec<Vec<Scheduled<W>>>,
+    buckets: Vec<Vec<Scheduled<T>>>,
     /// Bucket width in microseconds (>= 1).
     width: u64,
     /// `buckets.len() - 1`; bucket count is always a power of two.
@@ -119,7 +110,7 @@ pub struct CalendarQueue<W> {
     resizes: u64,
 }
 
-impl<W> Default for CalendarQueue<W> {
+impl<T> Default for CalendarQueue<T> {
     fn default() -> Self {
         CalendarQueue {
             buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
@@ -133,7 +124,7 @@ impl<W> Default for CalendarQueue<W> {
     }
 }
 
-impl<W> CalendarQueue<W> {
+impl<T> CalendarQueue<T> {
     fn bucket_of(&self, at_us: u64) -> usize {
         ((at_us / self.width) as usize) & self.mask
     }
@@ -147,7 +138,7 @@ impl<W> CalendarQueue<W> {
     }
 
     /// Insert into the (descending-sorted) home bucket of `ev`.
-    fn insert(&mut self, ev: Scheduled<W>) {
+    fn insert(&mut self, ev: Scheduled<T>) {
         let b = self.bucket_of(ev.at.0);
         let bucket = &mut self.buckets[b];
         let key = (ev.at.0, ev.seq);
@@ -161,7 +152,7 @@ impl<W> CalendarQueue<W> {
     /// population, then park the cursor on the global minimum.
     fn resize(&mut self) {
         self.resizes += 1;
-        let events: Vec<Scheduled<W>> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
+        let events: Vec<Scheduled<T>> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
         let n = events
             .len()
             .next_power_of_two()
@@ -190,7 +181,7 @@ impl<W> CalendarQueue<W> {
 
     /// Direct scan of all bucket minima; used when a year-sweep comes up
     /// empty (very sparse schedules).
-    fn pop_global_min(&mut self) -> Option<Scheduled<W>> {
+    fn pop_global_min(&mut self) -> Option<Scheduled<T>> {
         let mut best: Option<(u64, u64, usize)> = None;
         for (i, bucket) in self.buckets.iter().enumerate() {
             if let Some(ev) = bucket.last() {
@@ -207,7 +198,7 @@ impl<W> CalendarQueue<W> {
     }
 
     /// Enqueue an event.
-    pub fn push(&mut self, ev: Scheduled<W>) {
+    pub fn push(&mut self, ev: Scheduled<T>) {
         if self.len == 0 || ev.at.0 < self.bucket_top.saturating_sub(self.width) {
             // Empty calendar, or an event landing before the cursor's
             // current window (possible before the first pop): re-park the
@@ -222,7 +213,7 @@ impl<W> CalendarQueue<W> {
     }
 
     /// Remove and return the event with the smallest `(at, seq)`.
-    pub fn pop(&mut self) -> Option<Scheduled<W>> {
+    pub fn pop(&mut self) -> Option<Scheduled<T>> {
         if self.len == 0 {
             return None;
         }
@@ -285,12 +276,21 @@ mod tests {
         }
     }
 
-    fn ev(at_us: u64, seq: u64) -> Scheduled<()> {
-        Scheduled::new(SimTime(at_us), seq, |_, _| {})
+    /// An event carrying its own sequence number, so a pop can check
+    /// that the payload travelled with its key.
+    fn ev(at_us: u64, seq: u64) -> Scheduled<u64> {
+        Scheduled::new(SimTime(at_us), seq, seq)
     }
 
-    fn drain(q: &mut CalendarQueue<()>) -> Vec<(u64, u64)> {
-        std::iter::from_fn(|| q.pop().map(|e| (e.at.0, e.seq))).collect()
+    /// The `(at, seq)` key of a popped event.
+    fn key(e: Scheduled<u64>) -> (u64, u64) {
+        let (at, seq) = (e.at.0, e.seq);
+        assert_eq!(e.into_item(), seq, "payload parted from its key");
+        (at, seq)
+    }
+
+    fn drain(q: &mut CalendarQueue<u64>) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| q.pop().map(key)).collect()
     }
 
     #[test]
@@ -336,12 +336,18 @@ mod tests {
         );
     }
 
-    /// The calendar and the heap under the same pushes, compared at
+    type Log = Vec<(u64, u64)>;
+
+    /// The calendar, an [`Engine`](crate::Engine) (the calendar carrying
+    /// boxed handlers) and the heap under the same pushes, compared at
     /// every pop. `now` is the last popped time: the engine never pushes
     /// below it, and neither does `push`.
     #[derive(Default)]
     struct Both {
-        calendar: CalendarQueue<()>,
+        calendar: CalendarQueue<u64>,
+        engine: crate::Engine<Log>,
+        /// What the engine's handlers logged: `(now, seq)` per dispatch.
+        fired: Log,
         heap: BinaryHeapScheduler,
         seq: u64,
         now: u64,
@@ -349,18 +355,28 @@ mod tests {
 
     impl Both {
         fn push(&mut self, delay_us: u64) {
-            let at = self.now + delay_us;
-            self.calendar.push(ev(at, self.seq));
-            self.heap.push(at, self.seq);
+            let (at, seq) = (self.now + delay_us, self.seq);
+            self.calendar.push(ev(at, seq));
+            self.engine
+                .schedule_at(SimTime(at), move |log: &mut Log, e| {
+                    log.push((e.now().as_micros(), seq))
+                });
+            self.heap.push(at, seq);
             self.seq += 1;
         }
 
-        /// Pop both; `Ok(false)` once empty, `Err` names a disagreement.
+        /// Pop all three; `Ok(false)` once empty, `Err` names a
+        /// disagreement.
         fn pop(&mut self) -> Result<bool, String> {
-            let got = self.calendar.pop().map(|e| (e.at.0, e.seq));
+            let got = self.calendar.pop().map(key);
             let want = self.heap.pop();
             if got != want {
                 return Err(format!("calendar popped {got:?}, heap {want:?}"));
+            }
+            let fired = self.engine.step(&mut self.fired);
+            let dispatched = fired.then(|| self.fired.pop()).flatten();
+            if dispatched != want {
+                return Err(format!("engine dispatched {dispatched:?}, heap {want:?}"));
             }
             if let Some((at, _)) = got {
                 self.now = at;
@@ -372,11 +388,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Differential test against the heap oracle: any interleaving of
-        /// pushes and pops that respects the engine's contract — ties at
-        /// `now`, bursts that force grow rebuilds, drains that force
-        /// shrink rebuilds, events more than a calendar year ahead (the
-        /// direct-scan fallback) — pops in the identical `(at, seq)` order.
+        /// Differential test of the queue and the engine against the heap
+        /// oracle: any interleaving of pushes and pops that respects the
+        /// engine's contract — ties at `now`, bursts that force grow
+        /// rebuilds, drains that force shrink rebuilds, events more than a
+        /// calendar year ahead (the direct-scan fallback) — pops in the
+        /// identical `(at, seq)` order.
         #[test]
         fn calendar_pops_like_a_binary_heap(ops in proptest::collection::vec(any::<u64>(), 1..300)) {
             let mut both = Both::default();
@@ -411,6 +428,7 @@ mod tests {
             }
             while both.pop()? {}
             prop_assert!(both.calendar.is_empty());
+            prop_assert_eq!(both.engine.pending(), 0);
             // Every burst grew the calendar and the final drain shrank it.
             prop_assert!(bursts == 0 || both.calendar.resizes() >= 2);
         }

@@ -11,9 +11,9 @@
 //!
 //! Two backends implement the trait, one simulated and one live:
 //!
-//! * [`SimTransport`] — an adapter over [`simnet::Engine`]: frames travel
-//!   with the latency matrix's one-way delays, die at churned-down
-//!   nodes, and timers are simulation events. Running the stack over it
+//! * [`SimTransport`] — a discrete-event queue of typed events: frames
+//!   travel with the latency matrix's one-way delays, die at
+//!   churned-down nodes, and timers are simulation events. Running the stack over it
 //!   reproduces the driver's behavior event for event (the
 //!   `sim_equivalence` integration test pins this).
 //! * [`EventedTransport`] — the live backend: non-blocking

@@ -19,7 +19,7 @@ use anon_core::instrument::ProtocolTelemetry;
 use anon_core::relay::{Relay, Step};
 use anon_core::wire::{Frame, Wire};
 use anon_core::{AnonError, MessageId, StreamId};
-use erasure::{Codec, Segment};
+use erasure::Codec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_crypto::{KeyPair, PublicKey};
@@ -249,10 +249,8 @@ impl ProtocolNode {
         message: &[u8],
         out: &mut Vec<Output>,
     ) -> Result<(), AnonError> {
-        let codec = self
-            .codec
-            .as_deref()
-            .ok_or(AnonError::InvalidParameters("no codec attached".into()))?;
+        let no_codec = || AnonError::InvalidParameters("no codec attached".into());
+        let codec = self.codec.as_deref().ok_or_else(no_codec)?;
         let (now, ttl) = (SimTime(self.now_hint), self.relay.state_ttl());
         if now.since(self.ledger_swept) >= ttl {
             self.initiator.sweep(now, ttl);
@@ -315,7 +313,11 @@ impl ProtocolNode {
         if let Wire::Reverse { blob } = &mut wire {
             match self.initiator.open_ack(sid, blob, now) {
                 Err(AnonError::UnknownStream) => {}
-                Ok(acked) => return self.on_ack(now_us, sid, acked, out),
+                Ok(acked) => {
+                    // The ack's buffer carries the next payload onion.
+                    self.initiator.recycle(std::mem::take(blob));
+                    return self.on_ack(now_us, sid, acked, out);
+                }
                 Err(_) => return self.note_stateless_drop(),
             }
         }
@@ -343,11 +345,11 @@ impl ProtocolNode {
                     self.send_auto_ack(from, sid, CONSTRUCT_ACK, 0, onion, out);
                 }
             }
-            (Ok(Step::Delivered { mid, index }), Wire::Payload { blob }) => {
+            (Ok(Step::Delivered { mid, index }), Wire::Payload { mut blob }) => {
                 self.events.record(now_us, Event::Delivered(mid, index));
-                if let Some(codec) = self.codec.as_ref() {
-                    let seg = Segment::new(index, blob.clone());
-                    if let Ok(Some(body)) = self.reassembler.push(mid, seg, codec.as_ref(), now) {
+                if let Some(codec) = self.codec.as_deref() {
+                    let pushed = self.reassembler.push(mid, index, &mut blob, codec, now);
+                    if let Ok(Some(body)) = pushed {
                         self.events.record(now_us, Event::Completed(mid, body));
                     }
                 }
@@ -672,6 +674,48 @@ mod tests {
         rt.drive(INITIATOR, |n, out| n.construct_paths(&[hops], out));
         rt.run_until_idle(0);
         assert_eq!(held(&rt), (0, 0));
+    }
+
+    #[test]
+    fn an_oversized_message_is_refused_untouched_and_the_largest_that_fits_arrives() {
+        use anon_core::onion::payload_onion_len;
+        use anon_core::wire::MAX_BLOB_LEN;
+        let (mut refused, mut plain) = (world(1, &[NodeId(1)], None), world(1, &[NodeId(1)], None));
+        let plan = &refused.node(INITIATOR).initiator.paths()[0].plan;
+        // A (1, 1) segment is the message and its 4-byte length frame.
+        let largest = MAX_BLOB_LEN - payload_onion_len(plan, 4, false);
+        let mut out = Vec::new();
+        let sent =
+            refused
+                .node_mut(INITIATOR)
+                .send_message(MessageId(1), &vec![1; largest + 1], &mut out);
+        let (len, max) = (MAX_BLOB_LEN + 1, MAX_BLOB_LEN);
+        assert_eq!(sent, Err(AnonError::Oversized { len, max }));
+        assert!(out.is_empty(), "no frame, no timer");
+        let node = refused.node(INITIATOR);
+        assert_eq!(node.initiator.ledger_len(), (0, 0));
+        assert!(node.timers.is_empty());
+
+        // No RNG draw either: what the node sends next is what a node
+        // that was never asked sends.
+        for rt in [&mut refused, &mut plain] {
+            rt.drive(INITIATOR, |n, out| {
+                n.send_message(MessageId(2), b"next", out)
+            })
+            .unwrap();
+            rt.run_until_idle(0);
+        }
+        assert_eq!(refused.transport.outputs, plain.transport.outputs);
+
+        let body = vec![3; largest];
+        refused
+            .drive(INITIATOR, |n, out| n.send_message(MessageId(3), &body, out))
+            .unwrap();
+        refused.run_until_idle(0);
+        assert!(refused.node(INITIATOR).message_complete(MessageId(3)));
+        let completed = &refused.node(RESPONDER).events.completed;
+        assert_eq!(completed.last(), Some(&(MessageId(3), body)));
+        assert_eq!(refused.transport.sim.lost(), 0);
     }
 
     /// Two paths, relay 2 crashed, three messages: each loses its second

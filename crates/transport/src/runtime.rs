@@ -17,6 +17,9 @@ pub struct Runtime<T: Transport> {
     /// The transport carrying frames and timers.
     pub transport: T,
     nodes: HashMap<NodeId, ProtocolNode>,
+    /// The outputs of the node being dispatched; drained into the
+    /// transport after each dispatch, its capacity kept.
+    out: Vec<Output>,
 }
 
 impl<T: Transport> Runtime<T> {
@@ -25,6 +28,7 @@ impl<T: Transport> Runtime<T> {
         Runtime {
             transport,
             nodes: HashMap::new(),
+            out: Vec::new(),
         }
     }
 
@@ -66,7 +70,7 @@ impl<T: Transport> Runtime<T> {
         id: NodeId,
         f: impl FnOnce(&mut ProtocolNode, &mut Vec<Output>) -> R,
     ) -> R {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.out);
         let now = self.transport.now_us();
         let node = self.node_mut(id);
         node.set_now(now);
@@ -75,8 +79,10 @@ impl<T: Transport> Runtime<T> {
         r
     }
 
-    fn apply(&mut self, owner: NodeId, out: Vec<Output>) {
-        for o in out {
+    /// Apply `out` to the transport, then keep it, emptied, for the next
+    /// dispatch.
+    fn apply(&mut self, owner: NodeId, mut out: Vec<Output>) {
+        for o in out.drain(..) {
             match o {
                 // A failed send is a lost frame: the protocol's
                 // redundancy machinery, not the pump, recovers from it.
@@ -89,6 +95,7 @@ impl<T: Transport> Runtime<T> {
                 Output::CancelTimer { token } => self.transport.cancel_timer(owner, token),
             }
         }
+        self.out = out;
     }
 
     /// Pull and dispatch one event; `false` if none appeared within
@@ -102,7 +109,7 @@ impl<T: Transport> Runtime<T> {
             TransportEvent::Timer { owner, token } => (owner, Input::Timer { token }),
         };
         let now = self.transport.now_us();
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.out);
         if let Some(node) = self.nodes.get_mut(&owner) {
             node.handle(now, input, &mut out);
         }
