@@ -19,7 +19,7 @@ use crate::wire::MAX_BLOB_LEN;
 use crate::AnonError;
 use erasure::{Codec, Segment};
 use rand::{CryptoRng, Rng};
-use sim_crypto::{seal, seal_to_table, PublicKey, RecipientTable, SymmetricKey};
+use sim_crypto::{PublicKey, RecipientTable, SymmetricKey};
 use simnet::{NodeId, SimDuration, SimTime};
 use std::collections::HashMap;
 
@@ -136,9 +136,16 @@ struct Recipient {
 /// recently used evicted past [`MAX_RECIPIENTS`]: biased choice keeps
 /// drawing the same long-lived relays, so a key's second seal builds its
 /// comb table and every later one runs the comb instead of the ladder.
-/// The boxes are the bytes [`seal`] gives from the same RNG draws. Which
-/// of the two runs depends on public facts only: whether this key was
-/// sealed to before, and whether it has a table.
+/// The boxes are the bytes [`sim_crypto::seal`] gives from the same RNG
+/// draws. Which of the two runs depends on public facts only: whether this
+/// key was sealed to before, and whether it has a table.
+///
+/// An onion's seals are booked first, one [`touch`](Self::touch) per layer
+/// in sealing order, and then sealed together through [`table`](Self::table):
+/// the clock, evictions and builds are those of one seal at a time. A key
+/// that appears twice in one onion gets its table on both layers, and one
+/// evicted by a later layer of the same onion (an onion of more than
+/// [`MAX_RECIPIENTS`] keys) gets the ladder; neither changes a byte.
 #[derive(Default)]
 struct RecipientTables {
     recipients: Vec<Recipient>,
@@ -146,13 +153,9 @@ struct RecipientTables {
 }
 
 impl RecipientTables {
-    /// Seal `plaintext` to `key`, as [`seal`] would.
-    fn seal<R: Rng + CryptoRng>(
-        &mut self,
-        key: &PublicKey,
-        plaintext: &[u8],
-        rng: &mut R,
-    ) -> Vec<u8> {
+    /// Book one seal to `key`: remember it (evicting the least recent at
+    /// [`MAX_RECIPIENTS`]) or, on its second seal, build its table.
+    fn touch(&mut self, key: &PublicKey) {
         self.clock += 1;
         let Some(recipient) = self.recipients.iter_mut().find(|r| r.key == *key) else {
             if self.recipients.len() == MAX_RECIPIENTS {
@@ -166,7 +169,7 @@ impl RecipientTables {
                 last_use: self.clock,
                 comb: Comb::NotYet,
             });
-            return seal(key, plaintext, rng);
+            return;
         };
         recipient.last_use = self.clock;
         if let Comb::NotYet = recipient.comb {
@@ -175,9 +178,13 @@ impl RecipientTables {
                 None => Comb::Ladder,
             };
         }
-        match &recipient.comb {
-            Comb::Built(table) => seal_to_table(table, plaintext, rng),
-            Comb::NotYet | Comb::Ladder => seal(key, plaintext, rng),
+    }
+
+    /// `key`'s table, once built.
+    fn table(&self, key: &PublicKey) -> Option<&RecipientTable> {
+        match &self.recipients.iter().find(|r| r.key == *key)?.comb {
+            Comb::Built(table) => Some(table),
+            Comb::NotYet | Comb::Ladder => None,
         }
     }
 }
@@ -254,9 +261,11 @@ impl Initiator {
     ) -> Vec<Outgoing> {
         let mut out = Vec::with_capacity(paths_hops.len());
         for hops in paths_hops {
-            let (plan, blob) = build_construction_onion_sealing(hops, rng, |key, layer, rng| {
-                self.tables.seal(key, layer, rng)
-            });
+            for (_, key) in hops.iter().rev() {
+                self.tables.touch(key);
+            }
+            let tables = &self.tables;
+            let (plan, blob) = build_construction_onion_sealing(hops, rng, |key| tables.table(key));
             let sid = StreamId::generate(rng);
             out.push(Outgoing {
                 to: plan.first_hop(),
@@ -818,6 +827,17 @@ mod tests {
         }
         assert_eq!(initiator.tables.recipients.len(), MAX_RECIPIENTS);
         assert_eq!(table_built(&initiator, &keys[99].1), Some(false));
+
+        // An onion's seals are booked innermost first, as they are
+        // sealed: of a two-hop path's keys, the responder's is the less
+        // recent, and the 65th key evicts it.
+        let mut initiator = Initiator::new(NodeId(1_001));
+        initiator.construct_paths(&[vec![keys[0], keys[1]]], &mut rng);
+        for key in &keys[2..=MAX_RECIPIENTS] {
+            initiator.construct_paths(&[vec![*key]], &mut rng);
+        }
+        assert_eq!(table_built(&initiator, &keys[1].1), None);
+        assert_eq!(table_built(&initiator, &keys[0].1), Some(false));
     }
 
     #[test]
@@ -1156,24 +1176,26 @@ mod tests {
     /// the ones `ProtocolNode::on_timer` sent for retry 1 and 2 of segment
     /// 1 (the node's timers), for `StdRng` seeds 1, 2 and 3. The blobs are
     /// ciphertext, so the hashes were taken again when the payload layer's
-    /// tag changed (wire v2), on a commit that touched nothing in this file.
+    /// tag changed (wire v2), on a commit that touched nothing in this file,
+    /// and again when the session keys' cipher key moved from HKDF to
+    /// HChaCha20, before the construction onion's layers were batched.
     #[test]
     fn resend_reproduces_both_retransmit_policies_byte_for_byte() {
         const RECORDED: [[&str; 3]; 3] = [
             [
-                "8523037e8792d0ab506e85946f1f300611f0c4b1578023cc59cdf868d9a10912",
-                "8502c895f68cfc0d5b89371a92c552bf58ec9c1a8e3787c79096e2c3015b8027",
-                "4c3c03f2af35266221b84db94e8ccd8d52e586dca2a32692f0369b3d021cc608",
+                "6704e53e39cfac09b03292a95fd36d52d72c5189a9cc58e6c6f905119b0f57c8",
+                "b0bbe3cf75d64c0baa60878b9d975f55232aa4948de6dd6fedb5ee60021713f1",
+                "93a67f78871625f1fbee6bfbdbf245d1c8b713ed2c236ada5dee2700370b439f",
             ],
             [
-                "7b5d844de2bad87557870f9d004d8ddda7a5a44d3cadb10a9b619e1185fc49f3",
-                "b7c0ba998ded5a69483526b56a46ea67071481148c90ead2dec5516b26eda185",
-                "e4fb3d5472458359685d85dbc13da48a69a8b6536eabe6ad22d56f25144746c1",
+                "fbb90274a1047ebaf9237050a03cbbd48c723fb659a28dda643229ac56a0e0bd",
+                "8c0f87fc1e702a8a78b496492492554c2029e01825f15a6c2be6f5b9253cb23d",
+                "23baccb412db3bc8fc6a498ae47c71cde51218a5c9e6fd5707f0b79b5912fb75",
             ],
             [
-                "3ecc6102dfd298030701096faa21e6b5d18cdade13c77877c47680e88646e054",
-                "75d624a3405fdbd83c2624a47e21ba93b993a94718e4a68cfb317910846d2874",
-                "a7a1249d88b6ca6c9eb53f4cab96496fae8e510986eaa28c119679d8ecfe212e",
+                "2782417993b253b2fae7b6ca5a90cbe15af2b286caa128e5bde95b8fcba136b2",
+                "0040c23ee3459eea1f1a629ef9517a18611adfdda7ac5123b0e17147f8eae60e",
+                "1980d8fb4b1c36d0ec16d7e597d4cd23e35a42d97d3cc54da53a513f9f255f99",
             ],
         ];
         let digest = |out: Vec<Outgoing>| {

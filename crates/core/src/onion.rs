@@ -43,8 +43,8 @@ use erasure::Segment;
 use rand::{CryptoRng, Rng};
 use sim_crypto::symmetric as sym;
 use sim_crypto::{
-    seal, sealed, sym_decrypt_in_place, sym_encrypt_in_place, unseal, PublicKey, SecretKey,
-    SymmetricKey,
+    seal, sealed, sealers, sym_decrypt_in_place, sym_encrypt_in_place, unseal, PublicKey,
+    RecipientTable, SecretKey, SymmetricKey,
 };
 use simnet::NodeId;
 
@@ -114,16 +114,21 @@ pub fn build_construction_onion<R: Rng + CryptoRng>(
     hop_keys: &[(NodeId, PublicKey)],
     rng: &mut R,
 ) -> (PathPlan, Vec<u8>) {
-    build_construction_onion_sealing(hop_keys, rng, seal)
+    build_construction_onion_sealing(hop_keys, rng, |_| None)
 }
 
-/// [`build_construction_onion`], with each layer sealed by `seal_layer`:
-/// [`seal`] itself, or a sender's own way to the same bytes from the same
-/// RNG draws (the initiator's comb tables).
-pub(crate) fn build_construction_onion_sealing<R: Rng + CryptoRng>(
+/// [`build_construction_onion`], sealing to each key through the comb
+/// table `table_of` gives for it, if any (the initiator's tables): the same
+/// bytes from the same RNG draws.
+///
+/// The draws are the session keys, then one ephemeral secret per layer in
+/// sealing order, innermost first, as a [`seal`] per layer would make
+/// them. Every layer's key agreement is done before the first layer is
+/// sealed, under one field inversion for the whole onion.
+pub(crate) fn build_construction_onion_sealing<'t, R: Rng + CryptoRng>(
     hop_keys: &[(NodeId, PublicKey)],
     rng: &mut R,
-    mut seal_layer: impl FnMut(&PublicKey, &[u8], &mut R) -> Vec<u8>,
+    table_of: impl Fn(&PublicKey) -> Option<&'t RecipientTable>,
 ) -> (PathPlan, Vec<u8>) {
     assert!(
         !hop_keys.is_empty(),
@@ -133,23 +138,30 @@ pub(crate) fn build_construction_onion_sealing<R: Rng + CryptoRng>(
         .iter()
         .map(|_| SymmetricKey::generate(rng))
         .collect();
+    let recipients: Vec<(&PublicKey, Option<&RecipientTable>)> = hop_keys
+        .iter()
+        .rev()
+        .map(|(_, key)| (key, table_of(key)))
+        .collect();
+    let sealers = sealers(&recipients, rng);
 
-    // Innermost (responder) layer first.
+    // Innermost (responder) layer first, then outwards: hop i learns hop
+    // i+1.
     let last = hop_keys.len() - 1;
-    let mut plaintext = Vec::with_capacity(33);
-    plaintext.push(TAG_TERMINAL);
-    plaintext.extend_from_slice(&session_keys[last].to_bytes());
-    let mut blob = seal_layer(&hop_keys[last].1, &plaintext, rng);
-
-    // Wrap outwards: hop i learns hop i+1.
-    for i in (0..last).rev() {
-        let mut layer = Vec::with_capacity(41 + blob.len());
-        layer.push(TAG_RELAY);
-        layer.extend_from_slice(&hop_keys[i + 1].0 .0.to_be_bytes());
-        layer.extend_from_slice(&session_keys[i].to_bytes());
-        layer.extend_from_slice(&(blob.len() as u32).to_be_bytes());
-        layer.extend_from_slice(&blob);
-        blob = seal_layer(&hop_keys[i].1, &layer, rng);
+    let mut blob = Vec::new();
+    for (i, sealer) in (0..=last).rev().zip(sealers) {
+        let layer = if i == last {
+            [&[TAG_TERMINAL][..], &session_keys[i].to_bytes()].concat()
+        } else {
+            let mut layer = Vec::with_capacity(41 + blob.len());
+            layer.push(TAG_RELAY);
+            layer.extend_from_slice(&hop_keys[i + 1].0 .0.to_be_bytes());
+            layer.extend_from_slice(&session_keys[i].to_bytes());
+            layer.extend_from_slice(&(blob.len() as u32).to_be_bytes());
+            layer.extend_from_slice(&blob);
+            layer
+        };
+        blob = sealer.seal(&layer);
     }
 
     // Non-empty, by the assertion above: `PathPlan::responder` relies on it.

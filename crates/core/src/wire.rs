@@ -40,7 +40,10 @@ pub const MAGIC: [u8; 4] = *b"PANR";
 /// Current protocol version. 2 is the ChaCha20-Poly1305 payload layer
 /// (`sim_crypto::symmetric`); it replaced 1 (ChaCha20 + HMAC-SHA-256) with
 /// the same frame lengths, so the version byte is what tells a v1 peer
-/// apart before its every layer fails authentication.
+/// apart before its every layer fails authentication. The key derivation
+/// under both layers later moved from HKDF to HChaCha20 with no bump:
+/// there is no deployed fleet, and a peer from before that change fails
+/// authentication on its first layer.
 pub const VERSION: u8 = 2;
 
 /// Fixed header length: magic (4) + version (1) + type (1) + body length

@@ -1,4 +1,6 @@
-//! ChaCha20 stream cipher per RFC 8439.
+//! ChaCha20 stream cipher per RFC 8439, and HChaCha20
+//! (draft-irtf-cfrg-xchacha-03 §2.2), the key derivation built on its
+//! rounds.
 
 /// Key size in bytes.
 pub const KEY_LEN: usize = 32;
@@ -37,8 +39,9 @@ fn init_state(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u3
     state
 }
 
-/// The 64-byte keystream block of an input state.
-fn keystream(state: &[u32; 16]) -> [u8; 64] {
+/// The 20 rounds (ten double rounds) over an input state, without the
+/// final addition of the input.
+fn rounds(state: &[u32; 16]) -> [u32; 16] {
     let mut working = *state;
     for _ in 0..10 {
         quarter_round(&mut working, 0, 4, 8, 12);
@@ -50,6 +53,12 @@ fn keystream(state: &[u32; 16]) -> [u8; 64] {
         quarter_round(&mut working, 2, 7, 8, 13);
         quarter_round(&mut working, 3, 4, 9, 14);
     }
+    working
+}
+
+/// The 64-byte keystream block of an input state.
+fn keystream(state: &[u32; 16]) -> [u8; 64] {
+    let working = rounds(state);
     let mut out = [0u8; 64];
     for (bytes, (w, s)) in out.chunks_exact_mut(4).zip(working.iter().zip(state)) {
         bytes.copy_from_slice(&w.wrapping_add(*s).to_le_bytes());
@@ -60,6 +69,26 @@ fn keystream(state: &[u32; 16]) -> [u8; 64] {
 /// Produce one 64-byte keystream block for (key, counter, nonce).
 pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; 64] {
     keystream(&init_state(key, counter, nonce))
+}
+
+/// HChaCha20: a 32-byte key from `key` and a 16-byte `input`, which takes
+/// the place of the counter and nonce words. The output is words 0–3 and
+/// 12–15 of the state after the rounds, with no feed-forward: one block's
+/// work, and a PRF of `input` under `key`.
+pub(crate) fn hchacha20(key: &[u8; KEY_LEN], input: &[u8; 16]) -> [u8; KEY_LEN] {
+    let mut state = init_state(key, 0, &[0; NONCE_LEN]);
+    for (i, word) in state[12..].iter_mut().enumerate() {
+        *word = u32::from_le_bytes(std::array::from_fn(|j| input[4 * i + j]));
+    }
+    let working = rounds(&state);
+    let mut out = [0u8; KEY_LEN];
+    for (bytes, w) in out
+        .chunks_exact_mut(4)
+        .zip(working[..4].iter().chain(&working[12..]))
+    {
+        bytes.copy_from_slice(&w.to_le_bytes());
+    }
+    out
 }
 
 /// XOR `data` in place with the ChaCha20 keystream starting at block
@@ -134,6 +163,18 @@ mod tests {
              f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8\
              07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736\
              5af90bbf74a35be6b40b8eedf2785e42874d"
+        );
+    }
+
+    #[test]
+    fn hchacha20_draft_vector() {
+        // draft-irtf-cfrg-xchacha-03 §2.2.1.
+        let nonce: [u8; 16] = [
+            0, 0, 0, 0x09, 0, 0, 0, 0x4a, 0, 0, 0, 0, 0x31, 0x41, 0x59, 0x27,
+        ];
+        assert_eq!(
+            hex(&hchacha20(&test_key(), &nonce)),
+            "82413b4227b27bfed30e42508a877d73a0f9e4d58a74a853c12ec41326d3ecdc"
         );
     }
 

@@ -5,12 +5,12 @@
 //! paper pays for a path once, at construction, and every frame afterwards
 //! costs a relay one symmetric layer under the planted `R_i`. The key
 //! therefore carries what [`crate::symmetric`] needs per layer (the
-//! ChaCha20 key HKDF derives from `R_i`; the Poly1305 key is per nonce and
-//! comes out of the cipher) next to the 32 bytes that travel in the
+//! ChaCha20 key HChaCha20 derives from `R_i`; the Poly1305 key is per nonce
+//! and comes out of the cipher) next to the 32 bytes that travel in the
 //! construction onion, and whoever stores the key per path entry stores
 //! the derived key with it.
 
-use crate::hmac::hkdf;
+use crate::chacha20::hchacha20;
 use crate::x25519;
 use rand::{CryptoRng, Rng};
 
@@ -21,8 +21,9 @@ pub struct PublicKey(pub [u8; 32]);
 /// An X25519 secret scalar, together with the public key it determines.
 ///
 /// Like a [`SymmetricKey`]'s cipher key, the public half is derived when the
-/// key is made: opening a sealed box needs it for the HKDF salt, and a
-/// relay opens one per construction onion under a key that never changes.
+/// key is made: opening a sealed box needs it for the tag's associated
+/// data, and a relay opens one per construction onion under a key that
+/// never changes.
 #[derive(Clone)]
 pub struct SecretKey {
     scalar: [u8; 32],
@@ -96,6 +97,11 @@ impl KeyPair {
     }
 }
 
+/// The HChaCha20 input that derives a [`SymmetricKey`]'s cipher key: a
+/// constant of its own, so no other key derived from the same bytes
+/// collides with it.
+const SYM_KEY_DOMAIN: &[u8; 16] = b"p2p-anon/sym/key";
+
 /// A 256-bit symmetric key: the per-hop session key `R_i` the initiator
 /// plants at each relay during path construction, together with the
 /// ChaCha20 key derived from it (64 bytes in all, `Copy`).
@@ -142,10 +148,10 @@ impl SymmetricKey {
     }
 
     /// Deserialize, and derive the symmetric layer's ChaCha20 key (wire
-    /// v2): `HKDF(salt = "p2p-anon/sym/v2", ikm = R_i, info = "enc")`, once
-    /// per key instead of once per layer.
+    /// v2): `HChaCha20(R_i, "p2p-anon/sym/key")`, one block's work, once per
+    /// key instead of once per layer.
     pub fn from_bytes(bytes: [u8; 32]) -> Self {
-        let enc = hkdf(b"p2p-anon/sym/v2", &bytes, b"enc");
+        let enc = hchacha20(&bytes, SYM_KEY_DOMAIN);
         SymmetricKey { bytes, enc }
     }
 

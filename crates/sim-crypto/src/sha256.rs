@@ -1,9 +1,14 @@
 //! SHA-256 per FIPS 180-4.
+//!
+//! No protocol step hashes: sealed boxes and session keys derive their
+//! keys with HChaCha20. The hash stays for the blinding factors of the
+//! Sphinx-shaped packet format on the roadmap, and tests use it to digest
+//! recorded bytes.
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
 
-/// Block size in bytes (needed by HMAC).
+/// Block size in bytes.
 pub const BLOCK_LEN: usize = 64;
 
 const K: [u32; 64] = [
@@ -44,18 +49,6 @@ impl Sha256 {
             buf: [0; BLOCK_LEN],
             buf_len: 0,
             total_len: 0,
-        }
-    }
-
-    /// Resume from `midstate`, the chaining value after exactly one
-    /// absorbed block (see [`block_midstate`]): what HMAC keeps per key so
-    /// the ipad/opad blocks are hashed once, not once per message.
-    pub(crate) fn after_block(midstate: [u32; 8]) -> Self {
-        Sha256 {
-            state: midstate,
-            buf: [0; BLOCK_LEN],
-            buf_len: 0,
-            total_len: BLOCK_LEN as u64,
         }
     }
 
@@ -107,18 +100,13 @@ impl Sha256 {
     }
 }
 
-/// Chaining value after absorbing `block` into a fresh hasher.
-pub(crate) fn block_midstate(block: &[u8; BLOCK_LEN]) -> [u32; 8] {
-    let mut state = H0;
-    compress(&mut state, block);
-    state
-}
-
 /// One application of the compression function. The message schedule is
 /// a rolling window of 16 words (`w[i & 15]` holds `W[i]` until round
 /// `i + 16` overwrites it), and the loop takes eight rounds per step with
 /// the working variables renamed from round to round instead of moved.
 fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    #[cfg(test)]
+    crate::tally::compression();
     let mut w = [0u32; 16];
     for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
         if let &[b0, b1, b2, b3] = bytes {

@@ -3,10 +3,10 @@
 //! This is what relays use on the payload onion: `<PayLoad_{i+1}>_{R_i}` in
 //! the paper's notation. Construction (wire v2): the ChaCha20-Poly1305 AEAD
 //! of RFC 8439 §2.8 with no associated data, under a ChaCha20 key derived
-//! from the session key by HKDF and a random 12-byte nonce that travels in
-//! front of the ciphertext. The Poly1305 one-time key is the first 32 bytes
-//! of keystream block 0 under `(key, nonce)`, the body is encrypted from
-//! block 1, and the 16-byte tag is Poly1305 over
+//! from the session key by HChaCha20 and a random 12-byte nonce that
+//! travels in front of the ciphertext. The Poly1305 one-time key is the
+//! first 32 bytes of keystream block 0 under `(key, nonce)`, the body is
+//! encrypted from block 1, and the 16-byte tag is Poly1305 over
 //! `ciphertext ‖ pad16 ‖ le64(0) ‖ le64(len ciphertext)`.
 //!
 //! The nonce is 96 fresh random bits per layer, so a one-time key repeats
@@ -15,13 +15,12 @@
 //! would wrap the 32-bit counter back onto block 0, the one that keys the
 //! MAC.
 //!
-//! The HKDF runs once, when the [`SymmetricKey`] is made; a layer here costs
-//! a nonce, one extra keystream block and one cheap pass of each primitive
-//! over the body. Decryption computes the whole tag and compares it in
+//! The key derivation runs once, when the [`SymmetricKey`] is made; a
+//! layer here costs a nonce, one extra keystream block and one cheap pass
+//! of each primitive over the body. Decryption computes the whole tag and compares it in
 //! constant time before it touches a byte.
 
-use crate::chacha20::{self, NONCE_LEN};
-use crate::hmac::ct_eq;
+use crate::chacha20::{self, KEY_LEN, NONCE_LEN};
 use crate::keys::SymmetricKey;
 use crate::poly1305::{self, Poly1305};
 use crate::CryptoError;
@@ -45,17 +44,40 @@ fn check_len(plain_len: usize) -> Result<(), CryptoError> {
     }
 }
 
-/// The layer's tag over `ciphertext` under `(key, nonce)`.
-fn layer_tag(key: &SymmetricKey, nonce: &[u8; NONCE_LEN], ciphertext: &[u8]) -> [u8; TAG_LEN] {
-    let block0 = chacha20::block(key.enc_key(), 0, nonce);
+/// The RFC 8439 §2.8 tag of `ciphertext` and associated data `aad` under
+/// ChaCha20 `(key, nonce)`: Poly1305, keyed by the first 32 bytes of
+/// keystream block 0, over
+/// `aad ‖ pad16 ‖ ciphertext ‖ pad16 ‖ le64(len aad) ‖ le64(len ciphertext)`.
+/// A layer here has no `aad`; a sealed box's is the two public keys.
+pub(crate) fn aead_tag(
+    key: &[u8; KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    ciphertext: &[u8],
+) -> [u8; TAG_LEN] {
+    let block0 = chacha20::block(key, 0, nonce);
     let mut one_time_key = [0u8; poly1305::KEY_LEN];
     one_time_key.copy_from_slice(&block0[..poly1305::KEY_LEN]);
     let mut mac = Poly1305::new(&one_time_key);
+    mac.update_padded(aad);
     mac.update_padded(ciphertext);
     let mut lengths = [0u8; 16];
+    lengths[..8].copy_from_slice(&(aad.len() as u64).to_le_bytes());
     lengths[8..].copy_from_slice(&(ciphertext.len() as u64).to_le_bytes());
     mac.update_padded(&lengths);
     mac.finalize()
+}
+
+/// Constant-time tag comparison: every byte is read whatever differs.
+pub(crate) fn ct_eq(a: &[u8], b: &[u8]) -> bool {
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut diff = 0u8;
+    for (x, y) in a.iter().zip(b) {
+        diff |= x ^ y;
+    }
+    diff == 0
 }
 
 /// Encrypt and authenticate the plaintext held in `buf` under `key`,
@@ -86,7 +108,7 @@ pub fn sym_encrypt_in_place<R: Rng + CryptoRng>(
     let (body, tag) = buf.split_at_mut(NONCE_LEN + plain_len);
     let ciphertext = &mut body[NONCE_LEN..];
     chacha20::xor_stream(key.enc_key(), 1, &nonce, ciphertext);
-    tag.copy_from_slice(&layer_tag(key, &nonce, ciphertext));
+    tag.copy_from_slice(&aead_tag(key.enc_key(), &nonce, &[], ciphertext));
 }
 
 /// Verify and decrypt a ciphertext produced by [`sym_encrypt_in_place`],
@@ -102,7 +124,7 @@ pub fn sym_decrypt_in_place(key: &SymmetricKey, buf: &mut Vec<u8>) -> Result<(),
         .ok_or(CryptoError::Truncated)?;
     let plain_len = ciphertext.len();
     check_len(plain_len)?;
-    if !ct_eq(tag, &layer_tag(key, nonce, ciphertext)) {
+    if !ct_eq(tag, &aead_tag(key.enc_key(), nonce, &[], ciphertext)) {
         return Err(CryptoError::BadTag);
     }
     chacha20::xor_stream(key.enc_key(), 1, nonce, ciphertext);
@@ -125,40 +147,39 @@ mod tests {
     /// Wire-v2 compatibility guard: `nonce || ct || tag` for key bytes
     /// `00..1f`, plaintext byte `i` = `7i + 3`, nonce drawn from
     /// `StdRng::seed_from_u64(0x5eed)` (the key, plaintexts and nonce of
-    /// the v1 guard this replaces). The bytes were recorded from, and so
-    /// cross-checked once against, a stdlib-only python3 script: HKDF from
-    /// `hmac`/`hashlib`, ChaCha20 on a list of ints, and Poly1305 as
-    /// `h = (h + int.from_bytes(block + b"\x01", "little")) * r % (2**130 - 5)`
-    /// on Python's big integers, composed as the module doc describes.
+    /// the v1 guard this replaces). Re-recorded when the cipher key's
+    /// derivation moved from HKDF to HChaCha20; the AEAD is unchanged.
+    /// `tests/known_answers.py` recomputes them (ChaCha20, HChaCha20 and
+    /// Poly1305 on Python integers) and finds them in this file.
     #[test]
     fn known_answers_wire_v2() {
         let vectors: [(usize, &str); 4] = [
             (
                 0,
-                "783d73c1be7141846908bd850296d99f6f0fd0445ab335b95de77c3a",
+                "783d73c1be7141846908bd853ef2a94f1b8538a70481b25f3f560bfe",
             ),
             (
                 1,
-                "783d73c1be7141846908bd85266cbac91571fa82c1c22879c348340ca2",
+                "783d73c1be7141846908bd85d6c8124d485f139df64dc00951155bd8d4",
             ),
             (
                 64,
-                "783d73c1be7141846908bd8526c241746b56b7cc1d2e0232b09d08f0c08d8e7f2fe5ff21\
-                 37efde8c48ecfa0866e01327ffbfa470a3ec054e5c32ac05cd9e1102877a72f869690dab\
-                 62d2489965890e1d8b241488e99be7b93efb4c51",
+                "783d73c1be7141846908bd85d61e3cf968da91c3ef2b0ba352be6317764c188af36c6758\
+                 d03c1de90c6546c2921b1a54c1a7e6a3a3262905a9a775315ec2c4394429db98bc402363\
+                 e831e007b31247f5c1ad3d63d3f5d4a5c23ba3e0",
             ),
             (
                 300,
-                "783d73c1be7141846908bd8526c241746b56b7cc1d2e0232b09d08f0c08d8e7f2fe5ff21\
-                 37efde8c48ecfa0866e01327ffbfa470a3ec054e5c32ac05cd9e1102877a72f869690dab\
-                 62d2489991eb72cdc0b8d6cefb91d000ec482aee734d1d27ee2c891adc7726244e6cb535\
-                 de1ae848e333a28210c62ab8f3e225d7ee4f2c877bba61b4ce48b420cb3c5b90267b24a1\
-                 e7623c3f592f45b94398e24bf1f15090ee787869b8fb6e0f5be127e1fdc7e33c89b14038\
-                 8f727a7bb4a7789595d8b143acc68375d12eacab5de1925dee5babe33debdbcbd222f85d\
-                 16ecb2fa06a6202d2a7fb34bf7c554371dc9159a09441c2c880cdf5fbad70fb11224f2a6\
-                 5d5a21b41898ddddc4267231c65080b42811cc4b5724b4e3e5facc0c632cad746aad024d\
-                 00d0a7ef6b2977702476ab6f33f049b42f36095a9c38d5358b99d5fac22e0134bb8432f6\
-                 73b50652",
+                "783d73c1be7141846908bd85d61e3cf968da91c3ef2b0ba352be6317764c188af36c6758\
+                 d03c1de90c6546c2921b1a54c1a7e6a3a3262905a9a775315ec2c4394429db98bc402363\
+                 e831e0074b79fc84912d308354ca2dad27f1ebb51081127eedfbf87bce877a08577170af\
+                 b77c129059f2a52a673cd4e3d3077aa94a2171767bc40f095f597227a7eee7325a59f79e\
+                 39b40248f7d04bc0423dcbb042a953a92c64c55ef4031762b15b2f2022edb56c24dbd509\
+                 a3a95aee0b2ab62a94a6e25206a8f19def5c8a081dad2673fb43b74cbc5ceb4329d4d88f\
+                 c972ee461272074f0137e1cb2b9f4ab707c7ae19060e0c038f6a9d515cd259c96afe20c1\
+                 2ce89a7bb7a6c36eba51d5d0a56f3e2d2d3190567d935781578d248f7869c57f2a2f8b70\
+                 59593130811bd35a238d8024bc6c732854c0c98b700a412abd7db9dd3e43d626f01efd8c\
+                 b713ae54",
             ),
         ];
         let key = SymmetricKey::from_bytes(std::array::from_fn(|i| i as u8));
@@ -171,6 +192,14 @@ mod tests {
             sym_decrypt_in_place(&key, &mut buf).unwrap();
             assert_eq!(buf, plain, "len {len}");
         }
+    }
+
+    #[test]
+    fn ct_eq_behaviour() {
+        assert!(ct_eq(b"abc", b"abc"));
+        assert!(!ct_eq(b"abc", b"abd"));
+        assert!(!ct_eq(b"abc", b"ab"));
+        assert!(ct_eq(b"", b""));
     }
 
     fn sealed(key: &SymmetricKey, msg: &[u8], rng: &mut StdRng) -> Vec<u8> {

@@ -14,8 +14,9 @@
 //!   another public key, built at run time by the same builder.
 //!
 //! Each ends in one field inversion. A sealed box needs both products of
-//! one ephemeral scalar, and `public_key_and_x25519` shares that
-//! inversion between them.
+//! one ephemeral scalar, and a construction onion one box per layer:
+//! `public_keys_and_x25519s` finishes all of an onion's products under a
+//! single inversion (Montgomery's trick).
 
 /// Size of scalars, u-coordinates and shared secrets.
 pub const POINT_LEN: usize = 32;
@@ -258,10 +259,19 @@ impl Fe {
     }
 
     /// Inversion by Fermat's little theorem: self^(p-2) = self^(2^255 - 21),
-    /// 254 squarings and 11 multiplications.
-    const fn invert(self) -> Fe {
+    /// 254 squarings and 11 multiplications (0 for 0). `const`, for the
+    /// tables the compiler builds and the table builder; everything else
+    /// calls [`Fe::invert`].
+    const fn pow_p_minus_2(self) -> Fe {
         let (z250_0, z11) = self.pow_2_250_minus_1();
         z250_0.square_n(5).mul(z11)
+    }
+
+    /// `1/self`, and 0 for 0: [`Fe::pow_p_minus_2`], which tests count.
+    fn invert(self) -> Fe {
+        #[cfg(test)]
+        crate::tally::inversion();
+        self.pow_p_minus_2()
     }
 
     /// `self^((p − 5)/8) = self^(2^252 − 3)`, the exponent of a square root
@@ -384,39 +394,70 @@ pub fn public_key(scalar: &[u8; 32]) -> [u8; 32] {
     num.mul(den.invert()).to_bytes()
 }
 
-/// `(public_key(scalar), x25519(scalar, point))` under one inversion: the
-/// base comb's `u = num/den` and the second product's `X/Z` are both read
-/// off `1/(den·Z)`. The second product is the ladder on `point`, or the
-/// comb over `table` when the caller has one; `table` must be `point`'s.
+/// `(public_key(scalar), x25519(scalar, point))` for each
+/// `(scalar, point, table)` of `items`, into the same place of `out` (as
+/// long as `items`), under one field inversion for all of them. Each item's second product is the ladder on `point`, or
+/// the comb over `table` when the caller has one; `table` must be
+/// `point`'s. Item `i`'s base comb gives `u = num/den` and its second
+/// product `X/Z`; both are read off `1/(den·Z)`, and Montgomery's trick
+/// gets every `1/(den_i·Z_i)` from the inverse of their product, for three
+/// multiplications an item.
 ///
 /// `den·Z` is zero only when `Z` is, that is when `scalar * point` is the
 /// point at infinity. A clamped scalar is a multiple of 8 and never of the
 /// large prime order, so that happens exactly when `point` has order
-/// dividing 8: a property of the public input alone. That case takes its
-/// own two inversions, and `x25519`'s all-zero output.
-pub(crate) fn public_key_and_x25519(
-    scalar: &[u8; 32],
-    point: &[u8; 32],
-    table: Option<&RecipientTable>,
-) -> ([u8; 32], [u8; 32]) {
-    let k = clamp_scalar(*scalar);
-    let (num, den) = comb(&BASE_TABLE, &k);
-    let (x, z) = match table {
-        Some(table) => comb(&table.rows, &k),
-        None => ladder(&k, point),
-    };
-    let den_z = den.mul(z);
-    if den_z.is_zero() {
-        return (
-            num.mul(den.invert()).to_bytes(),
-            x.mul(z.invert()).to_bytes(),
-        );
+/// dividing 8: a property of the public input alone. Such an item leaves
+/// the product, takes its own two inversions, and gets `x25519`'s
+/// all-zero output.
+pub(crate) fn public_keys_and_x25519s(
+    items: &[([u8; 32], &[u8; 32], Option<&RecipientTable>)],
+    out: &mut [([u8; 32], [u8; 32])],
+) {
+    assert_eq!(items.len(), out.len(), "one output per item");
+    let products: Vec<[Fe; 4]> = items
+        .iter()
+        .map(|(scalar, point, table)| {
+            let k = clamp_scalar(*scalar);
+            let (num, den) = comb(&BASE_TABLE, &k);
+            let (x, z) = match table {
+                Some(table) => comb(&table.rows, &k),
+                None => ladder(&k, point),
+            };
+            [num, den, x, z]
+        })
+        .collect();
+    // `before[i]`: the product of the invertible `den·Z` ahead of item i,
+    // and item i's own `den·Z` when it is invertible.
+    let mut before = Vec::with_capacity(products.len());
+    let mut product = Fe::ONE;
+    for &[_, den, _, z] in &products {
+        let den_z = den.mul(z);
+        let own = (!den_z.is_zero()).then_some(den_z);
+        before.push((product, own));
+        if let Some(den_z) = own {
+            product = product.mul(den_z);
+        }
     }
-    let inv = den_z.invert();
-    (
-        num.mul(z).mul(inv).to_bytes(),
-        x.mul(den).mul(inv).to_bytes(),
-    )
+    // Walk back: `inv` is the inverse of `before[i].0 · den_i·Z_i` on
+    // entry to an invertible item i.
+    let mut inv = product.invert();
+    for (i, &[num, den, x, z]) in products.iter().enumerate().rev() {
+        let (ahead, own) = before[i];
+        out[i] = match own {
+            Some(den_z) => {
+                let inv_i = inv.mul(ahead);
+                inv = inv.mul(den_z);
+                (
+                    num.mul(z).mul(inv_i).to_bytes(),
+                    x.mul(den).mul(inv_i).to_bytes(),
+                )
+            }
+            None => (
+                num.mul(den.invert()).to_bytes(),
+                x.mul(z.invert()).to_bytes(),
+            ),
+        };
+    }
 }
 
 /// `d` of the twisted Edwards curve `−x² + y² = 1 + d·x²·y²` that
@@ -424,7 +465,7 @@ pub(crate) fn public_key_and_x25519(
 /// u-coordinate is `(1 + y)/(1 − y)`.
 const D: Fe = Fe::ZERO
     .sub(Fe([121665, 0, 0, 0, 0]))
-    .mul(Fe([121666, 0, 0, 0, 0]).invert());
+    .mul(Fe([121666, 0, 0, 0, 0]).pow_p_minus_2());
 
 /// `2d`, as the addition formulas take it.
 const D2: Fe = D.add(D);
@@ -474,7 +515,7 @@ impl EdPoint {
             562264141797630,
             587772402128613,
         ]);
-        let y = Fe([4, 0, 0, 0, 0]).mul(Fe([5, 0, 0, 0, 0]).invert());
+        let y = Fe([4, 0, 0, 0, 0]).mul(Fe([5, 0, 0, 0, 0]).pow_p_minus_2());
         EdPoint {
             x,
             y,
@@ -585,7 +626,7 @@ const fn comb_table<const ROWS: usize>(base: EdPoint) -> [[Precomp; 8]; ROWS] {
         n += 1;
     }
     // Walk back: `inv` is the inverse of prefix at n on entry to step n.
-    let mut inv = product.invert();
+    let mut inv = product.pow_p_minus_2();
     let mut table = [[Precomp::IDENTITY; 8]; ROWS];
     let mut n = 8 * ROWS;
     while n > 0 {
@@ -924,6 +965,34 @@ mod tests {
         assert_eq!(entry.xy2d.to_bytes(), x.mul(y).mul(D2).to_bytes());
     }
 
+    /// `(public_key(scalar), x25519(scalar, point))` under one inversion:
+    /// what a seal computed before an onion's layers were batched, and the
+    /// reference `public_keys_and_x25519s` is held to item by item.
+    fn public_key_and_x25519(
+        scalar: &[u8; 32],
+        point: &[u8; 32],
+        table: Option<&RecipientTable>,
+    ) -> ([u8; 32], [u8; 32]) {
+        let k = clamp_scalar(*scalar);
+        let (num, den) = comb(&BASE_TABLE, &k);
+        let (x, z) = match table {
+            Some(table) => comb(&table.rows, &k),
+            None => ladder(&k, point),
+        };
+        let den_z = den.mul(z);
+        if den_z.is_zero() {
+            return (
+                num.mul(den.invert()).to_bytes(),
+                x.mul(z.invert()).to_bytes(),
+            );
+        }
+        let inv = den_z.invert();
+        (
+            num.mul(z).mul(inv).to_bytes(),
+            x.mul(den).mul(inv).to_bytes(),
+        )
+    }
+
     /// u = 0 (order 2), u = 1 (order 4) and a point of order 8: every
     /// clamped scalar sends them to the point at infinity.
     fn low_order_points() -> [[u8; 32]; 3] {
@@ -965,6 +1034,135 @@ mod tests {
         let f = u.square().mul(u).add(u.square().mul_small(486662)).add(u);
         let legendre = f.pow_p58().square_n(2).mul(f.square());
         !legendre.equals(Fe::ZERO.sub(Fe::ONE))
+    }
+
+    /// `public_keys_and_x25519s` into a fresh vector.
+    fn batch(
+        items: &[([u8; 32], &[u8; 32], Option<&RecipientTable>)],
+    ) -> Vec<([u8; 32], [u8; 32])> {
+        let mut out = vec![([0; 32], [0; 32]); items.len()];
+        public_keys_and_x25519s(items, &mut out);
+        out
+    }
+
+    /// u = −1, which has no Edwards image, and the smallest u on the twist:
+    /// keys without a table.
+    fn tableless_points() -> [[u8; 32]; 2] {
+        let mut minus_one = [0xffu8; 32];
+        minus_one[0] = 0xec;
+        minus_one[31] = 0x7f;
+        let twist = (2u8..)
+            .map(|n| {
+                let mut u = [0u8; 32];
+                u[0] = n;
+                u
+            })
+            .find(|u| !on_curve(u))
+            .unwrap();
+        [minus_one, twist]
+    }
+
+    /// Random onions of 1 to 8 layers, `layers` layers in all, each
+    /// batched and held to `public_key_and_x25519` item by item. A layer's
+    /// key is one of 24 random keys, with its table on about half the
+    /// layers that draw it, or, in every fourth onion, also one of the
+    /// low-order and tableless points; every onion also runs with no table
+    /// at all. Returns how many layers had a table, a low-order key and a
+    /// tableless key.
+    fn assert_batches_are_items(seed: u64, layers: usize) -> [usize; 3] {
+        let mut state = seed;
+        let keys: Vec<([u8; 32], RecipientTable)> = (0..24)
+            .map(|_| {
+                let point = public_key(&random_bytes32(&mut state));
+                (point, RecipientTable::new(&point).unwrap())
+            })
+            .collect();
+        let low_order = low_order_points();
+        let odd: Vec<([u8; 32], Option<RecipientTable>)> = low_order
+            .into_iter()
+            .chain(tableless_points())
+            .map(|u| (u, RecipientTable::new(&u)))
+            .collect();
+        let mut seen = [0; 3];
+        let mut done = 0;
+        for case in 0.. {
+            let n = (1 + splitmix64(&mut state) % 8) as usize;
+            if done + n > layers {
+                break;
+            }
+            done += n;
+            let items: Vec<([u8; 32], &[u8; 32], Option<&RecipientTable>)> = (0..n)
+                .map(|_| {
+                    let pick = splitmix64(&mut state) as usize;
+                    let scalar = random_bytes32(&mut state);
+                    if case % 4 == 3 && pick.is_multiple_of(3) {
+                        let (point, table) = &odd[pick / 3 % odd.len()];
+                        (scalar, point, table.as_ref())
+                    } else {
+                        let (point, table) = &keys[pick / 3 % keys.len()];
+                        (
+                            scalar,
+                            point,
+                            (pick / 96).is_multiple_of(2).then_some(table),
+                        )
+                    }
+                })
+                .collect();
+            let tableless: Vec<_> = items.iter().map(|&(k, u, _)| (k, u, None)).collect();
+            for items in [&items, &tableless] {
+                let expected: Vec<_> = items
+                    .iter()
+                    .map(|(k, u, table)| public_key_and_x25519(k, u, *table))
+                    .collect();
+                assert_eq!(batch(items), expected, "case {case}");
+            }
+            for (_, u, table) in &items {
+                seen[0] += usize::from(table.is_some());
+                seen[1] += usize::from(low_order.contains(u));
+                seen[2] += usize::from(tableless_points().contains(u));
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn batched_products_equal_one_at_a_time() {
+        let [tables, low_order, tableless] = assert_batches_are_items(0xba7c, 2_000);
+        assert!(tables > 600 && low_order > 20 && tableless > 15);
+        // The empty batch.
+        assert!(batch(&[]).is_empty());
+    }
+
+    #[test]
+    #[ignore = "10^5 layers; CI runs it in release"]
+    fn batched_products_equal_one_at_a_time_100000() {
+        assert_batches_are_items(0x5eedba7c, 100_000);
+    }
+
+    #[test]
+    fn an_onion_of_products_runs_one_inversion() {
+        let mut state = 0x1a;
+        let points: Vec<[u8; 32]> = (0..4)
+            .map(|_| public_key(&random_bytes32(&mut state)))
+            .collect();
+        let table = RecipientTable::new(&points[1]).unwrap();
+        let items: Vec<_> = points
+            .iter()
+            .enumerate()
+            .map(|(i, u)| (random_bytes32(&mut state), u, (i == 1).then_some(&table)))
+            .collect();
+        let (inversions, _) = crate::tally::during(|| {
+            batch(&items);
+        });
+        assert_eq!(inversions, 1);
+        // A low-order layer takes its own two.
+        let [_, _, order_8] = low_order_points();
+        let mut with_low_order = items.clone();
+        with_low_order[2].1 = &order_8;
+        let (inversions, _) = crate::tally::during(|| {
+            batch(&with_low_order);
+        });
+        assert_eq!(inversions, 3);
     }
 
     /// `public_key_and_x25519` over `point`'s table equals the public key
@@ -1097,7 +1295,7 @@ mod tests {
         }
         let base = expected(&BASE_TABLE);
         let own = expected(&recipient.rows);
-        for scalar in scalars {
+        for &scalar in &scalars {
             let k = clamp_scalar(scalar);
             let base_run = accesses(|| {
                 let _ = comb(&BASE_TABLE, &k);
@@ -1107,6 +1305,23 @@ mod tests {
                 let _ = comb(&recipient.rows, &k);
             });
             assert_eq!(own_run, own, "{}", hex(&k));
+        }
+
+        // A batched onion of four layers, the second and fourth through
+        // the recipient's table: per layer the base comb's accesses, then
+        // the table's where it has one, whatever the four scalars.
+        let point = *recipient.point();
+        let expected: Vec<Access> = (0..4)
+            .flat_map(|i| [&base[..], if i % 2 == 1 { &own[..] } else { &[] }].concat())
+            .collect();
+        for four in scalars.chunks_exact(4) {
+            let items: Vec<_> = (0..4)
+                .map(|i| (four[i], &point, (i % 2 == 1).then_some(&recipient)))
+                .collect();
+            let run = accesses(|| {
+                batch(&items);
+            });
+            assert_eq!(run, expected, "{}", hex(&four[0]));
         }
     }
 

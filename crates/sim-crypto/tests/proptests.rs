@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use sim_crypto::hmac::{hkdf, hmac_sha256};
 use sim_crypto::sha256::{sha256, Sha256};
 use sim_crypto::symmetric::OVERHEAD;
 use sim_crypto::{
@@ -11,11 +10,35 @@ use sim_crypto::{
     KeyPair, SymmetricKey,
 };
 
+/// HChaCha20 from the ChaCha20 block function: a block is the rounds'
+/// output plus the input state, so subtracting the input words from words
+/// 0–3 and 12–15 of the block of `(key, input)` leaves what HChaCha20
+/// keeps.
+fn reference_hchacha20(key: &[u8; 32], input: &[u8; 16]) -> [u8; 32] {
+    let word =
+        |bytes: &[u8], i: usize| u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().unwrap());
+    let counter = word(input, 0);
+    let nonce: [u8; 12] = input[4..].try_into().unwrap();
+    let block = chacha20::block(key, counter, &nonce);
+    let sigma = b"expand 32-byte k";
+    let mut out = [0u8; 32];
+    for (j, i) in [0, 1, 2, 3, 12, 13, 14, 15].into_iter().enumerate() {
+        let input_word = if i < 4 {
+            word(sigma, i)
+        } else {
+            word(input, i - 12)
+        };
+        let w = word(&block, i).wrapping_sub(input_word);
+        out[4 * j..4 * j + 4].copy_from_slice(&w.to_le_bytes());
+    }
+    out
+}
+
 /// The wire-v2 symmetric layer from scratch: the key derivation run for
 /// this one call and the RFC 8439 AEAD (no associated data) composed from
 /// the public primitives only.
 fn reference_sym_encrypt(key: &[u8; 32], msg: &[u8], seed: u64) -> Vec<u8> {
-    let enc: [u8; 32] = hkdf(b"p2p-anon/sym/v2", key, b"enc");
+    let enc = reference_hchacha20(key, b"p2p-anon/sym/key");
     let mut nonce = [0u8; 12];
     StdRng::seed_from_u64(seed).fill_bytes(&mut nonce);
     let block0 = chacha20::block(&enc, 0, &nonce);
@@ -254,25 +277,5 @@ proptest! {
         let pa = public_key(&a);
         let pb = public_key(&b);
         prop_assert_eq!(x25519(&a, &pb), x25519(&b, &pa));
-    }
-
-    /// HMAC differs when the key or the message change (collision-freedom
-    /// smoke test) and HKDF output depends on all inputs.
-    #[test]
-    fn hmac_hkdf_sensitivity(
-        key in proptest::collection::vec(any::<u8>(), 1..64),
-        msg in proptest::collection::vec(any::<u8>(), 0..256),
-    ) {
-        let tag = hmac_sha256(&key, &msg);
-        let mut key2 = key.clone();
-        key2[0] ^= 1;
-        prop_assert_ne!(hmac_sha256(&key2, &msg), tag);
-        let mut msg2 = msg.clone();
-        msg2.push(0);
-        prop_assert_ne!(hmac_sha256(&key, &msg2), tag);
-
-        let okm1: [u8; 32] = hkdf(&key, &msg, b"a");
-        let okm2: [u8; 32] = hkdf(&key, &msg, b"b");
-        prop_assert_ne!(okm1, okm2);
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! This crate is a facade re-exporting the workspace's layers:
 //!
-//! * [`crypto`] (`sim-crypto`) — SHA-256 / HMAC / HKDF / ChaCha20 / X25519
+//! * [`crypto`] (`sim-crypto`) — ChaCha20 / HChaCha20 / Poly1305 / X25519
 //!   and the sealed-box hybrid encryption used for onion layers.
 //! * [`coding`] (`erasure`) — systematic Reed–Solomon erasure coding over
 //!   GF(2^8) and the replication codec.
